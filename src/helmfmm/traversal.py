@@ -1,21 +1,24 @@
 """Dual tree traversal, blank precomputation passes and the FMM driver.
 
-The driver pipeline is:
+The driver pipeline plans, then executes:
 
-    build trees -> blank DTT -> blank downward pass -> P2M at leaves ->
-    M2M upward -> M2F -> DTT (Hadamard M2L + P2P) -> F2L -> L2L downward ->
-    L2P -> un-permute potentials
+    build trees -> blank DTT (interaction lists) -> blank downward pass ->
+    P2M at leaves -> M2M upward -> M2F -> DTT (replay: Hadamard M2L, then
+    P2P) -> F2L -> L2L downward -> L2P -> un-permute potentials
 
-One single DTT serves both regimes: the strict MAC applies at
+The blank DTT is the only recursion.  The strict MAC applies at
 low-frequency levels and the direction-free high-frequency MAC
-max{kappa*w^2, 2w} / dist(t, s) <= eta at high-frequency ones.  All
-directional bookkeeping is resolved beforehand by the blank passes, which
-mark the effective expansions and populate the symbol cache.
+max{kappa*w^2, 2w} / dist(t, s) <= eta at high-frequency ones; both depend
+on (level, translation) only, so each distinct one is resolved once (MAC,
+M2L symbol and, at high frequency, direction): symbol precomputation lies
+inside the blank pass only.  The numeric DTT replays the recorded entries
+in order, so every accumulator sums as in the recursion.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,6 @@ from .tree import Cell, ClusterTree, ParticleSet, TreeConfig, accumulate_potenti
 
 __all__ = [
     "FmmConfig",
-    "MacParams",
     "InteractionEvent",
     "strict_mac",
     "directional_mac",
@@ -69,17 +71,6 @@ class FmmConfig:
 
 
 @dataclass(frozen=True)
-class MacParams:
-    eta: float = 1.0
-    kappa: float = 0.0
-    hf_threshold: float = 2.0
-
-    def __post_init__(self):
-        if not (self.eta > 0):
-            raise ValueError("eta must be > 0")
-
-
-@dataclass(frozen=True)
 class InteractionEvent:
     kind: str  # "M2L" | "P2P"
     target: Cell
@@ -106,13 +97,13 @@ def strict_mac(t: Cell, s: Cell) -> bool:
     return _gap_sq(t, s) >= 1.0
 
 
-def directional_mac(t: Cell, s: Cell, params: MacParams) -> bool:
+def directional_mac(t: Cell, s: Cell, kappa: float, eta: float) -> bool:
     """max{kappa*w^2, 2w} / dist(t,s) <= eta, with w the cell radius."""
     if t.level != s.level:
         raise ValueError("directional MAC requires same-level cells")
     w = t.radius
     dist = cell_distance(t, s)
-    return max(params.kappa * w * w, 2.0 * w) <= params.eta * dist
+    return max(kappa * w * w, 2.0 * w) <= eta * dist
 
 
 class _Context:
@@ -136,13 +127,15 @@ class _Context:
         self.source_pset = source_pset
         self.workspace = FourierWorkspace(config.order)
         self.cache = SymbolCache(kernel, config.order)
-        self.mac_params = MacParams(
-            eta=config.eta, kappa=config.kappa, hf_threshold=config.hf_switch
-        )
         self.events = events
-        self.n_m2l = 0
         self.n_p2p_pairs = 0
         self.precompute_time = 0.0
+        # blank_dtt's plan: (level, translation) -> m2l_entries index or -1;
+        # (diagonal, direction) entries; flat cell-index triplets and pairs
+        self.resolved: dict = {}
+        self.m2l_entries: list = []
+        self.m2l_plan = array("i")
+        self.p2p_plan = array("i")
 
         # hf_max_level is the deepest level whose cells satisfy
         # kappa * radius >= hf_switch.  Each high-frequency level l gets the
@@ -180,7 +173,7 @@ class _Context:
 
     def mac(self, t: Cell, s: Cell) -> bool:
         if self.is_hf(t.level):
-            return directional_mac(t, s, self.mac_params)
+            return directional_mac(t, s, self.config.kappa, self.config.eta)
         return strict_mac(t, s)
 
     def direction_vector(self, dir_id) -> np.ndarray:
@@ -192,25 +185,42 @@ class _Context:
 # blank passes
 
 
-def blank_dtt(t: Cell, s: Cell, ctx: _Context) -> None:
-    """Mark needed directions and populate the high-frequency symbol cache."""
-    if not ctx.is_hf(t.level):
-        return
-    if ctx.mac(t, s):
-        tvec = t.coords - s.coords
-        v = tvec / np.linalg.norm(tvec)
+def _resolve(t: Cell, s: Cell, tvec: np.ndarray, ctx: _Context) -> int:
+    """New M2L entry for the translation of (t, s), or -1 if not admissible."""
+    if not ctx.mac(t, s):
+        return -1
+    direction = None
+    if ctx.is_hf(t.level):
         e = ctx.refinement(t.level)
-        uid = (e, nearest_direction(ctx.dirs, e, v))
-        t.marks.add(uid)
-        s.marks.add(uid)
-        t0 = time.perf_counter()
-        ctx.cache.get(t.level, tuple(tvec), t.side)
-        ctx.cache.tag_direction(t.level, tuple(tvec), uid)
-        ctx.precompute_time += time.perf_counter() - t0
-        return
-    for t2 in t.sons:
-        for s2 in s.sons:
-            blank_dtt(t2, s2, ctx)
+        direction = (e, nearest_direction(ctx.dirs, e, tvec / np.linalg.norm(tvec)))
+    t0 = time.perf_counter()
+    sym = ctx.cache.get(t.level, tuple(tvec), t.side)
+    if direction is not None:
+        ctx.cache.tag_direction(t.level, tuple(tvec), direction)
+    ctx.precompute_time += time.perf_counter() - t0
+    ctx.m2l_entries.append((sym.diagonal, direction))
+    return len(ctx.m2l_entries) - 1
+
+
+def blank_dtt(t: Cell, s: Cell, ctx: _Context) -> None:
+    """Record the interaction lists of (t, s) and mark needed directions."""
+    tvec = t.coords - s.coords
+    key = (t.level, *tvec.tolist())
+    entry = ctx.resolved.get(key)
+    if entry is None:
+        entry = ctx.resolved[key] = _resolve(t, s, tvec, ctx)
+    if entry >= 0:
+        direction = ctx.m2l_entries[entry][1]
+        if direction is not None:
+            t.marks.add(direction)
+            s.marks.add(direction)
+        ctx.m2l_plan.extend((t.index, s.index, entry))
+    elif t.is_leaf or s.is_leaf:
+        ctx.p2p_plan.extend((t.index, s.index))
+    else:
+        for t2 in t.sons:
+            for s2 in s.sons:
+                blank_dtt(t2, s2, ctx)
 
 
 def blank_downward_pass(c: Cell, ctx: _Context) -> None:
@@ -332,35 +342,23 @@ def _p2p(ctx: _Context, t: Cell, s: Cell) -> None:
         ctx.events.append(InteractionEvent("P2P", t, s))
 
 
-def dtt(t: Cell, s: Cell, ctx: _Context) -> None:
-    if ctx.mac(t, s):
-        tvec = t.coords - s.coords
-        t0 = time.perf_counter()
-        sym = ctx.cache.get(t.level, tuple(tvec), t.side)
-        ctx.precompute_time += time.perf_counter() - t0
-        if ctx.is_hf(t.level):
-            key = sym.direction
-            if key is None:
-                raise RuntimeError("untagged high-frequency symbol: blank-pass bug")
-        else:
-            key = None
-        src = s.multipole_hat.get(key)
-        if src is None:
-            raise RuntimeError("missing source expansion: blank-pass bug")
+def dtt(ctx: _Context) -> None:
+    """Replay blank_dtt's lists: every M2L, then every P2P, in recorded order."""
+    tcells = ctx.target_tree.cells
+    scells = ctx.source_tree.cells
+    it = iter(ctx.m2l_plan)
+    for ti, si, entry in zip(it, it, it):
+        t, s = tcells[ti], scells[si]
+        diagonal, key = ctx.m2l_entries[entry]
         acc = t.local_hat.get(key)
         if acc is None:
-            acc = np.zeros(ctx.workspace.fourier_size, dtype=complex)
-            t.local_hat[key] = acc
-        m2l_hadamard(acc, src, sym.diagonal)
-        ctx.n_m2l += 1
+            acc = t.local_hat[key] = np.zeros(ctx.workspace.fourier_size, dtype=complex)
+        m2l_hadamard(acc, s.multipole_hat[key], diagonal)
         if ctx.events is not None:
             ctx.events.append(InteractionEvent("M2L", t, s, key))
-    elif t.is_leaf or s.is_leaf:
-        _p2p(ctx, t, s)
-    else:
-        for t2 in t.sons:
-            for s2 in s.sons:
-                dtt(t2, s2, ctx)
+    it = iter(ctx.p2p_plan)
+    for ti, si in zip(it, it):
+        _p2p(ctx, tcells[ti], scells[si])
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +499,7 @@ def run_fmm_full(
     info.timings["upward"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dtt(target_tree.root, source_tree.root, ctx)
+    dtt(ctx)
     info.timings["m2l_p2p"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -520,7 +518,7 @@ def run_fmm_full(
         "symbols": ctx.cache.n_canonical,
         "effective_expansions": n_exp,
         "p2p_pairs": ctx.n_p2p_pairs,
-        "m2l_events": ctx.n_m2l,
+        "m2l_events": len(ctx.m2l_plan) // 3,
     }
     return accumulate_potentials(target_pset), info
 

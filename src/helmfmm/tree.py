@@ -26,7 +26,6 @@ __all__ = [
     "Cell",
     "ClusterTree",
     "build_tree",
-    "level_radius",
     "accumulate_potentials",
 ]
 
@@ -67,6 +66,7 @@ class Cell:
     start: int
     stop: int
     frame: CellFrame
+    index: int = -1  # position in ClusterTree.cells
     sons: list = field(default_factory=list)
     # direction ids this cell was marked with during the blank passes
     marks: set = field(default_factory=set)
@@ -115,18 +115,16 @@ class ClusterTree:
         return sum(len(lv) for lv in self.levels)
 
     @property
+    def cells(self) -> list:
+        """Every cell, level by level; cells[c.index] is c."""
+        return [c for lv in self.levels for c in lv]
+
+    @property
     def leaves(self) -> list:
         return [c for lv in self.levels for c in lv if c.is_leaf]
 
     def side_at(self, level: int) -> float:
         return self.root_box.side / (1 << level)
-
-
-def level_radius(tree: ClusterTree, level: int) -> float:
-    """Half-diagonal of cells at the given level."""
-    if level < 0 or level > tree.depth:
-        raise ValueError("level out of range")
-    return SQRT3 * tree.side_at(level) / 2.0
 
 
 def build_tree(
@@ -151,6 +149,8 @@ def build_tree(
         raise ValueError("points and charges length mismatch")
     if not np.all(np.isfinite(points)):
         raise ValueError("particle coordinates must be finite")
+    if not np.all(np.isfinite(charges)):
+        raise ValueError("charges must be finite")
     if root_box is None:
         root_box = compute_root_box(points)
 
@@ -203,6 +203,8 @@ def build_tree(
 
     root = make_cell(0, 0, np.zeros(3, dtype=np.int64), 0, n)
     split(root)
+    for i, cell in enumerate(c for lv in levels for c in lv):
+        cell.index = i
 
     pset = ParticleSet(
         positions=order,

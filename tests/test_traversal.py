@@ -6,7 +6,6 @@ from helmfmm.kernel import HelmholtzKernel, direct_sum, relative_errors
 from helmfmm.tree import Cell, TreeConfig, build_tree
 from helmfmm.traversal import (
     FmmConfig,
-    MacParams,
     _Context,
     blank_dtt,
     blank_downward_pass,
@@ -63,12 +62,10 @@ def test_directional_mac_thresholds():
     dist_far = cell_distance(a, far)
     # pick kappa so the far pair is admissible but the near one is not
     kappa = dist_far / (w * w)
-    params = MacParams(eta=1.0, kappa=kappa)
-    assert directional_mac(a, far, params)
-    assert not directional_mac(a, near, params)
+    assert directional_mac(a, far, kappa, 1.0)
+    assert not directional_mac(a, near, kappa, 1.0)
     # a larger eta re-admits the near pair when 2w permits
-    loose = MacParams(eta=10.0, kappa=kappa)
-    assert directional_mac(a, near, loose)
+    assert directional_mac(a, near, kappa, 10.0)
 
 
 def test_config_validation():
@@ -262,6 +259,17 @@ def test_counts_are_consistent():
     assert set(info.timings) >= {
         "tree", "blank", "precompute", "upward", "m2l_p2p", "downward", "total",
     }
+
+
+def test_non_finite_charge_fails_loudly():
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(size=(300, 3))
+    q = rng.uniform(size=300) + 1j * rng.uniform(size=300)
+    q[17] = np.nan
+    with pytest.raises(ValueError, match="charges must be finite"):
+        run_fmm(pts, pts, q, FmmConfig(order=3, ncrit=16, kappa=2.0))
+    with pytest.raises(ValueError, match="charges must be finite"):
+        run_fmm(pts[:50], pts, q, FmmConfig(order=3, ncrit=16, kappa=2.0))
 
 
 def test_deterministic_potentials():

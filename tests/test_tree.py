@@ -6,7 +6,6 @@ from helmfmm.tree import (
     TreeConfig,
     accumulate_potentials,
     build_tree,
-    level_radius,
     morton_codes_at_depth,
 )
 
@@ -102,14 +101,20 @@ def test_coincident_points_respect_depth_cap():
     assert max(c.n_particles for c in tree.leaves) == 50
 
 
-def test_level_radius_is_half_diagonal():
-    pts, q = _uniform_problem(100, seed=7)
-    tree, _ = build_tree(pts, q)
-    for level in range(tree.depth + 1):
-        expected = np.sqrt(3.0) * tree.side_at(level) / 2.0
-        assert level_radius(tree, level) == pytest.approx(expected)
-    with pytest.raises(ValueError):
-        level_radius(tree, tree.depth + 1)
+def test_cell_index_is_position_in_cells():
+    pts, q = _uniform_problem(300, seed=8)
+    tree, _ = build_tree(pts, q, TreeConfig(ncrit=16))
+    cells = tree.cells
+    assert len(cells) == tree.n_cells
+    assert all(cells[c.index] is c for c in cells)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_build_tree_rejects_non_finite_charges(bad):
+    pts, q = _uniform_problem(300, seed=9)
+    q[123] = bad
+    with pytest.raises(ValueError, match="charges must be finite"):
+        build_tree(pts, q)
 
 
 def test_build_tree_input_validation():
