@@ -1,11 +1,11 @@
 """Directional FFT-accelerated fast multipole method for the 3D Helmholtz kernel."""
 
 from .distributions import Distribution, generate_distribution, random_charges
-from .geometry import BoundingBox, CellFrame, MortonKey, compute_root_box
+from .geometry import BoundingBox, CellFrame, compute_root_box
 from .harness import ExperimentConfig, RunRecord, run_experiment
 from .kernel import ErrorReport, HelmholtzKernel, direct_sum, relative_errors
 from .traversal import FmmConfig, run_fmm, run_fmm_full
-from .tree import ClusterTree, ParticleSet, TreeConfig, build_tree
+from .tree import ClusterTree, ParticleSet, build_tree
 
 __version__ = "0.1.0"
 
@@ -18,10 +18,8 @@ __all__ = [
     "ExperimentConfig",
     "FmmConfig",
     "HelmholtzKernel",
-    "MortonKey",
     "ParticleSet",
     "RunRecord",
-    "TreeConfig",
     "build_tree",
     "compute_root_box",
     "direct_sum",

@@ -1,4 +1,4 @@
-"""Boxes, cell frames and Morton keys for the octree.
+"""Boxes, cell frames and Morton codes for the octree.
 
 All geometry is expressed in "computational box" units: the root box is a
 cube and every cell at depth ``k`` is an axis-aligned cube of side
@@ -8,20 +8,15 @@ cube and every cell at depth ``k`` is an axis-aligned cube of side
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BoundingBox",
     "CellFrame",
-    "MortonKey",
     "compute_root_box",
-    "morton_encode",
-    "morton_decode",
     "morton_encode_many",
-    "sort_particles_morton",
-    "cell_frame",
+    "MAX_MORTON_DEPTH",
 ]
 
 # 21 levels of 3 bits each fit in a uint64 with room to spare.
@@ -72,13 +67,6 @@ class CellFrame:
         return self.alpha + 0.5 * self.beta
 
 
-class MortonKey(NamedTuple):
-    """Bit-interleaved cell address: 3 bits per level, depth kept alongside."""
-
-    code: int
-    depth: int
-
-
 def compute_root_box(points: np.ndarray, margin: float = 1e-6) -> BoundingBox:
     """Smallest cube centered on the centroid containing all points.
 
@@ -113,58 +101,8 @@ def morton_encode_many(coords: np.ndarray, depth: int) -> np.ndarray:
     coords = np.asarray(coords)
     if depth < 0 or depth > MAX_MORTON_DEPTH:
         raise ValueError(f"depth must be in [0, {MAX_MORTON_DEPTH}]")
-    if coords.size and (coords.min() < 0 or coords.max() >= (1 << depth) + (depth == 0)):
-        if depth == 0:
-            if not np.all(coords == 0):
-                raise ValueError("coordinates out of range for depth 0")
-        else:
-            raise ValueError("coordinates out of range for depth")
+    if coords.size and (coords.min() < 0 or coords.max() >= 1 << depth):
+        raise ValueError("coordinates out of range for depth")
     x, y, z = (coords[:, k].astype(np.uint64) for k in range(3))
     # axis 0 occupies the most significant bit of each 3-bit group
     return (_part_bits(x) << np.uint64(2)) | (_part_bits(y) << np.uint64(1)) | _part_bits(z)
-
-
-def morton_encode(coords, depth: int) -> MortonKey:
-    """Morton key of a single cell; lexicographic key order is Morton order."""
-    arr = np.asarray(coords, dtype=np.int64).reshape(1, 3)
-    code = int(morton_encode_many(arr, depth)[0])
-    return MortonKey(code=code, depth=depth)
-
-
-def morton_decode(key: MortonKey) -> np.ndarray:
-    """Inverse of :func:`morton_encode`, returning integer coordinates."""
-    coords = np.zeros(3, dtype=np.int64)
-    code = key.code
-    for bit in range(key.depth):
-        for axis in range(3):
-            coords[2 - axis] |= ((code >> (3 * bit + axis)) & 1) << bit
-    return coords
-
-
-def point_cell_coords(points: np.ndarray, box: BoundingBox, depth: int) -> np.ndarray:
-    """Integer cell coordinates at ``depth`` of each point inside ``box``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    inside = box.contains(pts)
-    if not np.all(inside):
-        raise ValueError("point outside the root bounding box")
-    n_cells = 1 << depth
-    scaled = (pts - box.lower) / box.side * n_cells
-    return np.clip(scaled.astype(np.int64), 0, n_cells - 1)
-
-
-def sort_particles_morton(points: np.ndarray, box: BoundingBox, depth: int) -> np.ndarray:
-    """Permutation putting points in nondecreasing Morton order at ``depth``.
-
-    Stable: coincident points keep their input order.
-    """
-    coords = point_cell_coords(points, box, depth)
-    codes = morton_encode_many(coords, depth)
-    return np.argsort(codes, kind="stable")
-
-
-def cell_frame(root: BoundingBox, key: MortonKey) -> CellFrame:
-    """Frame (lower corner, side) of the cell addressed by ``key``."""
-    coords = morton_decode(key)
-    beta = root.side / (1 << key.depth)
-    alpha = root.lower + coords * beta
-    return CellFrame(alpha=alpha, beta=beta)

@@ -30,24 +30,9 @@ __all__ = [
     "l2l_factors",
     "kron_apply",
     "apply_strategy",
-    "reset_flops",
-    "flop_count",
 ]
 
 STRATEGIES = ("t", "t+s", "t+s+r")
-
-# multiply-add counter for the tensorized applies (test instrumentation)
-_FLOPS = 0
-
-
-def reset_flops():
-    global _FLOPS
-    _FLOPS = 0
-
-
-def flop_count() -> int:
-    return _FLOPS
-
 
 @lru_cache(maxsize=None)
 def nodes_1d(order: int) -> np.ndarray:
@@ -172,7 +157,6 @@ def kron_apply(factors, x: np.ndarray) -> np.ndarray:
     ``x`` has shape (L^3, m); each column is transformed with d successive
     mode products of cost L^(d+1), instead of the L^(2d) dense apply.
     """
-    global _FLOPS
     f0, f1, f2 = factors
     order = f0.shape[0]
     m = x.shape[1]
@@ -180,8 +164,6 @@ def kron_apply(factors, x: np.ndarray) -> np.ndarray:
     t = np.tensordot(f0, t, axes=(1, 0))
     t = np.tensordot(f1, t, axes=(1, 1)).transpose(1, 0, 2, 3)
     t = np.tensordot(f2, t, axes=(1, 2)).transpose(1, 2, 0, 3)
-    cmplx = np.iscomplexobj(x)
-    _FLOPS += 3 * 2 * order**4 * m * (2 if cmplx else 1)
     return np.ascontiguousarray(t.reshape(order**3, m))
 
 

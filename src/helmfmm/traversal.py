@@ -32,7 +32,7 @@ from .directions import (
 )
 from .fourier import FourierWorkspace, SymbolCache, m2l_hadamard
 from .kernel import HelmholtzKernel
-from .tree import Cell, ClusterTree, ParticleSet, TreeConfig, accumulate_potentials, build_tree
+from .tree import Cell, ClusterTree, ParticleSet, accumulate_potentials, build_tree
 
 __all__ = [
     "FmmConfig",
@@ -57,17 +57,20 @@ class FmmConfig:
     # also scales the direction refinement: a high-frequency level with
     # kappa * radius ~ 2**e * hf_switch uses the 6 * 4**e directions
     hf_switch: float = 2.0
-    hard_depth_cap: int = 30
 
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("order must be >= 2")
+        if self.ncrit < 1:
+            raise ValueError("ncrit must be >= 1")
         if self.strategy not in interp.STRATEGIES:
             raise ValueError(f"strategy must be one of {interp.STRATEGIES}")
         if not (self.eta > 0):
             raise ValueError("eta must be > 0")
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
+        if not (np.isfinite(self.hf_switch) and self.hf_switch > 0):
+            raise ValueError("hf_switch must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -461,20 +464,19 @@ def run_fmm_full(
     info = FmmInfo()
     t_start = time.perf_counter()
 
-    tree_cfg = TreeConfig(ncrit=config.ncrit, hard_depth_cap=config.hard_depth_cap)
     t0 = time.perf_counter()
     same = targets is sources
     if same:
-        source_tree, source_pset = build_tree(sources, charges, tree_cfg)
+        source_tree, source_pset = build_tree(sources, charges, config.ncrit)
         target_tree, target_pset = source_tree, source_pset
     else:
         from .geometry import compute_root_box
 
         both = np.vstack([np.atleast_2d(targets), np.atleast_2d(sources)])
         box = compute_root_box(both)
-        source_tree, source_pset = build_tree(sources, charges, tree_cfg, root_box=box)
+        source_tree, source_pset = build_tree(sources, charges, config.ncrit, root_box=box)
         target_tree, target_pset = build_tree(
-            targets, np.zeros(np.atleast_2d(targets).shape[0]), tree_cfg, root_box=box
+            targets, np.zeros(np.atleast_2d(targets).shape[0]), config.ncrit, root_box=box
         )
     info.timings["tree"] = time.perf_counter() - t0
 

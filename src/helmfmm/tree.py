@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    MAX_MORTON_DEPTH,
     BoundingBox,
     CellFrame,
-    MortonKey,
     compute_root_box,
     morton_encode_many,
 )
 
 __all__ = [
-    "TreeConfig",
     "ParticleSet",
     "Cell",
     "ClusterTree",
@@ -30,18 +29,6 @@ __all__ = [
 ]
 
 SQRT3 = float(np.sqrt(3.0))
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    ncrit: int = 64
-    hard_depth_cap: int = 30
-
-    def __post_init__(self):
-        if self.ncrit < 1:
-            raise ValueError("ncrit must be >= 1")
-        if self.hard_depth_cap < 0:
-            raise ValueError("hard_depth_cap must be >= 0")
 
 
 @dataclass
@@ -60,7 +47,6 @@ class ParticleSet:
 
 @dataclass
 class Cell:
-    key: MortonKey
     level: int
     coords: np.ndarray  # integer cell coordinates at this level
     start: int
@@ -104,7 +90,6 @@ class ClusterTree:
     root_box: BoundingBox
     root: Cell
     levels: list  # levels[k] = list of cells at depth k
-    config: TreeConfig
 
     @property
     def depth(self) -> int:
@@ -130,16 +115,20 @@ class ClusterTree:
 def build_tree(
     points: np.ndarray,
     charges: np.ndarray,
-    config: TreeConfig = TreeConfig(),
+    ncrit: int = 64,
     root_box: BoundingBox | None = None,
 ) -> tuple[ClusterTree, ParticleSet]:
     """Build the octree and the consistently permuted particle arrays.
 
-    Cells are split until they hold at most ``ncrit`` particles or the depth
-    cap is reached (coincident-point clusters then become oversized leaves).
-    Empty cells are never materialized and sons are ordered by Morton key,
-    so the recursive partition leaves the particles Morton-sorted at the
-    deepest realized level.
+    Each particle is quantised to integer coordinates at depth
+    ``MAX_MORTON_DEPTH`` and the particles are sorted once by their Morton
+    codes (stably, so coincident points keep their input order).  The cells
+    of level ``l`` are the runs of equal prefix
+    ``code >> 3 * (MAX_MORTON_DEPTH - l)``; level by level, every cell
+    holding more than ``ncrit`` particles is cut where that prefix changes.
+    Empty cells never appear, sons come in Morton order, and a coincident
+    cluster stops at depth ``MAX_MORTON_DEPTH`` as one oversized leaf.
+    ``root_box``, when given, must contain every particle.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     charges = np.asarray(charges, dtype=complex)
@@ -153,74 +142,51 @@ def build_tree(
         raise ValueError("charges must be finite")
     if root_box is None:
         root_box = compute_root_box(points)
+    elif not np.all(root_box.contains(points)):
+        raise ValueError("particle outside the root box")
 
     n = points.shape[0]
-    perm = np.arange(n)
-    order = points.copy()  # working copy, permuted in place alongside perm
+    top = MAX_MORTON_DEPTH
+    grid = np.clip(
+        ((points - root_box.lower) * ((1 << top) / root_box.side)).astype(np.int64),
+        0,
+        (1 << top) - 1,
+    )
+    codes = morton_encode_many(grid, top)
+    perm = np.argsort(codes, kind="stable")
+    codes, grid = codes[perm], grid[perm]
 
-    levels: list[list[Cell]] = []
-
-    def make_cell(code: int, level: int, coords: np.ndarray, start: int, stop: int) -> Cell:
-        key = MortonKey(code=code, depth=level)
+    def make_cell(level: int, coords: np.ndarray, start: int, stop: int) -> Cell:
         beta = root_box.side / (1 << level)
         frame = CellFrame(alpha=root_box.lower + coords * beta, beta=beta)
-        cell = Cell(key=key, level=level, coords=coords.copy(), start=start, stop=stop, frame=frame)
-        while len(levels) <= level:
-            levels.append([])
-        levels[level].append(cell)
-        return cell
+        return Cell(level=level, coords=coords, start=start, stop=stop, frame=frame)
 
-    def split(cell: Cell):
-        if cell.n_particles <= config.ncrit or cell.level >= config.hard_depth_cap:
-            return
-        lo, hi = cell.start, cell.stop
-        center = cell.frame.center
-        pts = order[lo:hi]
-        octant = (
-            (pts[:, 0] >= center[0]).astype(np.int64) * 4
-            + (pts[:, 1] >= center[1]).astype(np.int64) * 2
-            + (pts[:, 2] >= center[2]).astype(np.int64)
-        )
-        local = np.argsort(octant, kind="stable")
-        order[lo:hi] = pts[local]
-        perm[lo:hi] = perm[lo:hi][local]
-        octant = octant[local]
-        bounds = np.searchsorted(octant, np.arange(9))
-        for o in range(8):
-            a, b = int(bounds[o]), int(bounds[o + 1])
-            if a == b:
-                continue
-            oc = np.array([(o >> 2) & 1, (o >> 1) & 1, o & 1], dtype=np.int64)
-            son = make_cell(
-                code=(cell.key.code << 3) | o,
-                level=cell.level + 1,
-                coords=cell.coords * 2 + oc,
-                start=lo + a,
-                stop=lo + b,
-            )
-            cell.sons.append(son)
-            split(son)
-
-    root = make_cell(0, 0, np.zeros(3, dtype=np.int64), 0, n)
-    split(root)
+    root = make_cell(0, np.zeros(3, dtype=np.int64), 0, n)
+    levels = [[root]]
+    for level in range(1, top + 1):
+        parents = [c for c in levels[-1] if c.n_particles > ncrit]
+        if not parents:
+            break
+        prefix = codes >> np.uint64(3 * (top - level))
+        cuts = np.flatnonzero(prefix[1:] != prefix[:-1]) + 1
+        levels.append([])
+        for parent in parents:
+            lo, hi = np.searchsorted(cuts, (parent.start + 1, parent.stop))
+            bounds = [parent.start, *cuts[lo:hi].tolist(), parent.stop]
+            for a, b in zip(bounds, bounds[1:]):
+                son = make_cell(level, grid[a] >> (top - level), a, b)
+                parent.sons.append(son)
+                levels[-1].append(son)
     for i, cell in enumerate(c for lv in levels for c in lv):
         cell.index = i
 
     pset = ParticleSet(
-        positions=order,
-        charges=charges[perm].copy(),
+        positions=points[perm],
+        charges=charges[perm],
         potentials=np.zeros(n, dtype=complex),
         original_index=perm,
     )
-    return ClusterTree(root_box=root_box, root=root, levels=levels, config=config), pset
-
-
-def morton_codes_at_depth(tree: ClusterTree, pset: ParticleSet, depth: int) -> np.ndarray:
-    """Morton codes of the sorted particles at a given depth (test hook)."""
-    from .geometry import point_cell_coords
-
-    coords = point_cell_coords(pset.positions, tree.root_box, depth)
-    return morton_encode_many(coords, depth)
+    return ClusterTree(root_box=root_box, root=root, levels=levels), pset
 
 
 def accumulate_potentials(pset: ParticleSet) -> np.ndarray:

@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 from helmfmm.geometry import (
+    MAX_MORTON_DEPTH,
     BoundingBox,
-    MortonKey,
-    cell_frame,
     compute_root_box,
-    morton_decode,
-    morton_encode,
     morton_encode_many,
-    point_cell_coords,
-    sort_particles_morton,
 )
+from helmfmm.tree import build_tree
 
 
 def test_root_box_is_cube_containing_all_points():
@@ -36,33 +32,28 @@ def test_root_box_rejects_bad_input():
         compute_root_box(np.array([[0.0, np.nan, 0.0]]))
 
 
-def test_morton_roundtrip():
-    rng = np.random.default_rng(1)
-    for depth in (0, 1, 3, 10, 21):
-        n = 1 << depth
-        coords = rng.integers(0, n, size=(50, 3))
-        for c in coords:
-            key = morton_encode(c, depth)
-            assert key.depth == depth
-            assert np.array_equal(morton_decode(key), c)
+def _interleave(coords, depth):
+    """Scalar Morton code: bit b of axis k lands at bit 3b + (2 - k)."""
+    code = 0
+    for bit in range(depth):
+        for axis in range(3):
+            code |= ((int(coords[axis]) >> bit) & 1) << (3 * bit + 2 - axis)
+    return code
 
 
 def test_morton_known_values():
     # at depth 1 the code is the octant number with x as the high bit
-    assert morton_encode([0, 0, 0], 1).code == 0
-    assert morton_encode([0, 0, 1], 1).code == 1
-    assert morton_encode([0, 1, 0], 1).code == 2
-    assert morton_encode([1, 0, 0], 1).code == 4
-    assert morton_encode([1, 1, 1], 1).code == 7
+    coords = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]])
+    assert morton_encode_many(coords, 1).tolist() == [0, 1, 2, 4, 7]
+    assert morton_encode_many(np.zeros((1, 3), dtype=np.int64), 0).tolist() == [0]
 
 
 def test_morton_many_matches_scalar():
     rng = np.random.default_rng(2)
-    depth = 7
-    coords = rng.integers(0, 1 << depth, size=(200, 3))
-    codes = morton_encode_many(coords, depth)
-    for c, code in zip(coords, codes):
-        assert morton_encode(c, depth).code == int(code)
+    for depth in (1, 7, MAX_MORTON_DEPTH):
+        coords = rng.integers(0, 1 << depth, size=(200, 3))
+        codes = morton_encode_many(coords, depth)
+        assert [int(c) for c in codes] == [_interleave(c, depth) for c in coords]
 
 
 def test_morton_rejects_out_of_range():
@@ -70,37 +61,23 @@ def test_morton_rejects_out_of_range():
         morton_encode_many(np.array([[0, 0, 8]]), 3)
     with pytest.raises(ValueError):
         morton_encode_many(np.array([[-1, 0, 0]]), 3)
+    with pytest.raises(ValueError):
+        morton_encode_many(np.array([[0, 1, 0]]), 0)
+    with pytest.raises(ValueError):
+        morton_encode_many(np.zeros((1, 3), dtype=np.int64), MAX_MORTON_DEPTH + 1)
 
 
 def test_morton_order_refines_with_depth():
-    """Keys sorted at depth k stay sorted when all points are re-encoded deeper."""
+    """Codes sorted at depth k stay sorted when truncated to a shallower depth."""
     rng = np.random.default_rng(3)
-    pts = rng.uniform(size=(300, 3))
-    box = compute_root_box(pts)
-    perm = sort_particles_morton(pts, box, 4)
-    shallow = morton_encode_many(point_cell_coords(pts[perm], box, 2), 2)
+    coords = rng.integers(0, 1 << 4, size=(300, 3))
+    coords = coords[np.argsort(morton_encode_many(coords, 4), kind="stable")]
+    shallow = morton_encode_many(coords >> 2, 2)
     assert np.all(np.diff(shallow.astype(np.int64)) >= 0)
 
 
 def test_sort_is_stable_for_coincident_points():
     pts = np.tile([0.25, 0.25, 0.25], (10, 1))
     box = BoundingBox(center=np.array([0.5, 0.5, 0.5]), half_width=0.5)
-    perm = sort_particles_morton(pts, box, 5)
-    assert np.array_equal(perm, np.arange(10))
-
-
-def test_point_cell_coords_outside_box_raises():
-    box = BoundingBox(center=np.zeros(3), half_width=1.0)
-    with pytest.raises(ValueError):
-        point_cell_coords(np.array([[2.0, 0.0, 0.0]]), box, 3)
-
-
-def test_cell_frame_geometry():
-    box = BoundingBox(center=np.array([0.5, 0.5, 0.5]), half_width=0.5)
-    key = morton_encode([1, 0, 1], 1)
-    frame = cell_frame(box, key)
-    assert frame.beta == pytest.approx(0.5)
-    assert np.allclose(frame.alpha, [0.5, 0.0, 0.5])
-    root = cell_frame(box, MortonKey(code=0, depth=0))
-    assert np.allclose(root.alpha, box.lower)
-    assert root.beta == pytest.approx(box.side)
+    _, pset = build_tree(pts, np.ones(10), ncrit=4, root_box=box)
+    assert np.array_equal(pset.original_index, np.arange(10))

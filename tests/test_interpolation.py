@@ -202,32 +202,3 @@ def test_strategies_agree():
             assert rel < 1e-13
     with pytest.raises(ValueError):
         interp.apply_strategy("dense", factors, x)
-
-
-def test_flop_counter_scaling():
-    """The tensorized apply costs O(L^4) per column: doubling L ~ 16x flops."""
-    counts = {}
-    for order in (3, 4, 5, 6):
-        factors = tuple(np.eye(order) for _ in range(3))
-        x = np.ones((order**3, 2))
-        interp.reset_flops()
-        interp.kron_apply(factors, x)
-        counts[order] = interp.flop_count()
-    for order in (3,):
-        ratio = counts[2 * order] / counts[order]
-        assert ratio <= 2 * 2**4
-        assert ratio >= 2**4 / 2
-
-
-def test_real_strategy_counts_real_flops():
-    order = 4
-    factors = interp.m2m_factors(order, (0, 0, 0))
-    x = np.ones((order**3, 3), dtype=complex)
-    interp.reset_flops()
-    interp.apply_strategy("t+s", factors, x)
-    complex_flops = interp.flop_count()
-    interp.reset_flops()
-    interp.apply_strategy("t+s+r", factors, x)
-    real_flops = interp.flop_count()
-    # deinterleaving doubles the columns but each costs half (real arithmetic)
-    assert real_flops == complex_flops

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helmfmm.geometry import BoundingBox, CellFrame, MortonKey
+from helmfmm.geometry import BoundingBox, CellFrame
 from helmfmm.kernel import HelmholtzKernel, direct_sum, relative_errors
-from helmfmm.tree import Cell, TreeConfig, build_tree
+from helmfmm.tree import Cell, build_tree
 from helmfmm.traversal import (
     FmmConfig,
     _Context,
@@ -23,7 +23,6 @@ def _cell(coords, level, side=1.0):
     coords = np.asarray(coords, dtype=np.int64)
     beta = side / (1 << level)
     return Cell(
-        key=MortonKey(code=0, depth=level),
         level=level,
         coords=coords,
         start=0,
@@ -77,6 +76,11 @@ def test_config_validation():
         FmmConfig(eta=0.0)
     with pytest.raises(ValueError):
         FmmConfig(kappa=-2.0)
+    with pytest.raises(ValueError):
+        FmmConfig(ncrit=0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            FmmConfig(hf_switch=bad)
 
 
 def _two_cluster_problem():
@@ -92,7 +96,7 @@ def _two_cluster_problem():
 
 def test_hf_regime_levels():
     pts, q = _two_cluster_problem()
-    tree, pset = build_tree(pts, q, TreeConfig(ncrit=10), root_box=UNIT_BOX)
+    tree, pset = build_tree(pts, q, ncrit=10, root_box=UNIT_BOX)
     config = FmmConfig(order=4, ncrit=10, kappa=10.0)
     kernel = HelmholtzKernel(kappa=10.0, singularity_tol=1e-14)
     ctx = _Context(config, kernel, tree, tree, pset, pset)
@@ -105,7 +109,7 @@ def test_hf_regime_levels():
 
 def _context(kappa, ncrit=10, eta=1.0):
     pts, q = _two_cluster_problem()
-    tree, pset = build_tree(pts, q, TreeConfig(ncrit=ncrit), root_box=UNIT_BOX)
+    tree, pset = build_tree(pts, q, ncrit=ncrit, root_box=UNIT_BOX)
     config = FmmConfig(order=4, ncrit=ncrit, eta=eta, kappa=kappa)
     kernel = HelmholtzKernel(kappa=kappa, singularity_tol=1e-14)
     return tree, _Context(config, kernel, tree, tree, pset, pset)
@@ -148,7 +152,7 @@ def test_shallow_tree_refines_leaves_by_kappa_w():
 
 def test_kappa_zero_has_no_hf_levels():
     pts, q = _two_cluster_problem()
-    tree, pset = build_tree(pts, q, TreeConfig(ncrit=10), root_box=UNIT_BOX)
+    tree, pset = build_tree(pts, q, ncrit=10, root_box=UNIT_BOX)
     config = FmmConfig(order=4, ncrit=10, kappa=0.0)
     kernel = HelmholtzKernel(kappa=0.0, singularity_tol=1e-14)
     ctx = _Context(config, kernel, tree, tree, pset, pset)
@@ -160,7 +164,7 @@ def test_kappa_zero_has_no_hf_levels():
 
 def test_blank_pass_marks_axis_direction():
     pts, q = _two_cluster_problem()
-    tree, pset = build_tree(pts, q, TreeConfig(ncrit=10), root_box=UNIT_BOX)
+    tree, pset = build_tree(pts, q, ncrit=10, root_box=UNIT_BOX)
     config = FmmConfig(order=4, ncrit=10, kappa=10.0)
     kernel = HelmholtzKernel(kappa=10.0, singularity_tol=1e-14)
     ctx = _Context(config, kernel, tree, tree, pset, pset)

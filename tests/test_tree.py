@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from helmfmm.tree import (
-    ParticleSet,
-    TreeConfig,
-    accumulate_potentials,
-    build_tree,
-    morton_codes_at_depth,
-)
+from helmfmm.geometry import MAX_MORTON_DEPTH, BoundingBox, morton_encode_many
+from helmfmm.tree import accumulate_potentials, build_tree
 
 
 def _uniform_problem(n, seed=0):
@@ -19,7 +14,7 @@ def _uniform_problem(n, seed=0):
 
 def test_leaf_sizes_and_range_partition():
     pts, q = _uniform_problem(100)
-    tree, pset = build_tree(pts, q, TreeConfig(ncrit=10))
+    tree, pset = build_tree(pts, q, ncrit=10)
     ranges = sorted((c.start, c.stop) for c in tree.leaves)
     assert all(c.n_particles <= 10 for c in tree.leaves)
     # leaf ranges tile [0, n) without gaps or overlaps
@@ -31,7 +26,7 @@ def test_leaf_sizes_and_range_partition():
 
 def test_internal_ranges_cover_sons():
     pts, q = _uniform_problem(400, seed=1)
-    tree, _ = build_tree(pts, q, TreeConfig(ncrit=20))
+    tree, _ = build_tree(pts, q, ncrit=20)
     for level in tree.levels:
         for cell in level:
             if cell.is_leaf:
@@ -43,33 +38,39 @@ def test_internal_ranges_cover_sons():
 
 def test_sons_in_morton_order_and_no_empty_cells():
     pts, q = _uniform_problem(500, seed=2)
-    tree, _ = build_tree(pts, q, TreeConfig(ncrit=16))
+    tree, _ = build_tree(pts, q, ncrit=16)
     for level in tree.levels:
         for cell in level:
             assert cell.n_particles > 0
-            codes = [s.key.code for s in cell.sons]
-            assert codes == sorted(codes)
+            if cell.sons:
+                coords = np.array([s.coords for s in cell.sons])
+                codes = morton_encode_many(coords, cell.level + 1).tolist()
+                assert codes == sorted(codes)
 
 
 def test_leaves_tile_the_morton_curve():
     """Leaves in range order have strictly increasing Morton key intervals."""
     pts, q = _uniform_problem(600, seed=3)
-    tree, pset = build_tree(pts, q, TreeConfig(ncrit=8))
+    tree, pset = build_tree(pts, q, ncrit=8)
+    box = tree.root_box
     leaves = sorted(tree.leaves, key=lambda c: c.start)
     prev_hi = -1
     for leaf in leaves:
+        code = int(morton_encode_many(leaf.coords[None, :], leaf.level)[0])
         shift = 3 * (tree.depth - leaf.level)
-        lo = leaf.key.code << shift
+        lo = code << shift
         assert lo > prev_hi
-        prev_hi = ((leaf.key.code + 1) << shift) - 1
+        prev_hi = ((code + 1) << shift) - 1
         # every particle of the leaf lands in the leaf's own cell
-        codes = morton_codes_at_depth(tree, pset, leaf.level)
-        assert np.all(codes[leaf.start : leaf.stop] == leaf.key.code)
+        n_side = 1 << leaf.level
+        local = pset.positions[leaf.start : leaf.stop]
+        coords = np.clip(((local - box.lower) / box.side * n_side).astype(np.int64), 0, n_side - 1)
+        assert np.all(morton_encode_many(coords, leaf.level) == code)
 
 
 def test_cells_contain_their_particles():
     pts, q = _uniform_problem(300, seed=4)
-    tree, pset = build_tree(pts, q, TreeConfig(ncrit=25))
+    tree, pset = build_tree(pts, q, ncrit=25)
     for cell in tree.leaves:
         local = pset.positions[cell.start : cell.stop]
         assert np.all(local >= cell.frame.alpha - 1e-12)
@@ -78,14 +79,14 @@ def test_cells_contain_their_particles():
 
 def test_charges_permuted_consistently():
     pts, q = _uniform_problem(200, seed=5)
-    tree, pset = build_tree(pts, q, TreeConfig(ncrit=10))
+    tree, pset = build_tree(pts, q, ncrit=10)
     assert np.allclose(pset.positions, pts[pset.original_index])
     assert np.allclose(pset.charges, q[pset.original_index])
 
 
 def test_accumulate_potentials_inverts_the_sort():
     pts, q = _uniform_problem(150, seed=6)
-    _, pset = build_tree(pts, q, TreeConfig(ncrit=10))
+    _, pset = build_tree(pts, q, ncrit=10)
     # mark each sorted slot with its original index as a payload
     pset.potentials[:] = pset.original_index.astype(complex)
     out = accumulate_potentials(pset)
@@ -95,15 +96,15 @@ def test_accumulate_potentials_inverts_the_sort():
 def test_coincident_points_respect_depth_cap():
     pts = np.tile([0.3, 0.3, 0.3], (50, 1))
     q = np.ones(50, dtype=complex)
-    tree, _ = build_tree(pts, q, TreeConfig(ncrit=4, hard_depth_cap=6))
-    assert tree.depth <= 6
+    tree, _ = build_tree(pts, q, ncrit=4)
+    assert tree.depth <= MAX_MORTON_DEPTH
     # the coincident cluster ends up in one oversized leaf
     assert max(c.n_particles for c in tree.leaves) == 50
 
 
 def test_cell_index_is_position_in_cells():
     pts, q = _uniform_problem(300, seed=8)
-    tree, _ = build_tree(pts, q, TreeConfig(ncrit=16))
+    tree, _ = build_tree(pts, q, ncrit=16)
     cells = tree.cells
     assert len(cells) == tree.n_cells
     assert all(cells[c.index] is c for c in cells)
@@ -122,5 +123,15 @@ def test_build_tree_input_validation():
         build_tree(np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(ValueError):
         build_tree(np.zeros((3, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        TreeConfig(ncrit=0)
+
+
+def test_build_tree_rejects_points_outside_root_box():
+    box = BoundingBox(center=np.zeros(3), half_width=1.0)
+    pts = np.zeros((10, 3))
+    pts[3] = [5.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="outside the root box"):
+        build_tree(pts, np.ones(10), ncrit=2, root_box=box)
+    # the closed cube is accepted, faces included
+    pts[3] = [1.0, -1.0, 1.0]
+    tree, pset = build_tree(pts, np.ones(10), ncrit=2, root_box=box)
+    assert pset.n == 10
