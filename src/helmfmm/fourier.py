@@ -87,17 +87,23 @@ def m2l_hadamard(accumulator: np.ndarray, source: np.ndarray, diagonal: np.ndarr
     accumulator += diagonal * source
 
 
+# the signed permutations of the cube as (perm, signs), in the order of
+# hyperoctahedral_group: element k maps v to (signs[a] * v[perm[a]])_a
+_SIGNED_PERMUTATIONS = tuple(
+    (perm, signs) for perm in permutations(range(3)) for signs in product((1, -1), repeat=3)
+)
+
+
 @lru_cache(maxsize=None)
 def hyperoctahedral_group() -> tuple:
     """The 48 signed-permutation matrices of the cube, in a fixed order."""
     mats = []
-    for perm in permutations(range(3)):
-        for signs in product((1, -1), repeat=3):
-            m = np.zeros((3, 3), dtype=np.int64)
-            for a in range(3):
-                m[a, perm[a]] = signs[a]
-            m.setflags(write=False)
-            mats.append(m)
+    for perm, signs in _SIGNED_PERMUTATIONS:
+        m = np.zeros((3, 3), dtype=np.int64)
+        for a in range(3):
+            m[a, perm[a]] = signs[a]
+        m.setflags(write=False)
+        mats.append(m)
     return tuple(mats)
 
 
@@ -106,17 +112,18 @@ def canonicalize_translation(tvec) -> tuple:
 
     Returns (canonical, rotation_id) with components of the canonical vector
     non-negative and sorted non-increasing, and group[rotation_id] mapping
-    the canonical vector onto ``tvec``.
+    the canonical vector onto ``tvec``: the first such element of
+    hyperoctahedral_group(), found in Python integer arithmetic.
     """
-    t = np.asarray(tvec, dtype=np.int64)
-    if t.shape != (3,):
+    t = tuple(int(v) for v in tvec)
+    if len(t) != 3:
         raise ValueError("translation must be an integer triple")
-    if not np.any(t):
+    if not any(t):
         raise ValueError("zero translation cannot be canonicalized")
-    canon = np.sort(np.abs(t))[::-1].copy()
-    for rid, rot in enumerate(hyperoctahedral_group()):
-        if np.array_equal(rot @ canon, t):
-            return tuple(int(v) for v in canon), rid
+    canon = tuple(sorted(map(abs, t), reverse=True))
+    for rid, ((p0, p1, p2), (s0, s1, s2)) in enumerate(_SIGNED_PERMUTATIONS):
+        if (s0 * canon[p0], s1 * canon[p1], s2 * canon[p2]) == t:
+            return canon, rid
     raise AssertionError("unreachable: cube group is transitive on orbits")
 
 

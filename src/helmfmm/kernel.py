@@ -9,6 +9,7 @@ import numpy as np
 __all__ = [
     "HelmholtzKernel",
     "ErrorReport",
+    "MAX_BLOCK_ENTRIES",
     "direct_sum",
     "relative_errors",
 ]
@@ -16,6 +17,10 @@ __all__ = [
 # Default distance below which an interaction is suppressed to zero.  The FMM
 # driver rescales this by the root box side so the policy is box-relative.
 DEFAULT_SINGULARITY_TOL = 1e-12
+
+# entries of one kernel block in direct_sum; it bounds the temporaries of
+# HelmholtzKernel.matrix to 1.25 MiB
+MAX_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -50,9 +55,30 @@ class HelmholtzKernel:
         return complex(out) if out.ndim == 0 else out
 
     def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        """Dense kernel matrix G(targets[i], sources[j])."""
-        diff = targets[:, None, :] - sources[None, :, :]
-        return self.of_distance(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+        """Dense kernel matrix G(targets[i], sources[j]).
+
+        At kappa = 0 the matrix is real (float64), 1 / (4*pi*r); otherwise it
+        is complex, with the real and imaginary parts filled from cos(kappa*r)
+        and sin(kappa*r).  Suppressed pairs are exactly 0 either way.
+        """
+        # r and one scratch array d serve every step, so a block allocates
+        # at most r, d, 1/(4*pi*r) and the complex result
+        r = np.zeros((targets.shape[0], sources.shape[0]))
+        d = np.empty_like(r)
+        for k in range(3):
+            np.subtract(targets[:, k, None], sources[None, :, k], out=d)
+            d *= d
+            r += d
+        np.sqrt(r, out=r)
+        inv = np.zeros_like(r)
+        np.divide(1.0 / (4.0 * np.pi), r, out=inv, where=r >= self.singularity_tol)
+        if self.kappa == 0:
+            return inv
+        r *= self.kappa
+        out = np.empty(r.shape, dtype=complex)
+        np.multiply(np.cos(r, out=d), inv, out=out.real)
+        np.multiply(np.sin(r, out=d), inv, out=out.imag)
+        return out
 
 
 def direct_sum(
@@ -62,16 +88,32 @@ def direct_sum(
     charges: np.ndarray,
     block: int = 512,
 ) -> np.ndarray:
-    """O(N*M) reference evaluation of the potentials, blocked over targets."""
+    """O(N*M) direct evaluation of the potentials: the FMM near field and
+    the reference oracle.
+
+    The product is built from kernel blocks of at most ``block`` targets and
+    MAX_BLOCK_ENTRIES entries.  A real block (kappa = 0) multiplies the
+    complex charges viewed as an (n, 2) float64 array.
+    """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
-    charges = np.asarray(charges, dtype=complex)
+    charges = np.ascontiguousarray(charges, dtype=complex)
     if sources.shape[0] != charges.shape[0]:
         raise ValueError("sources and charges length mismatch")
-    out = np.zeros(targets.shape[0], dtype=complex)
-    for lo in range(0, targets.shape[0], block):
-        hi = min(lo + block, targets.shape[0])
-        out[lo:hi] = kernel.matrix(targets[lo:hi], sources) @ charges
+    n_t, n_s = targets.shape[0], sources.shape[0]
+    cols = max(1, min(n_s, MAX_BLOCK_ENTRIES))
+    rows = max(1, min(block, MAX_BLOCK_ENTRIES // cols))
+    out = np.zeros(n_t, dtype=complex)
+    for c0 in range(0, n_s, cols):
+        src = sources[c0 : c0 + cols]
+        q = charges[c0 : c0 + cols]
+        q_real = q.view(np.float64).reshape(-1, 2)
+        for r0 in range(0, n_t, rows):
+            mat = kernel.matrix(targets[r0 : r0 + rows], src)
+            if mat.dtype.kind == "f":
+                out[r0 : r0 + rows] += (mat @ q_real).view(complex)[:, 0]
+            else:
+                out[r0 : r0 + rows] += mat @ q
     return out
 
 

@@ -11,8 +11,12 @@ low-frequency levels and the direction-free high-frequency MAC
 max{kappa*w^2, 2w} / dist(t, s) <= eta at high-frequency ones; both depend
 on (level, translation) only, so each distinct one is resolved once (MAC,
 M2L symbol and, at high frequency, direction): symbol precomputation lies
-inside the blank pass only.  The numeric DTT replays the recorded entries
-in order, so every accumulator sums as in the recursion.
+inside the blank pass only.  The numeric DTT replays the recorded M2L
+entries in order, so every accumulator sums as in the recursion.  It
+evaluates the P2P list as one direct sum per target cell, against the
+particles of all its near source cells gathered in recorded order, in
+kernel blocks of at most MAX_BLOCK_ENTRIES entries, real at kappa = 0; the
+P2P events and the pair count are kept per recorded pair.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .directions import (
     nearest_direction,
 )
 from .fourier import FourierWorkspace, SymbolCache, m2l_hadamard
-from .kernel import HelmholtzKernel
+from .kernel import HelmholtzKernel, direct_sum
 from .tree import Cell, ClusterTree, ParticleSet, accumulate_potentials, build_tree
 
 __all__ = [
@@ -65,10 +69,10 @@ class FmmConfig:
             raise ValueError("ncrit must be >= 1")
         if self.strategy not in interp.STRATEGIES:
             raise ValueError(f"strategy must be one of {interp.STRATEGIES}")
-        if not (self.eta > 0):
-            raise ValueError("eta must be > 0")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ValueError("eta must be finite and > 0")
+        if not (np.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError("kappa must be finite and >= 0")
         if not (np.isfinite(self.hf_switch) and self.hf_switch > 0):
             raise ValueError("hf_switch must be finite and > 0")
 
@@ -328,25 +332,9 @@ def _upward(ctx: _Context, tree: ClusterTree) -> None:
 # dual tree traversal
 
 
-def _p2p(ctx: _Context, t: Cell, s: Cell) -> None:
-    tp = ctx.target_pset
-    sp = ctx.source_pset
-    pos_t = tp.positions[t.start : t.stop]
-    pos_s = sp.positions[s.start : s.stop]
-    q = sp.charges[s.start : s.stop]
-    block = 1024
-    for lo in range(0, pos_t.shape[0], block):
-        hi = min(lo + block, pos_t.shape[0])
-        tp.potentials[t.start + lo : t.start + hi] += (
-            ctx.kernel.matrix(pos_t[lo:hi], pos_s) @ q
-        )
-    ctx.n_p2p_pairs += pos_t.shape[0] * pos_s.shape[0]
-    if ctx.events is not None:
-        ctx.events.append(InteractionEvent("P2P", t, s))
-
-
 def dtt(ctx: _Context) -> None:
-    """Replay blank_dtt's lists: every M2L, then every P2P, in recorded order."""
+    """Replay blank_dtt's lists: every M2L in recorded order, then the P2P
+    pairs as one direct sum per target cell, against all its near sources."""
     tcells = ctx.target_tree.cells
     scells = ctx.source_tree.cells
     it = iter(ctx.m2l_plan)
@@ -359,9 +347,23 @@ def dtt(ctx: _Context) -> None:
         m2l_hadamard(acc, s.multipole_hat[key], diagonal)
         if ctx.events is not None:
             ctx.events.append(InteractionEvent("M2L", t, s, key))
+    # source cells of each target, in order of first appearance
+    near: dict = {}
     it = iter(ctx.p2p_plan)
     for ti, si in zip(it, it):
-        _p2p(ctx, tcells[ti], scells[si])
+        t, s = tcells[ti], scells[si]
+        near.setdefault(ti, []).append(s)
+        ctx.n_p2p_pairs += (t.stop - t.start) * (s.stop - s.start)
+        if ctx.events is not None:
+            ctx.events.append(InteractionEvent("P2P", t, s))
+    tp = ctx.target_pset
+    sp = ctx.source_pset
+    for ti, sources in near.items():
+        t = tcells[ti]
+        idx = np.concatenate([np.arange(s.start, s.stop) for s in sources])
+        tp.potentials[t.start : t.stop] += direct_sum(
+            ctx.kernel, tp.positions[t.start : t.stop], sp.positions[idx], sp.charges[idx]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,17 @@ def test_canonicalize_is_idempotent():
         assert np.array_equal(hyperoctahedral_group()[rid] @ np.array(canon), canon)
 
 
+def test_canonicalize_matches_first_matching_group_element():
+    group = hyperoctahedral_group()
+    for t in itertools.product(range(-4, 5), repeat=3):
+        if not any(t):
+            continue
+        canon = np.sort(np.abs(t))[::-1]
+        rid = next(k for k, rot in enumerate(group) if np.array_equal(rot @ canon, t))
+        assert canonicalize_translation(t) == (tuple(int(v) for v in canon), rid)
+        assert canonicalize_translation(np.array(t)) == canonicalize_translation(t)
+
+
 def test_canonicalize_rejects_zero():
     with pytest.raises(ValueError):
         canonicalize_translation((0, 0, 0))

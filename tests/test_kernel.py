@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmfmm.kernel import HelmholtzKernel, direct_sum, relative_errors
+from helmfmm.kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum, relative_errors
 
 
 def test_laplace_limit_value():
@@ -49,6 +49,56 @@ def test_matrix_matches_pairwise_calls():
     for i in range(7):
         for j in range(5):
             assert mat[i, j] == pytest.approx(ker(x[i], y[j]))
+
+
+def test_matrix_is_real_inverse_distance_at_kappa_zero():
+    rng = np.random.default_rng(2)
+    x = rng.uniform(size=(9, 3))
+    y = np.vstack([rng.uniform(size=(6, 3)), x[3], x[3]])
+    mat = HelmholtzKernel(kappa=0.0, singularity_tol=1e-12).matrix(x, y)
+    assert mat.dtype == np.float64
+    r = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+    coincident = r == 0.0
+    assert coincident.sum() == 2
+    assert np.all(mat[coincident] == 0.0)
+    assert np.allclose(mat[~coincident], 1.0 / (4.0 * np.pi * r[~coincident]), rtol=1e-15, atol=0)
+
+
+def test_matrix_matches_of_distance_at_positive_kappa():
+    rng = np.random.default_rng(3)
+    # targets on the signed axes around a source at the origin: the distance
+    # is exact however it is summed, so only the kernel formula is compared
+    r = np.concatenate([rng.uniform(0.01, 4.0, size=40), [0.0]])
+    axes = np.vstack([np.eye(3), -np.eye(3)])[rng.integers(0, 6, size=r.size)]
+    ker = HelmholtzKernel(kappa=7.5, singularity_tol=1e-12)
+    mat = ker.matrix(r[:, None] * axes, np.zeros((1, 3)))[:, 0]
+    ref = ker.of_distance(r)
+    assert mat.dtype == np.complex128
+    assert mat[-1] == 0.0
+    assert np.all(np.abs(mat - ref) <= 1e-15 * np.abs(ref))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 4.0])
+@pytest.mark.parametrize("n_t, n_s", [(300, 300), (3, 40000)])
+def test_direct_sum_caps_kernel_blocks(monkeypatch, kappa, n_t, n_s):
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=(n_t, 3))
+    y = rng.uniform(size=(n_s, 3))
+    q = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
+    ker = HelmholtzKernel(kappa=kappa)
+    expected = np.array([ker.of_distance(np.linalg.norm(y - xi, axis=1)) @ q for xi in x])
+    sizes = []
+    matrix = HelmholtzKernel.matrix
+
+    def recording(self, targets, sources):
+        sizes.append(targets.shape[0] * sources.shape[0])
+        return matrix(self, targets, sources)
+
+    monkeypatch.setattr(HelmholtzKernel, "matrix", recording)
+    got = direct_sum(ker, x, y, q)
+    assert len(sizes) > 1 and max(sizes) <= MAX_BLOCK_ENTRIES
+    assert sum(sizes) == n_t * n_s
+    assert relative_errors(expected, got).rel_linf < 1e-13
 
 
 def test_direct_sum_matches_dense_product():

@@ -42,6 +42,12 @@ def _self_interaction():
     return pts, pts, q, FmmConfig(order=3, ncrit=16, kappa=12.0)
 
 
+def _laplace_self_interaction():
+    pts, _, q, _ = _self_interaction()
+    # no high-frequency level: the near field takes the real kernel path
+    return pts, pts, q, FmmConfig(order=3, ncrit=16, kappa=0.0)
+
+
 def _two_trees():
     rng = np.random.default_rng(12)
     sources = rng.uniform(size=(400, 3))
@@ -50,7 +56,7 @@ def _two_trees():
     return targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=12.0)
 
 
-@pytest.mark.parametrize("problem", [_self_interaction, _two_trees])
+@pytest.mark.parametrize("problem", [_self_interaction, _laplace_self_interaction, _two_trees])
 def test_tracer_finds_and_measures_everything(problem):
     tracing = _load_tracing()
     tracer = tracing.Tracer(helmfmm)
@@ -65,10 +71,13 @@ def test_tracer_finds_and_measures_everything(problem):
     assert {"upward", "downward"} <= set(info.timings)
     assert set(metrics) | WORKER_METRICS == _per_layer_names()
 
-    # the high-frequency path ran, so its functions were really exercised
-    assert info.hf_max_level >= 2
-    assert metrics["directions.nearest_calls"] > 0
-    assert metrics["fourier.tag_calls"] == metrics["directions.nearest_calls"]
+    if config.kappa > 0:
+        # the high-frequency path ran, so its functions were really exercised
+        assert info.hf_max_level >= 2
+        assert metrics["directions.nearest_calls"] > 0
+        assert metrics["fourier.tag_calls"] == metrics["directions.nearest_calls"]
+    else:
+        assert info.hf_max_level == -1
     assert metrics["kernel.matrix_calls"] > 0
 
 

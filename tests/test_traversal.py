@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from helmfmm.geometry import BoundingBox, CellFrame
-from helmfmm.kernel import HelmholtzKernel, direct_sum, relative_errors
+from helmfmm.geometry import BoundingBox, CellFrame, compute_root_box
+from helmfmm.kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum, relative_errors
 from helmfmm.tree import Cell, build_tree
 from helmfmm.traversal import (
     FmmConfig,
     _Context,
+    _upward,
     blank_dtt,
     blank_downward_pass,
     cell_distance,
     directional_mac,
+    dtt,
     run_fmm,
     run_fmm_full,
     strict_mac,
@@ -72,10 +74,12 @@ def test_config_validation():
         FmmConfig(order=1)
     with pytest.raises(ValueError):
         FmmConfig(strategy="dense")
-    with pytest.raises(ValueError):
-        FmmConfig(eta=0.0)
-    with pytest.raises(ValueError):
-        FmmConfig(kappa=-2.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            FmmConfig(eta=bad)
+    for bad in (-2.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            FmmConfig(kappa=bad)
     with pytest.raises(ValueError):
         FmmConfig(ncrit=0)
     for bad in (0.0, -1.0, np.inf, np.nan):
@@ -263,6 +267,86 @@ def test_counts_are_consistent():
     assert set(info.timings) >= {
         "tree", "blank", "precompute", "upward", "m2l_p2p", "downward", "total",
     }
+
+
+def _near_field(targets, sources, q, config):
+    """The potentials dtt adds, and a reference summed pair by pair over the
+    P2P plan with kernel.of_distance, both in the target tree's order; and
+    the plan's (target, source) cells."""
+    same = targets is sources
+    box = compute_root_box(np.vstack([targets, sources]))
+    stree, spset = build_tree(sources, q, config.ncrit, root_box=box)
+    ttree, tpset = (stree, spset) if same else build_tree(
+        targets, np.zeros(len(targets)), config.ncrit, root_box=box
+    )
+    kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=1e-12 * box.side)
+    ctx = _Context(config, kernel, ttree, stree, tpset, spset)
+    blank_dtt(ttree.root, stree.root, ctx)
+    blank_downward_pass(ttree.root, ctx)
+    if not same:
+        blank_downward_pass(stree.root, ctx)
+    _upward(ctx, stree)
+    # M2L accumulates into local expansions: only P2P adds to potentials
+    dtt(ctx)
+    ref = np.zeros(len(tpset.potentials), dtype=complex)
+    it = iter(ctx.p2p_plan)
+    pairs = [(ttree.cells[ti], stree.cells[si]) for ti, si in zip(it, it)]
+    for t, s in pairs:
+        diff = tpset.positions[t.start : t.stop, None] - spset.positions[None, s.start : s.stop]
+        ref[t.start : t.stop] += (
+            kernel.of_distance(np.linalg.norm(diff, axis=-1)) @ spset.charges[s.start : s.stop]
+        )
+    return tpset.potentials, ref, pairs
+
+
+def _duplicated_cloud():
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(size=(300, 3))
+    pts = np.vstack([pts, pts[rng.integers(0, 300, size=40)]])
+    q = rng.normal(size=340) + 1j * rng.normal(size=340)
+    return pts, pts, q
+
+
+def _plane_over_cloud():
+    rng = np.random.default_rng(9)
+    # the sparse target tree stops above the source leaves near the plane
+    sources = rng.uniform(size=(1000, 3))
+    targets = rng.uniform(size=(60, 3)) * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.5]
+    q = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+    return targets, sources, q
+
+
+@pytest.mark.parametrize("kappa", [0.0, 6.0])
+@pytest.mark.parametrize("problem", [_duplicated_cloud, _plane_over_cloud])
+def test_grouped_p2p_matches_pairwise_sum(problem, kappa):
+    targets, sources, q = problem()
+    config = FmmConfig(order=3, ncrit=16, kappa=kappa)
+    pot, ref, pairs = _near_field(targets, sources, q, config)
+    assert relative_errors(ref, pot).rel_linf < 1e-13
+    if targets is not sources:
+        assert any(not (t.is_leaf and s.is_leaf) for t, s in pairs)
+
+
+@pytest.mark.parametrize("n_t, n_s", [(300, 300), (3, 40000)])
+def test_p2p_kernel_blocks_respect_the_cap(monkeypatch, n_t, n_s):
+    rng = np.random.default_rng(10)
+    sources = rng.uniform(size=(n_s, 3))
+    targets = sources if n_t == n_s else rng.uniform(size=(n_t, 3))
+    q = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
+    # one leaf per tree: the single P2P pair holds more than the cap
+    config = FmmConfig(order=3, ncrit=n_s, kappa=2.0)
+    sizes = []
+    matrix = HelmholtzKernel.matrix
+
+    def recording(self, t, s):
+        sizes.append(t.shape[0] * s.shape[0])
+        return matrix(self, t, s)
+
+    monkeypatch.setattr(HelmholtzKernel, "matrix", recording)
+    pot, ref, pairs = _near_field(targets, sources, q, config)
+    assert len(pairs) == 1 and n_t * n_s > MAX_BLOCK_ENTRIES
+    assert max(sizes) <= MAX_BLOCK_ENTRIES and sum(sizes) == n_t * n_s
+    assert relative_errors(ref, pot).rel_linf < 1e-13
 
 
 def test_non_finite_charge_fails_loudly():
