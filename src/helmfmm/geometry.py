@@ -80,8 +80,8 @@ def compute_root_box(points: np.ndarray, margin: float = 1e-6) -> BoundingBox:
         raise ValueError("points must be finite")
     center = pts.mean(axis=0)
     half = np.max(np.abs(pts - center)) if pts.shape[0] > 1 else 0.5
-    if half == 0.0:
-        half = 0.5  # all particles coincident
+    if half < np.finfo(float).tiny * (1 << MAX_MORTON_DEPTH):
+        half = 0.5  # coincident, or too close for the deepest cells to have a side
     return BoundingBox(center=center, half_width=half * (1.0 + margin))
 
 

@@ -2,9 +2,9 @@
 
 The driver pipeline plans, then executes:
 
-    build trees -> blank DTT (interaction lists) -> blank downward pass ->
-    P2M at leaves -> M2M upward -> M2F -> DTT (replay: Hadamard M2L, then
-    P2P) -> F2L -> L2L downward -> L2P -> un-permute potentials
+    build trees -> blank DTT (interaction lists) -> expansion keys and
+    rows -> P2M at leaves -> M2M upward -> M2F -> DTT (replay: Hadamard
+    M2L, then P2P) -> F2L -> L2L downward -> L2P -> un-permute potentials
 
 The blank DTT is the only recursion.  The strict MAC applies at
 low-frequency levels and the direction-free high-frequency MAC
@@ -17,6 +17,12 @@ evaluates the P2P list as one direct sum per target cell, against the
 particles of all its near source cells gathered in recorded order, in
 kernel blocks of at most MAX_BLOCK_ENTRIES entries, real at kappa = 0; the
 P2P events and the pair count are kept per recorded pair.
+
+Expansions live in per-solve arrays, one row per key cell.index * n_dirs
++ d (d the direction index at the cell's level, 0 at low frequency), in the
+sorted key order of their side: the source keys are the multipoles that M2L
+reads and, below them through the father directions, those M2M reads; the
+target keys are the locals that M2L writes and, below them, those L2L writes.
 """
 
 from __future__ import annotations
@@ -82,7 +88,6 @@ class InteractionEvent:
     kind: str  # "M2L" | "P2P"
     target: Cell
     source: Cell
-    direction: object = None
 
 
 def _gap_sq(t: Cell, s: Cell) -> float:
@@ -138,11 +143,16 @@ class _Context:
         self.n_p2p_pairs = 0
         self.precompute_time = 0.0
         # blank_dtt's plan: (level, translation) -> m2l_entries index or -1;
-        # (diagonal, direction) entries; flat cell-index triplets and pairs
+        # (diagonal, direction index) entries; flat cell-index triplets,
+        # whose cells _plan_rows rewrites as rows, and pairs
         self.resolved: dict = {}
         self.m2l_entries: list = []
         self.m2l_plan = array("i")
         self.p2p_plan = array("i")
+        # _plan_rows' sorted keys (see the module docstring); m2l_keys are
+        # the target keys M2L writes, one local_hat row each
+        self.source_keys = self.target_keys = self.m2l_keys = None
+        self.multipole = self.multipole_hat = self.local_hat = self.local = None
 
         # hf_max_level is the deepest level whose cells satisfy
         # kappa * radius >= hf_switch.  Each high-frequency level l gets the
@@ -165,11 +175,13 @@ class _Context:
         self.hf_max_level = hf_max
         self.deepest_refinement = 0
         self.dirs: DirectionTree | None = None
+        self.n_dirs = 1
         if hf_max >= 0:
             # kw_deepest >= hf_switch, so the rounded log2 is >= 0
             ratio = np.log2(kw_deepest / config.hf_switch)
             self.deepest_refinement = int(np.floor(ratio + 0.5))
             self.dirs = generate_direction_tree(self.refinement(0))
+            self.n_dirs = self.dirs.count(self.refinement(0))
 
     def is_hf(self, level: int) -> bool:
         return level <= self.hf_max_level
@@ -183,26 +195,23 @@ class _Context:
             return directional_mac(t, s, self.config.kappa, self.config.eta)
         return strict_mac(t, s)
 
-    def direction_vector(self, dir_id) -> np.ndarray:
-        e, i = dir_id
-        return self.dirs.levels[e][i]
-
 
 # ---------------------------------------------------------------------------
-# blank passes
+# blank pass and expansion keys
 
 
 def _resolve(t: Cell, s: Cell, tvec: np.ndarray, ctx: _Context) -> int:
     """New M2L entry for the translation of (t, s), or -1 if not admissible."""
     if not ctx.mac(t, s):
         return -1
-    direction = None
-    if ctx.is_hf(t.level):
+    hf = ctx.is_hf(t.level)
+    direction = 0
+    if hf:
         e = ctx.refinement(t.level)
-        direction = (e, nearest_direction(ctx.dirs, e, tvec / np.linalg.norm(tvec)))
+        direction = nearest_direction(ctx.dirs, e, tvec / np.linalg.norm(tvec))
     t0 = time.perf_counter()
     sym = ctx.cache.get(t.level, tuple(tvec), t.side)
-    if direction is not None:
+    if hf:
         ctx.cache.tag_direction(t.level, tuple(tvec), direction)
     ctx.precompute_time += time.perf_counter() - t0
     ctx.m2l_entries.append((sym.diagonal, direction))
@@ -210,17 +219,13 @@ def _resolve(t: Cell, s: Cell, tvec: np.ndarray, ctx: _Context) -> int:
 
 
 def blank_dtt(t: Cell, s: Cell, ctx: _Context) -> None:
-    """Record the interaction lists of (t, s) and mark needed directions."""
+    """Record the interaction lists of (t, s)."""
     tvec = t.coords - s.coords
     key = (t.level, *tvec.tolist())
     entry = ctx.resolved.get(key)
     if entry is None:
         entry = ctx.resolved[key] = _resolve(t, s, tvec, ctx)
     if entry >= 0:
-        direction = ctx.m2l_entries[entry][1]
-        if direction is not None:
-            t.marks.add(direction)
-            s.marks.add(direction)
         ctx.m2l_plan.extend((t.index, s.index, entry))
     elif t.is_leaf or s.is_leaf:
         ctx.p2p_plan.extend((t.index, s.index))
@@ -230,17 +235,83 @@ def blank_dtt(t: Cell, s: Cell, ctx: _Context) -> None:
                 blank_dtt(t2, s2, ctx)
 
 
-def blank_downward_pass(c: Cell, ctx: _Context) -> None:
-    """Propagate every mark down as its father direction, through the
-    high-frequency levels; low-frequency sons take no directions."""
-    if not ctx.is_hf(c.level + 1):
-        return
-    for e, i in sorted(c.marks):
-        fid = (e - 1, father_direction(ctx.dirs, e, i))
-        for son in c.sons:
-            son.marks.add(fid)
-    for son in c.sons:
-        blank_downward_pass(son, ctx)
+def _son_directions(ctx: _Context, level: int, ds: list) -> np.ndarray:
+    """Direction index at level + 1 that each direction index of ``level``
+    hands down: its father direction, or 0 at a low-frequency son level."""
+    if not ctx.is_hf(level + 1):
+        return np.zeros(len(ds), dtype=np.int64)
+    e = ctx.refinement(level)
+    return np.array([father_direction(ctx.dirs, e, d) for d in ds], dtype=np.int64)
+
+
+def _closure(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> np.ndarray:
+    """The seed keys and, below them, the keys of the son expansions that
+    M2M reads or L2L writes, sorted."""
+    n = ctx.n_dirs
+    held: dict = {}  # cell index -> direction indices
+    for key in seeds.tolist():
+        held.setdefault(key // n, set()).add(key % n)
+    for cell in tree.cells:  # level by level: every father before its sons
+        if cell.sons and cell.index in held:
+            son_ds = _son_directions(ctx, cell.level, sorted(held[cell.index])).tolist()
+            for son in cell.sons:
+                held.setdefault(son.index, set()).update(son_ds)
+    return np.array(sorted(c * n + d for c, ds in held.items() for d in ds), dtype=np.int64)
+
+
+def _plan_rows(ctx: _Context) -> None:
+    """Derive both key sets from the M2L plan, then rewrite the plan's cell
+    indices in place: the target as its row of local_hat (one row per key
+    of m2l_keys), the source as its row of the source-side arrays."""
+    n = ctx.n_dirs
+    plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
+    dirs = np.array([d for _, d in ctx.m2l_entries], dtype=np.int64)
+
+    def event_keys(col: int) -> np.ndarray:
+        keys = plan[:, col].astype(np.int64)
+        keys *= n
+        keys += dirs[plan[:, 2]]
+        return keys
+
+    keys = event_keys(0)
+    ctx.m2l_keys = np.unique(keys)
+    ctx.target_keys = _closure(ctx, ctx.target_tree, ctx.m2l_keys)
+    plan[:, 0] = np.searchsorted(ctx.m2l_keys, keys)
+    keys = event_keys(1)
+    ctx.source_keys = _closure(ctx, ctx.source_tree, np.unique(keys))
+    plan[:, 1] = np.searchsorted(ctx.source_keys, keys)
+
+
+def _spans(keys: np.ndarray, tree: ClusterTree, n: int) -> list:
+    """Rows spans[i]:spans[i + 1] of the sorted keys belong to cell i."""
+    return np.searchsorted(keys, np.arange(tree.n_cells + 1) * n).tolist()
+
+
+def _son_rows(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -> list:
+    """Per son, the rows of the son expansions that the cell's rows lo:hi
+    read (M2M) or write (L2L); the key derivation must have made them."""
+    son_ds = _son_directions(ctx, cell.level, (keys[lo:hi] % ctx.n_dirs).tolist())
+    want = np.add.outer([son.index * ctx.n_dirs for son in cell.sons], son_ds)
+    rows = np.searchsorted(keys, want)
+    if not np.array_equal(keys.take(rows, mode="clip"), want):
+        raise RuntimeError("missing son expansion: blank-pass inconsistency")
+    return rows.tolist()
+
+
+def _vectors(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -> list:
+    """Unit directions of the cell's rows lo:hi; None at a low-frequency level."""
+    if not ctx.is_hf(cell.level):
+        return [None] * (hi - lo)
+    return list(ctx.dirs.levels[ctx.refinement(cell.level)][keys[lo:hi] % ctx.n_dirs])
+
+
+def _waves(ctx: _Context, cell: Cell, vecs: list) -> list:
+    """exp(i*kappa*<x, u>) on the cell's grid for each direction u, and 1.0
+    for the direction-free expansion of a low-frequency level."""
+    if vecs[0] is None:
+        return [1.0] * len(vecs)
+    grid = interp.cell_grid(cell.frame, ctx.config.order)
+    return [interp.plane_wave(grid, ctx.config.kappa, u) for u in vecs]
 
 
 # ---------------------------------------------------------------------------
@@ -251,81 +322,46 @@ def _octant(father: Cell, son: Cell) -> tuple:
     return tuple(int(v) for v in son.coords - 2 * father.coords)
 
 
-def _p2m_cell(ctx: _Context, cell: Cell) -> None:
+def _p2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     pset = ctx.source_pset
     pos = pset.positions[cell.start : cell.stop]
     q = pset.charges[cell.start : cell.stop]
     order = ctx.config.order
-    keys = sorted(cell.marks) if ctx.is_hf(cell.level) else [None]
-    if not keys:
-        return
     # one basis per leaf, shared by all its directional expansions
     basis = interp.leaf_basis(cell.frame, order, pos)
-    for key in keys:
-        u = ctx.direction_vector(key) if key is not None else None
-        cell.multipole[key] = interp.p2m(
+    for row, u in zip(range(lo, hi), _vectors(ctx, ctx.source_keys, cell, lo, hi)):
+        ctx.multipole[row] = interp.p2m(
             cell.frame, order, pos, q, ctx.config.kappa, u, basis
         )
 
 
-def _m2m_cell(ctx: _Context, cell: Cell) -> None:
-    order = ctx.config.order
-    kappa = ctx.config.kappa
-    strategy = ctx.config.strategy
-    hf = ctx.is_hf(cell.level)
-
-    if hf:
-        vids = sorted(cell.marks)
-        if not vids:
-            return
-        father_grid = interp.cell_grid(cell.frame, order)
-        d0 = {vid: interp.plane_wave(father_grid, kappa, ctx.direction_vector(vid)) for vid in vids}
-    else:
-        vids = [None]
-
-    out = {vid: np.zeros(order**3, dtype=complex) for vid in vids}
-    for son in cell.sons:
-        factors = interp.m2m_factors(order, _octant(cell, son))
-        son_hf = ctx.is_hf(son.level)
-        if hf:
-            son_grid = interp.cell_grid(son.frame, order)
-            cols = []
-            for vid in vids:
-                e, i = vid
-                skey = (e - 1, father_direction(ctx.dirs, e, i)) if son_hf else None
-                src = son.multipole.get(skey)
-                if src is None:
-                    raise RuntimeError(
-                        "missing son expansion: blank-pass inconsistency"
-                    )
-                d1 = np.conj(interp.plane_wave(son_grid, kappa, ctx.direction_vector(vid)))
-                cols.append(src * d1)
-            stacked = interp.apply_strategy(strategy, factors, np.column_stack(cols))
-            for j, vid in enumerate(vids):
-                out[vid] += stacked[:, j] * d0[vid]
-        else:
-            src = son.multipole.get(None)
-            if src is None:
-                raise RuntimeError("missing son expansion: blank-pass inconsistency")
-            stacked = interp.apply_strategy(strategy, factors, src[:, None])
-            out[None] += stacked[:, 0]
-    cell.multipole.update(out)
+def _m2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
+    multipole = ctx.multipole
+    vecs = _vectors(ctx, ctx.source_keys, cell, lo, hi)
+    d0 = _waves(ctx, cell, vecs)
+    for son, rows in zip(cell.sons, _son_rows(ctx, ctx.source_keys, cell, lo, hi)):
+        factors = interp.m2m_factors(ctx.config.order, _octant(cell, son))
+        cols = [multipole[r] * d1.conjugate() for r, d1 in zip(rows, _waves(ctx, son, vecs))]
+        stacked = interp.apply_strategy(ctx.config.strategy, factors, np.column_stack(cols))
+        for j, w in enumerate(d0):
+            multipole[lo + j] += stacked[:, j] * w
 
 
 def _upward(ctx: _Context, tree: ClusterTree) -> None:
-    for level in range(tree.depth, -1, -1):
-        for cell in tree.levels[level]:
-            if cell.is_leaf:
-                _p2m_cell(ctx, cell)
-            else:
-                _m2m_cell(ctx, cell)
+    keys = ctx.source_keys
+    ws = ctx.workspace
+    ctx.multipole = np.zeros((len(keys), ws.nodal_size), dtype=complex)
+    spans = _spans(keys, tree, ctx.n_dirs)
+    for cell in reversed(tree.cells):
+        lo, hi = spans[cell.index], spans[cell.index + 1]
+        if lo < hi:
+            (_p2m_cell if cell.is_leaf else _m2m_cell)(ctx, cell, lo, hi)
     # convert every multipole expansion to the Fourier domain; one implicit
     # plan is reused and each expansion is padded+transformed individually
-    ws = ctx.workspace
-    for level in tree.levels:
-        for cell in level:
-            for key, exp in cell.multipole.items():
-                cell.multipole_hat[key] = ws.m2f(exp)
+    ctx.multipole_hat = np.empty((len(keys), ws.fourier_size), dtype=complex)
+    for row, nodal in enumerate(ctx.multipole):
+        ctx.multipole_hat[row] = ws.m2f(nodal)
+    ctx.multipole = None
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +373,21 @@ def dtt(ctx: _Context) -> None:
     pairs as one direct sum per target cell, against all its near sources."""
     tcells = ctx.target_tree.cells
     scells = ctx.source_tree.cells
+    n = ctx.n_dirs
+    ctx.local_hat = np.zeros((len(ctx.m2l_keys), ctx.workspace.fourier_size), dtype=complex)
+    # row views: one Python list lookup per operand instead of a 2-D index
+    locals_hat = list(ctx.local_hat)
+    multipoles_hat = list(ctx.multipole_hat)
+    entries = ctx.m2l_entries
     it = iter(ctx.m2l_plan)
-    for ti, si, entry in zip(it, it, it):
-        t, s = tcells[ti], scells[si]
-        diagonal, key = ctx.m2l_entries[entry]
-        acc = t.local_hat.get(key)
-        if acc is None:
-            acc = t.local_hat[key] = np.zeros(ctx.workspace.fourier_size, dtype=complex)
-        m2l_hadamard(acc, s.multipole_hat[key], diagonal)
+    for j, row, entry in zip(it, it, it):
+        m2l_hadamard(locals_hat[j], multipoles_hat[row], entries[entry][0])
         if ctx.events is not None:
-            ctx.events.append(InteractionEvent("M2L", t, s, key))
+            t = tcells[ctx.m2l_keys[j] // n]
+            ctx.events.append(InteractionEvent("M2L", t, scells[ctx.source_keys[row] // n]))
+    # every M2L has read its multipole
+    del multipoles_hat
+    ctx.multipole_hat = None
     # source cells of each target, in order of first appearance
     near: dict = {}
     it = iter(ctx.p2p_plan)
@@ -370,74 +411,44 @@ def dtt(ctx: _Context) -> None:
 # downward pass
 
 
-def _l2l_cell(ctx: _Context, cell: Cell) -> None:
-    order = ctx.config.order
-    kappa = ctx.config.kappa
-    strategy = ctx.config.strategy
-    vids = sorted(cell.local, key=lambda k: (k is not None, k))
-    if not vids:
-        return
-    hf = ctx.is_hf(cell.level)
-    if hf:
-        father_grid = interp.cell_grid(cell.frame, order)
-        d1 = {
-            vid: np.conj(interp.plane_wave(father_grid, kappa, ctx.direction_vector(vid)))
-            for vid in vids
-        }
-    for son in cell.sons:
-        factors = interp.l2l_factors(order, _octant(cell, son))
-        if hf:
-            son_hf = ctx.is_hf(son.level)
-            son_grid = interp.cell_grid(son.frame, order)
-            cols = [cell.local[vid] * d1[vid] for vid in vids]
-            stacked = interp.apply_strategy(strategy, factors, np.column_stack(cols))
-            for j, vid in enumerate(vids):
-                e, i = vid
-                skey = (e - 1, father_direction(ctx.dirs, e, i)) if son_hf else None
-                inc = stacked[:, j] * interp.plane_wave(
-                    son_grid, kappa, ctx.direction_vector(vid)
-                )
-                if skey in son.local:
-                    son.local[skey] += inc
-                else:
-                    son.local[skey] = inc
-        else:
-            stacked = interp.apply_strategy(strategy, factors, cell.local[None][:, None])
-            if None in son.local:
-                son.local[None] += stacked[:, 0]
-            else:
-                son.local[None] = stacked[:, 0].copy()
+def _l2l_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
+    local = ctx.local
+    vecs = _vectors(ctx, ctx.target_keys, cell, lo, hi)
+    d1 = _waves(ctx, cell, vecs)
+    cols = np.column_stack([local[lo + j] * w.conjugate() for j, w in enumerate(d1)])
+    for son, rows in zip(cell.sons, _son_rows(ctx, ctx.target_keys, cell, lo, hi)):
+        factors = interp.l2l_factors(ctx.config.order, _octant(cell, son))
+        stacked = interp.apply_strategy(ctx.config.strategy, factors, cols)
+        for j, (row, d0) in enumerate(zip(rows, _waves(ctx, son, vecs))):
+            local[row] += stacked[:, j] * d0
 
 
-def _l2p_cell(ctx: _Context, cell: Cell) -> None:
+def _l2p_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     pset = ctx.target_pset
     pos = pset.positions[cell.start : cell.stop]
     order = ctx.config.order
-    keys = sorted(cell.local, key=lambda k: (k is not None, k))
-    if not keys:
-        return
     basis = interp.leaf_basis(cell.frame, order, pos)
-    for key in keys:
-        u = ctx.direction_vector(key) if key is not None else None
+    for row, u in zip(range(lo, hi), _vectors(ctx, ctx.target_keys, cell, lo, hi)):
         pset.potentials[cell.start : cell.stop] += interp.l2p(
-            cell.frame, order, pos, cell.local[key], ctx.config.kappa, u, basis
+            cell.frame, order, pos, ctx.local[row], ctx.config.kappa, u, basis
         )
 
 
 def _downward(ctx: _Context, tree: ClusterTree) -> None:
     ws = ctx.workspace
-    for level in tree.levels:
-        for cell in level:
-            for key in sorted(cell.local_hat, key=lambda k: (k is not None, k)):
-                nodal = ws.f2l(cell.local_hat[key])
-                if key in cell.local:
-                    cell.local[key] += nodal
-                else:
-                    cell.local[key] = nodal
-            if cell.is_leaf:
-                _l2p_cell(ctx, cell)
-            else:
-                _l2l_cell(ctx, cell)
+    keys = ctx.target_keys
+    ctx.local = np.zeros((len(keys), ws.nodal_size), dtype=complex)
+    spans = _spans(keys, tree, ctx.n_dirs)
+    hat_spans = _spans(ctx.m2l_keys, tree, ctx.n_dirs)
+    hat_rows = np.searchsorted(keys, ctx.m2l_keys).tolist()
+    for cell in tree.cells:
+        lo, hi = spans[cell.index], spans[cell.index + 1]
+        if lo == hi:
+            continue
+        # the father's L2L has already added to these rows
+        for j in range(hat_spans[cell.index], hat_spans[cell.index + 1]):
+            ctx.local[hat_rows[j]] += ws.f2l(ctx.local_hat[j])
+        (_l2p_cell if cell.is_leaf else _l2l_cell)(ctx, cell, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +504,7 @@ def run_fmm_full(
 
     t0 = time.perf_counter()
     blank_dtt(target_tree.root, source_tree.root, ctx)
-    blank_downward_pass(target_tree.root, ctx)
-    if not same:
-        blank_downward_pass(source_tree.root, ctx)
+    _plan_rows(ctx)
     info.timings["blank"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -513,14 +522,11 @@ def run_fmm_full(
     info.timings["precompute"] = ctx.precompute_time
     info.timings["total"] = time.perf_counter() - t_start
 
-    n_exp = sum(
-        len(c.multipole) for lv in source_tree.levels for c in lv
-    )
     info.counts = {
         "cells": target_tree.n_cells if same else target_tree.n_cells + source_tree.n_cells,
         "leaves": len(target_tree.leaves) if same else len(target_tree.leaves) + len(source_tree.leaves),
         "symbols": ctx.cache.n_canonical,
-        "effective_expansions": n_exp,
+        "effective_expansions": len(ctx.source_keys),
         "p2p_pairs": ctx.n_p2p_pairs,
         "m2l_events": len(ctx.m2l_plan) // 3,
     }

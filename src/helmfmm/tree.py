@@ -2,8 +2,8 @@
 
 Each cell owns a contiguous index range into the sorted particle arrays, so
 its particles (and those of all its descendants) are consecutive in memory.
-Expansion coefficients live on the cells as per-direction dictionaries and
-are filled by the traversal driver.
+A cell holds its geometry only: the traversal module keeps the expansions
+in per-solve arrays, one row per (cell, direction) that the solve uses.
 """
 
 from __future__ import annotations
@@ -54,14 +54,6 @@ class Cell:
     frame: CellFrame
     index: int = -1  # position in ClusterTree.cells
     sons: list = field(default_factory=list)
-    # direction ids this cell was marked with during the blank passes
-    marks: set = field(default_factory=set)
-    # expansion storage, keyed by direction id (None in the low-frequency
-    # regime); nodal vectors of length L^3, Fourier vectors of length (2L-1)^3
-    multipole: dict = field(default_factory=dict)
-    multipole_hat: dict = field(default_factory=dict)
-    local: dict = field(default_factory=dict)
-    local_hat: dict = field(default_factory=dict)
 
     @property
     def is_leaf(self) -> bool:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import helmfmm
+from helmfmm.directions import generate_direction_tree, nearest_direction
 from helmfmm.traversal import FmmConfig, run_fmm_full
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +57,25 @@ def _two_trees():
     return targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=12.0)
 
 
+def _m2l_target_expansions(events, config, hf_max_level) -> set:
+    """(target cell, direction index) of each local expansion that M2L
+    writes: at a high-frequency level, the direction nearest to the
+    translation at the refinement round(log2(kappa * w / hf_switch))."""
+    trees = {}
+    out = set()
+    for e in events:
+        if e.kind != "M2L":
+            continue
+        t, d = e.target, 0
+        if t.level <= hf_max_level:
+            refinement = int(np.floor(np.log2(config.kappa * t.radius / config.hf_switch) + 0.5))
+            dirs = trees.setdefault(refinement, generate_direction_tree(refinement))
+            tvec = t.coords - e.source.coords
+            d = nearest_direction(dirs, refinement, tvec / np.linalg.norm(tvec))
+        out.add((id(t), d))
+    return out
+
+
 @pytest.mark.parametrize("problem", [_self_interaction, _laplace_self_interaction, _two_trees])
 def test_tracer_finds_and_measures_everything(problem):
     tracing = _load_tracing()
@@ -79,6 +99,10 @@ def test_tracer_finds_and_measures_everything(problem):
     else:
         assert info.hf_max_level == -1
     assert metrics["kernel.matrix_calls"] > 0
+    # one M2F per multipole built, one F2L per local expansion M2L writes
+    assert metrics["fourier.m2f_calls"] == info.counts["effective_expansions"]
+    expansions = _m2l_target_expansions(events, config, info.hf_max_level)
+    assert metrics["fourier.f2l_calls"] == len(expansions)
 
 
 def test_each_translation_is_resolved_once():

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from helmfmm.directions import father_direction, nearest_direction
+from helmfmm.distributions import Distribution, generate_distribution
 from helmfmm.geometry import BoundingBox, CellFrame, compute_root_box
 from helmfmm.kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum, relative_errors
 from helmfmm.tree import Cell, build_tree
 from helmfmm.traversal import (
     FmmConfig,
     _Context,
+    _downward,
+    _plan_rows,
     _upward,
     blank_dtt,
-    blank_downward_pass,
     cell_distance,
     directional_mac,
     dtt,
@@ -119,6 +122,12 @@ def _context(kappa, ncrit=10, eta=1.0):
     return tree, _Context(config, kernel, tree, tree, pset, pset)
 
 
+def _directions_of(ctx, keys, cell):
+    """Direction indices of the cell's expansions among the sorted keys."""
+    n = ctx.n_dirs
+    return [int(k) % n for k in keys if k // n == cell.index]
+
+
 def test_deepest_hf_level_refined_by_kappa_w():
     # kappa * w^2 = 0.75 exceeds the level-2 gap 0.5; eta = 2 admits the pair
     tree, ctx = _context(16.0, eta=2.0)
@@ -127,11 +136,14 @@ def test_deepest_hf_level_refined_by_kappa_w():
     assert ctx.refinement(2) == 1
     assert ctx.dirs.count(1) == 24
     blank_dtt(tree.root, tree.root, ctx)
+    _plan_rows(ctx)
     left = {tuple(c.coords): c for c in tree.levels[2]}[(0, 0, 0)]
-    assert left.marks and all(uid[0] == 1 for uid in left.marks)
-    blank_downward_pass(tree.root, ctx)
-    # the sons are low-frequency and take no directions
-    assert all(not son.marks for son in left.sons)
+    for keys in (ctx.source_keys, ctx.target_keys):
+        # the level-2 expansions are directional, at refinement 1
+        assert _directions_of(ctx, keys, left)
+        assert all(d < ctx.dirs.count(1) for d in _directions_of(ctx, keys, left))
+        # the sons are low-frequency: each takes the one direction-free expansion
+        assert all(_directions_of(ctx, keys, son) == [0] for son in left.sons)
 
 
 @pytest.mark.parametrize("kappa", [10.0, 16.0, 40.0])
@@ -154,6 +166,13 @@ def test_shallow_tree_refines_leaves_by_kappa_w():
     assert ctx.refinement(1) == 2 and ctx.refinement(0) == 3
 
 
+def _below(cell):
+    """Indices of the cell and of all its descendants."""
+    yield cell.index
+    for son in cell.sons:
+        yield from _below(son)
+
+
 def test_kappa_zero_has_no_hf_levels():
     pts, q = _two_cluster_problem()
     tree, pset = build_tree(pts, q, ncrit=10, root_box=UNIT_BOX)
@@ -163,7 +182,23 @@ def test_kappa_zero_has_no_hf_levels():
     assert ctx.hf_max_level == -1
     assert ctx.dirs is None
     blank_dtt(tree.root, tree.root, ctx)
-    assert all(not c.marks for lv in tree.levels for c in lv)
+    it = iter(ctx.m2l_plan)
+    plan = list(zip(it, it, it))
+    _plan_rows(ctx)
+    # no directions: one expansion per cell, in every cell M2L reads or
+    # writes and below it
+    assert ctx.n_dirs == 1
+    cells = tree.cells
+    sources = {i for _, si, _ in plan for i in _below(cells[si])}
+    targets = {i for ti, _, _ in plan for i in _below(cells[ti])}
+    assert ctx.source_keys.tolist() == sorted(sources)
+    assert ctx.target_keys.tolist() == sorted(targets)
+    assert ctx.m2l_keys.tolist() == sorted({ti for ti, _, _ in plan})
+
+
+def _axis_directions(ctx, keys, cell):
+    """x components of the unit directions of the cell's expansions."""
+    return {ctx.dirs.levels[0][d][0] for d in _directions_of(ctx, keys, cell)}
 
 
 def test_blank_pass_marks_axis_direction():
@@ -173,22 +208,125 @@ def test_blank_pass_marks_axis_direction():
     kernel = HelmholtzKernel(kappa=10.0, singularity_tol=1e-14)
     ctx = _Context(config, kernel, tree, tree, pset, pset)
     blank_dtt(tree.root, tree.root, ctx)
+    _plan_rows(ctx)
 
     cells = {tuple(c.coords): c for c in tree.levels[2]}
     left = cells[(0, 0, 0)]
     right = cells[(3, 0, 0)]
-    marked = {ctx.direction_vector(uid)[0] for uid in left.marks}
-    # the pair is seen in both orders, so both +x and -x appear
-    assert marked == {1.0, -1.0}
-    assert left.marks == right.marks
-    assert all(uid[0] == 0 for uid in left.marks)
+    # the pair is seen in both orders, so both +x and -x appear, at
+    # refinement 0: each is an axis direction
+    both = _axis_directions(ctx, ctx.source_keys, left) | _axis_directions(
+        ctx, ctx.target_keys, left
+    )
+    assert both == {1.0, -1.0}
+    for cell in (left, right):
+        for keys in (ctx.source_keys, ctx.target_keys):
+            assert all(
+                np.abs(ctx.dirs.levels[0][d]).max() == 1.0 for d in _directions_of(ctx, keys, cell)
+            )
     # the cached symbols carry the tagged directions
     assert ctx.cache.n_translations == 2
-
-    blank_downward_pass(tree.root, ctx)
-    # refinement-0 marks have no father to hand down
+    # refinement-0 directions have no father to hand down: the low-frequency
+    # sons take the direction-free expansion only
     for son in left.sons:
-        assert not son.marks
+        assert _directions_of(ctx, ctx.source_keys, son) == [0]
+        assert _directions_of(ctx, ctx.target_keys, son) == [0]
+
+
+def test_each_side_builds_only_the_directions_it_uses():
+    tree, ctx = _context(10.0)
+    blank_dtt(tree.root, tree.root, ctx)
+    _plan_rows(ctx)
+    cells = {tuple(c.coords): c for c in tree.levels[2]}
+    left, right = cells[(0, 0, 0)], cells[(3, 0, 0)]
+    # M2L into the right cell reads the left multipole along +x, and M2L
+    # into the left cell reads the right multipole along -x
+    assert _axis_directions(ctx, ctx.source_keys, left) == {1.0}
+    assert _axis_directions(ctx, ctx.target_keys, left) == {-1.0}
+    assert _axis_directions(ctx, ctx.source_keys, right) == {-1.0}
+    assert _axis_directions(ctx, ctx.target_keys, right) == {1.0}
+
+
+def _refinement(config, cell):
+    """round(log2(kappa * w / hf_switch)) of a high-frequency cell."""
+    return int(np.floor(np.log2(config.kappa * cell.radius / config.hf_switch) + 0.5))
+
+
+def test_effective_expansions_are_those_m2l_and_m2m_read():
+    pts = generate_distribution(Distribution("sphere", 1000))
+    q = np.random.default_rng(13).normal(size=1000) + 0j
+    config = FmmConfig(order=3, ncrit=8, kappa=20.0)
+    events = []
+    _, info = run_fmm_full(pts, pts, q, config, events=events)
+    tree, _ = build_tree(pts, q, config.ncrit)
+    dirs = _Context(
+        config, HelmholtzKernel(kappa=config.kappa), tree, tree, None, None
+    ).dirs
+    hf = info.hf_max_level
+
+    def direction(t, s):
+        if t.level > hf:
+            return 0
+        tvec = t.coords - s.coords
+        return nearest_direction(dirs, _refinement(config, t), tvec / np.linalg.norm(tvec))
+
+    read = set()
+
+    def add(cell, d):
+        if (cell.index, d) in read:
+            return
+        read.add((cell.index, d))
+        for son in cell.sons:
+            son_hf = son.level <= hf
+            add(son, father_direction(dirs, _refinement(config, cell), d) if son_hf else 0)
+
+    m2l = [e for e in events if e.kind == "M2L"]
+    for e in m2l:
+        add(e.source, direction(e.target, e.source))
+    # directional M2L above the deepest high-frequency level: its
+    # directions are handed down to high-frequency sons
+    assert any(e.target.level < hf for e in m2l)
+    assert info.counts["effective_expansions"] == len(read)
+
+
+def _planned(kappa):
+    tree, ctx = _context(kappa, eta=2.0)
+    blank_dtt(tree.root, tree.root, ctx)
+    _plan_rows(ctx)
+    return tree, ctx
+
+
+def _son_key(ctx, tree, keys):
+    """Key of the first son expansion that a cell's M2M reads or L2L writes."""
+    n = ctx.n_dirs
+    cells = tree.cells
+    key = next(int(k) for k in keys if cells[k // n].sons)
+    father, d = cells[key // n], key % n
+    son_hf = ctx.is_hf(father.level + 1)
+    sd = father_direction(ctx.dirs, ctx.refinement(father.level), d) if son_hf else 0
+    return father.sons[0].index * n + sd
+
+
+@pytest.mark.parametrize("kappa", [0.0, 16.0])
+def test_upward_pass_fails_on_a_missing_son_multipole(kappa):
+    tree, ctx = _planned(kappa)
+    victim = _son_key(ctx, tree, ctx.source_keys)
+    assert victim in ctx.source_keys
+    ctx.source_keys = ctx.source_keys[ctx.source_keys != victim]
+    with pytest.raises(RuntimeError, match="missing son expansion"):
+        _upward(ctx, tree)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 16.0])
+def test_downward_pass_fails_on_a_missing_son_local(kappa):
+    tree, ctx = _planned(kappa)
+    _upward(ctx, tree)
+    dtt(ctx)
+    victim = _son_key(ctx, tree, ctx.target_keys)
+    assert victim in ctx.target_keys and victim not in ctx.m2l_keys
+    ctx.target_keys = ctx.target_keys[ctx.target_keys != victim]
+    with pytest.raises(RuntimeError, match="missing son expansion"):
+        _downward(ctx, tree)
 
 
 def test_fmm_matches_direct_laplace():
@@ -282,9 +420,7 @@ def _near_field(targets, sources, q, config):
     kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=1e-12 * box.side)
     ctx = _Context(config, kernel, ttree, stree, tpset, spset)
     blank_dtt(ttree.root, stree.root, ctx)
-    blank_downward_pass(ttree.root, ctx)
-    if not same:
-        blank_downward_pass(stree.root, ctx)
+    _plan_rows(ctx)
     _upward(ctx, stree)
     # M2L accumulates into local expansions: only P2P adds to potentials
     dtt(ctx)
