@@ -4,9 +4,17 @@ The 1D rule uses L nodes at l/(L-1), l = 0..L-1, on the reference interval
 [0, 1]; 3D grids are tensor products flattened in C order, i.e. flat index
 (i0*L + i1)*L + i2 addresses the node (x[i0], x[i1], x[i2]).
 
+A particle's basis values are the tensor product of its three 1D rows
+(eval_matrix_1d), so a solve evaluates the 1D rows of all its particles at
+once and forms each leaf's (n, L^3) basis from them (tensor_basis).
+
 In the high-frequency regime the Lagrange basis is modulated by complex
 exponentials tied to a unit direction; the modulation enters the operators
-as diagonal factors around the real tensorized interpolation matrices.
+as diagonal factors around the real tensorized interpolation matrices.  On
+the grid alpha + beta * g of a cell the factor exp(i*kappa*<x, u>) is the
+scalar exp(i*kappa*<alpha, u>) times the grid wave exp(i*kappa*beta*<g, u>),
+which depends on the cell only through beta: p2m and l2p take it from the
+caller, who builds one per (level, direction).
 """
 
 from __future__ import annotations
@@ -17,10 +25,9 @@ import numpy as np
 
 __all__ = [
     "nodes_1d",
-    "lagrange_basis",
     "eval_matrix_1d",
     "grid_points",
-    "cell_grid",
+    "tensor_basis",
     "basis_matrix",
     "leaf_basis",
     "plane_wave",
@@ -42,25 +49,23 @@ def nodes_1d(order: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, order)
 
 
-def lagrange_basis(order: int, k: int, x) -> np.ndarray | float:
-    """1D Lagrange cardinal polynomial k on the equispaced nodes, at x."""
-    if not 0 <= k < order:
-        raise ValueError("basis index out of range")
+def eval_matrix_1d(order: int, x: np.ndarray) -> np.ndarray:
+    """(len(x), L) matrix of S_k(x_j) values, S_k the 1D Lagrange cardinal
+    polynomial k on the equispaced nodes.
+
+    Column k is the product over j != k of (x - x_j) / (x_k - x_j), taken in
+    increasing j; all columns advance one factor j at a time.
+    """
     nodes = nodes_1d(order)
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
+    out = np.ones((x.shape[0], order))
     for j in range(order):
-        if j != k:
-            out = out * (x - nodes[j]) / (nodes[k] - nodes[j])
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_matrix_1d(order: int, x: np.ndarray) -> np.ndarray:
-    """(len(x), L) matrix of S_k(x_j) values."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((x.shape[0], order))
-    for k in range(order):
-        out[:, k] = lagrange_basis(order, k, x)
+        denom = nodes - nodes[j]
+        denom[j] = 1.0
+        keep = out[:, j].copy()
+        out *= (x - nodes[j])[:, None]
+        out /= denom
+        out[:, j] = keep
     return out
 
 
@@ -72,19 +77,18 @@ def grid_points(order: int) -> np.ndarray:
     return g.reshape(-1, 3)
 
 
-def cell_grid(frame, order: int) -> np.ndarray:
-    """Physical interpolation grid of a cell: alpha + beta * reference grid."""
-    return frame.alpha + frame.beta * grid_points(order)
+def tensor_basis(values: np.ndarray) -> np.ndarray:
+    """(n, L^3) tensor-product basis from (n, 3, L) per-axis 1D values."""
+    n, _, order = values.shape
+    x, y, z = values[:, 0], values[:, 1], values[:, 2]
+    out = x[:, :, None, None] * y[:, None, :, None] * z[:, None, None, :]
+    return out.reshape(n, order**3)
 
 
 def basis_matrix(order: int, unit_points: np.ndarray) -> np.ndarray:
     """(n, L^3) tensor-product basis values at points in [0,1]^3 coords."""
     pts = np.atleast_2d(unit_points)
-    ex = eval_matrix_1d(order, pts[:, 0])
-    ey = eval_matrix_1d(order, pts[:, 1])
-    ez = eval_matrix_1d(order, pts[:, 2])
-    out = np.einsum("na,nb,nc->nabc", ex, ey, ez, optimize=True)
-    return out.reshape(pts.shape[0], order**3)
+    return tensor_basis(eval_matrix_1d(order, pts.reshape(-1)).reshape(-1, 3, order))
 
 
 def leaf_basis(frame, order: int, positions: np.ndarray) -> np.ndarray:
@@ -97,15 +101,27 @@ def plane_wave(points: np.ndarray, kappa: float, direction: np.ndarray) -> np.nd
     return np.exp(1j * kappa * (np.atleast_2d(points) @ np.asarray(direction, dtype=float)))
 
 
+def _cell_wave(frame, order, kappa, direction, grid_wave) -> np.ndarray:
+    """exp(i*kappa*<x, u>) on the cell's grid: the grid wave of its side
+    (built here when not given) times the phase at its corner."""
+    u = np.asarray(direction, dtype=float)
+    if grid_wave is None:
+        grid_wave = plane_wave(frame.beta * grid_points(order), kappa, u)
+    return grid_wave * np.exp(1j * kappa * (frame.alpha @ u))
+
+
 def p2m(
-    frame, order, positions, charges, kappa=0.0, direction=None, basis=None
+    frame, order, positions, charges, kappa=0.0, direction=None, basis=None,
+    grid_wave=None,
 ) -> np.ndarray:
     """Nodal multipole expansion of a leaf's particles.
 
     With a direction the basis is modulated, so the particle charges pick up
     the phase exp(-i*kappa*<y, u>) and the grid coefficients the phase
     exp(+i*kappa*<y_r, u>).  ``basis`` is the leaf_basis of the positions,
-    passed in to share one basis across a leaf's directions.
+    passed in to share one basis across a leaf's directions; ``grid_wave``
+    is exp(i*kappa*beta*<g, u>) on the reference grid g, passed in to share
+    one across the cells of a level.
     """
     b = leaf_basis(frame, order, positions) if basis is None else basis
     q = np.asarray(charges, dtype=complex)
@@ -113,21 +129,22 @@ def p2m(
         q = q * np.conj(plane_wave(positions, kappa, direction))
     coeffs = b.T @ q
     if direction is not None:
-        coeffs = coeffs * plane_wave(cell_grid(frame, order), kappa, direction)
+        coeffs = coeffs * _cell_wave(frame, order, kappa, direction, grid_wave)
     return coeffs
 
 
 def l2p(
-    frame, order, positions, local, kappa=0.0, direction=None, basis=None
+    frame, order, positions, local, kappa=0.0, direction=None, basis=None,
+    grid_wave=None,
 ) -> np.ndarray:
     """Potential increments at particles from a nodal local expansion.
 
-    ``basis`` is as in p2m.
+    ``basis`` and ``grid_wave`` are as in p2m.
     """
     b = leaf_basis(frame, order, positions) if basis is None else basis
     coeffs = np.asarray(local, dtype=complex)
     if direction is not None:
-        coeffs = coeffs * np.conj(plane_wave(cell_grid(frame, order), kappa, direction))
+        coeffs = coeffs * np.conj(_cell_wave(frame, order, kappa, direction, grid_wave))
     vals = b @ coeffs
     if direction is not None:
         vals = vals * plane_wave(positions, kappa, direction).ravel()

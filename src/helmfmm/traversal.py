@@ -6,6 +6,12 @@ The driver pipeline plans, then executes:
     rows -> P2M at leaves -> M2M upward -> M2F -> DTT (replay: Hadamard
     M2L, then P2P) -> F2L -> L2L downward -> L2P -> un-permute potentials
 
+P2M and L2P form each leaf's (n, L^3) basis from one (N, 3, L) table of
+1D Lagrange values per tree and solve, which a single tree's two passes
+share.  The directional P2M/M2M/L2L/L2P modulation exp(i*kappa*<x, u>) on a
+cell grid alpha + beta * g is one phase per cell times a grid wave built
+once per (level, direction).  M2F transforms only the multipoles M2L reads.
+
 The blank DTT is the only recursion.  The strict MAC applies at
 low-frequency levels and the direction-free high-frequency MAC
 max{kappa*w^2, 2w} / dist(t, s) <= eta at high-frequency ones; both depend
@@ -21,8 +27,9 @@ P2P events and the pair count are kept per recorded pair.
 Expansions live in per-solve arrays, one row per key cell.index * n_dirs
 + d (d the direction index at the cell's level, 0 at low frequency), in the
 sorted key order of their side: the source keys are the multipoles that M2L
-reads and, below them through the father directions, those M2M reads; the
-target keys are the locals that M2L writes and, below them, those L2L writes.
+reads (m2f_keys) and, below them through the father directions, those M2M
+reads; the target keys are the locals that M2L writes (m2l_keys) and, below
+them, those L2L writes.
 """
 
 from __future__ import annotations
@@ -53,6 +60,10 @@ __all__ = [
     "run_fmm_full",
     "FmmInfo",
 ]
+
+
+# the finest direction set a solve may build: 6 * 4**8 = 393,216 directions
+MAX_REFINEMENT = 8
 
 
 @dataclass(frozen=True)
@@ -150,9 +161,14 @@ class _Context:
         self.m2l_plan = array("i")
         self.p2p_plan = array("i")
         # _plan_rows' sorted keys (see the module docstring); m2l_keys are
-        # the target keys M2L writes, one local_hat row each
-        self.source_keys = self.target_keys = self.m2l_keys = None
+        # the target keys M2L writes, one local_hat row each, and m2f_keys
+        # the source keys it reads, one multipole_hat row each
+        self.source_keys = self.target_keys = self.m2l_keys = self.m2f_keys = None
         self.multipole = self.multipole_hat = self.local_hat = self.local = None
+        # the Lagrange table of table_pset (_use_table) and the grid waves
+        # (_grid_wave), both built once per solve
+        self.table = self.table_pset = None
+        self.grid_waves: dict = {}
 
         # hf_max_level is the deepest level whose cells satisfy
         # kappa * radius >= hf_switch.  Each high-frequency level l gets the
@@ -180,6 +196,13 @@ class _Context:
             # kw_deepest >= hf_switch, so the rounded log2 is >= 0
             ratio = np.log2(kw_deepest / config.hf_switch)
             self.deepest_refinement = int(np.floor(ratio + 0.5))
+            if self.refinement(0) > MAX_REFINEMENT:
+                kw_root = config.kappa * np.sqrt(3.0) * target_tree.side_at(0) / 2.0
+                raise ValueError(
+                    f"kappa*w = {kw_root:.4g} at the root asks for direction "
+                    f"refinement {self.refinement(0)} (6 * 4**{self.refinement(0)} "
+                    f"directions), above {MAX_REFINEMENT}: lower kappa*w or raise hf_switch"
+                )
             self.dirs = generate_direction_tree(self.refinement(0))
             self.n_dirs = self.dirs.count(self.refinement(0))
 
@@ -262,7 +285,8 @@ def _closure(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> np.ndarray:
 def _plan_rows(ctx: _Context) -> None:
     """Derive both key sets from the M2L plan, then rewrite the plan's cell
     indices in place: the target as its row of local_hat (one row per key
-    of m2l_keys), the source as its row of the source-side arrays."""
+    of m2l_keys), the source as its row of multipole_hat (one row per key
+    of m2f_keys)."""
     n = ctx.n_dirs
     plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
     dirs = np.array([d for _, d in ctx.m2l_entries], dtype=np.int64)
@@ -278,8 +302,9 @@ def _plan_rows(ctx: _Context) -> None:
     ctx.target_keys = _closure(ctx, ctx.target_tree, ctx.m2l_keys)
     plan[:, 0] = np.searchsorted(ctx.m2l_keys, keys)
     keys = event_keys(1)
-    ctx.source_keys = _closure(ctx, ctx.source_tree, np.unique(keys))
-    plan[:, 1] = np.searchsorted(ctx.source_keys, keys)
+    ctx.m2f_keys = np.unique(keys)
+    ctx.source_keys = _closure(ctx, ctx.source_tree, ctx.m2f_keys)
+    plan[:, 1] = np.searchsorted(ctx.m2f_keys, keys)
 
 
 def _spans(keys: np.ndarray, tree: ClusterTree, n: int) -> list:
@@ -298,20 +323,65 @@ def _son_rows(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -> 
     return rows.tolist()
 
 
-def _vectors(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -> list:
-    """Unit directions of the cell's rows lo:hi; None at a low-frequency level."""
-    if not ctx.is_hf(cell.level):
-        return [None] * (hi - lo)
-    return list(ctx.dirs.levels[ctx.refinement(cell.level)][keys[lo:hi] % ctx.n_dirs])
+def _directions(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -> tuple:
+    """(refinement, direction indices) of the cell's rows lo:hi; the
+    refinement is None at a low-frequency level."""
+    e = ctx.refinement(cell.level) if ctx.is_hf(cell.level) else None
+    return e, (keys[lo:hi] % ctx.n_dirs).tolist()
 
 
-def _waves(ctx: _Context, cell: Cell, vecs: list) -> list:
-    """exp(i*kappa*<x, u>) on the cell's grid for each direction u, and 1.0
-    for the direction-free expansion of a low-frequency level."""
-    if vecs[0] is None:
-        return [1.0] * len(vecs)
-    grid = interp.cell_grid(cell.frame, ctx.config.order)
-    return [interp.plane_wave(grid, ctx.config.kappa, u) for u in vecs]
+def _grid_wave(ctx: _Context, cell: Cell, e: int, d: int) -> np.ndarray:
+    """exp(i*kappa*beta*<g, u>) on the reference grid g, for the cells of
+    the cell's level (side beta) and direction d of refinement e; built
+    once per solve.  The cell's grid wave is this times exp(i*kappa*<alpha, u>)."""
+    key = (cell.level, e, d)
+    wave = ctx.grid_waves.get(key)
+    if wave is None:
+        wave = ctx.grid_waves[key] = interp.plane_wave(
+            cell.frame.beta * interp.grid_points(ctx.config.order),
+            ctx.config.kappa,
+            ctx.dirs.levels[e][d],
+        )
+    return wave
+
+
+def _modulations(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -> list:
+    """(unit direction, grid wave) of the cell's rows lo:hi for P2M/L2P;
+    (None, None) at a low-frequency level."""
+    e, ds = _directions(ctx, keys, cell, lo, hi)
+    if e is None:
+        return [(None, None)] * (hi - lo)
+    return [(ctx.dirs.levels[e][d], _grid_wave(ctx, cell, e, d)) for d in ds]
+
+
+def _waves(ctx: _Context, cell: Cell, e: int | None, ds: list) -> np.ndarray | None:
+    """exp(i*kappa*<x, u>) on the cell's grid, one row per direction index
+    of refinement e; None (no modulation) at low frequency."""
+    if e is None:
+        return None
+    corner = np.exp(1j * ctx.config.kappa * (ctx.dirs.levels[e][ds] @ cell.frame.alpha))
+    return np.array([_grid_wave(ctx, cell, e, d) for d in ds]) * corner[:, None]
+
+
+def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndarray:
+    """(N, 3, L) 1D Lagrange values of every particle, on each axis, in the
+    frame of its leaf."""
+    alpha = np.empty_like(pset.positions)
+    beta = np.empty(len(pset.positions))
+    for leaf in tree.leaves:
+        alpha[leaf.start : leaf.stop] = leaf.frame.alpha
+        beta[leaf.start : leaf.stop] = leaf.frame.beta
+    unit = (pset.positions - alpha) / beta[:, None]
+    return interp.eval_matrix_1d(order, unit.reshape(-1)).reshape(-1, 3, order)
+
+
+def _use_table(ctx: _Context, tree: ClusterTree, pset: ParticleSet) -> None:
+    """Make ctx.table the Lagrange table of pset, built once per solve: a
+    single tree's upward and downward passes share one."""
+    if ctx.table_pset is not pset:
+        ctx.table = None  # release the other tree's table first
+        ctx.table = _lagrange_table(ctx.config.order, tree, pset)
+        ctx.table_pset = pset
 
 
 # ---------------------------------------------------------------------------
@@ -328,39 +398,41 @@ def _p2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     q = pset.charges[cell.start : cell.stop]
     order = ctx.config.order
     # one basis per leaf, shared by all its directional expansions
-    basis = interp.leaf_basis(cell.frame, order, pos)
-    for row, u in zip(range(lo, hi), _vectors(ctx, ctx.source_keys, cell, lo, hi)):
+    basis = interp.tensor_basis(ctx.table[cell.start : cell.stop])
+    for row, (u, wave) in zip(range(lo, hi), _modulations(ctx, ctx.source_keys, cell, lo, hi)):
         ctx.multipole[row] = interp.p2m(
-            cell.frame, order, pos, q, ctx.config.kappa, u, basis
+            cell.frame, order, pos, q, ctx.config.kappa, u, basis, wave
         )
 
 
 def _m2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     multipole = ctx.multipole
-    vecs = _vectors(ctx, ctx.source_keys, cell, lo, hi)
-    d0 = _waves(ctx, cell, vecs)
+    e, ds = _directions(ctx, ctx.source_keys, cell, lo, hi)
+    d0 = _waves(ctx, cell, e, ds)
     for son, rows in zip(cell.sons, _son_rows(ctx, ctx.source_keys, cell, lo, hi)):
         factors = interp.m2m_factors(ctx.config.order, _octant(cell, son))
-        cols = [multipole[r] * d1.conjugate() for r, d1 in zip(rows, _waves(ctx, son, vecs))]
-        stacked = interp.apply_strategy(ctx.config.strategy, factors, np.column_stack(cols))
-        for j, w in enumerate(d0):
-            multipole[lo + j] += stacked[:, j] * w
+        cols = multipole[rows]
+        if d0 is not None:
+            cols *= _waves(ctx, son, e, ds).conj()
+        stacked = interp.apply_strategy(ctx.config.strategy, factors, cols.T).T
+        multipole[lo:hi] += stacked if d0 is None else stacked * d0
 
 
 def _upward(ctx: _Context, tree: ClusterTree) -> None:
     keys = ctx.source_keys
     ws = ctx.workspace
     ctx.multipole = np.zeros((len(keys), ws.nodal_size), dtype=complex)
+    _use_table(ctx, tree, ctx.source_pset)
     spans = _spans(keys, tree, ctx.n_dirs)
     for cell in reversed(tree.cells):
         lo, hi = spans[cell.index], spans[cell.index + 1]
         if lo < hi:
             (_p2m_cell if cell.is_leaf else _m2m_cell)(ctx, cell, lo, hi)
-    # convert every multipole expansion to the Fourier domain; one implicit
+    # convert the multipoles M2L reads to the Fourier domain; one implicit
     # plan is reused and each expansion is padded+transformed individually
-    ctx.multipole_hat = np.empty((len(keys), ws.fourier_size), dtype=complex)
-    for row, nodal in enumerate(ctx.multipole):
-        ctx.multipole_hat[row] = ws.m2f(nodal)
+    ctx.multipole_hat = np.empty((len(ctx.m2f_keys), ws.fourier_size), dtype=complex)
+    for j, row in enumerate(np.searchsorted(keys, ctx.m2f_keys).tolist()):
+        ctx.multipole_hat[j] = ws.m2f(ctx.multipole[row])
     ctx.multipole = None
 
 
@@ -384,7 +456,7 @@ def dtt(ctx: _Context) -> None:
         m2l_hadamard(locals_hat[j], multipoles_hat[row], entries[entry][0])
         if ctx.events is not None:
             t = tcells[ctx.m2l_keys[j] // n]
-            ctx.events.append(InteractionEvent("M2L", t, scells[ctx.source_keys[row] // n]))
+            ctx.events.append(InteractionEvent("M2L", t, scells[ctx.m2f_keys[row] // n]))
     # every M2L has read its multipole
     del multipoles_hat
     ctx.multipole_hat = None
@@ -413,24 +485,27 @@ def dtt(ctx: _Context) -> None:
 
 def _l2l_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     local = ctx.local
-    vecs = _vectors(ctx, ctx.target_keys, cell, lo, hi)
-    d1 = _waves(ctx, cell, vecs)
-    cols = np.column_stack([local[lo + j] * w.conjugate() for j, w in enumerate(d1)])
+    e, ds = _directions(ctx, ctx.target_keys, cell, lo, hi)
+    d1 = _waves(ctx, cell, e, ds)
+    cols = local[lo:hi] if d1 is None else local[lo:hi] * d1.conj()
     for son, rows in zip(cell.sons, _son_rows(ctx, ctx.target_keys, cell, lo, hi)):
         factors = interp.l2l_factors(ctx.config.order, _octant(cell, son))
-        stacked = interp.apply_strategy(ctx.config.strategy, factors, cols)
-        for j, (row, d0) in enumerate(zip(rows, _waves(ctx, son, vecs))):
-            local[row] += stacked[:, j] * d0
+        stacked = interp.apply_strategy(ctx.config.strategy, factors, cols.T).T
+        if d1 is not None:
+            stacked *= _waves(ctx, son, e, ds)
+        # several father directions may hand down to one son row
+        for row, col in zip(rows, stacked):
+            local[row] += col
 
 
 def _l2p_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     pset = ctx.target_pset
     pos = pset.positions[cell.start : cell.stop]
     order = ctx.config.order
-    basis = interp.leaf_basis(cell.frame, order, pos)
-    for row, u in zip(range(lo, hi), _vectors(ctx, ctx.target_keys, cell, lo, hi)):
+    basis = interp.tensor_basis(ctx.table[cell.start : cell.stop])
+    for row, (u, wave) in zip(range(lo, hi), _modulations(ctx, ctx.target_keys, cell, lo, hi)):
         pset.potentials[cell.start : cell.stop] += interp.l2p(
-            cell.frame, order, pos, ctx.local[row], ctx.config.kappa, u, basis
+            cell.frame, order, pos, ctx.local[row], ctx.config.kappa, u, basis, wave
         )
 
 
@@ -438,6 +513,7 @@ def _downward(ctx: _Context, tree: ClusterTree) -> None:
     ws = ctx.workspace
     keys = ctx.target_keys
     ctx.local = np.zeros((len(keys), ws.nodal_size), dtype=complex)
+    _use_table(ctx, tree, ctx.target_pset)
     spans = _spans(keys, tree, ctx.n_dirs)
     hat_spans = _spans(ctx.m2l_keys, tree, ctx.n_dirs)
     hat_rows = np.searchsorted(keys, ctx.m2l_keys).tolist()

@@ -21,18 +21,39 @@ def test_nodes_include_endpoints():
 def test_lagrange_cardinal_property():
     order = 5
     nodes = interp.nodes_1d(order)
+    vals = interp.eval_matrix_1d(order, nodes)
     for k in range(order):
-        vals = interp.lagrange_basis(order, k, nodes)
         expected = np.zeros(order)
         expected[k] = 1.0
-        assert np.allclose(vals, expected, atol=1e-13)
+        assert np.allclose(vals[:, k], expected, atol=1e-13)
 
 
 def test_lagrange_partition_of_unity():
     order = 6
     x = np.linspace(-0.2, 1.2, 41)
-    total = sum(interp.lagrange_basis(order, k, x) for k in range(order))
+    total = sum(interp.eval_matrix_1d(order, x)[:, k] for k in range(order))
     assert np.allclose(total, 1.0, atol=1e-10)
+
+
+def _cardinal_reference(order, k, x):
+    """S_k(x) as the product over j != k of (x - x_j) / (x_k - x_j), one
+    point array at a time."""
+    nodes = interp.nodes_1d(order)
+    out = np.ones_like(x)
+    for j in range(order):
+        if j != k:
+            out = out * (x - nodes[j]) / (nodes[k] - nodes[j])
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 5, 8])
+def test_eval_matrix_1d_is_bitwise_the_per_column_product(order):
+    rng = np.random.default_rng(order)
+    # inside [0, 1] and outside it on both sides
+    x = np.concatenate([rng.uniform(size=50), rng.uniform(-1.0, 2.0, size=50)])
+    vals = interp.eval_matrix_1d(order, x)
+    for k in range(order):
+        assert vals[:, k].tobytes() == _cardinal_reference(order, k, x).tobytes()
 
 
 def test_polynomial_reproduction_1d():
@@ -112,6 +133,31 @@ def test_modulated_p2m_reduces_to_plain_at_kappa_zero():
     plain = interp.p2m(frame, 4, pos, q)
     modulated = interp.p2m(frame, 4, pos, q, kappa=0.0, direction=u)
     assert np.allclose(plain, modulated, atol=1e-14)
+
+
+def test_modulated_p2m_l2p_match_the_explicit_phases():
+    """The grid wave exp(i*kappa*beta*<g, u>) times the corner phase is the
+    plane wave on the cell grid, built here or passed in."""
+    rng = np.random.default_rng(9)
+    frame = _random_frame(rng)
+    order, kappa = 4, 7.0
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    pos = frame.alpha + rng.uniform(size=(15, 3)) * frame.beta
+    q = rng.normal(size=15) + 1j * rng.normal(size=15)
+    b = interp.basis_matrix(order, (pos - frame.alpha) / frame.beta)
+    on_grid = interp.plane_wave(frame.alpha + frame.beta * interp.grid_points(order), kappa, u)
+    on_pos = interp.plane_wave(pos, kappa, u)
+    expected = (b.T @ (q * on_pos.conj())) * on_grid
+    wave = interp.plane_wave(frame.beta * interp.grid_points(order), kappa, u)
+    for grid_wave in (None, wave):
+        coeffs = interp.p2m(frame, order, pos, q, kappa, u, grid_wave=grid_wave)
+        assert np.allclose(coeffs, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    local = rng.normal(size=order**3) + 1j * rng.normal(size=order**3)
+    expected = (b @ (local * on_grid.conj())) * on_pos
+    for grid_wave in (None, wave):
+        vals = interp.l2p(frame, order, pos, local, kappa, u, grid_wave=grid_wave)
+        assert np.allclose(vals, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_m2m_factor_columns_sum_to_one():

@@ -57,10 +57,11 @@ def _two_trees():
     return targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=12.0)
 
 
-def _m2l_target_expansions(events, config, hf_max_level) -> set:
-    """(target cell, direction index) of each local expansion that M2L
-    writes: at a high-frequency level, the direction nearest to the
-    translation at the refinement round(log2(kappa * w / hf_switch))."""
+def _m2l_expansions(events, config, hf_max_level, side: str) -> set:
+    """(cell, direction index) of each expansion that M2L reads (side
+    "source") or writes (side "target"): at a high-frequency level, the
+    direction nearest to the translation at the refinement
+    round(log2(kappa * w / hf_switch)), the same on both sides."""
     trees = {}
     out = set()
     for e in events:
@@ -72,7 +73,7 @@ def _m2l_target_expansions(events, config, hf_max_level) -> set:
             dirs = trees.setdefault(refinement, generate_direction_tree(refinement))
             tvec = t.coords - e.source.coords
             d = nearest_direction(dirs, refinement, tvec / np.linalg.norm(tvec))
-        out.add((id(t), d))
+        out.add((id(getattr(e, side)), d))
     return out
 
 
@@ -99,10 +100,11 @@ def test_tracer_finds_and_measures_everything(problem):
     else:
         assert info.hf_max_level == -1
     assert metrics["kernel.matrix_calls"] > 0
-    # one M2F per multipole built, one F2L per local expansion M2L writes
-    assert metrics["fourier.m2f_calls"] == info.counts["effective_expansions"]
-    expansions = _m2l_target_expansions(events, config, info.hf_max_level)
-    assert metrics["fourier.f2l_calls"] == len(expansions)
+    # one M2F per multipole M2L reads, one F2L per local expansion it writes
+    read = _m2l_expansions(events, config, info.hf_max_level, "source")
+    assert metrics["fourier.m2f_calls"] == len(read)
+    written = _m2l_expansions(events, config, info.hf_max_level, "target")
+    assert metrics["fourier.f2l_calls"] == len(written)
 
 
 def test_each_translation_is_resolved_once():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helmfmm import interpolation as interp
+from helmfmm import traversal
 from helmfmm.directions import father_direction, nearest_direction
 from helmfmm.distributions import Distribution, generate_distribution
 from helmfmm.geometry import BoundingBox, CellFrame, compute_root_box
@@ -10,8 +12,10 @@ from helmfmm.traversal import (
     FmmConfig,
     _Context,
     _downward,
+    _lagrange_table,
     _plan_rows,
     _upward,
+    _waves,
     blank_dtt,
     cell_distance,
     directional_mac,
@@ -504,3 +508,69 @@ def test_deterministic_potentials():
     a = run_fmm(pts, pts, q, cfg)
     b = run_fmm(pts, pts, q, cfg)
     assert a.tobytes() == b.tobytes()
+
+
+def test_leaf_basis_from_the_table_matches_basis_matrix():
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(size=(600, 3))
+    order = 5
+    tree, pset = build_tree(pts, rng.normal(size=600) + 0j, 16)
+    table = _lagrange_table(order, tree, pset)
+    assert table.shape == (600, 3, order)
+    for leaf in tree.leaves:
+        pos = pset.positions[leaf.start : leaf.stop]
+        ref = interp.basis_matrix(order, (pos - leaf.frame.alpha) / leaf.frame.beta)
+        got = interp.tensor_basis(table[leaf.start : leaf.stop])
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-15
+
+
+def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
+    pts = generate_distribution(Distribution("sphere", 1000))
+    q = np.ones(1000, dtype=complex)
+    config = FmmConfig(order=4, ncrit=8, kappa=20.0)
+    tree, pset = build_tree(pts, q, config.ncrit)
+    ctx = _Context(config, HelmholtzKernel(kappa=config.kappa), tree, tree, pset, pset)
+    level = ctx.hf_max_level
+    grid = interp.grid_points(config.order)
+    # the deepest high-frequency level under its own directions (P2M/L2P)
+    # and under its fathers' (M2M/L2L)
+    refinements = (ctx.refinement(level), ctx.refinement(level - 1))
+    for e in refinements:
+        ds = list(range(ctx.dirs.count(e)))
+        for cell in tree.levels[level]:
+            x = cell.frame.alpha + cell.frame.beta * grid
+            for d, wave in zip(ds, _waves(ctx, cell, e, ds)):
+                ref = interp.plane_wave(x, config.kappa, ctx.dirs.levels[e][d])
+                assert np.abs(wave - ref).max() < 1e-13
+    # one grid wave per (level, direction)
+    assert len(ctx.grid_waves) == sum(ctx.dirs.count(e) for e in refinements)
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_one_lagrange_table_per_tree(monkeypatch, same):
+    built = []
+
+    def counting(order, tree, pset):
+        built.append(pset)
+        return _lagrange_table(order, tree, pset)
+
+    monkeypatch.setattr(traversal, "_lagrange_table", counting)
+    rng = np.random.default_rng(15)
+    sources = rng.uniform(size=(500, 3))
+    targets = sources if same else rng.uniform(size=(200, 3))
+    q = rng.normal(size=500) + 1j * rng.normal(size=500)
+    run_fmm(targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=12.0))
+    assert len(built) == (1 if same else 2)
+    assert len({id(p) for p in built}) == len(built)
+
+
+def test_a_direction_set_above_the_bound_fails_at_once(monkeypatch):
+    def never(refinement):
+        raise AssertionError(f"direction tree of refinement {refinement} built")
+
+    monkeypatch.setattr(traversal, "generate_direction_tree", never)
+    rng = np.random.default_rng(16)
+    pts = rng.uniform(size=(200, 3))
+    q = rng.normal(size=200) + 0j
+    with pytest.raises(ValueError, match=r"kappa\*w = .* hf_switch"):
+        run_fmm(pts, pts, q, FmmConfig(order=3, ncrit=32, kappa=20000.0))
