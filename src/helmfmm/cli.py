@@ -12,6 +12,13 @@ from .harness import ExperimentConfig, run_experiment
 from .interpolation import STRATEGIES
 
 
+def _ncrit(text: str) -> int | str:
+    """'auto' or a leaf size of at least 1."""
+    if text != "auto" and not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer >= 1, got {text!r}")
+    return text if text == "auto" else int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="helmfmm",
@@ -31,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--order", type=int, default=5, help="1D interpolation order L")
     parser.add_argument(
-        "--ncrit", default="64",
+        "--ncrit", type=_ncrit, default=64,
         help="max particles per leaf, or 'auto' for a small tuning sweep",
     )
     parser.add_argument("--eta", type=float, default=1.0, help="MAC parameter")
@@ -55,13 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    ncrit: int | str = args.ncrit if args.ncrit == "auto" else int(args.ncrit)
     cfg = ExperimentConfig(
         distribution=args.distribution,
         n=args.n,
         kappa_d=args.kappa_d,
         order=args.order,
-        ncrit=ncrit,
+        ncrit=args.ncrit,
         eta=args.eta,
         strategy=args.strategy,
         check_error=args.check_error,

@@ -10,11 +10,10 @@ once and forms each leaf's (n, L^3) basis from them (tensor_basis).
 
 In the high-frequency regime the Lagrange basis is modulated by complex
 exponentials tied to a unit direction; the modulation enters the operators
-as diagonal factors around the real tensorized interpolation matrices.  On
-the grid alpha + beta * g of a cell the factor exp(i*kappa*<x, u>) is the
-scalar exp(i*kappa*<alpha, u>) times the grid wave exp(i*kappa*beta*<g, u>),
-which depends on the cell only through beta: p2m and l2p take it from the
-caller, who builds one per (level, direction).
+as diagonal factors around the real tensorized interpolation matrices.
+p2m and l2p are the plain basis products: the caller applies the factors
+to a leaf's whole block of directions, the particle phases from plane_wave
+on one side and the waves on the cell grid on the other.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "grid_points",
     "tensor_basis",
     "basis_matrix",
-    "leaf_basis",
     "plane_wave",
     "p2m",
     "l2p",
@@ -91,64 +89,22 @@ def basis_matrix(order: int, unit_points: np.ndarray) -> np.ndarray:
     return tensor_basis(eval_matrix_1d(order, pts.reshape(-1)).reshape(-1, 3, order))
 
 
-def leaf_basis(frame, order: int, positions: np.ndarray) -> np.ndarray:
-    """(n, L^3) basis values at particles given in physical coordinates."""
-    return basis_matrix(order, (np.atleast_2d(positions) - frame.alpha) / frame.beta)
-
-
 def plane_wave(points: np.ndarray, kappa: float, direction: np.ndarray) -> np.ndarray:
-    """exp(i*kappa*<x, u>) at each point."""
+    """exp(i*kappa*<x, u>) at each point: (n,) for one direction u of shape
+    (3,), (n, m) for a (3, m) array of directions, one column each."""
     return np.exp(1j * kappa * (np.atleast_2d(points) @ np.asarray(direction, dtype=float)))
 
 
-def _cell_wave(frame, order, kappa, direction, grid_wave) -> np.ndarray:
-    """exp(i*kappa*<x, u>) on the cell's grid: the grid wave of its side
-    (built here when not given) times the phase at its corner."""
-    u = np.asarray(direction, dtype=float)
-    if grid_wave is None:
-        grid_wave = plane_wave(frame.beta * grid_points(order), kappa, u)
-    return grid_wave * np.exp(1j * kappa * (frame.alpha @ u))
+def p2m(basis: np.ndarray, charges: np.ndarray) -> np.ndarray:
+    """Nodal multipole coefficients basis.T @ charges of a leaf, from its
+    (n, L^3) basis and (n,) or (n, m) charges."""
+    return basis.T @ charges
 
 
-def p2m(
-    frame, order, positions, charges, kappa=0.0, direction=None, basis=None,
-    grid_wave=None,
-) -> np.ndarray:
-    """Nodal multipole expansion of a leaf's particles.
-
-    With a direction the basis is modulated, so the particle charges pick up
-    the phase exp(-i*kappa*<y, u>) and the grid coefficients the phase
-    exp(+i*kappa*<y_r, u>).  ``basis`` is the leaf_basis of the positions,
-    passed in to share one basis across a leaf's directions; ``grid_wave``
-    is exp(i*kappa*beta*<g, u>) on the reference grid g, passed in to share
-    one across the cells of a level.
-    """
-    b = leaf_basis(frame, order, positions) if basis is None else basis
-    q = np.asarray(charges, dtype=complex)
-    if direction is not None:
-        q = q * np.conj(plane_wave(positions, kappa, direction))
-    coeffs = b.T @ q
-    if direction is not None:
-        coeffs = coeffs * _cell_wave(frame, order, kappa, direction, grid_wave)
-    return coeffs
-
-
-def l2p(
-    frame, order, positions, local, kappa=0.0, direction=None, basis=None,
-    grid_wave=None,
-) -> np.ndarray:
-    """Potential increments at particles from a nodal local expansion.
-
-    ``basis`` and ``grid_wave`` are as in p2m.
-    """
-    b = leaf_basis(frame, order, positions) if basis is None else basis
-    coeffs = np.asarray(local, dtype=complex)
-    if direction is not None:
-        coeffs = coeffs * np.conj(_cell_wave(frame, order, kappa, direction, grid_wave))
-    vals = b @ coeffs
-    if direction is not None:
-        vals = vals * plane_wave(positions, kappa, direction).ravel()
-    return vals
+def l2p(basis: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Potentials basis @ local at a leaf's particles, from its (n, L^3)
+    basis and (L^3,) or (L^3, m) nodal local coefficients."""
+    return basis @ local
 
 
 @lru_cache(maxsize=None)

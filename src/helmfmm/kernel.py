@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ DEFAULT_SINGULARITY_TOL = 1e-12
 # entries of one kernel block in direct_sum; it bounds the temporaries of
 # HelmholtzKernel.matrix to 1.25 MiB
 MAX_BLOCK_ENTRIES = 1 << 15
+
+# sqrt of the smallest normal double: a distance above it squares without
+# underflow, so HelmholtzKernel.matrix only rescales for a lower tolerance
+MIN_SQUARABLE = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,16 @@ class HelmholtzKernel:
         At kappa = 0 the matrix is real (float64), 1 / (4*pi*r); otherwise it
         is complex, with the real and imaginary parts filled from cos(kappa*r)
         and sin(kappa*r).  Suppressed pairs are exactly 0 either way.
+
+        Below MIN_SQUARABLE a distance squares to an underflow, so with a
+        lower singularity_tol the coordinates are scaled by a power of two
+        (exact) that brings their span near 1, and the scale is folded back
+        into the constants; otherwise the scale is 1.0.
         """
+        scale = 1.0
+        if self.singularity_tol < MIN_SQUARABLE:
+            scale = _unit_scale(targets, sources)
+            targets, sources = targets * scale, sources * scale
         # r and one scratch array d serve every step, so a block allocates
         # at most r, d, 1/(4*pi*r) and the complex result
         r = np.zeros((targets.shape[0], sources.shape[0]))
@@ -71,14 +85,29 @@ class HelmholtzKernel:
             r += d
         np.sqrt(r, out=r)
         inv = np.zeros_like(r)
-        np.divide(1.0 / (4.0 * np.pi), r, out=inv, where=r >= self.singularity_tol)
+        np.divide(scale / (4.0 * np.pi), r, out=inv, where=r >= self.singularity_tol * scale)
         if self.kappa == 0:
             return inv
-        r *= self.kappa
+        r *= self.kappa / scale
         out = np.empty(r.shape, dtype=complex)
         np.multiply(np.cos(r, out=d), inv, out=out.real)
         np.multiply(np.sin(r, out=d), inv, out=out.imag)
         return out
+
+
+def _unit_scale(targets: np.ndarray, sources: np.ndarray) -> float:
+    """The power of two that brings the span of the coordinates into
+    [0.5, 1), capped at 2**1020 and so that no scaled coordinate overflows;
+    1.0 for a block of coincident points."""
+    pts = np.vstack([targets, sources])
+    if len(pts) == 0:
+        return 1.0
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = float((hi - lo).max())
+    if not 0 < span < np.inf:
+        return 1.0
+    top = float(np.maximum(np.abs(lo), np.abs(hi)).max())
+    return math.ldexp(1.0, min(-math.frexp(span)[1], 1020 - max(math.frexp(top)[1], 0)))
 
 
 def direct_sum(

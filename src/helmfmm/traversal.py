@@ -8,9 +8,12 @@ The driver pipeline plans, then executes:
 
 P2M and L2P form each leaf's (n, L^3) basis from one (N, 3, L) table of
 1D Lagrange values per tree and solve, which a single tree's two passes
-share.  The directional P2M/M2M/L2L/L2P modulation exp(i*kappa*<x, u>) on a
-cell grid alpha + beta * g is one phase per cell times a grid wave built
-once per (level, direction).  M2F transforms only the multipoles M2L reads.
+share.  Every operator acts on a cell's whole block of rows, one per
+direction: the modulation exp(i*kappa*<x, u>) on a cell grid
+alpha + beta * g is one phase per cell times a grid wave built once per
+(level, direction) (_waves), and P2M/L2P take the particle side from one
+(n, rows) phase matrix per leaf.  M2F transforms only the multipoles M2L
+reads, and F2L, its mirror, only the locals M2L writes.
 
 The blank DTT is the only recursion.  The strict MAC applies at
 low-frequency levels and the direction-free high-frequency MAC
@@ -166,7 +169,7 @@ class _Context:
         self.source_keys = self.target_keys = self.m2l_keys = self.m2f_keys = None
         self.multipole = self.multipole_hat = self.local_hat = self.local = None
         # the Lagrange table of table_pset (_use_table) and the grid waves
-        # (_grid_wave), both built once per solve
+        # (_waves), both built once per solve
         self.table = self.table_pset = None
         self.grid_waves: dict = {}
 
@@ -330,37 +333,24 @@ def _directions(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -
     return e, (keys[lo:hi] % ctx.n_dirs).tolist()
 
 
-def _grid_wave(ctx: _Context, cell: Cell, e: int, d: int) -> np.ndarray:
-    """exp(i*kappa*beta*<g, u>) on the reference grid g, for the cells of
-    the cell's level (side beta) and direction d of refinement e; built
-    once per solve.  The cell's grid wave is this times exp(i*kappa*<alpha, u>)."""
-    key = (cell.level, e, d)
-    wave = ctx.grid_waves.get(key)
-    if wave is None:
-        wave = ctx.grid_waves[key] = interp.plane_wave(
-            cell.frame.beta * interp.grid_points(ctx.config.order),
-            ctx.config.kappa,
-            ctx.dirs.levels[e][d],
-        )
-    return wave
-
-
-def _modulations(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -> list:
-    """(unit direction, grid wave) of the cell's rows lo:hi for P2M/L2P;
-    (None, None) at a low-frequency level."""
-    e, ds = _directions(ctx, keys, cell, lo, hi)
-    if e is None:
-        return [(None, None)] * (hi - lo)
-    return [(ctx.dirs.levels[e][d], _grid_wave(ctx, cell, e, d)) for d in ds]
-
-
 def _waves(ctx: _Context, cell: Cell, e: int | None, ds: list) -> np.ndarray | None:
     """exp(i*kappa*<x, u>) on the cell's grid, one row per direction index
-    of refinement e; None (no modulation) at low frequency."""
+    of refinement e; None (no modulation) at low frequency.  A row is the
+    phase exp(i*kappa*<alpha, u>) at the cell's corner times the grid wave
+    exp(i*kappa*beta*<g, u>) on the reference grid g, which depends on the
+    cell only through its level (side beta) and is built once per solve."""
     if e is None:
         return None
-    corner = np.exp(1j * ctx.config.kappa * (ctx.dirs.levels[e][ds] @ cell.frame.alpha))
-    return np.array([_grid_wave(ctx, cell, e, d) for d in ds]) * corner[:, None]
+    kappa, units = ctx.config.kappa, ctx.dirs.levels[e]
+    rows = []
+    for d in ds:
+        wave = ctx.grid_waves.get((cell.level, e, d))
+        if wave is None:
+            grid = cell.frame.beta * interp.grid_points(ctx.config.order)
+            wave = ctx.grid_waves[cell.level, e, d] = interp.plane_wave(grid, kappa, units[d])
+        rows.append(wave)
+    corner = np.exp(1j * kappa * (units[ds] @ cell.frame.alpha))
+    return np.array(rows) * corner[:, None]
 
 
 def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndarray:
@@ -392,17 +382,29 @@ def _octant(father: Cell, son: Cell) -> tuple:
     return tuple(int(v) for v in son.coords - 2 * father.coords)
 
 
+def _leaf_block(
+    ctx: _Context, keys: np.ndarray, pset: ParticleSet, cell: Cell, lo: int, hi: int
+) -> tuple:
+    """The leaf's (n, L^3) basis, its (rows, L^3) cell waves and its
+    (n, rows) particle phases exp(i*kappa*<y, u>) for the rows lo:hi; no
+    waves or phases (None) at a low-frequency level."""
+    basis = interp.tensor_basis(ctx.table[cell.start : cell.stop])
+    e, ds = _directions(ctx, keys, cell, lo, hi)
+    if e is None:
+        return basis, None, None
+    pos = pset.positions[cell.start : cell.stop]
+    phases = interp.plane_wave(pos, ctx.config.kappa, ctx.dirs.levels[e][ds].T)
+    return basis, _waves(ctx, cell, e, ds), phases
+
+
 def _p2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     pset = ctx.source_pset
-    pos = pset.positions[cell.start : cell.stop]
     q = pset.charges[cell.start : cell.stop]
-    order = ctx.config.order
-    # one basis per leaf, shared by all its directional expansions
-    basis = interp.tensor_basis(ctx.table[cell.start : cell.stop])
-    for row, (u, wave) in zip(range(lo, hi), _modulations(ctx, ctx.source_keys, cell, lo, hi)):
-        ctx.multipole[row] = interp.p2m(
-            cell.frame, order, pos, q, ctx.config.kappa, u, basis, wave
-        )
+    basis, waves, phases = _leaf_block(ctx, ctx.source_keys, pset, cell, lo, hi)
+    if waves is None:
+        ctx.multipole[lo] = interp.p2m(basis, q)
+    else:
+        ctx.multipole[lo:hi] = interp.p2m(basis, q[:, None] * phases.conj()).T * waves
 
 
 def _m2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
@@ -500,31 +502,28 @@ def _l2l_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
 
 def _l2p_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     pset = ctx.target_pset
-    pos = pset.positions[cell.start : cell.stop]
-    order = ctx.config.order
-    basis = interp.tensor_basis(ctx.table[cell.start : cell.stop])
-    for row, (u, wave) in zip(range(lo, hi), _modulations(ctx, ctx.target_keys, cell, lo, hi)):
-        pset.potentials[cell.start : cell.stop] += interp.l2p(
-            cell.frame, order, pos, ctx.local[row], ctx.config.kappa, u, basis, wave
-        )
+    basis, waves, phases = _leaf_block(ctx, ctx.target_keys, pset, cell, lo, hi)
+    if waves is None:
+        vals = interp.l2p(basis, ctx.local[lo])
+    else:
+        vals = (interp.l2p(basis, (ctx.local[lo:hi] * waves.conj()).T) * phases).sum(axis=1)
+    pset.potentials[cell.start : cell.stop] += vals
 
 
 def _downward(ctx: _Context, tree: ClusterTree) -> None:
     ws = ctx.workspace
     keys = ctx.target_keys
     ctx.local = np.zeros((len(keys), ws.nodal_size), dtype=complex)
+    # convert the locals M2L wrote back to the nodal domain, the mirror of M2F
+    for j, row in enumerate(np.searchsorted(keys, ctx.m2l_keys).tolist()):
+        ctx.local[row] = ws.f2l(ctx.local_hat[j])
+    ctx.local_hat = None
     _use_table(ctx, tree, ctx.target_pset)
     spans = _spans(keys, tree, ctx.n_dirs)
-    hat_spans = _spans(ctx.m2l_keys, tree, ctx.n_dirs)
-    hat_rows = np.searchsorted(keys, ctx.m2l_keys).tolist()
     for cell in tree.cells:
         lo, hi = spans[cell.index], spans[cell.index + 1]
-        if lo == hi:
-            continue
-        # the father's L2L has already added to these rows
-        for j in range(hat_spans[cell.index], hat_spans[cell.index + 1]):
-            ctx.local[hat_rows[j]] += ws.f2l(ctx.local_hat[j])
-        (_l2p_cell if cell.is_leaf else _l2l_cell)(ctx, cell, lo, hi)
+        if lo < hi:
+            (_l2p_cell if cell.is_leaf else _l2l_cell)(ctx, cell, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from helmfmm.cli import main
+from helmfmm.cli import build_parser, main
 from helmfmm.harness import (
     ExperimentConfig,
     read_particle_file,
@@ -132,3 +132,13 @@ def test_cli_csv_append(tmp_path, capsys):
     with cpath.open() as fh:
         rows = list(csv.DictReader(fh))
     assert [r["config.n"] for r in rows] == ["100", "150"]
+
+
+@pytest.mark.parametrize("ncrit", ["abc", "0", "-3", "2.5"])
+def test_cli_rejects_a_bad_ncrit(capsys, ncrit):
+    assert build_parser().parse_args(["--ncrit", "auto"]).ncrit == "auto"
+    assert build_parser().parse_args(["--ncrit", "7"]).ncrit == 7
+    with pytest.raises(SystemExit) as exc:
+        main(["--n", "100", "--ncrit", ncrit])
+    assert exc.value.code == 2
+    assert "--ncrit" in capsys.readouterr().err

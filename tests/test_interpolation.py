@@ -9,6 +9,11 @@ def _random_frame(rng):
     return CellFrame(alpha=rng.uniform(-1, 1, size=3), beta=rng.uniform(0.5, 2.0))
 
 
+def _basis(frame, order, positions):
+    """(n, L^3) basis values at particles given in physical coordinates."""
+    return interp.basis_matrix(order, (np.atleast_2d(positions) - frame.alpha) / frame.beta)
+
+
 def test_nodes_include_endpoints():
     for order in (2, 3, 6):
         n = interp.nodes_1d(order)
@@ -87,7 +92,7 @@ def test_p2m_node_coincident_particle():
     order = 3
     g = interp.grid_points(order)
     j = 14
-    coeffs = interp.p2m(frame, order, g[j : j + 1], np.array([1.0 + 0j]))
+    coeffs = interp.p2m(_basis(frame, order, g[j : j + 1]), np.array([1.0 + 0j]))
     expected = np.zeros(order**3)
     expected[j] = 1.0
     assert np.allclose(coeffs, expected, atol=1e-12)
@@ -97,7 +102,7 @@ def test_p2m_zero_charges():
     rng = np.random.default_rng(0)
     frame = _random_frame(rng)
     pos = frame.alpha + rng.uniform(size=(10, 3)) * frame.beta
-    coeffs = interp.p2m(frame, 4, pos, np.zeros(10, dtype=complex))
+    coeffs = interp.p2m(_basis(frame, 4, pos), np.zeros(10, dtype=complex))
     assert np.all(coeffs == 0)
 
 
@@ -107,7 +112,7 @@ def test_l2p_node_coincident_particle_reads_coefficient():
     g = interp.grid_points(order)
     rng = np.random.default_rng(1)
     local = rng.normal(size=order**3) + 1j * rng.normal(size=order**3)
-    vals = interp.l2p(frame, order, g[5:6], local)
+    vals = interp.l2p(_basis(frame, order, g[5:6]), local)
     assert vals[0] == pytest.approx(local[5])
 
 
@@ -119,45 +124,9 @@ def test_p2m_l2p_dense_oracle():
     pos = frame.alpha + rng.uniform(size=(20, 3)) * frame.beta
     q = rng.normal(size=20) + 1j * rng.normal(size=20)
     b = interp.basis_matrix(order, (pos - frame.alpha) / frame.beta)
-    assert np.allclose(interp.p2m(frame, order, pos, q), b.T @ q, atol=1e-13)
+    assert np.allclose(interp.p2m(_basis(frame, order, pos), q), b.T @ q, atol=1e-13)
     local = rng.normal(size=order**3) + 1j * rng.normal(size=order**3)
-    assert np.allclose(interp.l2p(frame, order, pos, local), b @ local, atol=1e-13)
-
-
-def test_modulated_p2m_reduces_to_plain_at_kappa_zero():
-    rng = np.random.default_rng(3)
-    frame = _random_frame(rng)
-    pos = frame.alpha + rng.uniform(size=(15, 3)) * frame.beta
-    q = rng.normal(size=15) + 1j * rng.normal(size=15)
-    u = np.array([0.0, 0.0, 1.0])
-    plain = interp.p2m(frame, 4, pos, q)
-    modulated = interp.p2m(frame, 4, pos, q, kappa=0.0, direction=u)
-    assert np.allclose(plain, modulated, atol=1e-14)
-
-
-def test_modulated_p2m_l2p_match_the_explicit_phases():
-    """The grid wave exp(i*kappa*beta*<g, u>) times the corner phase is the
-    plane wave on the cell grid, built here or passed in."""
-    rng = np.random.default_rng(9)
-    frame = _random_frame(rng)
-    order, kappa = 4, 7.0
-    u = rng.normal(size=3)
-    u /= np.linalg.norm(u)
-    pos = frame.alpha + rng.uniform(size=(15, 3)) * frame.beta
-    q = rng.normal(size=15) + 1j * rng.normal(size=15)
-    b = interp.basis_matrix(order, (pos - frame.alpha) / frame.beta)
-    on_grid = interp.plane_wave(frame.alpha + frame.beta * interp.grid_points(order), kappa, u)
-    on_pos = interp.plane_wave(pos, kappa, u)
-    expected = (b.T @ (q * on_pos.conj())) * on_grid
-    wave = interp.plane_wave(frame.beta * interp.grid_points(order), kappa, u)
-    for grid_wave in (None, wave):
-        coeffs = interp.p2m(frame, order, pos, q, kappa, u, grid_wave=grid_wave)
-        assert np.allclose(coeffs, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
-    local = rng.normal(size=order**3) + 1j * rng.normal(size=order**3)
-    expected = (b @ (local * on_grid.conj())) * on_pos
-    for grid_wave in (None, wave):
-        vals = interp.l2p(frame, order, pos, local, kappa, u, grid_wave=grid_wave)
-        assert np.allclose(vals, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    assert np.allclose(interp.l2p(_basis(frame, order, pos), local), b @ local, atol=1e-13)
 
 
 def test_m2m_factor_columns_sum_to_one():
@@ -197,11 +166,11 @@ def test_m2m_chain_matches_direct_p2m():
     son = CellFrame(alpha=np.array(octant) * 0.5, beta=0.5)
     pos = son.alpha + rng.uniform(size=(30, 3)) * son.beta
     q = rng.normal(size=30) + 1j * rng.normal(size=30)
-    son_exp = interp.p2m(son, order, pos, q)
+    son_exp = interp.p2m(_basis(son, order, pos), q)
     via_m2m = interp.kron_apply(
         interp.m2m_factors(order, octant), son_exp[:, None]
     )[:, 0]
-    direct = interp.p2m(father, order, pos, q)
+    direct = interp.p2m(_basis(father, order, pos), q)
     assert np.allclose(via_m2m, direct, atol=1e-12)
 
 
@@ -216,8 +185,8 @@ def test_l2l_chain_matches_direct_l2p():
     son_local = interp.kron_apply(
         interp.l2l_factors(order, octant), local[:, None]
     )[:, 0]
-    via_l2l = interp.l2p(son, order, pos, son_local)
-    direct = interp.l2p(father, order, pos, local)
+    via_l2l = interp.l2p(_basis(son, order, pos), son_local)
+    direct = interp.l2p(_basis(father, order, pos), local)
     assert np.allclose(via_l2l, direct, atol=1e-12)
 
 

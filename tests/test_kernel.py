@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helmfmm.kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum, relative_errors
+from helmfmm.traversal import FmmConfig, run_fmm
 
 
 def test_laplace_limit_value():
@@ -120,6 +121,32 @@ def test_direct_sum_excludes_self_interaction():
     pot = direct_sum(ker, pts, pts, q)
     assert pot[0] == 0.0
     assert pot[1] == pytest.approx(1.0 / (4.0 * np.pi))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 5.0])
+def test_pair_closer_than_1e_154_interacts(kappa):
+    """Squared distances below the smallest normal double underflow; the
+    kernel rescales the coordinates instead of losing the pair."""
+    r = 1e-200
+    pts = np.array([[r, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    q = np.ones(2, dtype=complex)
+    exact = np.exp(1j * kappa * r) / (4.0 * np.pi * r)
+    oracle = direct_sum(HelmholtzKernel(kappa=kappa, singularity_tol=1e-212), pts, pts, q)
+    assert np.allclose(oracle, exact, rtol=1e-14, atol=0)
+    fmm = run_fmm(pts, pts, q, FmmConfig(kappa=kappa))
+    assert np.allclose(fmm, exact, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 5.0])
+def test_rescaled_matrix_is_bitwise_the_plain_one(kappa):
+    """A power-of-two scale is exact, so on points whose distances square
+    without underflow the rescaled block equals the unscaled one."""
+    rng = np.random.default_rng(8)
+    t = rng.uniform(-3.0, 7.0, size=(40, 3))
+    s = rng.uniform(-3.0, 7.0, size=(50, 3))
+    plain = HelmholtzKernel(kappa=kappa).matrix(t, s)
+    rescaled = HelmholtzKernel(kappa=kappa, singularity_tol=1e-200).matrix(t, s)
+    assert rescaled.tobytes() == plain.tobytes()
 
 
 def test_relative_errors_norms():

@@ -100,6 +100,9 @@ def test_tracer_finds_and_measures_everything(problem):
     else:
         assert info.hf_max_level == -1
     assert metrics["kernel.matrix_calls"] > 0
+    # P2M and L2P take all the directions of a leaf in one product
+    assert metrics["interpolation.p2m_calls"] <= info.counts["leaves"]
+    assert metrics["interpolation.l2p_calls"] <= info.counts["leaves"]
     # one M2F per multipole M2L reads, one F2L per local expansion it writes
     read = _m2l_expansions(events, config, info.hf_max_level, "source")
     assert metrics["fourier.m2f_calls"] == len(read)

@@ -12,8 +12,12 @@ from helmfmm.traversal import (
     FmmConfig,
     _Context,
     _downward,
+    _l2p_cell,
     _lagrange_table,
+    _p2m_cell,
     _plan_rows,
+    _spans,
+    _use_table,
     _upward,
     _waves,
     blank_dtt,
@@ -544,6 +548,72 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
                 assert np.abs(wave - ref).max() < 1e-13
     # one grid wave per (level, direction)
     assert len(ctx.grid_waves) == sum(ctx.dirs.count(e) for e in refinements)
+
+
+def _hf_leaf_blocks(ctx, keys, tree, pset):
+    """(leaf, lo, hi, basis, grid waves, particle waves) of each
+    high-frequency leaf with several rows among the sorted keys, the waves
+    exp(i*kappa*<x, u>) built point by point, one per row."""
+    order, kappa = ctx.config.order, ctx.config.kappa
+    grid = interp.grid_points(order)
+    spans = _spans(keys, tree, ctx.n_dirs)
+    for leaf in tree.leaves:
+        lo, hi = spans[leaf.index], spans[leaf.index + 1]
+        if not ctx.is_hf(leaf.level) or hi - lo < 2:
+            continue
+        pos = pset.positions[leaf.start : leaf.stop]
+        b = interp.basis_matrix(order, (pos - leaf.frame.alpha) / leaf.frame.beta)
+        units = ctx.dirs.levels[ctx.refinement(leaf.level)][keys[lo:hi] % ctx.n_dirs]
+        x = leaf.frame.alpha + leaf.frame.beta * grid
+        yield (
+            leaf, lo, hi, b,
+            [interp.plane_wave(x, kappa, u) for u in units],
+            [interp.plane_wave(pos, kappa, u) for u in units],
+        )
+
+
+def test_modulated_p2m_l2p_match_the_explicit_phases():
+    """Every row of a high-frequency leaf's P2M and L2P block is the basis
+    product between the particle phases and the plane wave on the leaf's
+    grid, for the row's own direction."""
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(size=(400, 3))
+    q = rng.normal(size=400) + 1j * rng.normal(size=400)
+    config = FmmConfig(order=4, ncrit=16, kappa=12.0)
+    size = config.order**3
+    tree, pset = build_tree(pts, q, config.ncrit)
+    ctx = _Context(config, HelmholtzKernel(kappa=config.kappa), tree, tree, pset, pset)
+    blank_dtt(tree.root, tree.root, ctx)
+    _plan_rows(ctx)
+    _use_table(ctx, tree, pset)
+
+    ctx.multipole = np.zeros((len(ctx.source_keys), size), dtype=complex)
+    rows = 0
+    for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(ctx, ctx.source_keys, tree, pset):
+        _p2m_cell(ctx, leaf, lo, hi)
+        qs = pset.charges[leaf.start : leaf.stop]
+        for row, g, y in zip(range(lo, hi), on_grid, on_pos):
+            expected = (b.T @ (qs * y.conj())) * g
+            got = ctx.multipole[row]
+            assert np.allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+            rows += 1
+    assert rows > 0
+
+    ctx.local = np.zeros((len(ctx.target_keys), size), dtype=complex)
+    rows = 0
+    for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(ctx, ctx.target_keys, tree, pset):
+        # one row of the block at a time
+        for row, g, y in zip(range(lo, hi), on_grid, on_pos):
+            local = rng.normal(size=size) + 1j * rng.normal(size=size)
+            ctx.local[lo:hi] = 0
+            ctx.local[row] = local
+            pset.potentials[:] = 0
+            _l2p_cell(ctx, leaf, lo, hi)
+            expected = (b @ (local * g.conj())) * y
+            got = pset.potentials[leaf.start : leaf.stop]
+            assert np.allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+            rows += 1
+    assert rows > 0
 
 
 @pytest.mark.parametrize("same", [True, False])
