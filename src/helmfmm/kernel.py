@@ -43,6 +43,8 @@ class HelmholtzKernel:
     def __post_init__(self):
         if not np.isfinite(self.kappa) or self.kappa < 0:
             raise ValueError("kappa must be finite and >= 0")
+        if not (np.isfinite(self.singularity_tol) and self.singularity_tol > 0):
+            raise ValueError("singularity_tol must be finite and > 0")
 
     def of_distance(self, r) -> np.ndarray:
         """Evaluate the kernel on an array of distances."""
@@ -53,9 +55,9 @@ class HelmholtzKernel:
         return np.where(safe, vals, 0.0)
 
     def __call__(self, x, y) -> complex | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.linalg.norm(x - y, axis=-1)
+        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        # nested hypot: no square of a component underflows or overflows
+        r = np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
         out = self.of_distance(r)
         return complex(out) if out.ndim == 0 else out
 

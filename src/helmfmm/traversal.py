@@ -15,13 +15,18 @@ alpha + beta * g is one phase per cell times a grid wave built once per
 (n, rows) phase matrix per leaf.  M2F transforms only the multipoles M2L
 reads, and F2L, its mirror, only the locals M2L writes.
 
-The blank DTT is the only recursion.  The strict MAC applies at
-low-frequency levels and the direction-free high-frequency MAC
-max{kappa*w^2, 2w} / dist(t, s) <= eta at high-frequency ones; both depend
+The blank DTT plans level by level on integer arrays, with no recursion:
+a level's candidate (target, source) cell pairs are two index arrays, and
+the pairs that neither interact nor touch a leaf hand their son pairs,
+target son major, to the next level, so each level keeps the order of the
+recursive traversal.  The strict MAC applies at low-frequency levels and
+the direction-free high-frequency MAC max{kappa*w^2, 2w} / dist(t, s) <=
+eta at high-frequency ones (one array function, admissible); both depend
 on (level, translation) only, so each distinct one is resolved once (MAC,
-M2L symbol and, at high frequency, direction): symbol precomputation lies
-inside the blank pass only.  The numeric DTT replays the recorded M2L
-entries in order, so every accumulator sums as in the recursion.  It
+M2L symbol and, at high frequency, direction) and the pairs take their
+entry by one array lookup: symbol precomputation lies inside the blank
+pass only.  The numeric DTT replays the recorded M2L entries in order, so
+every accumulator sums as in the recursion.  It
 evaluates the P2P list as one direct sum per target cell, against the
 particles of all its near source cells gathered in recorded order, in
 kernel blocks of at most MAX_BLOCK_ENTRIES entries, real at kappa = 0; the
@@ -52,11 +57,12 @@ from .directions import (
 )
 from .fourier import FourierWorkspace, SymbolCache, m2l_hadamard
 from .kernel import HelmholtzKernel, direct_sum
-from .tree import Cell, ClusterTree, ParticleSet, accumulate_potentials, build_tree
+from .tree import SQRT3, Cell, ClusterTree, ParticleSet, accumulate_potentials, build_tree
 
 __all__ = [
     "FmmConfig",
     "InteractionEvent",
+    "admissible",
     "strict_mac",
     "directional_mac",
     "run_fmm",
@@ -67,6 +73,11 @@ __all__ = [
 
 # the finest direction set a solve may build: 6 * 4**8 = 393,216 directions
 MAX_REFINEMENT = 8
+
+# candidate cell pairs blank_dtt takes at a time: its temporaries stay
+# near 1 MB however many pairs a level holds (1.5 M on an 80,000-point
+# sphere at kappa*D = 64)
+PLAN_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -104,32 +115,44 @@ class InteractionEvent:
     source: Cell
 
 
-def _gap_sq(t: Cell, s: Cell) -> float:
-    """Squared min distance between the two cubes, in cell-side units."""
-    tvec = t.coords - s.coords
-    gaps = np.maximum(np.abs(tvec) - 1, 0)
-    return float(gaps @ gaps)
+def _gap_sq(tvecs) -> np.ndarray:
+    """Squared min distance between same-level cubes at the integer
+    translations tvecs (..., 3), in cell-side units; exact integers."""
+    gaps = np.maximum(np.abs(np.asarray(tvecs, dtype=np.int64)) - 1, 0)
+    return (gaps * gaps).sum(axis=-1)
+
+
+def admissible(tvecs, side: float, kappa: float | None = None, eta: float = 1.0) -> np.ndarray:
+    """MAC of same-level cells of side ``side`` at the integer translations
+    tvecs (..., 3).  With kappa None the strict MAC: the cube distance is
+    at least one side; otherwise the directional MAC max{kappa*w^2, 2w} /
+    dist(t, s) <= eta, with w the cell radius."""
+    gap_sq = _gap_sq(tvecs)
+    if kappa is None:
+        return gap_sq >= 1
+    w = SQRT3 * side / 2.0
+    return max(kappa * w * w, 2.0 * w) <= eta * (side * np.sqrt(gap_sq))
 
 
 def cell_distance(t: Cell, s: Cell) -> float:
     """Exact min distance between the closed cell cubes (same level)."""
-    return t.side * np.sqrt(_gap_sq(t, s))
+    return t.side * np.sqrt(_gap_sq(t.coords - s.coords))
+
+
+def _same_level(t: Cell, s: Cell) -> np.ndarray:
+    if t.level != s.level:
+        raise ValueError("the MAC requires same-level cells")
+    return t.coords - s.coords
 
 
 def strict_mac(t: Cell, s: Cell) -> bool:
     """Well-separated iff the cube distance is at least one side length."""
-    if t.level != s.level:
-        raise ValueError("strict MAC requires same-level cells")
-    return _gap_sq(t, s) >= 1.0
+    return bool(admissible(_same_level(t, s), t.side))
 
 
 def directional_mac(t: Cell, s: Cell, kappa: float, eta: float) -> bool:
     """max{kappa*w^2, 2w} / dist(t,s) <= eta, with w the cell radius."""
-    if t.level != s.level:
-        raise ValueError("directional MAC requires same-level cells")
-    w = t.radius
-    dist = cell_distance(t, s)
-    return max(kappa * w * w, 2.0 * w) <= eta * dist
+    return bool(admissible(_same_level(t, s), t.side, kappa, eta))
 
 
 class _Context:
@@ -216,49 +239,135 @@ class _Context:
         """Direction refinement of a high-frequency level."""
         return self.deepest_refinement + self.hf_max_level - level
 
-    def mac(self, t: Cell, s: Cell) -> bool:
-        if self.is_hf(t.level):
-            return directional_mac(t, s, self.config.kappa, self.config.eta)
-        return strict_mac(t, s)
-
 
 # ---------------------------------------------------------------------------
 # blank pass and expansion keys
 
 
-def _resolve(t: Cell, s: Cell, tvec: np.ndarray, ctx: _Context) -> int:
-    """New M2L entry for the translation of (t, s), or -1 if not admissible."""
-    if not ctx.mac(t, s):
+def _resolve(ctx: _Context, level: int, tvec: np.ndarray, mac: bool) -> int:
+    """New M2L entry for the translation tvec at level, or -1 if the MAC
+    (``mac``) does not admit it."""
+    if not mac:
         return -1
-    hf = ctx.is_hf(t.level)
+    hf = ctx.is_hf(level)
     direction = 0
     if hf:
-        e = ctx.refinement(t.level)
+        e = ctx.refinement(level)
         direction = nearest_direction(ctx.dirs, e, tvec / np.linalg.norm(tvec))
     t0 = time.perf_counter()
-    sym = ctx.cache.get(t.level, tuple(tvec), t.side)
+    sym = ctx.cache.get(level, tuple(tvec), ctx.target_tree.side_at(level))
     if hf:
-        ctx.cache.tag_direction(t.level, tuple(tvec), direction)
+        ctx.cache.tag_direction(level, tuple(tvec), direction)
     ctx.precompute_time += time.perf_counter() - t0
     ctx.m2l_entries.append((sym.diagonal, direction))
     return len(ctx.m2l_entries) - 1
 
 
-def blank_dtt(t: Cell, s: Cell, ctx: _Context) -> None:
-    """Record the interaction lists of (t, s)."""
-    tvec = t.coords - s.coords
-    key = (t.level, *tvec.tolist())
-    entry = ctx.resolved.get(key)
-    if entry is None:
-        entry = ctx.resolved[key] = _resolve(t, s, tvec, ctx)
-    if entry >= 0:
-        ctx.m2l_plan.extend((t.index, s.index, entry))
-    elif t.is_leaf or s.is_leaf:
-        ctx.p2p_plan.extend((t.index, s.index))
-    else:
-        for t2 in t.sons:
-            for s2 in s.sons:
-                blank_dtt(t2, s2, ctx)
+def _distinct(tvecs: np.ndarray) -> tuple:
+    """(distinct rows of tvecs in lexicographic order, the position of each
+    row among them).  The rows are coded densely over their bounding box
+    when it is small against their number; np.unique sorts otherwise."""
+    lo = tvecs.min(axis=0)
+    ext = tvecs.max(axis=0) - lo + 1
+    size = int(np.prod(ext, dtype=np.int64))
+    if size > 8 * len(tvecs) + 4096:
+        distinct, inverse = np.unique(tvecs, axis=0, return_inverse=True)
+        return distinct.astype(np.int64), inverse.reshape(-1)
+    code = tvecs[:, 0] - lo[0]
+    for k in (1, 2):
+        code *= ext[k]
+        code += tvecs[:, k]
+        code -= lo[k]
+    rank = np.zeros(size, dtype=np.int32)
+    rank[code] = 1
+    hit = np.flatnonzero(rank)
+    rank[hit] = np.arange(len(hit), dtype=np.int32)
+    distinct = np.stack(np.unravel_index(hit, tuple(ext.tolist())), axis=1) + lo
+    return distinct.astype(np.int64), rank[code]
+
+
+def _entries(ctx: _Context, level: int, ti: np.ndarray, si: np.ndarray) -> np.ndarray:
+    """The m2l_entries index of each cell pair (ti, si) at level, -1 where
+    it is not admissible.  Each distinct translation not in ctx.resolved is
+    resolved once, the MAC evaluated on all of them at once."""
+    tvecs = np.empty((len(ti), 3), dtype=np.int32)
+    for k in range(3):  # an axis at a time: no (n, 3) temporaries
+        np.subtract(ctx.target_tree.coords[ti, k], ctx.source_tree.coords[si, k], out=tvecs[:, k])
+    distinct, inverse = _distinct(tvecs)
+    del tvecs
+    keys = [(level, *t) for t in distinct.tolist()]
+    new = [i for i, key in enumerate(keys) if key not in ctx.resolved]
+    if new:
+        kappa = ctx.config.kappa if ctx.is_hf(level) else None
+        side = ctx.target_tree.side_at(level)
+        macs = admissible(distinct[new], side, kappa, ctx.config.eta).tolist()
+        for i, mac in zip(new, macs):
+            ctx.resolved[keys[i]] = _resolve(ctx, level, distinct[i], mac)
+    entries = np.array([ctx.resolved[key] for key in keys], dtype=np.int32)
+    return entries[inverse]
+
+
+def _ramps(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    out = np.arange(counts.sum(), dtype=np.int32)
+    out -= np.repeat((np.cumsum(counts) - counts).astype(np.int32), counts)
+    return out
+
+
+def _son_pairs(ctx: _Context, ti: np.ndarray, si: np.ndarray) -> tuple:
+    """The son pairs of the cell pairs (ti, si), pair by pair and target son
+    major, as the recursion visits them: a row of source sons per (pair,
+    target son)."""
+    tt, st = ctx.target_tree, ctx.source_tree
+    n_t, n_s = tt.n_sons[ti], st.n_sons[si]
+    row_t = np.repeat(tt.first_son[ti], n_t) + _ramps(n_t)
+    row_s = np.repeat(st.first_son[si], n_t)
+    width = np.repeat(n_s, n_t)
+    s2 = _ramps(width)
+    s2 += np.repeat(row_s, width)
+    return np.repeat(row_t, width), s2
+
+
+def _append(plan: array, *columns: np.ndarray) -> None:
+    # the rows' bytes are read through a uint8 view, without a copy
+    plan.frombytes(np.stack(columns, axis=1, dtype=np.intc).view(np.uint8))
+
+
+def _chunks(pairs: list):
+    """The (target, source) index arrays of a level in slices of at most
+    PLAN_CHUNK pairs, in order."""
+    for ti, si in pairs:
+        for lo in range(0, len(ti), PLAN_CHUNK):
+            yield ti[lo : lo + PLAN_CHUNK], si[lo : lo + PLAN_CHUNK]
+
+
+def blank_dtt(t_root: Cell, s_root: Cell, ctx: _Context) -> None:
+    """Record the interaction lists of (t_root, s_root), level by level.
+
+    The candidate pairs of a level are cell-index arrays, taken in slices
+    of at most PLAN_CHUNK pairs.  The admissible ones become M2L triplets,
+    the others with a leaf P2P pairs, and the rest hand their son pairs to
+    the next level.  Each level keeps the order in which the recursive
+    traversal visits its pairs, so every local_hat row sums its M2L terms
+    in that order.
+    """
+    tt, st = ctx.target_tree, ctx.source_tree
+    pairs = [(np.array([t_root.index], dtype=np.int32), np.array([s_root.index], dtype=np.int32))]
+    level = t_root.level
+    while pairs:
+        sons = []
+        for ti, si in _chunks(pairs):
+            entry = _entries(ctx, level, ti, si)
+            m2l = entry >= 0
+            _append(ctx.m2l_plan, ti[m2l], si[m2l], entry[m2l])
+            near = ~m2l
+            split = near & (tt.n_sons[ti] > 0) & (st.n_sons[si] > 0)
+            near &= ~split
+            _append(ctx.p2p_plan, ti[near], si[near])
+            if split.any():
+                sons.append(_son_pairs(ctx, ti[split], si[split]))
+        pairs = sons
+        level += 1
 
 
 def _son_directions(ctx: _Context, level: int, ds: list) -> np.ndarray:

@@ -4,6 +4,8 @@ Each cell owns a contiguous index range into the sorted particle arrays, so
 its particles (and those of all its descendants) are consecutive in memory.
 A cell holds its geometry only: the traversal module keeps the expansions
 in per-solve arrays, one row per (cell, direction) that the solve uses.
+The tree also holds each cell's coordinates, son count and first son as
+int32 arrays, which the traversal plans on.
 """
 
 from __future__ import annotations
@@ -82,6 +84,20 @@ class ClusterTree:
     root_box: BoundingBox
     root: Cell
     levels: list  # levels[k] = list of cells at depth k
+    # per cell, indexed like cells: integer coordinates (n_cells, 3), number
+    # of sons and index of the first son, all int32; the sons of a cell are
+    # consecutive cells
+    coords: np.ndarray = field(init=False, repr=False)
+    n_sons: np.ndarray = field(init=False, repr=False)
+    first_son: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        cells = self.cells
+        self.coords = np.array([c.coords for c in cells], dtype=np.int32).reshape(-1, 3)
+        self.n_sons = np.array([len(c.sons) for c in cells], dtype=np.int32)
+        # level l + 1 holds the sons of level l's cells in their order, so
+        # the sons of cell i follow the root and the sons of cells 0..i-1
+        self.first_son = (np.cumsum(self.n_sons) - self.n_sons + 1).astype(np.int32)
 
     @property
     def depth(self) -> int:

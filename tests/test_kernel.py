@@ -41,6 +41,30 @@ def test_kernel_rejects_bad_kappa():
         HelmholtzKernel(kappa=np.nan)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_kernel_rejects_bad_singularity_tol(tol):
+    # with tol <= 0 a coincident pair would give inf + nan j
+    with pytest.raises(ValueError, match="singularity_tol"):
+        HelmholtzKernel(kappa=0.0, singularity_tol=tol)
+
+
+def test_call_keeps_pairs_closer_than_1e_154():
+    ker = HelmholtzKernel(kappa=0.0, singularity_tol=1e-212)
+    val = ker(np.array([1e-200, 0.0, 0.0]), np.zeros(3))
+    assert val == pytest.approx(7.957747154594767e198, rel=1e-14, abs=0)
+
+
+def test_call_matches_of_distance_at_ordinary_distances():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(size=(200, 3))
+    y = rng.uniform(size=(200, 3))
+    ker = HelmholtzKernel(kappa=2.0)
+    ref = ker.of_distance(np.linalg.norm(x - y, axis=-1))
+    assert np.abs(ker(x, y) - ref).max() <= 1e-15 * np.abs(ref).max()
+    for i in range(5):
+        assert abs(ker(x[i], y[i]) - ref[i]) <= 1e-15 * abs(ref[i])
+
+
 def test_matrix_matches_pairwise_calls():
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(7, 3))

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_tree_properties import FMM_SETTINGS, far_clusters, fmm_ncrits, planar, with_duplicates
 
 from helmfmm import interpolation as interp
 from helmfmm import traversal
 from helmfmm.directions import father_direction, nearest_direction
 from helmfmm.distributions import Distribution, generate_distribution
+from helmfmm.fourier import SymbolCache
 from helmfmm.geometry import BoundingBox, CellFrame, compute_root_box
 from helmfmm.kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum, relative_errors
 from helmfmm.tree import Cell, build_tree
@@ -20,6 +24,7 @@ from helmfmm.traversal import (
     _use_table,
     _upward,
     _waves,
+    admissible,
     blank_dtt,
     cell_distance,
     directional_mac,
@@ -78,6 +83,65 @@ def test_directional_mac_thresholds():
     assert not directional_mac(a, near, kappa, 1.0)
     # a larger eta re-admits the near pair when 2w permits
     assert directional_mac(a, near, kappa, 10.0)
+
+
+def _translations(radius):
+    r = np.arange(-radius, radius + 1)
+    return np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _reference_mac(tvec, side, kappa, eta):
+    """The MAC of one translation in Python integers and floats: strict
+    with kappa None, directional otherwise."""
+    gap_sq = sum(max(abs(int(v)) - 1, 0) ** 2 for v in tvec)
+    if kappa is None:
+        return gap_sq >= 1
+    w = float(np.sqrt(3.0)) * side / 2.0
+    return max(kappa * w * w, 2.0 * w) <= eta * (side * float(np.sqrt(gap_sq)))
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("kappa", [0.0, 5.0, 40.0])
+def test_array_mac_matches_the_cell_macs(kappa, eta):
+    level = 4
+    tvecs = _translations(6)
+    t = _cell([6, 6, 6], level)
+    side = t.side
+    strict = admissible(tvecs, side)
+    directional = admissible(tvecs, side, kappa, eta)
+    for tvec, a, b in zip(tvecs, strict.tolist(), directional.tolist()):
+        s = _cell(t.coords - tvec, level)
+        assert a == strict_mac(t, s) == _reference_mac(tvec, side, None, eta)
+        assert b == directional_mac(t, s, kappa, eta) == _reference_mac(tvec, side, kappa, eta)
+    # ties admit: a gap of exactly one side, and 2w = eta * dist (kappa*w^2
+    # is the smaller term here)
+    assert admissible([[2, 0, 0], [2, 1, -1], [-1, 2, 1]], side).all()
+    assert not admissible([[1, 1, 1], [0, 0, 0]], side).any()
+    if kappa * (np.sqrt(3.0) * side / 2.0) < 2.0:
+        tie = {0.5: [3, 3, 3], 1.0: [2, 2, 2]}.get(eta)
+        if tie is not None:
+            assert admissible(tie, side, kappa, eta)
+            assert not admissible(tie, side, kappa, np.nextafter(eta, 0.0))
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+def test_array_mac_admits_the_kappa_w_squared_tie(eta):
+    side = 1.0 / 16
+    w = float(np.sqrt(3.0)) * side / 2.0
+    tvec = [5, -2, 3]
+    dist = side * float(np.sqrt(4**2 + 1 + 2**2))
+    # the kappa for which kappa * w^2 == eta * dist in floating point
+    kappa = eta * dist / (w * w)
+    while kappa * w * w > eta * dist:
+        kappa = np.nextafter(kappa, 0.0)
+    while kappa * w * w < eta * dist:
+        kappa = np.nextafter(kappa, np.inf)
+    assert kappa * w * w == eta * dist and kappa * w * w > 2.0 * w
+    assert admissible(tvec, side, kappa, eta)
+    above = np.nextafter(kappa, np.inf)
+    while above * w * w == eta * dist:
+        above = np.nextafter(above, np.inf)
+    assert not admissible(tvec, side, above, eta)
 
 
 def test_config_validation():
@@ -337,6 +401,147 @@ def test_downward_pass_fails_on_a_missing_son_local(kappa):
         _downward(ctx, tree)
 
 
+@pytest.mark.parametrize("spread", [3, 1000])
+def test_distinct_translations_match_numpy_unique(spread):
+    # a small bounding box takes the dense code, a sparse one np.unique
+    rng = np.random.default_rng(17)
+    tvecs = rng.integers(-spread, spread + 1, size=(500, 3)).astype(np.int32)
+    distinct, inverse = traversal._distinct(tvecs)
+    ref, ref_inverse = np.unique(tvecs, axis=0, return_inverse=True)
+    assert np.array_equal(distinct, ref) and distinct.dtype == np.int64
+    assert np.array_equal(inverse, ref_inverse.reshape(-1))
+
+
+def _recursive_plan(ctx):
+    """The interaction lists of the recursive dual tree traversal, per
+    level: M2L as (target, source, diagonal, direction), P2P as (target,
+    source), with symbols from a cache of its own."""
+    cache = SymbolCache(ctx.kernel, ctx.config.order)
+    config = ctx.config
+    m2l, p2p = {}, {}
+
+    def visit(t, s):
+        tvec = t.coords - s.coords
+        hf = ctx.is_hf(t.level)
+        if directional_mac(t, s, config.kappa, config.eta) if hf else strict_mac(t, s):
+            unit = tvec / np.linalg.norm(tvec)
+            d = nearest_direction(ctx.dirs, ctx.refinement(t.level), unit) if hf else 0
+            diagonal = cache.get(t.level, tvec, t.side).diagonal
+            m2l.setdefault(t.level, []).append((t.index, s.index, diagonal, d))
+        elif t.is_leaf or s.is_leaf:
+            p2p.setdefault(t.level, []).append((t.index, s.index))
+        else:
+            for t2 in t.sons:
+                for s2 in s.sons:
+                    visit(t2, s2)
+
+    visit(ctx.target_tree.root, ctx.source_tree.root)
+    return m2l, p2p
+
+
+def _planning_context(targets, sources, config, q=None):
+    """A solve's context, its trees built on the box of both clouds."""
+    same = targets is sources
+    box = compute_root_box(sources if same else np.vstack([targets, sources]))
+    q = np.ones(len(sources)) if q is None else q
+    stree, spset = build_tree(sources, q, config.ncrit, root_box=box)
+    ttree, tpset = (stree, spset) if same else build_tree(
+        targets, np.zeros(len(targets)), config.ncrit, root_box=box
+    )
+    kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=1e-12 * box.side)
+    return _Context(config, kernel, ttree, stree, tpset, spset)
+
+
+def _assert_planned_as_the_recursion(ctx):
+    """blank_dtt's lists, level by level and in order, are the recursion's,
+    each M2L with the same diagonal and direction; returns the P2P pairs."""
+    m2l, p2p = _recursive_plan(ctx)
+    blank_dtt(ctx.target_tree.root, ctx.source_tree.root, ctx)
+    cells = ctx.target_tree.cells
+    planned = {}
+    it = iter(ctx.m2l_plan)
+    for t, s, entry in zip(it, it, it):
+        diagonal, d = ctx.m2l_entries[entry]
+        planned.setdefault(cells[t].level, []).append((t, s, diagonal, d))
+    assert planned.keys() == m2l.keys()
+    for level, ref in m2l.items():
+        got = planned[level]
+        assert [(t, s, d) for t, s, _, d in got] == [(t, s, d) for t, s, _, d in ref]
+        assert all(np.array_equal(a[2], b[2]) for a, b in zip(got, ref))
+    pairs = {}
+    it = iter(ctx.p2p_plan)
+    for t, s in zip(it, it):
+        pairs.setdefault(cells[t].level, []).append((t, s))
+    assert pairs == p2p
+    return [pair for level in pairs.values() for pair in level]
+
+
+@pytest.mark.parametrize("chunk", [None, 97])
+def test_plan_matches_the_recursion_on_a_laplace_cube(monkeypatch, chunk):
+    if chunk:  # levels taken in many slices
+        monkeypatch.setattr(traversal, "PLAN_CHUNK", chunk)
+    pts = generate_distribution(Distribution("uniform-cube", 2000, 3))
+    ctx = _planning_context(pts, pts, FmmConfig(order=3, ncrit=16, kappa=0.0))
+    assert ctx.hf_max_level == -1 and ctx.target_tree.depth >= 3
+    _assert_planned_as_the_recursion(ctx)
+
+
+@pytest.mark.parametrize("chunk", [None, 97])
+def test_plan_matches_the_recursion_on_a_directional_sphere(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(traversal, "PLAN_CHUNK", chunk)
+    pts = generate_distribution(Distribution("sphere", 1000))
+    ctx = _planning_context(pts, pts, FmmConfig(order=3, ncrit=8, kappa=20.0))
+    assert ctx.hf_max_level >= 2 and ctx.refinement(0) > ctx.refinement(ctx.hf_max_level)
+    _assert_planned_as_the_recursion(ctx)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 6.0])
+def test_plan_matches_the_recursion_on_two_trees(kappa):
+    targets, sources, _ = _plane_over_cloud()
+    ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=16, kappa=kappa))
+    pairs = _assert_planned_as_the_recursion(ctx)
+    tcells, scells = ctx.target_tree.cells, ctx.source_tree.cells
+    assert any(not (tcells[t].is_leaf and scells[s].is_leaf) for t, s in pairs)
+
+
+@FMM_SETTINGS
+@given(st.one_of(with_duplicates(), planar(), far_clusters()), fmm_ncrits, st.sampled_from([0.0, 10.0]))
+def test_plan_matches_the_recursion_on_degenerate_clouds(points, ncrit, kappa_d):
+    side = compute_root_box(points).side
+    config = FmmConfig(order=3, ncrit=ncrit, kappa=kappa_d / side)
+    _assert_planned_as_the_recursion(_planning_context(points, points, config))
+
+
+def _counting(monkeypatch, name, seen):
+    """Wrap traversal.<name>, appending the arguments of each call to seen."""
+    original = getattr(traversal, name)
+
+    def wrapper(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(traversal, name, wrapper)
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
+    """The planner is one call per solve, and it resolves each distinct
+    (level, translation) once: no Python visit per cell pair."""
+    blanks, resolves = [], []
+    _counting(monkeypatch, "blank_dtt", blanks)
+    _counting(monkeypatch, "_resolve", resolves)
+    rng = np.random.default_rng(11)
+    sources = rng.uniform(size=(400, 3))
+    targets = sources if same else rng.uniform(size=(150, 3)) * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.5]
+    q = rng.normal(size=400) + 1j * rng.normal(size=400)
+    _, info = run_fmm_full(targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=12.0))
+    assert len(blanks) == 1
+    ctx = blanks[0][2]
+    assert len(resolves) == len(ctx.resolved) > 0
+    assert len(resolves) < info.counts["m2l_events"] + len(ctx.p2p_plan) // 2
+
+
 def test_fmm_matches_direct_laplace():
     rng = np.random.default_rng(1)
     pts = rng.uniform(size=(500, 3))
@@ -419,14 +624,9 @@ def _near_field(targets, sources, q, config):
     """The potentials dtt adds, and a reference summed pair by pair over the
     P2P plan with kernel.of_distance, both in the target tree's order; and
     the plan's (target, source) cells."""
-    same = targets is sources
-    box = compute_root_box(np.vstack([targets, sources]))
-    stree, spset = build_tree(sources, q, config.ncrit, root_box=box)
-    ttree, tpset = (stree, spset) if same else build_tree(
-        targets, np.zeros(len(targets)), config.ncrit, root_box=box
-    )
-    kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=1e-12 * box.side)
-    ctx = _Context(config, kernel, ttree, stree, tpset, spset)
+    ctx = _planning_context(targets, sources, config, q)
+    ttree, stree, tpset, spset = ctx.target_tree, ctx.source_tree, ctx.target_pset, ctx.source_pset
+    kernel = ctx.kernel
     blank_dtt(ttree.root, stree.root, ctx)
     _plan_rows(ctx)
     _upward(ctx, stree)

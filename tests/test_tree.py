@@ -110,6 +110,19 @@ def test_cell_index_is_position_in_cells():
     assert all(cells[c.index] is c for c in cells)
 
 
+def test_cell_arrays_match_the_cells():
+    pts, q = _uniform_problem(300, seed=8)
+    pts[:40] = pts[0]  # a coincident cluster: one chain down to a deep leaf
+    tree, _ = build_tree(pts, q, ncrit=16)
+    for cell in tree.cells:
+        i = cell.index
+        assert tree.coords[i].tolist() == cell.coords.tolist()
+        assert tree.n_sons[i] == len(cell.sons)
+        first = int(tree.first_son[i])
+        assert [son.index for son in cell.sons] == list(range(first, first + len(cell.sons)))
+    assert tree.coords.dtype == tree.n_sons.dtype == tree.first_son.dtype == np.int32
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_build_tree_rejects_non_finite_charges(bad):
     pts, q = _uniform_problem(300, seed=9)
