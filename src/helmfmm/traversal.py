@@ -57,12 +57,11 @@ from .directions import (
 )
 from .fourier import FourierWorkspace, SymbolCache, m2l_hadamard
 from .kernel import HelmholtzKernel, direct_sum
-from .tree import SQRT3, Cell, ClusterTree, ParticleSet, accumulate_potentials, build_tree
+from .tree import Cell, ClusterTree, ParticleSet, accumulate_potentials, build_tree, cell_radius
 
 __all__ = [
     "FmmConfig",
     "InteractionEvent",
-    "admissible",
     "strict_mac",
     "directional_mac",
     "run_fmm",
@@ -74,9 +73,9 @@ __all__ = [
 # the finest direction set a solve may build: 6 * 4**8 = 393,216 directions
 MAX_REFINEMENT = 8
 
-# candidate cell pairs blank_dtt takes at a time: its temporaries stay
-# near 1 MB however many pairs a level holds (1.5 M on an 80,000-point
-# sphere at kappa*D = 64)
+# candidate cell pairs blank_dtt takes at a time, so that _entries'
+# temporaries (about 50 bytes a pair) stay under 2 MB however many pairs a
+# level holds; a level's son pairs are still held whole
 PLAN_CHUNK = 1 << 15
 
 
@@ -115,11 +114,11 @@ class InteractionEvent:
     source: Cell
 
 
-def _gap_sq(tvecs) -> np.ndarray:
-    """Squared min distance between same-level cubes at the integer
-    translations tvecs (..., 3), in cell-side units; exact integers."""
+def _distance(tvecs, side: float) -> np.ndarray:
+    """Min distance between same-level cubes of side ``side`` at the integer
+    translations tvecs (..., 3)."""
     gaps = np.maximum(np.abs(np.asarray(tvecs, dtype=np.int64)) - 1, 0)
-    return (gaps * gaps).sum(axis=-1)
+    return side * np.sqrt((gaps * gaps).sum(axis=-1))
 
 
 def admissible(tvecs, side: float, kappa: float | None = None, eta: float = 1.0) -> np.ndarray:
@@ -127,16 +126,16 @@ def admissible(tvecs, side: float, kappa: float | None = None, eta: float = 1.0)
     tvecs (..., 3).  With kappa None the strict MAC: the cube distance is
     at least one side; otherwise the directional MAC max{kappa*w^2, 2w} /
     dist(t, s) <= eta, with w the cell radius."""
-    gap_sq = _gap_sq(tvecs)
+    dist = _distance(tvecs, side)
     if kappa is None:
-        return gap_sq >= 1
-    w = SQRT3 * side / 2.0
-    return max(kappa * w * w, 2.0 * w) <= eta * (side * np.sqrt(gap_sq))
+        return dist >= side
+    w = cell_radius(side)
+    return max(kappa * w * w, 2.0 * w) <= eta * dist
 
 
 def cell_distance(t: Cell, s: Cell) -> float:
     """Exact min distance between the closed cell cubes (same level)."""
-    return t.side * np.sqrt(_gap_sq(t.coords - s.coords))
+    return float(_distance(t.coords - s.coords, t.side))
 
 
 def _same_level(t: Cell, s: Cell) -> np.ndarray:
@@ -244,11 +243,8 @@ class _Context:
 # blank pass and expansion keys
 
 
-def _resolve(ctx: _Context, level: int, tvec: np.ndarray, mac: bool) -> int:
-    """New M2L entry for the translation tvec at level, or -1 if the MAC
-    (``mac``) does not admit it."""
-    if not mac:
-        return -1
+def _resolve(ctx: _Context, level: int, tvec: np.ndarray) -> int:
+    """New M2L entry for the admissible translation tvec at level."""
     hf = ctx.is_hf(level)
     direction = 0
     if hf:
@@ -265,25 +261,21 @@ def _resolve(ctx: _Context, level: int, tvec: np.ndarray, mac: bool) -> int:
 
 def _distinct(tvecs: np.ndarray) -> tuple:
     """(distinct rows of tvecs in lexicographic order, the position of each
-    row among them).  The rows are coded densely over their bounding box
-    when it is small against their number; np.unique sorts otherwise."""
+    row among them), through one int64 code per row over the rows'
+    bounding box.  The code stays below 2**30: MAX_REFINEMENT keeps the
+    high-frequency levels among 0 to 8, a translation at levels 0 to 9 has
+    less than 2**9 cells per axis, and the sons of a low-frequency pair the
+    strict MAC rejects lie at most 3 cells apart per axis."""
     lo = tvecs.min(axis=0)
-    ext = tvecs.max(axis=0) - lo + 1
-    size = int(np.prod(ext, dtype=np.int64))
-    if size > 8 * len(tvecs) + 4096:
-        distinct, inverse = np.unique(tvecs, axis=0, return_inverse=True)
-        return distinct.astype(np.int64), inverse.reshape(-1)
-    code = tvecs[:, 0] - lo[0]
+    ext = tuple((tvecs.max(axis=0) - lo + 1).tolist())
+    code = tvecs[:, 0] - np.int64(lo[0])
     for k in (1, 2):
         code *= ext[k]
         code += tvecs[:, k]
         code -= lo[k]
-    rank = np.zeros(size, dtype=np.int32)
-    rank[code] = 1
-    hit = np.flatnonzero(rank)
-    rank[hit] = np.arange(len(hit), dtype=np.int32)
-    distinct = np.stack(np.unravel_index(hit, tuple(ext.tolist())), axis=1) + lo
-    return distinct.astype(np.int64), rank[code]
+    codes, inverse = np.unique(code, return_inverse=True)
+    distinct = np.stack(np.unravel_index(codes, ext), axis=1) + lo
+    return distinct.astype(np.int64), inverse
 
 
 def _entries(ctx: _Context, level: int, ti: np.ndarray, si: np.ndarray) -> np.ndarray:
@@ -302,7 +294,7 @@ def _entries(ctx: _Context, level: int, ti: np.ndarray, si: np.ndarray) -> np.nd
         side = ctx.target_tree.side_at(level)
         macs = admissible(distinct[new], side, kappa, ctx.config.eta).tolist()
         for i, mac in zip(new, macs):
-            ctx.resolved[keys[i]] = _resolve(ctx, level, distinct[i], mac)
+            ctx.resolved[keys[i]] = _resolve(ctx, level, distinct[i]) if mac else -1
     entries = np.array([ctx.resolved[key] for key in keys], dtype=np.int32)
     return entries[inverse]
 

@@ -33,6 +33,12 @@ __all__ = [
 SQRT3 = float(np.sqrt(3.0))
 
 
+def cell_radius(side: float) -> float:
+    """Half-diagonal of a cube of side ``side``: the radius of the smallest
+    ball containing it."""
+    return SQRT3 * side / 2.0
+
+
 @dataclass
 class ParticleSet:
     """Structure-of-arrays particle storage in Morton-sorted order."""
@@ -76,7 +82,7 @@ class Cell:
     @property
     def radius(self) -> float:
         """Half-diagonal: radius of the smallest ball containing the cell."""
-        return SQRT3 * self.frame.beta / 2.0
+        return cell_radius(self.frame.beta)
 
 
 @dataclass

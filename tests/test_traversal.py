@@ -403,7 +403,7 @@ def test_downward_pass_fails_on_a_missing_son_local(kappa):
 
 @pytest.mark.parametrize("spread", [3, 1000])
 def test_distinct_translations_match_numpy_unique(spread):
-    # a small bounding box takes the dense code, a sparse one np.unique
+    # translations coded over a tight and over a sparse bounding box
     rng = np.random.default_rng(17)
     tvecs = rng.integers(-spread, spread + 1, size=(500, 3)).astype(np.int32)
     distinct, inverse = traversal._distinct(tvecs)
@@ -527,7 +527,7 @@ def _counting(monkeypatch, name, seen):
 @pytest.mark.parametrize("same", [True, False])
 def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
     """The planner is one call per solve, and it resolves each distinct
-    (level, translation) once: no Python visit per cell pair."""
+    admissible (level, translation) once: no Python visit per cell pair."""
     blanks, resolves = [], []
     _counting(monkeypatch, "blank_dtt", blanks)
     _counting(monkeypatch, "_resolve", resolves)
@@ -538,8 +538,10 @@ def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
     _, info = run_fmm_full(targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=12.0))
     assert len(blanks) == 1
     ctx = blanks[0][2]
-    assert len(resolves) == len(ctx.resolved) > 0
-    assert len(resolves) < info.counts["m2l_events"] + len(ctx.p2p_plan) // 2
+    admitted = [entry for entry in ctx.resolved.values() if entry >= 0]
+    assert len(resolves) == len(admitted) == len(ctx.m2l_entries) > 0
+    assert len({(level, *tvec.tolist()) for _, level, tvec in resolves}) == len(resolves)
+    assert len(ctx.resolved) < info.counts["m2l_events"] + len(ctx.p2p_plan) // 2
 
 
 def test_fmm_matches_direct_laplace():
