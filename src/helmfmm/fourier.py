@@ -25,7 +25,6 @@ from .kernel import HelmholtzKernel
 
 __all__ = [
     "FourierWorkspace",
-    "M2LSymbol",
     "SymbolCache",
     "hyperoctahedral_group",
     "canonicalize_translation",
@@ -150,16 +149,6 @@ def frequency_permutation(order: int, rotation_id: int) -> np.ndarray:
     return flat
 
 
-@dataclass(frozen=True)
-class M2LSymbol:
-    """Diagonal Fourier symbol of one M2L translation at one tree level."""
-
-    level: int
-    translation: tuple  # integer cell-unit translation (target - source)
-    diagonal: np.ndarray  # (P^3,) complex
-    direction: object = None  # best direction id, tagged by the blank pass
-
-
 def _difference_offsets(order: int) -> np.ndarray:
     """Per-axis grid offsets in FFT wrap-around order: 0..L-1, -(L-1)..-1."""
     pad = 2 * order - 1
@@ -167,16 +156,15 @@ def _difference_offsets(order: int) -> np.ndarray:
     return np.where(off < order, off, off - pad)
 
 
-def precompute_symbol(
-    kernel: HelmholtzKernel, level: int, tvec, beta: float, order: int
-) -> M2LSymbol:
-    """DFT of the first column of the periodized kernel on the difference grid.
+def precompute_symbol(kernel: HelmholtzKernel, tvec, beta: float, order: int) -> np.ndarray:
+    """The (P^3,) diagonal of one M2L translation: the DFT of the first
+    column of the periodized kernel on the difference grid.
 
     ``beta`` is the cell side at this level; the normalized kernel is
     z -> G(beta * (tvec + z)) with z on the difference grid of spacing
     1/(L-1).
     """
-    tvec = tuple(int(v) for v in np.asarray(tvec, dtype=np.int64))
+    tvec = tuple(int(v) for v in tvec)
     h = 1.0 / (order - 1)
     off = _difference_offsets(order) * h
     zx, zy, zz = np.meshgrid(
@@ -185,22 +173,13 @@ def precompute_symbol(
     r = beta * np.sqrt(zx**2 + zy**2 + zz**2)
     if np.min(r) < kernel.singularity_tol:
         raise ValueError("kernel singularity inside the M2L stencil: MAC violated")
-    column = kernel.of_distance(r)
-    diagonal = np.fft.fftn(column).ravel()
-    return M2LSymbol(level=level, translation=tvec, diagonal=diagonal)
+    return np.fft.fftn(kernel.of_distance(r)).ravel()
 
 
-def permute_symbol(symbol: M2LSymbol, rotation_id: int, order: int) -> M2LSymbol:
-    """Symbol of the rotated translation, by permuting diagonal entries only."""
-    rot = hyperoctahedral_group()[rotation_id]
-    idx = frequency_permutation(order, rotation_id)
-    new_t = tuple(int(v) for v in rot @ np.asarray(symbol.translation, dtype=np.int64))
-    return M2LSymbol(
-        level=symbol.level,
-        translation=new_t,
-        diagonal=symbol.diagonal[idx],
-        direction=symbol.direction,
-    )
+def permute_symbol(diagonal: np.ndarray, rotation_id: int, order: int) -> np.ndarray:
+    """Diagonal of the translation hyperoctahedral_group()[rotation_id] @ t,
+    from the diagonal of t by permuting its entries only."""
+    return diagonal[frequency_permutation(order, rotation_id)]
 
 
 def dense_m2l_matrix(
@@ -216,18 +195,23 @@ def dense_m2l_matrix(
 
 
 class SymbolCache:
-    """Lazily populated per-level symbol store with symmetry reduction.
+    """The M2L table of one solve, populated lazily, with symmetry reduction.
 
-    One kernel evaluation + DFT happens per (level, canonical translation);
-    every other translation in the same orbit is served by a permutation of
-    that diagonal, materialized once per distinct translation.
+    Entry i is the i-th distinct (level, translation) asked for: its
+    diagonal Fourier symbol diagonals[i] and its direction index
+    directions[i], 0 unless tag_direction sets it.  One kernel evaluation
+    + DFT happens per (level, canonical translation); every other
+    translation in the same orbit is served by a permutation of that
+    diagonal.
     """
 
     def __init__(self, kernel: HelmholtzKernel, order: int):
         self.kernel = kernel
         self.order = order
-        self._canonical: dict = {}  # (level, canon) -> M2LSymbol
-        self._derived: dict = {}  # (level, tvec) -> M2LSymbol
+        self.diagonals: list = []
+        self.directions: list = []
+        self._canonical: dict = {}  # (level, canon) -> diagonal
+        self._entries: dict = {}  # (level, tvec) -> entry index
 
     @property
     def n_canonical(self) -> int:
@@ -235,30 +219,24 @@ class SymbolCache:
 
     @property
     def n_translations(self) -> int:
-        return len(self._derived)
+        return len(self.diagonals)
 
-    def get(self, level: int, tvec, beta: float) -> M2LSymbol:
-        tvec = tuple(int(v) for v in np.asarray(tvec, dtype=np.int64))
-        key = (level, tvec)
-        sym = self._derived.get(key)
-        if sym is not None:
-            return sym
+    def get(self, level: int, tvec, beta: float) -> int:
+        """The entry of (level, tvec), added on the first request."""
+        tvec = tuple(int(v) for v in tvec)
+        entry = self._entries.get((level, tvec))
+        if entry is not None:
+            return entry
         canon, rid = canonicalize_translation(tvec)
-        ckey = (level, canon)
-        base = self._canonical.get(ckey)
+        base = self._canonical.get((level, canon))
         if base is None:
-            base = precompute_symbol(self.kernel, level, canon, beta, self.order)
-            self._canonical[ckey] = base
-        sym = permute_symbol(base, rid, self.order) if canon != tvec else base
-        self._derived[key] = sym
-        return sym
+            base = self._canonical[level, canon] = precompute_symbol(
+                self.kernel, canon, beta, self.order
+            )
+        entry = self._entries[level, tvec] = len(self.diagonals)
+        self.diagonals.append(permute_symbol(base, rid, self.order) if canon != tvec else base)
+        self.directions.append(0)
+        return entry
 
-    def tag_direction(self, level: int, tvec, direction) -> None:
-        tvec = tuple(int(v) for v in np.asarray(tvec, dtype=np.int64))
-        sym = self._derived[(level, tvec)]
-        self._derived[(level, tvec)] = M2LSymbol(
-            level=sym.level,
-            translation=sym.translation,
-            diagonal=sym.diagonal,
-            direction=direction,
-        )
+    def tag_direction(self, entry: int, direction: int) -> None:
+        self.directions[entry] = direction

@@ -22,15 +22,17 @@ target son major, to the next level, so each level keeps the order of the
 recursive traversal.  The strict MAC applies at low-frequency levels and
 the direction-free high-frequency MAC max{kappa*w^2, 2w} / dist(t, s) <=
 eta at high-frequency ones (one array function, admissible); both depend
-on (level, translation) only, so each distinct one is resolved once (MAC,
-M2L symbol and, at high frequency, direction) and the pairs take their
-entry by one array lookup: symbol precomputation lies inside the blank
-pass only.  The numeric DTT replays the recorded M2L entries in order, so
-every accumulator sums as in the recursion.  It
-evaluates the P2P list as one direct sum per target cell, against the
-particles of all its near source cells gathered in recorded order, in
-kernel blocks of at most MAX_BLOCK_ENTRIES entries, real at kappa = 0; the
-P2P events and the pair count are kept per recorded pair.
+on (level, translation) only, so each distinct one is resolved once: its
+MAC, and if admissible its entry in the solve's M2L table (the
+SymbolCache, which holds each entry's diagonal symbol and, at high
+frequency, its direction).  The pairs take their entry by one array
+lookup, so symbol precomputation lies inside the blank pass only.  The
+numeric DTT replays the recorded M2L events in order, so every
+accumulator sums as in the recursion.  It evaluates the P2P list as one
+direct sum per target cell, against the particles of all its near source
+cells gathered in recorded order, in kernel blocks of at most
+MAX_BLOCK_ENTRIES entries, real at kappa = 0; the P2P events and the pair
+count are kept per recorded pair.
 
 Expansions live in per-solve arrays, one row per key cell.index * n_dirs
 + d (d the direction index at the cell's level, 0 at low frequency), in the
@@ -62,8 +64,6 @@ from .tree import Cell, ClusterTree, ParticleSet, accumulate_potentials, build_t
 __all__ = [
     "FmmConfig",
     "InteractionEvent",
-    "strict_mac",
-    "directional_mac",
     "run_fmm",
     "run_fmm_full",
     "FmmInfo",
@@ -133,27 +133,6 @@ def admissible(tvecs, side: float, kappa: float | None = None, eta: float = 1.0)
     return max(kappa * w * w, 2.0 * w) <= eta * dist
 
 
-def cell_distance(t: Cell, s: Cell) -> float:
-    """Exact min distance between the closed cell cubes (same level)."""
-    return float(_distance(t.coords - s.coords, t.side))
-
-
-def _same_level(t: Cell, s: Cell) -> np.ndarray:
-    if t.level != s.level:
-        raise ValueError("the MAC requires same-level cells")
-    return t.coords - s.coords
-
-
-def strict_mac(t: Cell, s: Cell) -> bool:
-    """Well-separated iff the cube distance is at least one side length."""
-    return bool(admissible(_same_level(t, s), t.side))
-
-
-def directional_mac(t: Cell, s: Cell, kappa: float, eta: float) -> bool:
-    """max{kappa*w^2, 2w} / dist(t,s) <= eta, with w the cell radius."""
-    return bool(admissible(_same_level(t, s), t.side, kappa, eta))
-
-
 class _Context:
     """Shared state of one FMM evaluation."""
 
@@ -178,11 +157,10 @@ class _Context:
         self.events = events
         self.n_p2p_pairs = 0
         self.precompute_time = 0.0
-        # blank_dtt's plan: (level, translation) -> m2l_entries index or -1;
-        # (diagonal, direction index) entries; flat cell-index triplets,
-        # whose cells _plan_rows rewrites as rows, and pairs
+        # blank_dtt's plan: (level, translation) -> cache entry or -1; flat
+        # (target, source, entry) triplets, whose cells _plan_rows rewrites
+        # as rows, and flat (target, source) pairs
         self.resolved: dict = {}
-        self.m2l_entries: list = []
         self.m2l_plan = array("i")
         self.p2p_plan = array("i")
         # _plan_rows' sorted keys (see the module docstring); m2l_keys are
@@ -244,19 +222,18 @@ class _Context:
 
 
 def _resolve(ctx: _Context, level: int, tvec: np.ndarray) -> int:
-    """New M2L entry for the admissible translation tvec at level."""
+    """The cache entry of the admissible translation tvec at level, tagged
+    at high frequency with the direction nearest to tvec."""
     hf = ctx.is_hf(level)
-    direction = 0
     if hf:
         e = ctx.refinement(level)
         direction = nearest_direction(ctx.dirs, e, tvec / np.linalg.norm(tvec))
     t0 = time.perf_counter()
-    sym = ctx.cache.get(level, tuple(tvec), ctx.target_tree.side_at(level))
+    entry = ctx.cache.get(level, tvec, ctx.target_tree.side_at(level))
     if hf:
-        ctx.cache.tag_direction(level, tuple(tvec), direction)
+        ctx.cache.tag_direction(entry, direction)
     ctx.precompute_time += time.perf_counter() - t0
-    ctx.m2l_entries.append((sym.diagonal, direction))
-    return len(ctx.m2l_entries) - 1
+    return entry
 
 
 def _distinct(tvecs: np.ndarray) -> tuple:
@@ -279,7 +256,7 @@ def _distinct(tvecs: np.ndarray) -> tuple:
 
 
 def _entries(ctx: _Context, level: int, ti: np.ndarray, si: np.ndarray) -> np.ndarray:
-    """The m2l_entries index of each cell pair (ti, si) at level, -1 where
+    """The cache entry of each cell pair (ti, si) at level, -1 where
     it is not admissible.  Each distinct translation not in ctx.resolved is
     resolved once, the MAC evaluated on all of them at once."""
     tvecs = np.empty((len(ti), 3), dtype=np.int32)
@@ -393,7 +370,7 @@ def _plan_rows(ctx: _Context) -> None:
     of m2f_keys)."""
     n = ctx.n_dirs
     plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
-    dirs = np.array([d for _, d in ctx.m2l_entries], dtype=np.int64)
+    dirs = np.array(ctx.cache.directions, dtype=np.int64)
 
     def event_keys(col: int) -> np.ndarray:
         keys = plan[:, col].astype(np.int64)
@@ -553,10 +530,10 @@ def dtt(ctx: _Context) -> None:
     # row views: one Python list lookup per operand instead of a 2-D index
     locals_hat = list(ctx.local_hat)
     multipoles_hat = list(ctx.multipole_hat)
-    entries = ctx.m2l_entries
+    diagonals = ctx.cache.diagonals
     it = iter(ctx.m2l_plan)
     for j, row, entry in zip(it, it, it):
-        m2l_hadamard(locals_hat[j], multipoles_hat[row], entries[entry][0])
+        m2l_hadamard(locals_hat[j], multipoles_hat[row], diagonals[entry])
         if ctx.events is not None:
             t = tcells[ctx.m2l_keys[j] // n]
             ctx.events.append(InteractionEvent("M2L", t, scells[ctx.m2f_keys[row] // n]))

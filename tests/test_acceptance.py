@@ -85,12 +85,12 @@ def test_criterion_2_geometric_convergence():
 
 def _fft_operator(kernel, tvec, beta, order):
     ws = FourierWorkspace(order)
-    sym = precompute_symbol(kernel, 0, tvec, beta, order)
+    diagonal = precompute_symbol(kernel, tvec, beta, order)
     basis = np.eye(order**3, dtype=complex)
     cols = []
     for j in range(order**3):
         acc = np.zeros(ws.fourier_size, dtype=complex)
-        m2l_hadamard(acc, ws.m2f(basis[j]), sym.diagonal)
+        m2l_hadamard(acc, ws.m2f(basis[j]), diagonal)
         cols.append(ws.f2l(acc))
     return np.column_stack(cols)
 
@@ -136,12 +136,10 @@ def test_criterion_4_symmetry_reduction():
     for _ in range(50):
         tvec = translations[rng.integers(len(translations))]
         rid = int(rng.integers(48))
-        base = precompute_symbol(kernel, 0, tvec, 0.25, order)
+        base = precompute_symbol(kernel, tvec, 0.25, order)
         rotated = permute_symbol(base, rid, order)
-        direct = precompute_symbol(kernel, 0, rotated.translation, 0.25, order)
-        rel = np.abs(rotated.diagonal - direct.diagonal).max() / np.abs(
-            direct.diagonal
-        ).max()
+        direct = precompute_symbol(kernel, hyperoctahedral_group()[rid] @ tvec, 0.25, order)
+        rel = np.abs(rotated - direct).max() / np.abs(direct).max()
         worst = max(worst, rel)
     _report(
         "criterion 4 (symmetry reduction)",

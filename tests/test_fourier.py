@@ -120,13 +120,13 @@ def test_zero_expansion_transforms_to_zero():
 def _fft_m2l_matrix(kernel, tvec, beta, order):
     """Assemble the full FFT-path operator column by column."""
     ws = FourierWorkspace(order)
-    sym = precompute_symbol(kernel, 0, tvec, beta, order)
+    diagonal = precompute_symbol(kernel, tvec, beta, order)
     cols = []
     for j in range(order**3):
         e = np.zeros(order**3, dtype=complex)
         e[j] = 1.0
         acc = np.zeros(ws.fourier_size, dtype=complex)
-        m2l_hadamard(acc, ws.m2f(e), sym.diagonal)
+        m2l_hadamard(acc, ws.m2f(e), diagonal)
         cols.append(ws.f2l(acc))
     return np.column_stack(cols)
 
@@ -161,52 +161,56 @@ def test_symbol_reciprocity():
 def test_permute_symbol_identity_and_inverse():
     kernel = HelmholtzKernel(kappa=2.0, singularity_tol=1e-14)
     order = 3
-    sym = precompute_symbol(kernel, 0, (2, 1, 0), 0.5, order)
+    tvec = np.array([2, 1, 0])
+    diagonal = precompute_symbol(kernel, tvec, 0.5, order)
     group = hyperoctahedral_group()
     ident = [rid for rid, m in enumerate(group) if np.array_equal(m, np.eye(3))][0]
-    same = permute_symbol(sym, ident, order)
-    assert np.allclose(same.diagonal, sym.diagonal)
+    same = permute_symbol(diagonal, ident, order)
+    assert np.allclose(same, diagonal)
     for rid in (5, 17, 30):
         rinv = [
             j for j, m in enumerate(group) if np.array_equal(m, group[rid].T)
         ][0]
-        back = permute_symbol(permute_symbol(sym, rid, order), rinv, order)
-        assert back.translation == sym.translation
-        assert np.allclose(back.diagonal, sym.diagonal, atol=0)
+        back = permute_symbol(permute_symbol(diagonal, rid, order), rinv, order)
+        assert np.array_equal(group[rinv] @ group[rid] @ tvec, tvec)
+        assert np.allclose(back, diagonal, atol=0)
 
 
 def test_permute_symbol_matches_direct_precomputation():
     kernel = HelmholtzKernel(kappa=6.0, singularity_tol=1e-14)
     order = 4
-    base = precompute_symbol(kernel, 0, (2, 1, 0), 0.25, order)
+    tvec = np.array([2, 1, 0])
+    base = precompute_symbol(kernel, tvec, 0.25, order)
     rng = np.random.default_rng(4)
     for rid in rng.integers(0, 48, size=12):
         rotated = permute_symbol(base, int(rid), order)
-        direct = precompute_symbol(kernel, 0, rotated.translation, 0.25, order)
-        rel = np.abs(rotated.diagonal - direct.diagonal).max() / np.abs(
-            direct.diagonal
-        ).max()
+        direct = precompute_symbol(kernel, hyperoctahedral_group()[rid] @ tvec, 0.25, order)
+        rel = np.abs(rotated - direct).max() / np.abs(direct).max()
         assert rel < 1e-13
 
 
 def test_precompute_rejects_singular_stencil():
     kernel = HelmholtzKernel(kappa=0.0, singularity_tol=1e-14)
     with pytest.raises(ValueError):
-        precompute_symbol(kernel, 0, (1, 0, 0), 1.0, 3)
+        precompute_symbol(kernel, (1, 0, 0), 1.0, 3)
 
 
 def test_symbol_cache_shares_canonical_work():
     kernel = HelmholtzKernel(kappa=1.0, singularity_tol=1e-14)
     cache = SymbolCache(kernel, order=3)
-    for t in [(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, 0, -2)]:
-        cache.get(0, t, 0.5)
+    entries = [cache.get(0, t, 0.5) for t in [(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, 0, -2)]]
+    assert entries == [0, 1, 2, 3]
     assert cache.n_canonical == 1
     assert cache.n_translations == 4
-    # repeated queries hit the derived store
+    # a repeated query returns its entry and adds none
     again = cache.get(0, (-2, 0, 0), 0.5)
+    assert again == 1
     assert cache.n_translations == 4
-    direct = precompute_symbol(kernel, 0, (-2, 0, 0), 0.5, 3)
-    assert np.allclose(again.diagonal, direct.diagonal, atol=1e-13)
+    direct = precompute_symbol(kernel, (-2, 0, 0), 0.5, 3)
+    assert np.allclose(cache.diagonals[again], direct, atol=1e-13)
+    # every entry starts untagged, and a tag writes its entry only
+    cache.tag_direction(again, 5)
+    assert cache.directions == [0, 5, 0, 0]
 
 
 def test_symbol_cache_all_strict_orbits():

@@ -15,6 +15,7 @@ from helmfmm.tree import Cell, build_tree
 from helmfmm.traversal import (
     FmmConfig,
     _Context,
+    _distance,
     _downward,
     _l2p_cell,
     _lagrange_table,
@@ -26,12 +27,9 @@ from helmfmm.traversal import (
     _waves,
     admissible,
     blank_dtt,
-    cell_distance,
-    directional_mac,
     dtt,
     run_fmm,
     run_fmm_full,
-    strict_mac,
 )
 
 UNIT_BOX = BoundingBox(center=np.array([0.5, 0.5, 0.5]), half_width=0.5)
@@ -56,19 +54,19 @@ def _reference(points, charges, kappa, box_side=1.0):
 
 def test_cell_distance_values():
     a = _cell([0, 0, 0], 2)
-    assert cell_distance(a, _cell([1, 0, 0], 2)) == 0.0
-    assert cell_distance(a, _cell([2, 0, 0], 2)) == pytest.approx(0.25)
-    assert cell_distance(a, _cell([2, 2, 0], 2)) == pytest.approx(0.25 * np.sqrt(2))
+    assert _distance(a.coords - _cell([1, 0, 0], 2).coords, a.side) == 0.0
+    assert _distance(a.coords - _cell([2, 0, 0], 2).coords, a.side) == pytest.approx(0.25)
+    assert _distance(a.coords - _cell([2, 2, 0], 2).coords, a.side) == pytest.approx(
+        0.25 * np.sqrt(2)
+    )
 
 
 def test_strict_mac_cases():
     a = _cell([0, 0, 0], 2)
-    assert not strict_mac(a, a)
-    assert not strict_mac(a, _cell([1, 1, 1], 2))
-    assert strict_mac(a, _cell([2, 0, 0], 2))
-    assert strict_mac(a, _cell([2, 1, 1], 2))
-    with pytest.raises(ValueError):
-        strict_mac(a, _cell([0, 0, 0], 3))
+    assert not admissible(a.coords - a.coords, a.side)
+    assert not admissible(a.coords - _cell([1, 1, 1], 2).coords, a.side)
+    assert admissible(a.coords - _cell([2, 0, 0], 2).coords, a.side)
+    assert admissible(a.coords - _cell([2, 1, 1], 2).coords, a.side)
 
 
 def test_directional_mac_thresholds():
@@ -76,13 +74,13 @@ def test_directional_mac_thresholds():
     far = _cell([3, 3, 3], 2)
     near = _cell([2, 0, 0], 2)
     w = a.radius
-    dist_far = cell_distance(a, far)
+    dist_far = _distance(a.coords - far.coords, a.side)
     # pick kappa so the far pair is admissible but the near one is not
     kappa = dist_far / (w * w)
-    assert directional_mac(a, far, kappa, 1.0)
-    assert not directional_mac(a, near, kappa, 1.0)
+    assert admissible(a.coords - far.coords, a.side, kappa, 1.0)
+    assert not admissible(a.coords - near.coords, a.side, kappa, 1.0)
     # a larger eta re-admits the near pair when 2w permits
-    assert directional_mac(a, near, kappa, 10.0)
+    assert admissible(a.coords - near.coords, a.side, kappa, 10.0)
 
 
 def _translations(radius):
@@ -111,8 +109,9 @@ def test_array_mac_matches_the_cell_macs(kappa, eta):
     directional = admissible(tvecs, side, kappa, eta)
     for tvec, a, b in zip(tvecs, strict.tolist(), directional.tolist()):
         s = _cell(t.coords - tvec, level)
-        assert a == strict_mac(t, s) == _reference_mac(tvec, side, None, eta)
-        assert b == directional_mac(t, s, kappa, eta) == _reference_mac(tvec, side, kappa, eta)
+        ts = t.coords - s.coords
+        assert a == admissible(ts, t.side) == _reference_mac(tvec, side, None, eta)
+        assert b == admissible(ts, t.side, kappa, eta) == _reference_mac(tvec, side, kappa, eta)
     # ties admit: a gap of exactly one side, and 2w = eta * dist (kappa*w^2
     # is the smaller term here)
     assert admissible([[2, 0, 0], [2, 1, -1], [-1, 2, 1]], side).all()
@@ -423,10 +422,10 @@ def _recursive_plan(ctx):
     def visit(t, s):
         tvec = t.coords - s.coords
         hf = ctx.is_hf(t.level)
-        if directional_mac(t, s, config.kappa, config.eta) if hf else strict_mac(t, s):
+        if admissible(tvec, t.side, config.kappa if hf else None, config.eta):
             unit = tvec / np.linalg.norm(tvec)
             d = nearest_direction(ctx.dirs, ctx.refinement(t.level), unit) if hf else 0
-            diagonal = cache.get(t.level, tvec, t.side).diagonal
+            diagonal = cache.diagonals[cache.get(t.level, tvec, t.side)]
             m2l.setdefault(t.level, []).append((t.index, s.index, diagonal, d))
         elif t.is_leaf or s.is_leaf:
             p2p.setdefault(t.level, []).append((t.index, s.index))
@@ -461,7 +460,7 @@ def _assert_planned_as_the_recursion(ctx):
     planned = {}
     it = iter(ctx.m2l_plan)
     for t, s, entry in zip(it, it, it):
-        diagonal, d = ctx.m2l_entries[entry]
+        diagonal, d = ctx.cache.diagonals[entry], ctx.cache.directions[entry]
         planned.setdefault(cells[t].level, []).append((t, s, diagonal, d))
     assert planned.keys() == m2l.keys()
     for level, ref in m2l.items():
@@ -539,9 +538,43 @@ def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
     assert len(blanks) == 1
     ctx = blanks[0][2]
     admitted = [entry for entry in ctx.resolved.values() if entry >= 0]
-    assert len(resolves) == len(admitted) == len(ctx.m2l_entries) > 0
+    assert len(resolves) == len(admitted) == ctx.cache.n_translations > 0
+    assert sorted(admitted) == list(range(ctx.cache.n_translations))
     assert len({(level, *tvec.tolist()) for _, level, tvec in resolves}) == len(resolves)
     assert len(ctx.resolved) < info.counts["m2l_events"] + len(ctx.p2p_plan) // 2
+
+
+@pytest.mark.parametrize("same,kappa", [(True, 8.0), (False, 12.0)])
+def test_table_directions_are_the_rows_each_m2l_reads_and_writes(same, kappa):
+    """The direction of an M2L event's table entry is the direction of the
+    local it writes and of the multipole it reads: the direction nearest
+    to its translation at a high-frequency level, 0 at a low-frequency
+    one."""
+    sources = generate_distribution(Distribution("sphere", 1000))
+    targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
+    ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=8, kappa=kappa))
+    blank_dtt(ctx.target_tree.root, ctx.source_tree.root, ctx)
+    cells = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3).copy()
+    _plan_rows(ctx)
+    rows = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
+    n = ctx.n_dirs
+    tcells, scells = ctx.target_tree.cells, ctx.source_tree.cells
+    levels = set()
+    for (ti, si, entry), (j, row, _) in zip(cells.tolist(), rows.tolist()):
+        d = ctx.cache.directions[entry]
+        assert d == ctx.m2l_keys[j] % n == ctx.m2f_keys[row] % n
+        t, s = tcells[ti], scells[si]
+        assert (ctx.m2l_keys[j] // n, ctx.m2f_keys[row] // n) == (ti, si)
+        if ctx.is_hf(t.level):
+            tvec = t.coords - s.coords
+            unit = tvec / np.linalg.norm(tvec)
+            assert d == nearest_direction(ctx.dirs, ctx.refinement(t.level), unit)
+        else:
+            assert d == 0
+        levels.add(ctx.is_hf(t.level))
+    # both regimes were planned, and some high-frequency entry was tagged
+    assert levels == {True, False}
+    assert any(ctx.cache.directions)
 
 
 def test_fmm_matches_direct_laplace():
