@@ -39,16 +39,6 @@ class DirectionTree:
         return self.levels[refinement].shape[0]
 
 
-def _face_center(axis: int, sign: int, u: float, v: float) -> np.ndarray:
-    """Point on the cube surface with in-face coordinates (u, v) in [-1,1]."""
-    p = np.empty(3)
-    p[axis] = float(sign)
-    others = [a for a in range(3) if a != axis]
-    p[others[0]] = u
-    p[others[1]] = v
-    return p
-
-
 def generate_direction_tree(max_refinement: int) -> DirectionTree:
     if max_refinement < 0:
         raise ValueError("max_refinement must be >= 0")
@@ -56,22 +46,20 @@ def generate_direction_tree(max_refinement: int) -> DirectionTree:
     fathers = []
     for e in range(max_refinement + 1):
         m = 1 << e  # sub-faces per face edge
-        dirs = np.empty((6 * m * m, 3))
-        fa = np.empty(6 * m * m, dtype=np.int64)
-        idx = 0
+        # sub-face (i, j) of a face, i major; its center is the mean of its
+        # corners, at in-face coordinates (u, v) in [-1, 1]
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
+        uv = np.stack([-1.0 + (2.0 * i + 1.0) / m, -1.0 + (2.0 * j + 1.0) / m], axis=1)
+        dirs, fa = [], []
         for f, (axis, sign) in enumerate(_FACES):
-            for i in range(m):
-                for j in range(m):
-                    # sub-face center = mean of its corners, then projected
-                    u = -1.0 + (2.0 * i + 1.0) / m
-                    v = -1.0 + (2.0 * j + 1.0) / m
-                    p = _face_center(axis, sign, u, v)
-                    dirs[idx] = p / np.linalg.norm(p)
-                    # containing sub-face one refinement coarser
-                    fa[idx] = (f * (m // 2) + i // 2) * (m // 2) + j // 2 if e else -1
-                    idx += 1
-        levels.append(dirs)
-        fathers.append(fa if e else None)
+            p = np.empty((m * m, 3))
+            p[:, axis] = float(sign)
+            p[:, [a for a in range(3) if a != axis]] = uv
+            dirs.append(p / np.linalg.norm(p, axis=1)[:, None])
+            # containing sub-face one refinement coarser
+            fa.append((f * (m // 2) + i // 2) * (m // 2) + j // 2)
+        levels.append(np.concatenate(dirs))
+        fathers.append(np.concatenate(fa).astype(np.int64) if e else None)
     return DirectionTree(levels=levels, fathers=fathers)
 
 
@@ -89,8 +77,9 @@ def nearest_direction(tree: DirectionTree, refinement: int, v: np.ndarray) -> in
     return int(np.argmin(d2))
 
 
-def father_direction(tree: DirectionTree, refinement: int, index: int) -> int:
-    """Father (refinement-1) index of a direction under face subdivision."""
+def father_direction(tree: DirectionTree, refinement: int, index):
+    """Father (refinement-1) index of a direction, or of each of an array of
+    directions, under face subdivision."""
     if refinement <= 0:
         raise ValueError("directions at the coarsest refinement have no father")
-    return int(tree.fathers[refinement][index])
+    return tree.fathers[refinement][index]

@@ -12,8 +12,12 @@ share.  Every operator acts on a cell's whole block of rows, one per
 direction: the modulation exp(i*kappa*<x, u>) on a cell grid
 alpha + beta * g is one phase per cell times a grid wave built once per
 (level, direction) (_waves), and P2M/L2P take the particle side from one
-(n, rows) phase matrix per leaf.  M2F transforms only the multipoles M2L
-reads, and F2L, its mirror, only the locals M2L writes.
+(n, rows) phase matrix per leaf.  A low-frequency level is the
+one-direction case u = 0: its cells hold one row each, modulated by
+exp(0) = 1, so P2M, M2M, L2L and L2P have one formula for both regimes.
+Per level, ctx.units holds the unit vectors the direction indices name
+and ctx.hand_down the index each hands to the sons.  M2F transforms only
+the multipoles M2L reads, and F2L, its mirror, only the locals M2L writes.
 
 The blank DTT plans level by level on integer arrays, with no recursion:
 a level's candidate (target, source) cell pairs are two index arrays, and
@@ -35,10 +39,10 @@ MAX_BLOCK_ENTRIES entries, real at kappa = 0; the P2P events and the pair
 count are kept per recorded pair.
 
 Expansions live in per-solve arrays, one row per key cell.index * n_dirs
-+ d (d the direction index at the cell's level, 0 at low frequency), in the
-sorted key order of their side: the source keys are the multipoles that M2L
-reads (m2f_keys) and, below them through the father directions, those M2M
-reads; the target keys are the locals that M2L writes (m2l_keys) and, below
++ d (d indexes ctx.units at the cell's level: 0, u = 0, at low
+frequency), in the sorted key order of their side: the source keys are the
+multipoles that M2L reads (m2f_keys) and, below them through
+ctx.hand_down, those M2M reads; the target keys are the locals that M2L writes (m2l_keys) and, below
 them, those L2L writes.
 """
 
@@ -73,6 +77,12 @@ __all__ = [
 # the finest direction set a solve may build: 6 * 4**8 = 393,216 directions
 MAX_REFINEMENT = 8
 
+# a cell is high-frequency iff kappa * radius >= HF_SWITCH; 2.0 is the
+# crossover where kappa*w^2 >= 2w in the directional MAC numerator.  It
+# also scales the direction refinement: a high-frequency level with
+# kappa * radius ~ 2**e * HF_SWITCH uses the 6 * 4**e directions
+HF_SWITCH = 2.0
+
 # candidate cell pairs blank_dtt takes at a time, so that _entries'
 # temporaries (about 50 bytes a pair) stay under 2 MB however many pairs a
 # level holds; a level's son pairs are still held whole
@@ -86,13 +96,12 @@ class FmmConfig:
     eta: float = 1.0
     kappa: float = 0.0
     strategy: str = "t+s+r"
-    # a cell is high-frequency iff kappa * radius >= hf_switch; 2.0 is the
-    # crossover where kappa*w^2 >= 2w in the directional MAC numerator.  It
-    # also scales the direction refinement: a high-frequency level with
-    # kappa * radius ~ 2**e * hf_switch uses the 6 * 4**e directions
-    hf_switch: float = 2.0
 
     def __post_init__(self):
+        for name in ("order", "ncrit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.order < 2:
             raise ValueError("order must be >= 2")
         if self.ncrit < 1:
@@ -103,8 +112,6 @@ class FmmConfig:
             raise ValueError("eta must be finite and > 0")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError("kappa must be finite and >= 0")
-        if not (np.isfinite(self.hf_switch) and self.hf_switch > 0):
-            raise ValueError("hf_switch must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -174,8 +181,8 @@ class _Context:
         self.grid_waves: dict = {}
 
         # hf_max_level is the deepest level whose cells satisfy
-        # kappa * radius >= hf_switch.  Each high-frequency level l gets the
-        # refinement round(log2(kappa * w_l / hf_switch)), so the cone
+        # kappa * radius >= HF_SWITCH.  Each high-frequency level l gets the
+        # refinement round(log2(kappa * w_l / HF_SWITCH)), so the cone
         # aperture shrinks like 1 / (kappa * w_l) whatever the tree depth.
         # w halves per level, so the rule is evaluated once at hf_max_level
         # and stepped by exactly one per level above it: the father/son
@@ -186,7 +193,7 @@ class _Context:
         if config.kappa > 0:
             for level in range(depth + 1):
                 kw = config.kappa * np.sqrt(3.0) * target_tree.side_at(level) / 2.0
-                if kw >= config.hf_switch:
+                if kw >= HF_SWITCH:
                     hf_max = level
                     kw_deepest = kw
                 else:
@@ -196,18 +203,37 @@ class _Context:
         self.dirs: DirectionTree | None = None
         self.n_dirs = 1
         if hf_max >= 0:
-            # kw_deepest >= hf_switch, so the rounded log2 is >= 0
-            ratio = np.log2(kw_deepest / config.hf_switch)
+            # kw_deepest >= HF_SWITCH, so the rounded log2 is >= 0
+            ratio = np.log2(kw_deepest / HF_SWITCH)
             self.deepest_refinement = int(np.floor(ratio + 0.5))
             if self.refinement(0) > MAX_REFINEMENT:
                 kw_root = config.kappa * np.sqrt(3.0) * target_tree.side_at(0) / 2.0
                 raise ValueError(
                     f"kappa*w = {kw_root:.4g} at the root asks for direction "
                     f"refinement {self.refinement(0)} (6 * 4**{self.refinement(0)} "
-                    f"directions), above {MAX_REFINEMENT}: lower kappa*w or raise hf_switch"
+                    f"directions at hf_switch = {HF_SWITCH}), above {MAX_REFINEMENT}: lower kappa*w"
                 )
             self.dirs = generate_direction_tree(self.refinement(0))
             self.n_dirs = self.dirs.count(self.refinement(0))
+
+        # per level: the unit vectors u its direction indices name, the one
+        # u = 0 at a low-frequency level, and the direction index each of
+        # them hands to the sons, its father direction where the sons are
+        # high-frequency and 0 otherwise
+        self.units = [
+            self.dirs.levels[self.refinement(level)] if self.is_hf(level) else np.zeros((1, 3))
+            for level in range(depth + 1)
+        ]
+        self.hand_down = [
+            father_direction(self.dirs, self.refinement(level), np.arange(len(u)))
+            if self.is_hf(level + 1)
+            else np.zeros(len(u), dtype=np.int64)
+            for level, u in enumerate(self.units)
+        ]
+        # the grid wave of u = 0, which _waves returns at every low-frequency
+        # level without building it; read-only, since all callers share it
+        self.unit_wave = np.ones((1, config.order**3), dtype=complex)
+        self.unit_wave.flags.writeable = False
 
     def is_hf(self, level: int) -> bool:
         return level <= self.hf_max_level
@@ -223,16 +249,14 @@ class _Context:
 
 def _resolve(ctx: _Context, level: int, tvec: np.ndarray) -> int:
     """The cache entry of the admissible translation tvec at level, tagged
-    at high frequency with the direction nearest to tvec."""
-    hf = ctx.is_hf(level)
-    if hf:
-        e = ctx.refinement(level)
-        direction = nearest_direction(ctx.dirs, e, tvec / np.linalg.norm(tvec))
+    at high frequency with the direction nearest to tvec (0, the one
+    direction u = 0, at low frequency)."""
     t0 = time.perf_counter()
     entry = ctx.cache.get(level, tvec, ctx.target_tree.side_at(level))
-    if hf:
-        ctx.cache.tag_direction(entry, direction)
     ctx.precompute_time += time.perf_counter() - t0
+    if ctx.is_hf(level):
+        unit = tvec / np.linalg.norm(tvec)
+        ctx.cache.tag_direction(entry, nearest_direction(ctx.dirs, ctx.refinement(level), unit))
     return entry
 
 
@@ -339,15 +363,6 @@ def blank_dtt(t_root: Cell, s_root: Cell, ctx: _Context) -> None:
         level += 1
 
 
-def _son_directions(ctx: _Context, level: int, ds: list) -> np.ndarray:
-    """Direction index at level + 1 that each direction index of ``level``
-    hands down: its father direction, or 0 at a low-frequency son level."""
-    if not ctx.is_hf(level + 1):
-        return np.zeros(len(ds), dtype=np.int64)
-    e = ctx.refinement(level)
-    return np.array([father_direction(ctx.dirs, e, d) for d in ds], dtype=np.int64)
-
-
 def _closure(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> np.ndarray:
     """The seed keys and, below them, the keys of the son expansions that
     M2M reads or L2L writes, sorted."""
@@ -357,7 +372,7 @@ def _closure(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> np.ndarray:
         held.setdefault(key // n, set()).add(key % n)
     for cell in tree.cells:  # level by level: every father before its sons
         if cell.sons and cell.index in held:
-            son_ds = _son_directions(ctx, cell.level, sorted(held[cell.index])).tolist()
+            son_ds = ctx.hand_down[cell.level][list(held[cell.index])].tolist()
             for son in cell.sons:
                 held.setdefault(son.index, set()).update(son_ds)
     return np.array(sorted(c * n + d for c, ds in held.items() for d in ds), dtype=np.int64)
@@ -393,10 +408,11 @@ def _spans(keys: np.ndarray, tree: ClusterTree, n: int) -> list:
     return np.searchsorted(keys, np.arange(tree.n_cells + 1) * n).tolist()
 
 
-def _son_rows(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -> list:
-    """Per son, the rows of the son expansions that the cell's rows lo:hi
-    read (M2M) or write (L2L); the key derivation must have made them."""
-    son_ds = _son_directions(ctx, cell.level, (keys[lo:hi] % ctx.n_dirs).tolist())
+def _son_rows(ctx: _Context, keys: np.ndarray, cell: Cell, ds: np.ndarray) -> list:
+    """Per son, the rows of the son expansions that the cell's rows of
+    direction indices ds read (M2M) or write (L2L); the key derivation must
+    have made them."""
+    son_ds = ctx.hand_down[cell.level][ds]
     want = np.add.outer([son.index * ctx.n_dirs for son in cell.sons], son_ds)
     rows = np.searchsorted(keys, want)
     if not np.array_equal(keys.take(rows, mode="clip"), want):
@@ -404,28 +420,23 @@ def _son_rows(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -> 
     return rows.tolist()
 
 
-def _directions(ctx: _Context, keys: np.ndarray, cell: Cell, lo: int, hi: int) -> tuple:
-    """(refinement, direction indices) of the cell's rows lo:hi; the
-    refinement is None at a low-frequency level."""
-    e = ctx.refinement(cell.level) if ctx.is_hf(cell.level) else None
-    return e, (keys[lo:hi] % ctx.n_dirs).tolist()
-
-
-def _waves(ctx: _Context, cell: Cell, e: int | None, ds: list) -> np.ndarray | None:
+def _waves(ctx: _Context, cell: Cell, level: int, ds: np.ndarray) -> np.ndarray:
     """exp(i*kappa*<x, u>) on the cell's grid, one row per direction index
-    of refinement e; None (no modulation) at low frequency.  A row is the
-    phase exp(i*kappa*<alpha, u>) at the cell's corner times the grid wave
-    exp(i*kappa*beta*<g, u>) on the reference grid g, which depends on the
-    cell only through its level (side beta) and is built once per solve."""
-    if e is None:
-        return None
-    kappa, units = ctx.config.kappa, ctx.dirs.levels[e]
+    in ds of ``level`` (the cell's own level or, in M2M and L2L, its
+    father's).  A row is the phase exp(i*kappa*<alpha, u>) at the cell's
+    corner times the grid wave exp(i*kappa*beta*<g, u>) on the reference
+    grid g, which depends on the cell only through its level (side beta)
+    and is built once per solve.  At a low-frequency level u = 0: the one
+    row is the unit wave, shared and read-only."""
+    if not ctx.is_hf(level):
+        return ctx.unit_wave
+    kappa, units = ctx.config.kappa, ctx.units[level]
     rows = []
-    for d in ds:
-        wave = ctx.grid_waves.get((cell.level, e, d))
+    for d in ds.tolist():
+        wave = ctx.grid_waves.get((cell.level, level, d))
         if wave is None:
             grid = cell.frame.beta * interp.grid_points(ctx.config.order)
-            wave = ctx.grid_waves[cell.level, e, d] = interp.plane_wave(grid, kappa, units[d])
+            wave = ctx.grid_waves[cell.level, level, d] = interp.plane_wave(grid, kappa, units[d])
         rows.append(wave)
     corner = np.exp(1j * kappa * (units[ds] @ cell.frame.alpha))
     return np.array(rows) * corner[:, None]
@@ -464,38 +475,30 @@ def _leaf_block(
     ctx: _Context, keys: np.ndarray, pset: ParticleSet, cell: Cell, lo: int, hi: int
 ) -> tuple:
     """The leaf's (n, L^3) basis, its (rows, L^3) cell waves and its
-    (n, rows) particle phases exp(i*kappa*<y, u>) for the rows lo:hi; no
-    waves or phases (None) at a low-frequency level."""
+    (n, rows) particle phases exp(i*kappa*<y, u>) for the rows lo:hi."""
     basis = interp.tensor_basis(ctx.table[cell.start : cell.stop])
-    e, ds = _directions(ctx, keys, cell, lo, hi)
-    if e is None:
-        return basis, None, None
+    ds = keys[lo:hi] % ctx.n_dirs
     pos = pset.positions[cell.start : cell.stop]
-    phases = interp.plane_wave(pos, ctx.config.kappa, ctx.dirs.levels[e][ds].T)
-    return basis, _waves(ctx, cell, e, ds), phases
+    phases = interp.plane_wave(pos, ctx.config.kappa, ctx.units[cell.level][ds].T)
+    return basis, _waves(ctx, cell, cell.level, ds), phases
 
 
 def _p2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     pset = ctx.source_pset
     q = pset.charges[cell.start : cell.stop]
     basis, waves, phases = _leaf_block(ctx, ctx.source_keys, pset, cell, lo, hi)
-    if waves is None:
-        ctx.multipole[lo] = interp.p2m(basis, q)
-    else:
-        ctx.multipole[lo:hi] = interp.p2m(basis, q[:, None] * phases.conj()).T * waves
+    ctx.multipole[lo:hi] = interp.p2m(basis, q[:, None] * phases.conj()).T * waves
 
 
 def _m2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     multipole = ctx.multipole
-    e, ds = _directions(ctx, ctx.source_keys, cell, lo, hi)
-    d0 = _waves(ctx, cell, e, ds)
-    for son, rows in zip(cell.sons, _son_rows(ctx, ctx.source_keys, cell, lo, hi)):
+    ds = ctx.source_keys[lo:hi] % ctx.n_dirs
+    d0 = _waves(ctx, cell, cell.level, ds)
+    for son, rows in zip(cell.sons, _son_rows(ctx, ctx.source_keys, cell, ds)):
         factors = interp.m2m_factors(ctx.config.order, _octant(cell, son))
-        cols = multipole[rows]
-        if d0 is not None:
-            cols *= _waves(ctx, son, e, ds).conj()
+        cols = multipole[rows] * _waves(ctx, son, cell.level, ds).conj()
         stacked = interp.apply_strategy(ctx.config.strategy, factors, cols.T).T
-        multipole[lo:hi] += stacked if d0 is None else stacked * d0
+        multipole[lo:hi] += stacked * d0
 
 
 def _upward(ctx: _Context, tree: ClusterTree) -> None:
@@ -565,14 +568,12 @@ def dtt(ctx: _Context) -> None:
 
 def _l2l_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     local = ctx.local
-    e, ds = _directions(ctx, ctx.target_keys, cell, lo, hi)
-    d1 = _waves(ctx, cell, e, ds)
-    cols = local[lo:hi] if d1 is None else local[lo:hi] * d1.conj()
-    for son, rows in zip(cell.sons, _son_rows(ctx, ctx.target_keys, cell, lo, hi)):
+    ds = ctx.target_keys[lo:hi] % ctx.n_dirs
+    cols = local[lo:hi] * _waves(ctx, cell, cell.level, ds).conj()
+    for son, rows in zip(cell.sons, _son_rows(ctx, ctx.target_keys, cell, ds)):
         factors = interp.l2l_factors(ctx.config.order, _octant(cell, son))
         stacked = interp.apply_strategy(ctx.config.strategy, factors, cols.T).T
-        if d1 is not None:
-            stacked *= _waves(ctx, son, e, ds)
+        stacked *= _waves(ctx, son, cell.level, ds)
         # several father directions may hand down to one son row
         for row, col in zip(rows, stacked):
             local[row] += col
@@ -581,10 +582,7 @@ def _l2l_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
 def _l2p_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     pset = ctx.target_pset
     basis, waves, phases = _leaf_block(ctx, ctx.target_keys, pset, cell, lo, hi)
-    if waves is None:
-        vals = interp.l2p(basis, ctx.local[lo])
-    else:
-        vals = (interp.l2p(basis, (ctx.local[lo:hi] * waves.conj()).T) * phases).sum(axis=1)
+    vals = (interp.l2p(basis, (ctx.local[lo:hi] * waves.conj()).T) * phases).sum(axis=1)
     pset.potentials[cell.start : cell.stop] += vals
 
 

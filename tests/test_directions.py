@@ -54,6 +54,43 @@ def test_every_father_has_four_sons():
         fathers = [father_direction(tree, e, i) for i in range(tree.count(e))]
         counts = np.bincount(fathers, minlength=tree.count(e - 1))
         assert np.all(counts == 4)
+        # an index array takes the fathers of all its directions at once
+        assert father_direction(tree, e, np.arange(tree.count(e))).tolist() == fathers
+
+
+def _sub_face_loop(max_refinement):
+    """Direction sets and father links built one sub-face at a time: the
+    center (u, v) of sub-face (i, j) on each face, projected."""
+    faces = [(0, +1), (0, -1), (1, +1), (1, -1), (2, +1), (2, -1)]
+    levels, fathers = [], []
+    for e in range(max_refinement + 1):
+        m = 1 << e
+        dirs, fa = [], []
+        for f, (axis, sign) in enumerate(faces):
+            others = [a for a in range(3) if a != axis]
+            for i in range(m):
+                for j in range(m):
+                    p = np.empty(3)
+                    p[axis] = float(sign)
+                    p[others[0]] = -1.0 + (2.0 * i + 1.0) / m
+                    p[others[1]] = -1.0 + (2.0 * j + 1.0) / m
+                    dirs.append(p / np.linalg.norm(p))
+                    fa.append((f * (m // 2) + i // 2) * (m // 2) + j // 2)
+        levels.append(np.array(dirs))
+        fathers.append(np.array(fa, dtype=np.int64) if e else None)
+    return levels, fathers
+
+
+def test_direction_tree_matches_a_loop_over_sub_faces():
+    tree = generate_direction_tree(3)
+    levels, fathers = _sub_face_loop(3)
+    assert tree.fathers[0] is None
+    for e in range(4):
+        assert tree.levels[e].dtype == np.float64
+        assert tree.levels[e].tobytes() == levels[e].tobytes()
+        if e:
+            assert tree.fathers[e].dtype == np.int64
+            assert tree.fathers[e].tobytes() == fathers[e].tobytes()
 
 
 def test_nearest_direction_axis_cases():

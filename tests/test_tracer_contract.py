@@ -15,7 +15,7 @@ import pytest
 
 import helmfmm
 from helmfmm.directions import generate_direction_tree, nearest_direction
-from helmfmm.traversal import FmmConfig, run_fmm_full
+from helmfmm.traversal import HF_SWITCH, FmmConfig, run_fmm_full
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,7 +39,7 @@ def _self_interaction():
     rng = np.random.default_rng(11)
     pts = rng.uniform(size=(400, 3))
     q = rng.normal(size=400) + 1j * rng.normal(size=400)
-    # kappa * w >= hf_switch down to level 2, where pairs become admissible
+    # kappa * w >= HF_SWITCH down to level 2, where pairs become admissible
     return pts, pts, q, FmmConfig(order=3, ncrit=16, kappa=12.0)
 
 
@@ -61,7 +61,7 @@ def _m2l_expansions(events, config, hf_max_level, side: str) -> set:
     """(cell, direction index) of each expansion that M2L reads (side
     "source") or writes (side "target"): at a high-frequency level, the
     direction nearest to the translation at the refinement
-    round(log2(kappa * w / hf_switch)), the same on both sides."""
+    round(log2(kappa * w / HF_SWITCH)), the same on both sides."""
     trees = {}
     out = set()
     for e in events:
@@ -69,7 +69,7 @@ def _m2l_expansions(events, config, hf_max_level, side: str) -> set:
             continue
         t, d = e.target, 0
         if t.level <= hf_max_level:
-            refinement = int(np.floor(np.log2(config.kappa * t.radius / config.hf_switch) + 0.5))
+            refinement = int(np.floor(np.log2(config.kappa * t.radius / HF_SWITCH) + 0.5))
             dirs = trees.setdefault(refinement, generate_direction_tree(refinement))
             tvec = t.coords - e.source.coords
             d = nearest_direction(dirs, refinement, tvec / np.linalg.norm(tvec))

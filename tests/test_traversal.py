@@ -13,6 +13,7 @@ from helmfmm.geometry import BoundingBox, CellFrame, compute_root_box
 from helmfmm.kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum, relative_errors
 from helmfmm.tree import Cell, build_tree
 from helmfmm.traversal import (
+    HF_SWITCH,
     FmmConfig,
     _Context,
     _distance,
@@ -156,9 +157,14 @@ def test_config_validation():
             FmmConfig(kappa=bad)
     with pytest.raises(ValueError):
         FmmConfig(ncrit=0)
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            FmmConfig(hf_switch=bad)
+    # order and ncrit are integers: no float, however whole, and no bool
+    for bad in (5.0, 2.5, "5", True, np.float64(5.0)):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            FmmConfig(order=bad)
+    for bad in (64.0, 2.5, None, True):
+        with pytest.raises(ValueError, match="ncrit must be an integer"):
+            FmmConfig(ncrit=bad)
+    assert FmmConfig(order=np.int64(4), ncrit=np.int32(16)).order == 4
 
 
 def _two_cluster_problem():
@@ -227,7 +233,7 @@ def test_refinement_steps_by_one_per_hf_level(kappa):
         kw = kappa * np.sqrt(3.0) / 2.0 / (1 << level)
         e = ctx.refinement(level)
         # refinement e halves the cone aperture e times: it tracks kappa * w
-        assert 2.0 ** (e - 0.5) <= kw / ctx.config.hf_switch < 2.0 ** (e + 0.5)
+        assert 2.0 ** (e - 0.5) <= kw / HF_SWITCH < 2.0 ** (e + 0.5)
 
 
 def test_shallow_tree_refines_leaves_by_kappa_w():
@@ -235,6 +241,37 @@ def test_shallow_tree_refines_leaves_by_kappa_w():
     # each cluster fits one level-1 leaf, where kappa * w = 8.66
     assert tree.depth == 1 and ctx.hf_max_level == 1
     assert ctx.refinement(1) == 2 and ctx.refinement(0) == 3
+
+
+@pytest.mark.parametrize(
+    "kappa, regimes",
+    [
+        (0.0, {(False, False)}),
+        (10.0, {(True, True), (True, False), (False, False)}),
+        (40.0, {(True, True), (True, False)}),
+    ],
+)
+def test_direction_tables_per_level(kappa, regimes):
+    """units[level] is the one zero row at a low-frequency level and the
+    level's direction set at a high-frequency one; hand_down[level] is each
+    index's father direction where level + 1 is high-frequency, else 0."""
+    tree, ctx = _context(kappa)
+    assert len(ctx.units) == len(ctx.hand_down) == tree.depth + 1
+    pairs = set()
+    for level, (units, hand) in enumerate(zip(ctx.units, ctx.hand_down)):
+        if ctx.is_hf(level):
+            assert np.array_equal(units, ctx.dirs.levels[ctx.refinement(level)])
+        else:
+            assert units.tolist() == [[0.0, 0.0, 0.0]]
+        if ctx.is_hf(level + 1):
+            e = ctx.refinement(level)
+            expected = [father_direction(ctx.dirs, e, d) for d in range(len(units))]
+        else:
+            expected = [0] * len(units)
+        assert hand.tolist() == expected
+        pairs.add((ctx.is_hf(level), ctx.is_hf(level + 1)))
+    # the (father, son) regimes the tables were checked on
+    assert pairs == regimes
 
 
 def _below(cell):
@@ -319,8 +356,8 @@ def test_each_side_builds_only_the_directions_it_uses():
 
 
 def _refinement(config, cell):
-    """round(log2(kappa * w / hf_switch)) of a high-frequency cell."""
-    return int(np.floor(np.log2(config.kappa * cell.radius / config.hf_switch) + 0.5))
+    """round(log2(kappa * w / HF_SWITCH)) of a high-frequency cell."""
+    return int(np.floor(np.log2(config.kappa * cell.radius / HF_SWITCH) + 0.5))
 
 
 def test_effective_expansions_are_those_m2l_and_m2m_read():
@@ -773,16 +810,31 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
     grid = interp.grid_points(config.order)
     # the deepest high-frequency level under its own directions (P2M/L2P)
     # and under its fathers' (M2M/L2L)
-    refinements = (ctx.refinement(level), ctx.refinement(level - 1))
-    for e in refinements:
-        ds = list(range(ctx.dirs.count(e)))
+    direction_levels = (level, level - 1)
+    for dl in direction_levels:
+        ds = np.arange(len(ctx.units[dl]))
         for cell in tree.levels[level]:
             x = cell.frame.alpha + cell.frame.beta * grid
-            for d, wave in zip(ds, _waves(ctx, cell, e, ds)):
-                ref = interp.plane_wave(x, config.kappa, ctx.dirs.levels[e][d])
+            for d, wave in zip(ds, _waves(ctx, cell, dl, ds)):
+                ref = interp.plane_wave(x, config.kappa, ctx.units[dl][d])
                 assert np.abs(wave - ref).max() < 1e-13
     # one grid wave per (level, direction)
-    assert len(ctx.grid_waves) == sum(ctx.dirs.count(e) for e in refinements)
+    n_waves = sum(len(ctx.units[dl]) for dl in direction_levels)
+    assert len(ctx.grid_waves) == n_waves
+    # at kappa = 10 the deepest level is low-frequency: under its
+    # directions, u = 0, every cell gets the one shared, read-only unit
+    # wave, exactly the plane wave at u = 0, and no grid wave is built
+    low = _Context(
+        FmmConfig(order=4, ncrit=8, kappa=10.0), HelmholtzKernel(kappa=10.0), tree, tree, pset, pset
+    )
+    assert not low.is_hf(tree.depth)
+    for cell in (tree.levels[tree.depth][0], tree.levels[tree.depth][-1]):
+        x = cell.frame.alpha + cell.frame.beta * grid
+        wave = _waves(low, cell, tree.depth, np.zeros(1, dtype=np.int64))
+        assert wave is low.unit_wave and not wave.flags.writeable
+        assert wave.shape == (1, config.order**3)
+        assert wave[0].tobytes() == interp.plane_wave(x, 10.0, np.zeros(3)).tobytes()
+    assert not low.grid_waves
 
 
 def _hf_leaf_blocks(ctx, keys, tree, pset):
@@ -807,22 +859,30 @@ def _hf_leaf_blocks(ctx, keys, tree, pset):
         )
 
 
-def test_modulated_p2m_l2p_match_the_explicit_phases():
-    """Every row of a high-frequency leaf's P2M and L2P block is the basis
-    product between the particle phases and the plane wave on the leaf's
-    grid, for the row's own direction."""
+def _leaf_context(ncrit):
+    """A planned self-interaction of 400 uniform points at kappa = 12, with
+    its Lagrange table and zeroed expansions: at ncrit 16 every leaf lies
+    at high-frequency level 2, at ncrit 4 most at low-frequency level 3."""
     rng = np.random.default_rng(9)
     pts = rng.uniform(size=(400, 3))
     q = rng.normal(size=400) + 1j * rng.normal(size=400)
-    config = FmmConfig(order=4, ncrit=16, kappa=12.0)
-    size = config.order**3
+    config = FmmConfig(order=4, ncrit=ncrit, kappa=12.0)
     tree, pset = build_tree(pts, q, config.ncrit)
     ctx = _Context(config, HelmholtzKernel(kappa=config.kappa), tree, tree, pset, pset)
     blank_dtt(tree.root, tree.root, ctx)
     _plan_rows(ctx)
     _use_table(ctx, tree, pset)
+    ctx.multipole = np.zeros((len(ctx.source_keys), config.order**3), dtype=complex)
+    ctx.local = np.zeros((len(ctx.target_keys), config.order**3), dtype=complex)
+    return tree, pset, ctx, rng
 
-    ctx.multipole = np.zeros((len(ctx.source_keys), size), dtype=complex)
+
+def test_modulated_p2m_l2p_match_the_explicit_phases():
+    """Every row of a high-frequency leaf's P2M and L2P block is the basis
+    product between the particle phases and the plane wave on the leaf's
+    grid, for the row's own direction."""
+    tree, pset, ctx, rng = _leaf_context(16)
+    size = ctx.config.order**3
     rows = 0
     for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(ctx, ctx.source_keys, tree, pset):
         _p2m_cell(ctx, leaf, lo, hi)
@@ -834,7 +894,6 @@ def test_modulated_p2m_l2p_match_the_explicit_phases():
             rows += 1
     assert rows > 0
 
-    ctx.local = np.zeros((len(ctx.target_keys), size), dtype=complex)
     rows = 0
     for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(ctx, ctx.target_keys, tree, pset):
         # one row of the block at a time
@@ -849,6 +908,29 @@ def test_modulated_p2m_l2p_match_the_explicit_phases():
             assert np.allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
             rows += 1
     assert rows > 0
+
+    # a low-frequency leaf is the one-direction case u = 0: its one row is
+    # exactly the plain basis product, on both sides
+    tree, pset, ctx, rng = _leaf_context(4)
+    low = [leaf for leaf in tree.leaves if not ctx.is_hf(leaf.level) and leaf.stop > leaf.start]
+    assert low
+    source_spans = _spans(ctx.source_keys, tree, ctx.n_dirs)
+    target_spans = _spans(ctx.target_keys, tree, ctx.n_dirs)
+    for leaf in low:
+        basis = interp.tensor_basis(ctx.table[leaf.start : leaf.stop])
+        lo, hi = source_spans[leaf.index], source_spans[leaf.index + 1]
+        assert ctx.source_keys[lo:hi].tolist() == [leaf.index * ctx.n_dirs]
+        _p2m_cell(ctx, leaf, lo, hi)
+        qs = pset.charges[leaf.start : leaf.stop]
+        assert ctx.multipole[lo].tobytes() == (basis.T @ qs).tobytes()
+
+        lo, hi = target_spans[leaf.index], target_spans[leaf.index + 1]
+        assert ctx.target_keys[lo:hi].tolist() == [leaf.index * ctx.n_dirs]
+        local = rng.normal(size=size) + 1j * rng.normal(size=size)
+        ctx.local[lo] = local
+        pset.potentials[:] = 0
+        _l2p_cell(ctx, leaf, lo, hi)
+        assert pset.potentials[leaf.start : leaf.stop].tobytes() == (basis @ local).tobytes()
 
 
 @pytest.mark.parametrize("same", [True, False])
