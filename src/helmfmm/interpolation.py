@@ -153,15 +153,9 @@ def apply_strategy(strategy: str, factors, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError("expected stacked columns of shape (L^3, m)")
-    if strategy == "t":
-        cols = [kron_apply(factors, x[:, j : j + 1]) for j in range(x.shape[1])]
-        return np.hstack(cols) if cols else x.copy()
-    if strategy == "t+s":
-        return kron_apply(factors, x)
-    # t+s+r
-    n, m = x.shape
-    real = np.empty((n, 2 * m))
-    real[:, 0::2] = x.real
-    real[:, 1::2] = x.imag
-    y = kron_apply(factors, real)
-    return y[:, 0::2] + 1j * y[:, 1::2]
+    if strategy == "t+s+r":
+        # each column's real and imaginary parts side by side
+        x = np.stack([x.real, x.imag], axis=2).reshape(len(x), 2 * x.shape[1])
+    cols = [x[:, j : j + 1] for j in range(x.shape[1])] if strategy == "t" else [x]
+    y = np.hstack([kron_apply(factors, c) for c in cols]) if cols else x.copy()
+    return y[:, 0::2] + 1j * y[:, 1::2] if strategy == "t+s+r" else y

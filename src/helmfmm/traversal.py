@@ -2,18 +2,19 @@
 
 The driver pipeline plans, then executes:
 
-    build trees -> blank DTT (interaction lists) -> expansion keys and
-    rows -> P2M at leaves -> M2M upward -> M2F -> DTT (replay: Hadamard
-    M2L, then P2P) -> F2L -> L2L downward -> L2P -> un-permute potentials
+    build trees -> blank DTT (interaction lists) -> keys and son links ->
+    P2M at leaves -> M2M per level upward -> M2F -> DTT (replay: Hadamard
+    M2L, then P2P) -> F2L -> L2L per level downward -> L2P -> un-permute
 
 P2M and L2P form each leaf's (n, L^3) basis from one (N, 3, L) table of
 1D Lagrange values per tree and solve, which a single tree's two passes
-share.  Every operator acts on a cell's whole block of rows, one per
-direction: the modulation exp(i*kappa*<x, u>) on a cell grid
-alpha + beta * g is one phase per cell times a grid wave built once per
-(level, direction) (_waves), and P2M/L2P take the particle side from one
-(n, rows) phase matrix per leaf.  A low-frequency level is the
-one-direction case u = 0: its cells hold one row each, modulated by
+share, and act on the leaf's block of rows, one per direction, with one
+(n, rows) matrix of particle phases.  M2M and L2L walk the levels as the
+planner does: per father level, one stacked apply per son octant (and
+slice) of the level's son links (_translate).  The modulation
+exp(i*kappa*<x, u>) on a cell grid alpha + beta * g is one phase per row
+times a grid wave built once per (level, direction) (_waves).  A low-
+frequency level is the one-direction case u = 0, one row per cell times
 exp(0) = 1, so P2M, M2M, L2L and L2P have one formula for both regimes.
 Per level, ctx.units holds the unit vectors the direction indices name
 and ctx.hand_down the index each hands to the sons.  M2F transforms only
@@ -42,8 +43,10 @@ Expansions live in per-solve arrays, one row per key cell.index * n_dirs
 + d (d indexes ctx.units at the cell's level: 0, u = 0, at low
 frequency), in the sorted key order of their side: the source keys are the
 multipoles that M2L reads (m2f_keys) and, below them through
-ctx.hand_down, those M2M reads; the target keys are the locals that M2L writes (m2l_keys) and, below
-them, those L2L writes.
+ctx.hand_down, those M2M reads; the target keys are the locals that M2L
+writes (m2l_keys) and, below them, those L2L writes.  One walk down each
+tree derives its side's keys and son links together (_walk), so every
+son row a link names exists.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .directions import (
     nearest_direction,
 )
 from .fourier import FourierWorkspace, SymbolCache, m2l_hadamard
-from .kernel import HelmholtzKernel, direct_sum
+from .kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum
 from .tree import Cell, ClusterTree, ParticleSet, accumulate_potentials, build_tree, cell_radius
 
 __all__ = [
@@ -172,8 +175,10 @@ class _Context:
         self.p2p_plan = array("i")
         # _plan_rows' sorted keys (see the module docstring); m2l_keys are
         # the target keys M2L writes, one local_hat row each, and m2f_keys
-        # the source keys it reads, one multipole_hat row each
+        # the source keys it reads, one multipole_hat row each; and _walk's
+        # son links, one table per father level and side
         self.source_keys = self.target_keys = self.m2l_keys = self.m2f_keys = None
+        self.source_links = self.target_links = None
         self.multipole = self.multipole_hat = self.local_hat = self.local = None
         # the Lagrange table of table_pset (_use_table) and the grid waves
         # (_waves), both built once per solve
@@ -363,83 +368,87 @@ def blank_dtt(t_root: Cell, s_root: Cell, ctx: _Context) -> None:
         level += 1
 
 
-def _closure(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> np.ndarray:
-    """The seed keys and, below them, the keys of the son expansions that
-    M2M reads or L2L writes, sorted."""
+def _walk(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> tuple:
+    """One side's sorted keys and son links, in one walk down the tree: a
+    level's keys are its seeds and the son keys the level above hands down
+    (ctx.hand_down), so every son row exists.  A father level's links,
+    one per (father row, son), fathers row-major and sons in Morton order,
+    are (level, father rows, son cells, son rows, son octant codes), a
+    son's code (son.coords - 2 * father.coords) @ (4, 2, 1)."""
     n = ctx.n_dirs
-    held: dict = {}  # cell index -> direction indices
-    for key in seeds.tolist():
-        held.setdefault(key // n, set()).add(key % n)
-    for cell in tree.cells:  # level by level: every father before its sons
-        if cell.sons and cell.index in held:
-            son_ds = ctx.hand_down[cell.level][list(held[cell.index])].tolist()
-            for son in cell.sons:
-                held.setdefault(son.index, set()).update(son_ds)
-    return np.array(sorted(c * n + d for c, ds in held.items() for d in ds), dtype=np.int64)
+    cuts = np.searchsorted(seeds, np.cumsum([0] + [len(c) for c in tree.levels]) * n).tolist()
+    parts, links = [], []
+    son_keys = np.empty(0, dtype=np.int64)
+    start = 0  # the row of the level's first key
+    for level in range(tree.depth + 1):
+        keys = np.union1d(seeds[cuts[level] : cuts[level + 1]], son_keys)
+        parts.append(keys)
+        fathers = np.flatnonzero(tree.n_sons[keys // n])  # within the level
+        heads = keys[fathers] // n
+        counts = tree.n_sons[heads]
+        sons = np.repeat(tree.first_son[heads], counts) + _ramps(counts)
+        son_keys = sons.astype(np.int64) * n
+        son_keys += np.repeat(ctx.hand_down[level][keys[fathers] % n], counts)
+        if len(sons):
+            codes = (tree.coords[sons] - np.repeat(2 * tree.coords[heads], counts, 0)) @ (4, 2, 1)
+            links.append((level, start + np.repeat(fathers, counts), sons, son_keys, codes))
+        start += len(keys)
+    keys = np.concatenate(parts)
+    return keys, [(lv, f, s, np.searchsorted(keys, k), o) for lv, f, s, k, o in links]
 
 
 def _plan_rows(ctx: _Context) -> None:
-    """Derive both key sets from the M2L plan, then rewrite the plan's cell
-    indices in place: the target as its row of local_hat (one row per key
-    of m2l_keys), the source as its row of multipole_hat (one row per key
-    of m2f_keys)."""
+    """Rewrite the M2L plan's cell indices in place: the target as its row
+    of local_hat (one row per key of m2l_keys), the source as its row of
+    multipole_hat (one row per key of m2f_keys); then derive both key sets
+    and their son links from these (_walk)."""
     n = ctx.n_dirs
     plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
     dirs = np.array(ctx.cache.directions, dtype=np.int64)
 
-    def event_keys(col: int) -> np.ndarray:
+    def rows(col: int) -> np.ndarray:
+        """The sorted keys of the plan's column col, which becomes their rows."""
         keys = plan[:, col].astype(np.int64)
         keys *= n
         keys += dirs[plan[:, 2]]
-        return keys
+        distinct = np.unique(keys)
+        plan[:, col] = np.searchsorted(distinct, keys)
+        return distinct
 
-    keys = event_keys(0)
-    ctx.m2l_keys = np.unique(keys)
-    ctx.target_keys = _closure(ctx, ctx.target_tree, ctx.m2l_keys)
-    plan[:, 0] = np.searchsorted(ctx.m2l_keys, keys)
-    keys = event_keys(1)
-    ctx.m2f_keys = np.unique(keys)
-    ctx.source_keys = _closure(ctx, ctx.source_tree, ctx.m2f_keys)
-    plan[:, 1] = np.searchsorted(ctx.m2f_keys, keys)
-
-
-def _spans(keys: np.ndarray, tree: ClusterTree, n: int) -> list:
-    """Rows spans[i]:spans[i + 1] of the sorted keys belong to cell i."""
-    return np.searchsorted(keys, np.arange(tree.n_cells + 1) * n).tolist()
+    ctx.m2l_keys, ctx.m2f_keys = rows(0), rows(1)
+    # after the per-event temporaries are freed: arrays kept while they
+    # lived would pin the heap they grew (29 MB on the N = 80,000 sphere)
+    ctx.target_keys, ctx.target_links = _walk(ctx, ctx.target_tree, ctx.m2l_keys)
+    ctx.source_keys, ctx.source_links = _walk(ctx, ctx.source_tree, ctx.m2f_keys)
 
 
-def _son_rows(ctx: _Context, keys: np.ndarray, cell: Cell, ds: np.ndarray) -> list:
-    """Per son, the rows of the son expansions that the cell's rows of
-    direction indices ds read (M2M) or write (L2L); the key derivation must
-    have made them."""
-    son_ds = ctx.hand_down[cell.level][ds]
-    want = np.add.outer([son.index * ctx.n_dirs for son in cell.sons], son_ds)
-    rows = np.searchsorted(keys, want)
-    if not np.array_equal(keys.take(rows, mode="clip"), want):
-        raise RuntimeError("missing son expansion: blank-pass inconsistency")
-    return rows.tolist()
+def _leaf_rows(keys: np.ndarray, tree: ClusterTree, n: int) -> list:
+    """(leaf, lo, hi) of each leaf that owns rows lo:hi of the sorted keys."""
+    spans = np.searchsorted(keys, np.arange(tree.n_cells + 1) * n).tolist()
+    rows = [(c, spans[c.index], spans[c.index + 1]) for c in tree.leaves]
+    return [(c, lo, hi) for c, lo, hi in rows if lo < hi]
 
 
-def _waves(ctx: _Context, cell: Cell, level: int, ds: np.ndarray) -> np.ndarray:
-    """exp(i*kappa*<x, u>) on the cell's grid, one row per direction index
-    in ds of ``level`` (the cell's own level or, in M2M and L2L, its
-    father's).  A row is the phase exp(i*kappa*<alpha, u>) at the cell's
-    corner times the grid wave exp(i*kappa*beta*<g, u>) on the reference
-    grid g, which depends on the cell only through its level (side beta)
-    and is built once per solve.  At a low-frequency level u = 0: the one
-    row is the unit wave, shared and read-only."""
+def _waves(ctx: _Context, tree: ClusterTree, cells, cell_level: int, level: int, ds) -> np.ndarray:
+    """exp(i*kappa*<x, u>) on cell grids, row i on the grid of cells[i] (cell
+    indices of tree at cell_level, or one index for all rows) for the
+    direction index ds[i] of ``level`` (the cells' own level or, in M2M and
+    L2L, their fathers').  A row is the phase exp(i*kappa*<alpha, u>) at
+    the cell's corner times the grid wave exp(i*kappa*beta*<g, u>) on the
+    reference grid g, which depends on the cell only through its level
+    (side beta) and is built once per solve.  At a low-frequency level
+    u = 0: the one row is the unit wave, shared and read-only."""
     if not ctx.is_hf(level):
         return ctx.unit_wave
     kappa, units = ctx.config.kappa, ctx.units[level]
-    rows = []
-    for d in ds.tolist():
-        wave = ctx.grid_waves.get((cell.level, level, d))
-        if wave is None:
-            grid = cell.frame.beta * interp.grid_points(ctx.config.order)
-            wave = ctx.grid_waves[cell.level, level, d] = interp.plane_wave(grid, kappa, units[d])
-        rows.append(wave)
-    corner = np.exp(1j * kappa * (units[ds] @ cell.frame.alpha))
-    return np.array(rows) * corner[:, None]
+    beta = tree.side_at(cell_level)
+    keys = [(cell_level, level, d) for d in ds.tolist()]
+    for key in {key for key in keys if key not in ctx.grid_waves}:
+        grid = beta * interp.grid_points(ctx.config.order)
+        ctx.grid_waves[key] = interp.plane_wave(grid, kappa, units[key[2]])
+    alpha = tree.root_box.lower + tree.coords[cells] * beta
+    corner = np.exp(1j * kappa * (units[ds] * alpha).sum(axis=-1))
+    return np.array([ctx.grid_waves[key] for key in keys]) * corner[:, None]
 
 
 def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndarray:
@@ -464,41 +473,59 @@ def _use_table(ctx: _Context, tree: ClusterTree, pset: ParticleSet) -> None:
 
 
 # ---------------------------------------------------------------------------
-# upward pass
+# upward pass, and the leaf and translation steps both passes use
 
 
-def _octant(father: Cell, son: Cell) -> tuple:
-    return tuple(int(v) for v in son.coords - 2 * father.coords)
-
-
-def _leaf_block(
-    ctx: _Context, keys: np.ndarray, pset: ParticleSet, cell: Cell, lo: int, hi: int
-) -> tuple:
+def _leaf_block(ctx: _Context, tree: ClusterTree, pset: ParticleSet, cell: Cell, keys) -> tuple:
     """The leaf's (n, L^3) basis, its (rows, L^3) cell waves and its
-    (n, rows) particle phases exp(i*kappa*<y, u>) for the rows lo:hi."""
+    (n, rows) particle phases exp(i*kappa*<y, u>) for its rows' keys."""
+    ds = keys % ctx.n_dirs
     basis = interp.tensor_basis(ctx.table[cell.start : cell.stop])
-    ds = keys[lo:hi] % ctx.n_dirs
     pos = pset.positions[cell.start : cell.stop]
     phases = interp.plane_wave(pos, ctx.config.kappa, ctx.units[cell.level][ds].T)
-    return basis, _waves(ctx, cell, cell.level, ds), phases
+    return basis, _waves(ctx, tree, cell.index, cell.level, cell.level, ds), phases
 
 
 def _p2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
     pset = ctx.source_pset
     q = pset.charges[cell.start : cell.stop]
-    basis, waves, phases = _leaf_block(ctx, ctx.source_keys, pset, cell, lo, hi)
+    basis, waves, phases = _leaf_block(ctx, ctx.source_tree, pset, cell, ctx.source_keys[lo:hi])
     ctx.multipole[lo:hi] = interp.p2m(basis, q[:, None] * phases.conj()).T * waves
 
 
-def _m2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
-    multipole = ctx.multipole
-    ds = ctx.source_keys[lo:hi] % ctx.n_dirs
-    d0 = _waves(ctx, cell, cell.level, ds)
-    for son, rows in zip(cell.sons, _son_rows(ctx, ctx.source_keys, cell, ds)):
-        factors = interp.m2m_factors(ctx.config.order, _octant(cell, son))
-        cols = multipole[rows] * _waves(ctx, son, cell.level, ds).conj()
-        stacked = interp.apply_strategy(ctx.config.strategy, factors, cols.T).T
-        multipole[lo:hi] += stacked * d0
+def _l2p_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
+    pset = ctx.target_pset
+    basis, waves, phases = _leaf_block(ctx, ctx.target_tree, pset, cell, ctx.target_keys[lo:hi])
+    vals = (interp.l2p(basis, (ctx.local[lo:hi] * waves.conj()).T) * phases).sum(axis=1)
+    pset.potentials[cell.start : cell.stop] += vals
+
+
+def _translate(ctx: _Context, tree: ClusterTree, link: tuple, up: bool) -> None:
+    """M2M (up) or L2L of one father level's son links, one stacked apply
+    per son octant: M2M adds each son row into its father row, L2L each
+    father row into its son row, unbuffered and in link order, since
+    several father directions may write one son row.  An octant's links go
+    in slices whose (links, L^3) temporaries hold at most MAX_BLOCK_ENTRIES
+    entries: larger ones leave the heap grown (42 MB on the N = 80,000
+    sphere)."""
+    level, fathers, sons, son_rows, codes = link
+    keys, rows = (ctx.source_keys, ctx.multipole) if up else (ctx.target_keys, ctx.local)
+    step = max(1, MAX_BLOCK_ENTRIES // ctx.workspace.nodal_size)
+    for code in np.unique(codes).tolist():
+        octant = (code >> 2, code >> 1 & 1, code & 1)
+        factors = (interp.m2m_factors if up else interp.l2l_factors)(ctx.config.order, octant)
+        group = np.flatnonzero(codes == code)
+        for at in np.split(group, range(step, len(group), step)):
+            f, s = fathers[at], son_rows[at]
+            ds = keys[f] % ctx.n_dirs
+            father_waves = _waves(ctx, tree, keys[f] // ctx.n_dirs, level, level, ds)
+            son_waves = _waves(ctx, tree, sons[at], level + 1, level, ds)
+            src, dst = (s, f) if up else (f, s)
+            into, out = (son_waves, father_waves) if up else (father_waves, son_waves)
+            cols = rows[src] * into.conj()
+            stacked = interp.apply_strategy(ctx.config.strategy, factors, cols.T).T
+            stacked *= out
+            np.add.at(rows, dst, stacked)
 
 
 def _upward(ctx: _Context, tree: ClusterTree) -> None:
@@ -506,11 +533,10 @@ def _upward(ctx: _Context, tree: ClusterTree) -> None:
     ws = ctx.workspace
     ctx.multipole = np.zeros((len(keys), ws.nodal_size), dtype=complex)
     _use_table(ctx, tree, ctx.source_pset)
-    spans = _spans(keys, tree, ctx.n_dirs)
-    for cell in reversed(tree.cells):
-        lo, hi = spans[cell.index], spans[cell.index + 1]
-        if lo < hi:
-            (_p2m_cell if cell.is_leaf else _m2m_cell)(ctx, cell, lo, hi)
+    for leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs):
+        _p2m_cell(ctx, leaf, lo, hi)
+    for link in reversed(ctx.source_links):
+        _translate(ctx, tree, link, up=True)
     # convert the multipoles M2L reads to the Fourier domain; one implicit
     # plan is reused and each expansion is padded+transformed individually
     ctx.multipole_hat = np.empty((len(ctx.m2f_keys), ws.fourier_size), dtype=complex)
@@ -566,26 +592,6 @@ def dtt(ctx: _Context) -> None:
 # downward pass
 
 
-def _l2l_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
-    local = ctx.local
-    ds = ctx.target_keys[lo:hi] % ctx.n_dirs
-    cols = local[lo:hi] * _waves(ctx, cell, cell.level, ds).conj()
-    for son, rows in zip(cell.sons, _son_rows(ctx, ctx.target_keys, cell, ds)):
-        factors = interp.l2l_factors(ctx.config.order, _octant(cell, son))
-        stacked = interp.apply_strategy(ctx.config.strategy, factors, cols.T).T
-        stacked *= _waves(ctx, son, cell.level, ds)
-        # several father directions may hand down to one son row
-        for row, col in zip(rows, stacked):
-            local[row] += col
-
-
-def _l2p_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
-    pset = ctx.target_pset
-    basis, waves, phases = _leaf_block(ctx, ctx.target_keys, pset, cell, lo, hi)
-    vals = (interp.l2p(basis, (ctx.local[lo:hi] * waves.conj()).T) * phases).sum(axis=1)
-    pset.potentials[cell.start : cell.stop] += vals
-
-
 def _downward(ctx: _Context, tree: ClusterTree) -> None:
     ws = ctx.workspace
     keys = ctx.target_keys
@@ -594,12 +600,11 @@ def _downward(ctx: _Context, tree: ClusterTree) -> None:
     for j, row in enumerate(np.searchsorted(keys, ctx.m2l_keys).tolist()):
         ctx.local[row] = ws.f2l(ctx.local_hat[j])
     ctx.local_hat = None
+    for link in ctx.target_links:
+        _translate(ctx, tree, link, up=False)
     _use_table(ctx, tree, ctx.target_pset)
-    spans = _spans(keys, tree, ctx.n_dirs)
-    for cell in tree.cells:
-        lo, hi = spans[cell.index], spans[cell.index + 1]
-        if lo < hi:
-            (_l2p_cell if cell.is_leaf else _l2l_cell)(ctx, cell, lo, hi)
+    for leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs):
+        _l2p_cell(ctx, leaf, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,17 @@ drops the metrics of a name it cannot find, so a rename in the program
 would otherwise only show as a short benchmark record.
 """
 
+import dataclasses
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helmfmm
-from helmfmm.directions import generate_direction_tree, nearest_direction
+from helmfmm.directions import father_direction, generate_direction_tree, nearest_direction
 from helmfmm.traversal import HF_SWITCH, FmmConfig, run_fmm_full
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +59,10 @@ def _two_trees():
     return targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=12.0)
 
 
+def _refinement(config, cell) -> int:
+    return int(np.floor(np.log2(config.kappa * cell.radius / HF_SWITCH) + 0.5))
+
+
 def _m2l_expansions(events, config, hf_max_level, side: str) -> set:
     """(cell, direction index) of each expansion that M2L reads (side
     "source") or writes (side "target"): at a high-frequency level, the
@@ -69,7 +75,7 @@ def _m2l_expansions(events, config, hf_max_level, side: str) -> set:
             continue
         t, d = e.target, 0
         if t.level <= hf_max_level:
-            refinement = int(np.floor(np.log2(config.kappa * t.radius / HF_SWITCH) + 0.5))
+            refinement = _refinement(config, t)
             dirs = trees.setdefault(refinement, generate_direction_tree(refinement))
             tvec = t.coords - e.source.coords
             d = nearest_direction(dirs, refinement, tvec / np.linalg.norm(tvec))
@@ -125,3 +131,49 @@ def test_each_translation_is_resolved_once():
     assert metrics["directions.nearest_calls"] == len(hf)
     # the numeric traversal replays the lists: one call, no recursion
     assert metrics["traversal.dtt_visits"] == 1
+
+
+def _son_links(events, config, hf_max_level, side: str) -> Counter:
+    """Per father level, the (father expansion, son) pairs of one side: M2M
+    reads (side "source") or L2L writes (side "target") one son expansion
+    per pair, below every expansion M2L reads or writes.  A high-frequency
+    son takes the father direction's father_direction, any other son the
+    one direction 0."""
+    cells = {id(getattr(e, side)): getattr(e, side) for e in events if e.kind == "M2L"}
+    held = _m2l_expansions(events, config, hf_max_level, side)
+    todo = list(held)
+    links = Counter()
+    while todo:
+        cid, d = todo.pop()
+        father = cells[cid]
+        for son in father.sons:
+            links[father.level] += 1
+            sd = 0
+            if son.level <= hf_max_level:
+                refinement = _refinement(config, father)
+                sd = father_direction(generate_direction_tree(refinement), refinement, d)
+            cells[id(son)] = son
+            if (id(son), sd) not in held:
+                held.add((id(son), sd))
+                todo.append((id(son), sd))
+    return links
+
+
+@pytest.mark.parametrize("problem", [_self_interaction, _laplace_self_interaction, _two_trees])
+def test_m2m_and_l2l_stack_a_level_per_son_octant(problem):
+    """M2M and L2L make at most one apply per son octant for each (side,
+    father level), and it takes one column per (father expansion, son)."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(helmfmm)
+    targets, sources, q, config = problem()
+    # ncrit 4 makes M2L read and write cells that have sons
+    config = dataclasses.replace(config, ncrit=4)
+    events = []
+    with tracer:
+        _, info = run_fmm_full(targets, sources, q, config, events=events)
+    metrics = tracer.metrics(info, events)
+    up = _son_links(events, config, info.hf_max_level, "source")
+    down = _son_links(events, config, info.hf_max_level, "target")
+    assert up and down
+    assert metrics["interpolation.apply_calls"] <= 8 * (len(up) + len(down))
+    assert metrics["interpolation.apply_columns"] == sum(up.values()) + sum(down.values())

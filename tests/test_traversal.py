@@ -17,12 +17,11 @@ from helmfmm.traversal import (
     FmmConfig,
     _Context,
     _distance,
-    _downward,
     _l2p_cell,
     _lagrange_table,
     _p2m_cell,
     _plan_rows,
-    _spans,
+    _leaf_rows,
     _use_table,
     _upward,
     _waves,
@@ -401,40 +400,63 @@ def _planned(kappa):
     tree, ctx = _context(kappa, eta=2.0)
     blank_dtt(tree.root, tree.root, ctx)
     _plan_rows(ctx)
-    return tree, ctx
+    return ctx
 
 
-def _son_key(ctx, tree, keys):
-    """Key of the first son expansion that a cell's M2M reads or L2L writes."""
+def _planned_sphere_and_plane():
+    """A planned two-tree solve at kappa = 20 whose directional M2L lies
+    above the deepest high-frequency level."""
+    sources = generate_distribution(Distribution("sphere", 1000))
+    targets = sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
+    ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=8, kappa=20.0))
+    blank_dtt(ctx.target_tree.root, ctx.source_tree.root, ctx)
+    _plan_rows(ctx)
+    return ctx
+
+
+@pytest.mark.parametrize(
+    "plan, regimes",
+    [
+        (lambda: _planned(0.0), {(False, False)}),
+        (lambda: _planned(16.0), {(True, False)}),
+        (_planned_sphere_and_plane, {(True, True)}),
+    ],
+    ids=["0.0", "16.0", "sphere-plane"],
+)
+def test_son_links_follow_the_hand_down_rule(plan, regimes):
+    """Each side's son links are one per (father row, son), fathers
+    row-major and each father's sons in Morton order: the link's son row
+    holds the son's key son.index * n_dirs + its handed-down direction
+    (the father direction's father_direction where the son is
+    high-frequency, else 0), and its octant code is
+    (son.coords - 2 * father.coords) @ (4, 2, 1)."""
+    ctx = plan()
     n = ctx.n_dirs
-    cells = tree.cells
-    key = next(int(k) for k in keys if cells[k // n].sons)
-    father, d = cells[key // n], key % n
-    son_hf = ctx.is_hf(father.level + 1)
-    sd = father_direction(ctx.dirs, ctx.refinement(father.level), d) if son_hf else 0
-    return father.sons[0].index * n + sd
-
-
-@pytest.mark.parametrize("kappa", [0.0, 16.0])
-def test_upward_pass_fails_on_a_missing_son_multipole(kappa):
-    tree, ctx = _planned(kappa)
-    victim = _son_key(ctx, tree, ctx.source_keys)
-    assert victim in ctx.source_keys
-    ctx.source_keys = ctx.source_keys[ctx.source_keys != victim]
-    with pytest.raises(RuntimeError, match="missing son expansion"):
-        _upward(ctx, tree)
-
-
-@pytest.mark.parametrize("kappa", [0.0, 16.0])
-def test_downward_pass_fails_on_a_missing_son_local(kappa):
-    tree, ctx = _planned(kappa)
-    _upward(ctx, tree)
-    dtt(ctx)
-    victim = _son_key(ctx, tree, ctx.target_keys)
-    assert victim in ctx.target_keys and victim not in ctx.m2l_keys
-    ctx.target_keys = ctx.target_keys[ctx.target_keys != victim]
-    with pytest.raises(RuntimeError, match="missing son expansion"):
-        _downward(ctx, tree)
+    seen = set()
+    for tree, keys, links in (
+        (ctx.source_tree, ctx.source_keys, ctx.source_links),
+        (ctx.target_tree, ctx.target_keys, ctx.target_links),
+    ):
+        cells = tree.cells
+        expected = []
+        for row, key in enumerate(keys.tolist()):
+            father, d = cells[key // n], key % n
+            for son in father.sons:
+                son_hf = ctx.is_hf(son.level)
+                sd = father_direction(ctx.dirs, ctx.refinement(father.level), d) if son_hf else 0
+                code = int((son.coords - 2 * father.coords) @ (4, 2, 1))
+                expected.append((father.level, row, son.index, son.index * n + sd, code))
+                seen.add((ctx.is_hf(father.level), son_hf))
+        got = [
+            (level, f, s, int(keys[r]), o)
+            for level, *columns in links
+            for f, s, r, o in zip(*(c.tolist() for c in columns))
+        ]
+        assert got == expected
+        # one table per father level that has links, from the top
+        assert [link[0] for link in links] == sorted({e[0] for e in expected})
+    # the (father, son) regimes the links were checked on
+    assert seen == regimes
 
 
 @pytest.mark.parametrize("spread", [3, 1000])
@@ -558,6 +580,28 @@ def _counting(monkeypatch, name, seen):
         return original(*args)
 
     monkeypatch.setattr(traversal, name, wrapper)
+
+
+def test_translation_slices_keep_the_potentials(monkeypatch):
+    """M2M and L2L take an octant's links in slices of at most
+    MAX_BLOCK_ENTRIES entries; slices of two links sum every row in the
+    same order as whole octants, so the potentials are bitwise the same."""
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(size=(400, 3))
+    q = rng.normal(size=400) + 1j * rng.normal(size=400)
+    config = FmmConfig(order=3, ncrit=4, kappa=12.0)
+    widths = []
+    apply = interp.apply_strategy
+    monkeypatch.setattr(
+        interp, "apply_strategy", lambda s, f, x: widths.append(x.shape[1]) or apply(s, f, x)
+    )
+    whole = run_fmm(pts, pts, q, config)
+    assert max(widths) > 2
+    widths.clear()
+    monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", 2 * config.order**3)
+    sliced = run_fmm(pts, pts, q, config)
+    assert max(widths) == 2
+    assert sliced.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("same", [True, False])
@@ -808,16 +852,22 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
     ctx = _Context(config, HelmholtzKernel(kappa=config.kappa), tree, tree, pset, pset)
     level = ctx.hf_max_level
     grid = interp.grid_points(config.order)
+    cells = tree.levels[level]
     # the deepest high-frequency level under its own directions (P2M/L2P)
-    # and under its fathers' (M2M/L2L)
+    # and under its fathers' (M2M/L2L), every (cell, direction) pair in one
+    # call, cell major
     direction_levels = (level, level - 1)
     for dl in direction_levels:
-        ds = np.arange(len(ctx.units[dl]))
-        for cell in tree.levels[level]:
+        n_units = len(ctx.units[dl])
+        index = np.repeat([cell.index for cell in cells], n_units)
+        ds = np.tile(np.arange(n_units), len(cells))
+        waves = iter(_waves(ctx, tree, index, level, dl, ds))
+        for cell in cells:
             x = cell.frame.alpha + cell.frame.beta * grid
-            for d, wave in zip(ds, _waves(ctx, cell, dl, ds)):
+            for d in range(n_units):
                 ref = interp.plane_wave(x, config.kappa, ctx.units[dl][d])
-                assert np.abs(wave - ref).max() < 1e-13
+                assert np.abs(next(waves) - ref).max() < 1e-13
+        assert next(waves, None) is None
     # one grid wave per (level, direction)
     n_waves = sum(len(ctx.units[dl]) for dl in direction_levels)
     assert len(ctx.grid_waves) == n_waves
@@ -828,11 +878,13 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
         FmmConfig(order=4, ncrit=8, kappa=10.0), HelmholtzKernel(kappa=10.0), tree, tree, pset, pset
     )
     assert not low.is_hf(tree.depth)
-    for cell in (tree.levels[tree.depth][0], tree.levels[tree.depth][-1]):
+    deepest = tree.levels[tree.depth]
+    index = np.array([cell.index for cell in deepest])
+    wave = _waves(low, tree, index, tree.depth, tree.depth, np.zeros(len(index), dtype=np.int64))
+    assert wave is low.unit_wave and not wave.flags.writeable
+    assert wave.shape == (1, config.order**3)
+    for cell in (deepest[0], deepest[-1]):
         x = cell.frame.alpha + cell.frame.beta * grid
-        wave = _waves(low, cell, tree.depth, np.zeros(1, dtype=np.int64))
-        assert wave is low.unit_wave and not wave.flags.writeable
-        assert wave.shape == (1, config.order**3)
         assert wave[0].tobytes() == interp.plane_wave(x, 10.0, np.zeros(3)).tobytes()
     assert not low.grid_waves
 
@@ -843,9 +895,7 @@ def _hf_leaf_blocks(ctx, keys, tree, pset):
     exp(i*kappa*<x, u>) built point by point, one per row."""
     order, kappa = ctx.config.order, ctx.config.kappa
     grid = interp.grid_points(order)
-    spans = _spans(keys, tree, ctx.n_dirs)
-    for leaf in tree.leaves:
-        lo, hi = spans[leaf.index], spans[leaf.index + 1]
+    for leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs):
         if not ctx.is_hf(leaf.level) or hi - lo < 2:
             continue
         pos = pset.positions[leaf.start : leaf.stop]
@@ -914,17 +964,19 @@ def test_modulated_p2m_l2p_match_the_explicit_phases():
     tree, pset, ctx, rng = _leaf_context(4)
     low = [leaf for leaf in tree.leaves if not ctx.is_hf(leaf.level) and leaf.stop > leaf.start]
     assert low
-    source_spans = _spans(ctx.source_keys, tree, ctx.n_dirs)
-    target_spans = _spans(ctx.target_keys, tree, ctx.n_dirs)
+    source_rows, target_rows = (
+        {leaf.index: (lo, hi) for leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs)}
+        for keys in (ctx.source_keys, ctx.target_keys)
+    )
     for leaf in low:
         basis = interp.tensor_basis(ctx.table[leaf.start : leaf.stop])
-        lo, hi = source_spans[leaf.index], source_spans[leaf.index + 1]
+        lo, hi = source_rows[leaf.index]
         assert ctx.source_keys[lo:hi].tolist() == [leaf.index * ctx.n_dirs]
         _p2m_cell(ctx, leaf, lo, hi)
         qs = pset.charges[leaf.start : leaf.stop]
         assert ctx.multipole[lo].tobytes() == (basis.T @ qs).tobytes()
 
-        lo, hi = target_spans[leaf.index], target_spans[leaf.index + 1]
+        lo, hi = target_rows[leaf.index]
         assert ctx.target_keys[lo:hi].tolist() == [leaf.index * ctx.n_dirs]
         local = rng.normal(size=size) + 1j * rng.normal(size=size)
         ctx.local[lo] = local
