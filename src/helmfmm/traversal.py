@@ -507,9 +507,15 @@ def _translate(ctx: _Context, tree: ClusterTree, link: tuple, up: bool) -> None:
     several father directions may write one son row.  An octant's links go
     in slices whose (links, L^3) temporaries hold at most MAX_BLOCK_ENTRIES
     entries: larger ones leave the heap grown (42 MB on the N = 80,000
-    sphere)."""
+    sphere).  Each link's son row must hold the son's handed-down key:
+    rows moved after the walk would translate the wrong expansions."""
     level, fathers, sons, son_rows, codes = link
     keys, rows = (ctx.source_keys, ctx.multipole) if up else (ctx.target_keys, ctx.local)
+    n = ctx.n_dirs
+    son_keys = keys.take(son_rows, mode="clip")
+    handed = ctx.hand_down[level][keys.take(fathers, mode="clip") % n]
+    if not (np.array_equal(son_keys // n, sons) and np.array_equal(son_keys % n, handed)):
+        raise RuntimeError(f"missing son expansion below level {level}")
     step = max(1, MAX_BLOCK_ENTRIES // ctx.workspace.nodal_size)
     for code in np.unique(codes).tolist():
         octant = (code >> 2, code >> 1 & 1, code & 1)
@@ -517,8 +523,8 @@ def _translate(ctx: _Context, tree: ClusterTree, link: tuple, up: bool) -> None:
         group = np.flatnonzero(codes == code)
         for at in np.split(group, range(step, len(group), step)):
             f, s = fathers[at], son_rows[at]
-            ds = keys[f] % ctx.n_dirs
-            father_waves = _waves(ctx, tree, keys[f] // ctx.n_dirs, level, level, ds)
+            ds = keys[f] % n
+            father_waves = _waves(ctx, tree, keys[f] // n, level, level, ds)
             son_waves = _waves(ctx, tree, sons[at], level + 1, level, ds)
             src, dst = (s, f) if up else (f, s)
             into, out = (son_waves, father_waves) if up else (father_waves, son_waves)

@@ -17,6 +17,7 @@ from helmfmm.traversal import (
     FmmConfig,
     _Context,
     _distance,
+    _downward,
     _l2p_cell,
     _lagrange_table,
     _p2m_cell,
@@ -457,6 +458,41 @@ def test_son_links_follow_the_hand_down_rule(plan, regimes):
         assert [link[0] for link in links] == sorted({e[0] for e in expected})
     # the (father, son) regimes the links were checked on
     assert seen == regimes
+
+
+def _son_key(ctx, tree, keys):
+    """Key of the first son expansion that a cell's M2M reads or L2L writes."""
+    n = ctx.n_dirs
+    cells = tree.cells
+    key = next(int(k) for k in keys if cells[k // n].sons)
+    father, d = cells[key // n], key % n
+    son_hf = ctx.is_hf(father.level + 1)
+    sd = father_direction(ctx.dirs, ctx.refinement(father.level), d) if son_hf else 0
+    return father.sons[0].index * n + sd
+
+
+@pytest.mark.parametrize("kappa", [0.0, 16.0])
+def test_upward_pass_fails_on_a_missing_son_multipole(kappa):
+    ctx = _planned(kappa)
+    tree = ctx.source_tree
+    victim = _son_key(ctx, tree, ctx.source_keys)
+    assert victim in ctx.source_keys
+    ctx.source_keys = ctx.source_keys[ctx.source_keys != victim]
+    with pytest.raises(RuntimeError, match="missing son expansion"):
+        _upward(ctx, tree)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 16.0])
+def test_downward_pass_fails_on_a_missing_son_local(kappa):
+    ctx = _planned(kappa)
+    tree = ctx.target_tree
+    _upward(ctx, ctx.source_tree)
+    dtt(ctx)
+    victim = _son_key(ctx, tree, ctx.target_keys)
+    assert victim in ctx.target_keys and victim not in ctx.m2l_keys
+    ctx.target_keys = ctx.target_keys[ctx.target_keys != victim]
+    with pytest.raises(RuntimeError, match="missing son expansion"):
+        _downward(ctx, tree)
 
 
 @pytest.mark.parametrize("spread", [3, 1000])
