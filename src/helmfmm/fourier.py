@@ -40,9 +40,14 @@ __all__ = [
 class FourierWorkspace:
     """Transform sizes and the unitary-DFT convention used throughout.
 
-    numpy's FFT is reused for every expansion of a given order (the plan is
-    implicit); forward and backward are normalized symmetrically by P^(d/2)
-    so that they are mutually adjoint.
+    M2F and F2L take a stack of expansions, one per row, and transform it
+    one axis at a time, last axis first as np.fft.fftn does: M2F zero-pads
+    each axis as it transforms it, so the lines that are all zero are never
+    transformed, and F2L crops each axis to L right after its inverse
+    transform.  Every entry is then the same floating-point expression as
+    the per-expansion fftn / ifftn of the zero-padded cube.  Forward and
+    backward are normalized symmetrically by P^(d/2) so that they are
+    mutually adjoint.
     """
 
     order: int
@@ -63,20 +68,34 @@ class FourierWorkspace:
     def _norm(self) -> float:
         return float(self.padded) ** 1.5
 
+    @staticmethod
+    def _checked(values, size: int, what: str) -> np.ndarray:
+        """values as an array of one expansion (size,) or a stack (k, size)."""
+        values = np.asarray(values)
+        if values.ndim not in (1, 2) or values.shape[-1] != size:
+            raise ValueError(f"{what} must have shape ({size},) or (k, {size}), not {values.shape}")
+        return values
+
     def m2f(self, nodal: np.ndarray) -> np.ndarray:
-        """Zero-pad a nodal expansion and transform: F . chi . v."""
+        """Zero-pad and transform, F . chi . v, each nodal expansion of a
+        (k, L^3) stack (or one (L^3,) expansion): (k, P^3) (or (P^3,))."""
+        nodal = self._checked(nodal, self.nodal_size, "nodal expansions")
         ordr, pad = self.order, self.padded
-        buf = np.zeros((pad, pad, pad), dtype=complex)
-        buf[:ordr, :ordr, :ordr] = np.asarray(nodal).reshape(ordr, ordr, ordr)
-        return (np.fft.fftn(buf) / self._norm).ravel()
+        out = nodal.reshape(-1, ordr, ordr, ordr)
+        for axis in (3, 2, 1):
+            out = np.fft.fft(out, n=pad, axis=axis)
+        out /= self._norm
+        return out.reshape(nodal.shape[:-1] + (self.fourier_size,))
 
     def f2l(self, fourier: np.ndarray) -> np.ndarray:
-        """Adjoint path: chi^T . F* . w, returning a nodal expansion."""
-        pad = self.padded
-        buf = np.asarray(fourier).reshape(pad, pad, pad)
-        out = np.fft.ifftn(buf) * self._norm
-        ordr = self.order
-        return np.ascontiguousarray(out[:ordr, :ordr, :ordr]).reshape(-1)
+        """Adjoint path, chi^T . F* . w, of each Fourier expansion of a
+        (k, P^3) stack (or one (P^3,) expansion): (k, L^3) (or (L^3,))."""
+        fourier = self._checked(fourier, self.fourier_size, "Fourier expansions")
+        ordr, pad = self.order, self.padded
+        out = fourier.reshape(-1, pad, pad, pad)
+        for axis in (3, 2, 1):
+            out = np.fft.ifft(out, axis=axis)[(slice(None),) * axis + (slice(ordr),)]
+        return (out * self._norm).reshape(fourier.shape[:-1] + (self.nodal_size,))
 
 
 def m2l_hadamard(accumulator: np.ndarray, source: np.ndarray, diagonal: np.ndarray) -> None:

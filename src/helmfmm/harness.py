@@ -24,7 +24,9 @@ __all__ = [
 
 NCRIT_SWEEP = (32, 64, 128, 256)
 
-TIMING_FIELDS = ("tree", "blank", "precompute", "upward", "m2l_p2p", "downward", "total")
+TIMING_FIELDS = (
+    "tree", "blank", "precompute", "upward", "m2f", "m2l_p2p", "f2l", "downward", "total",
+)
 COUNT_FIELDS = (
     "cells",
     "leaves",

@@ -18,7 +18,9 @@ frequency level is the one-direction case u = 0, one row per cell times
 exp(0) = 1, so P2M, M2M, L2L and L2P have one formula for both regimes.
 Per level, ctx.units holds the unit vectors the direction indices name
 and ctx.hand_down the index each hands to the sons.  M2F transforms only
-the multipoles M2L reads, and F2L, its mirror, only the locals M2L writes.
+the multipoles M2L reads, and F2L, its mirror, only the locals M2L writes,
+each in stacks of rows, one FourierWorkspace call per stack (_stacks).
+The driver times each step in its own bucket of info.timings.
 
 The blank DTT plans level by level on integer arrays, with no recursion:
 a level's candidate (target, source) cell pairs are two index arrays, and
@@ -536,18 +538,30 @@ def _translate(ctx: _Context, tree: ClusterTree, link: tuple, up: bool) -> None:
 
 def _upward(ctx: _Context, tree: ClusterTree) -> None:
     keys = ctx.source_keys
-    ws = ctx.workspace
-    ctx.multipole = np.zeros((len(keys), ws.nodal_size), dtype=complex)
+    ctx.multipole = np.zeros((len(keys), ctx.workspace.nodal_size), dtype=complex)
     _use_table(ctx, tree, ctx.source_pset)
     for leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs):
         _p2m_cell(ctx, leaf, lo, hi)
     for link in reversed(ctx.source_links):
         _translate(ctx, tree, link, up=True)
-    # convert the multipoles M2L reads to the Fourier domain; one implicit
-    # plan is reused and each expansion is padded+transformed individually
-    ctx.multipole_hat = np.empty((len(ctx.m2f_keys), ws.fourier_size), dtype=complex)
-    for j, row in enumerate(np.searchsorted(keys, ctx.m2f_keys).tolist()):
-        ctx.multipole_hat[j] = ws.m2f(ctx.multipole[row])
+
+
+def _stacks(ctx: _Context, n: int) -> list:
+    """Slices of at most MAX_BLOCK_ENTRIES // P^3 rows that cover n rows in
+    order: the stacks M2F and F2L transform at a time.  Their temporaries
+    stay under 1 MB; a whole level's would grow the heap (29 MB on a
+    4,000-point sphere at kappa*D = 32)."""
+    step = max(1, MAX_BLOCK_ENTRIES // ctx.workspace.fourier_size)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _m2f(ctx: _Context) -> None:
+    """Transform the multipoles M2L reads (m2f_keys) into multipole_hat, a
+    stack of rows at a time, and release the nodal multipoles."""
+    rows = np.searchsorted(ctx.source_keys, ctx.m2f_keys)
+    ctx.multipole_hat = np.empty((len(rows), ctx.workspace.fourier_size), dtype=complex)
+    for at in _stacks(ctx, len(rows)):
+        ctx.multipole_hat[at] = ctx.workspace.m2f(ctx.multipole[rows[at]])
     ctx.multipole = None
 
 
@@ -598,18 +612,22 @@ def dtt(ctx: _Context) -> None:
 # downward pass
 
 
-def _downward(ctx: _Context, tree: ClusterTree) -> None:
-    ws = ctx.workspace
-    keys = ctx.target_keys
-    ctx.local = np.zeros((len(keys), ws.nodal_size), dtype=complex)
-    # convert the locals M2L wrote back to the nodal domain, the mirror of M2F
-    for j, row in enumerate(np.searchsorted(keys, ctx.m2l_keys).tolist()):
-        ctx.local[row] = ws.f2l(ctx.local_hat[j])
+def _f2l(ctx: _Context) -> None:
+    """Transform the locals M2L wrote (m2l_keys) back to the nodal domain, a
+    stack of rows at a time, the mirror of M2F: local holds them in their
+    rows of target_keys and zeros elsewhere."""
+    rows = np.searchsorted(ctx.target_keys, ctx.m2l_keys)
+    ctx.local = np.zeros((len(ctx.target_keys), ctx.workspace.nodal_size), dtype=complex)
+    for at in _stacks(ctx, len(rows)):
+        ctx.local[rows[at]] = ctx.workspace.f2l(ctx.local_hat[at])
     ctx.local_hat = None
+
+
+def _downward(ctx: _Context, tree: ClusterTree) -> None:
     for link in ctx.target_links:
         _translate(ctx, tree, link, up=False)
     _use_table(ctx, tree, ctx.target_pset)
-    for leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs):
+    for leaf, lo, hi in _leaf_rows(ctx.target_keys, tree, ctx.n_dirs):
         _l2p_cell(ctx, leaf, lo, hi)
 
 
@@ -674,8 +692,16 @@ def run_fmm_full(
     info.timings["upward"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    _m2f(ctx)
+    info.timings["m2f"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     dtt(ctx)
     info.timings["m2l_p2p"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    _f2l(ctx)
+    info.timings["f2l"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     _downward(ctx, target_tree)

@@ -111,6 +111,71 @@ def test_m2f_f2l_adjoint_identity():
     assert lhs == pytest.approx(rhs)
 
 
+def _m2f_per_row(ws, v):
+    """The per-expansion M2F: zero-pad the cube, then np.fft.fftn."""
+    ordr, pad = ws.order, ws.padded
+    buf = np.zeros((pad, pad, pad), dtype=complex)
+    buf[:ordr, :ordr, :ordr] = v.reshape(ordr, ordr, ordr)
+    return (np.fft.fftn(buf) / ws._norm).ravel()
+
+
+def _f2l_per_row(ws, w):
+    """The per-expansion F2L: np.fft.ifftn, then crop the cube."""
+    ordr, pad = ws.order, ws.padded
+    out = np.fft.ifftn(w.reshape(pad, pad, pad)) * ws._norm
+    return np.ascontiguousarray(out[:ordr, :ordr, :ordr]).reshape(-1)
+
+
+def _random_stack(rng, rows, size):
+    return rng.normal(size=(rows, size)) + 1j * rng.normal(size=(rows, size))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 44, 45])
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_stacked_transforms_equal_the_per_row_fftn_bitwise(order, rows):
+    rng = np.random.default_rng(order * 100 + rows)
+    ws = FourierWorkspace(order)
+    v = _random_stack(rng, rows, ws.nodal_size)
+    w = _random_stack(rng, rows, ws.fourier_size)
+    hat, back = ws.m2f(v), ws.f2l(w)
+    assert hat.shape == (rows, ws.fourier_size) and back.shape == (rows, ws.nodal_size)
+    for i in range(rows):
+        assert np.array_equal(hat[i], _m2f_per_row(ws, v[i]))
+        assert np.array_equal(back[i], _f2l_per_row(ws, w[i]))
+    if rows:
+        # one expansion in, one expansion out, the same bits as its row
+        assert np.array_equal(ws.m2f(v[-1]), hat[-1])
+        assert np.array_equal(ws.f2l(w[-1]), back[-1])
+
+
+def test_stacked_adjoint_identity():
+    rng = np.random.default_rng(5)
+    ws = FourierWorkspace(order=4)
+    u = _random_stack(rng, 7, ws.nodal_size)
+    w = _random_stack(rng, 7, ws.fourier_size)
+    lhs = np.einsum("ij,ij->i", w.conj(), ws.m2f(u))
+    rhs = np.einsum("ij,ij->i", ws.f2l(w).conj(), u)
+    assert np.allclose(lhs, rhs, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "method, shape",
+    [
+        ("m2f", (3, 2 * 27)),
+        ("m2f", (125,)),
+        ("m2f", (2, 3, 27)),
+        ("f2l", (3, 27)),
+        ("f2l", (2 * 125,)),
+        ("f2l", (2, 3, 125)),
+    ],
+)
+def test_transforms_reject_a_wrong_trailing_length(method, shape):
+    # (k, 2 L^3) would otherwise reshape silently into 2k expansions
+    ws = FourierWorkspace(order=3)
+    with pytest.raises(ValueError, match="must have shape"):
+        getattr(ws, method)(np.zeros(shape, dtype=complex))
+
+
 def test_zero_expansion_transforms_to_zero():
     ws = FourierWorkspace(order=3)
     assert np.all(ws.m2f(np.zeros(ws.nodal_size)) == 0)

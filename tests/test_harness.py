@@ -25,7 +25,7 @@ def test_run_experiment_record_schema():
     # kappa = kappa_d / root box side, and the unit cube's box side is ~1
     assert 8.0 / d["config"]["kappa"] == pytest.approx(1.0, rel=0.2)
     assert set(d["timings"]) == {
-        "tree", "blank", "precompute", "upward", "m2l_p2p", "downward", "total",
+        "tree", "blank", "precompute", "upward", "m2f", "m2l_p2p", "f2l", "downward", "total",
     }
     assert set(d["counts"]) == {
         "cells", "leaves", "symbols", "effective_expansions", "p2p_pairs",

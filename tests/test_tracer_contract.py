@@ -17,6 +17,8 @@ import pytest
 
 import helmfmm
 from helmfmm.directions import father_direction, generate_direction_tree, nearest_direction
+from helmfmm.fourier import FourierWorkspace
+from helmfmm.kernel import MAX_BLOCK_ENTRIES
 from helmfmm.traversal import HF_SWITCH, FmmConfig, run_fmm_full
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,9 +85,25 @@ def _m2l_expansions(events, config, hf_max_level, side: str) -> set:
     return out
 
 
+def _counting_rows(monkeypatch, name: str) -> list:
+    """Wrap FourierWorkspace.<name>, appending the rows of each call's stack;
+    done before the tracer is built, so the tracer wraps the counter."""
+    rows = []
+    original = getattr(FourierWorkspace, name)
+
+    def wrapper(self, stack):
+        rows.append(np.atleast_2d(stack).shape[0])
+        return original(self, stack)
+
+    monkeypatch.setattr(FourierWorkspace, name, wrapper)
+    return rows
+
+
 @pytest.mark.parametrize("problem", [_self_interaction, _laplace_self_interaction, _two_trees])
-def test_tracer_finds_and_measures_everything(problem):
+def test_tracer_finds_and_measures_everything(monkeypatch, problem):
     tracing = _load_tracing()
+    m2f_rows = _counting_rows(monkeypatch, "m2f")
+    f2l_rows = _counting_rows(monkeypatch, "f2l")
     tracer = tracing.Tracer(helmfmm)
     assert tracer.absent == []
 
@@ -95,7 +113,7 @@ def test_tracer_finds_and_measures_everything(problem):
         _, info = run_fmm_full(targets, sources, q, config, events=events)
     metrics = tracer.metrics(info, events)
     tracer.check(metrics, info)
-    assert {"upward", "downward"} <= set(info.timings)
+    assert {"upward", "m2f", "f2l", "downward"} <= set(info.timings)
     assert set(metrics) | WORKER_METRICS == _per_layer_names()
 
     if config.kappa > 0:
@@ -109,11 +127,15 @@ def test_tracer_finds_and_measures_everything(problem):
     # P2M and L2P take all the directions of a leaf in one product
     assert metrics["interpolation.p2m_calls"] <= info.counts["leaves"]
     assert metrics["interpolation.l2p_calls"] <= info.counts["leaves"]
-    # one M2F per multipole M2L reads, one F2L per local expansion it writes
+    # M2F transforms one row per multipole M2L reads, F2L one per local
+    # expansion it writes, in stacks of at most MAX_BLOCK_ENTRIES // P^3 rows
+    step = MAX_BLOCK_ENTRIES // FourierWorkspace(config.order).fourier_size
     read = _m2l_expansions(events, config, info.hf_max_level, "source")
-    assert metrics["fourier.m2f_calls"] == len(read)
+    assert sum(m2f_rows) == len(read)
+    assert metrics["fourier.m2f_calls"] == len(m2f_rows) == -(-len(read) // step)
     written = _m2l_expansions(events, config, info.hf_max_level, "target")
-    assert metrics["fourier.f2l_calls"] == len(written)
+    assert sum(f2l_rows) == len(written)
+    assert metrics["fourier.f2l_calls"] == len(f2l_rows) == -(-len(written) // step)
 
 
 def test_each_translation_is_resolved_once():

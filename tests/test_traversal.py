@@ -8,7 +8,7 @@ from helmfmm import interpolation as interp
 from helmfmm import traversal
 from helmfmm.directions import father_direction, nearest_direction
 from helmfmm.distributions import Distribution, generate_distribution
-from helmfmm.fourier import SymbolCache
+from helmfmm.fourier import FourierWorkspace, SymbolCache
 from helmfmm.geometry import BoundingBox, CellFrame, compute_root_box
 from helmfmm.kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum, relative_errors
 from helmfmm.tree import Cell, build_tree
@@ -18,11 +18,13 @@ from helmfmm.traversal import (
     _Context,
     _distance,
     _downward,
+    _f2l,
     _l2p_cell,
     _lagrange_table,
     _p2m_cell,
     _plan_rows,
     _leaf_rows,
+    _m2f,
     _use_table,
     _upward,
     _waves,
@@ -487,10 +489,12 @@ def test_downward_pass_fails_on_a_missing_son_local(kappa):
     ctx = _planned(kappa)
     tree = ctx.target_tree
     _upward(ctx, ctx.source_tree)
+    _m2f(ctx)
     dtt(ctx)
     victim = _son_key(ctx, tree, ctx.target_keys)
     assert victim in ctx.target_keys and victim not in ctx.m2l_keys
     ctx.target_keys = ctx.target_keys[ctx.target_keys != victim]
+    _f2l(ctx)
     with pytest.raises(RuntimeError, match="missing son expansion"):
         _downward(ctx, tree)
 
@@ -640,6 +644,37 @@ def test_translation_slices_keep_the_potentials(monkeypatch):
     assert sliced.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
+@pytest.mark.parametrize("kappa", [12.0, 0.0])
+def test_fourier_stacks_keep_the_potentials(monkeypatch, kappa, same):
+    """M2F and F2L transform at most MAX_BLOCK_ENTRIES // P^3 rows at a
+    time.  Stacks of three rows give bitwise the potentials of the default,
+    which takes these problems in one stack; the last stack is ragged on
+    all but the self-interaction at kappa = 12 (96 rows each way)."""
+    rng = np.random.default_rng(11)
+    sources = rng.uniform(size=(400, 3))
+    targets = sources if same else rng.uniform(size=(150, 3)) * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.5]
+    q = rng.normal(size=400) + 1j * rng.normal(size=400)
+    config = FmmConfig(order=3, ncrit=16, kappa=kappa)
+    stacks = {"m2f": [], "f2l": []}
+    for name, seen in stacks.items():
+        original = getattr(FourierWorkspace, name)
+        monkeypatch.setattr(
+            FourierWorkspace,
+            name,
+            lambda self, x, original=original, seen=seen: seen.append(len(x)) or original(self, x),
+        )
+    whole = run_fmm(targets, sources, q, config)
+    assert [len(seen) for seen in stacks.values()] == [1, 1]
+    rows = {name: seen.pop() for name, seen in stacks.items()}
+    monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", 3 * FourierWorkspace(config.order).fourier_size)
+    stacked = run_fmm(targets, sources, q, config)
+    for name, seen in stacks.items():
+        assert sum(seen) == rows[name] > 6
+        assert seen == [3] * (len(seen) - 1) + [rows[name] - 3 * (len(seen) - 1)]
+    assert stacked.tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("same", [True, False])
 def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
     """The planner is one call per solve, and it resolves each distinct
@@ -768,8 +803,23 @@ def test_counts_are_consistent():
     )
     assert info.hf_max_level == -1
     assert set(info.timings) >= {
-        "tree", "blank", "precompute", "upward", "m2l_p2p", "downward", "total",
+        "tree", "blank", "precompute", "upward", "m2f", "m2l_p2p", "f2l", "downward", "total",
     }
+
+
+@pytest.mark.parametrize("kappa", [0.0, 12.0])
+def test_timing_buckets_are_disjoint(kappa):
+    """The driver times each step in its own bucket: every bucket is >= 0,
+    and the steps (all but precompute, which lies inside blank) sum to at
+    most total."""
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(size=(400, 3))
+    q = rng.uniform(size=400) + 1j * rng.uniform(size=400)
+    _, info = run_fmm_full(pts, pts, q, FmmConfig(order=3, ncrit=16, kappa=kappa))
+    steps = ("tree", "blank", "upward", "m2f", "m2l_p2p", "f2l", "downward")
+    assert all(info.timings[k] >= 0 for k in (*steps, "precompute", "total"))
+    assert info.timings["precompute"] <= info.timings["blank"]
+    assert sum(info.timings[k] for k in steps) <= info.timings["total"]
 
 
 def _near_field(targets, sources, q, config):
@@ -782,6 +832,7 @@ def _near_field(targets, sources, q, config):
     blank_dtt(ttree.root, stree.root, ctx)
     _plan_rows(ctx)
     _upward(ctx, stree)
+    _m2f(ctx)
     # M2L accumulates into local expansions: only P2P adds to potentials
     dtt(ctx)
     ref = np.zeros(len(tpset.potentials), dtype=complex)
