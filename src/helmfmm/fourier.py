@@ -230,7 +230,7 @@ class SymbolCache:
         self.diagonals: list = []
         self.directions: list = []
         self._canonical: dict = {}  # (level, canon) -> diagonal
-        self._entries: dict = {}  # (level, tvec) -> entry index
+        self.entries: dict = {}  # (level, tvec) -> entry index
 
     @property
     def n_canonical(self) -> int:
@@ -243,7 +243,7 @@ class SymbolCache:
     def get(self, level: int, tvec, beta: float) -> int:
         """The entry of (level, tvec), added on the first request."""
         tvec = tuple(int(v) for v in tvec)
-        entry = self._entries.get((level, tvec))
+        entry = self.entries.get((level, tvec))
         if entry is not None:
             return entry
         canon, rid = canonicalize_translation(tvec)
@@ -252,7 +252,7 @@ class SymbolCache:
             base = self._canonical[level, canon] = precompute_symbol(
                 self.kernel, canon, beta, self.order
             )
-        entry = self._entries[level, tvec] = len(self.diagonals)
+        entry = self.entries[level, tvec] = len(self.diagonals)
         self.diagonals.append(permute_symbol(base, rid, self.order) if canon != tvec else base)
         self.directions.append(0)
         return entry

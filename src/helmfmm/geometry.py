@@ -62,10 +62,6 @@ class CellFrame:
         if not (self.beta > 0):
             raise ValueError("beta must be positive")
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.alpha + 0.5 * self.beta
-
 
 def compute_root_box(points: np.ndarray, margin: float = 1e-6) -> BoundingBox:
     """Smallest cube centered on the centroid containing all points.

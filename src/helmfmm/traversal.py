@@ -6,53 +6,48 @@ The driver pipeline plans, then executes:
     P2M at leaves -> M2M per level upward -> M2F -> DTT (replay: Hadamard
     M2L, then P2P) -> F2L -> L2L per level downward -> L2P -> un-permute
 
-P2M and L2P form each leaf's (n, L^3) basis from one (N, 3, L) table of
-1D Lagrange values per tree and solve, which a single tree's two passes
-share, and act on the leaf's block of rows, one per direction, with one
-(n, rows) matrix of particle phases.  M2M and L2L walk the levels as the
-planner does: per father level, one stacked apply per son octant (and
-slice) of the level's son links (_translate).  The modulation
-exp(i*kappa*<x, u>) on a cell grid alpha + beta * g is one phase per row
-times a grid wave built once per (level, direction) (_waves).  A low-
-frequency level is the one-direction case u = 0, one row per cell times
-exp(0) = 1, so P2M, M2M, L2L and L2P have one formula for both regimes.
-Per level, ctx.units holds the unit vectors the direction indices name
-and ctx.hand_down the index each hands to the sons.  M2F transforms only
-the multipoles M2L reads, and F2L, its mirror, only the locals M2L writes,
-each in stacks of rows, one FourierWorkspace call per stack (_stacks).
-The driver times each step in its own bucket of info.timings.
+Every step reads the trees' per-cell arrays (tree.py) only; a tree's Cell
+views are built for the event log alone.  The driver times each step in
+its own bucket of info.timings.
 
-The blank DTT plans level by level on integer arrays, with no recursion:
-a level's candidate (target, source) cell pairs are two index arrays, and
-the pairs that neither interact nor touch a leaf hand their son pairs,
-target son major, to the next level, so each level keeps the order of the
-recursive traversal.  The strict MAC applies at low-frequency levels and
-the direction-free high-frequency MAC max{kappa*w^2, 2w} / dist(t, s) <=
-eta at high-frequency ones (one array function, admissible); both depend
-on (level, translation) only, so each distinct one is resolved once: its
-MAC, and if admissible its entry in the solve's M2L table (the
-SymbolCache, which holds each entry's diagonal symbol and, at high
-frequency, its direction).  The pairs take their entry by one array
-lookup, so symbol precomputation lies inside the blank pass only.  The
-numeric DTT replays the recorded M2L events in order, so every
-accumulator sums as in the recursion.  It evaluates the P2P list as one
-direct sum per target cell, against the particles of all its near source
-cells gathered in recorded order, in kernel blocks of at most
-MAX_BLOCK_ENTRIES entries, real at kappa = 0; the P2P events and the pair
-count are kept per recorded pair.
+The blank DTT plans level by level on cell-index arrays, with no
+recursion, from the pair of roots (cell 0 of each tree): the pairs that
+neither interact nor touch a leaf hand their son pairs, target son major,
+to the next level, so each level keeps the order of the recursive
+traversal.  The strict MAC applies at low-frequency levels and the
+direction-free MAC max{kappa*w^2, 2w} / dist(t, s) <= eta at
+high-frequency ones (admissible); both depend on (level, translation)
+only, so a chunk of pairs evaluates them once per distinct translation,
+and each admissible one enters the solve's M2L table (the SymbolCache,
+which holds each entry's diagonal symbol and, at high frequency, its
+direction) once, so symbol precomputation lies inside the blank pass.
+The numeric DTT replays the M2L events in recorded order, so every
+accumulator sums as in the recursion.  One stable argsort groups the P2P
+pairs by target: each target cell takes one direct sum against the
+particles of its near source cells in recorded order, in kernel blocks of
+at most MAX_BLOCK_ENTRIES entries, real at kappa = 0.
 
-Expansions live in per-solve arrays, one row per key cell.index * n_dirs
-+ d (d indexes ctx.units at the cell's level: 0, u = 0, at low
-frequency), in the sorted key order of their side: the source keys are the
-multipoles that M2L reads (m2f_keys) and, below them through
-ctx.hand_down, those M2M reads; the target keys are the locals that M2L
-writes (m2l_keys) and, below them, those L2L writes.  One walk down each
-tree derives its side's keys and son links together (_walk), so every
-son row a link names exists.
+Expansions live in per-solve arrays, one row per key cell * n_dirs + d (d
+indexes ctx.units at the cell's level: 0, u = 0, at low frequency), in the
+sorted key order of their side: the source keys are the multipoles M2L
+reads (m2f_keys) and, below them through ctx.hand_down, those M2M reads;
+the target keys are the locals M2L writes (m2l_keys) and, below them,
+those L2L writes.  One walk down each tree, cut by its level offsets,
+derives its side's keys and son links (_walk), so every son row a link
+names exists.  P2M and L2P take each leaf (n_sons 0) as one block of rows,
+one per direction, with a basis from one (N, 3, L) table of 1D Lagrange
+values per tree; M2M and L2L make one stacked apply per son octant of a
+level's links (_translate).  The modulation exp(i*kappa*<x, u>) on a cell
+grid alpha + beta * g is one phase per row times a grid wave built once
+per (level, direction) (_waves); a low-frequency level is the
+one-direction case u = 0, so each operator has one formula for both
+regimes.  M2F transforms only the multipoles M2L reads, and F2L only the
+locals it writes, in stacks of rows (_stacks).
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -60,23 +55,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import interpolation as interp
-from .directions import (
-    DirectionTree,
-    father_direction,
-    generate_direction_tree,
-    nearest_direction,
-)
+from .directions import DirectionTree, father_direction, generate_direction_tree, nearest_direction
 from .fourier import FourierWorkspace, SymbolCache, m2l_hadamard
+from .geometry import compute_root_box
 from .kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum
-from .tree import Cell, ClusterTree, ParticleSet, accumulate_potentials, build_tree, cell_radius
+from .tree import ClusterTree, ParticleSet, accumulate_potentials, build_tree, cell_radius
 
-__all__ = [
-    "FmmConfig",
-    "InteractionEvent",
-    "run_fmm",
-    "run_fmm_full",
-    "FmmInfo",
-]
+__all__ = ["FmmConfig", "InteractionEvent", "run_fmm", "run_fmm_full", "FmmInfo"]
 
 
 # the finest direction set a solve may build: 6 * 4**8 = 393,216 directions
@@ -113,6 +98,10 @@ class FmmConfig:
             raise ValueError("ncrit must be >= 1")
         if self.strategy not in interp.STRATEGIES:
             raise ValueError(f"strategy must be one of {interp.STRATEGIES}")
+        for name in ("eta", "kappa"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError("eta must be finite and > 0")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
@@ -122,8 +111,8 @@ class FmmConfig:
 @dataclass(frozen=True)
 class InteractionEvent:
     kind: str  # "M2L" | "P2P"
-    target: Cell
-    source: Cell
+    target: object  # the target cell, a Cell of its tree's view
+    source: object  # the source cell, likewise
 
 
 def _distance(tvecs, side: float) -> np.ndarray:
@@ -169,10 +158,8 @@ class _Context:
         self.events = events
         self.n_p2p_pairs = 0
         self.precompute_time = 0.0
-        # blank_dtt's plan: (level, translation) -> cache entry or -1; flat
-        # (target, source, entry) triplets, whose cells _plan_rows rewrites
-        # as rows, and flat (target, source) pairs
-        self.resolved: dict = {}
+        # blank_dtt's plan: flat (target, source, entry) triplets, whose
+        # cells _plan_rows rewrites as rows, and flat (target, source) pairs
         self.m2l_plan = array("i")
         self.p2p_plan = array("i")
         # _plan_rows' sorted keys (see the module docstring); m2l_keys are
@@ -194,29 +181,19 @@ class _Context:
         # w halves per level, so the rule is evaluated once at hf_max_level
         # and stepped by exactly one per level above it: the father/son
         # direction nesting of M2M and L2L relies on that step.
-        depth = max(target_tree.depth, source_tree.depth)
-        hf_max = -1
-        kw_deepest = 0.0
-        if config.kappa > 0:
-            for level in range(depth + 1):
-                kw = config.kappa * np.sqrt(3.0) * target_tree.side_at(level) / 2.0
-                if kw >= HF_SWITCH:
-                    hf_max = level
-                    kw_deepest = kw
-                else:
-                    break
-        self.hf_max_level = hf_max
+        levels = range(max(target_tree.depth, source_tree.depth) + 1)
+        kw = [config.kappa * np.sqrt(3.0) * target_tree.side_at(lv) / 2.0 for lv in levels]
+        self.hf_max_level = sum(k >= HF_SWITCH for k in kw) - 1  # kw halves per level
         self.deepest_refinement = 0
         self.dirs: DirectionTree | None = None
         self.n_dirs = 1
-        if hf_max >= 0:
-            # kw_deepest >= HF_SWITCH, so the rounded log2 is >= 0
-            ratio = np.log2(kw_deepest / HF_SWITCH)
+        if self.hf_max_level >= 0:
+            # kw >= HF_SWITCH there, so the rounded log2 is >= 0
+            ratio = np.log2(kw[self.hf_max_level] / HF_SWITCH)
             self.deepest_refinement = int(np.floor(ratio + 0.5))
             if self.refinement(0) > MAX_REFINEMENT:
-                kw_root = config.kappa * np.sqrt(3.0) * target_tree.side_at(0) / 2.0
                 raise ValueError(
-                    f"kappa*w = {kw_root:.4g} at the root asks for direction "
+                    f"kappa*w = {kw[0]:.4g} at the root asks for direction "
                     f"refinement {self.refinement(0)} (6 * 4**{self.refinement(0)} "
                     f"directions at hf_switch = {HF_SWITCH}), above {MAX_REFINEMENT}: lower kappa*w"
                 )
@@ -229,7 +206,7 @@ class _Context:
         # high-frequency and 0 otherwise
         self.units = [
             self.dirs.levels[self.refinement(level)] if self.is_hf(level) else np.zeros((1, 3))
-            for level in range(depth + 1)
+            for level in levels
         ]
         self.hand_down = [
             father_direction(self.dirs, self.refinement(level), np.arange(len(u)))
@@ -287,23 +264,20 @@ def _distinct(tvecs: np.ndarray) -> tuple:
 
 
 def _entries(ctx: _Context, level: int, ti: np.ndarray, si: np.ndarray) -> np.ndarray:
-    """The cache entry of each cell pair (ti, si) at level, -1 where
-    it is not admissible.  Each distinct translation not in ctx.resolved is
-    resolved once, the MAC evaluated on all of them at once."""
+    """The cache entry of each cell pair (ti, si) at level, -1 where it is
+    not admissible.  The MAC is evaluated on all distinct translations at
+    once; an admissible one not yet in the cache is resolved once."""
     tvecs = np.empty((len(ti), 3), dtype=np.int32)
     for k in range(3):  # an axis at a time: no (n, 3) temporaries
         np.subtract(ctx.target_tree.coords[ti, k], ctx.source_tree.coords[si, k], out=tvecs[:, k])
     distinct, inverse = _distinct(tvecs)
     del tvecs
-    keys = [(level, *t) for t in distinct.tolist()]
-    new = [i for i, key in enumerate(keys) if key not in ctx.resolved]
-    if new:
-        kappa = ctx.config.kappa if ctx.is_hf(level) else None
-        side = ctx.target_tree.side_at(level)
-        macs = admissible(distinct[new], side, kappa, ctx.config.eta).tolist()
-        for i, mac in zip(new, macs):
-            ctx.resolved[keys[i]] = _resolve(ctx, level, distinct[i]) if mac else -1
-    entries = np.array([ctx.resolved[key] for key in keys], dtype=np.int32)
+    kappa = ctx.config.kappa if ctx.is_hf(level) else None
+    mac = admissible(distinct, ctx.target_tree.side_at(level), kappa, ctx.config.eta)
+    entries = np.full(len(distinct), -1, dtype=np.int32)
+    for i, tvec in zip(np.flatnonzero(mac).tolist(), distinct[mac].tolist()):
+        entry = ctx.cache.entries.get((level, tuple(tvec)))
+        entries[i] = _resolve(ctx, level, distinct[i]) if entry is None else entry
     return entries[inverse]
 
 
@@ -341,8 +315,9 @@ def _chunks(pairs: list):
             yield ti[lo : lo + PLAN_CHUNK], si[lo : lo + PLAN_CHUNK]
 
 
-def blank_dtt(t_root: Cell, s_root: Cell, ctx: _Context) -> None:
-    """Record the interaction lists of (t_root, s_root), level by level.
+def blank_dtt(ctx: _Context) -> None:
+    """Record the interaction lists of the two trees, level by level from
+    the pair of their roots, cell 0 of each.
 
     The candidate pairs of a level are cell-index arrays, taken in slices
     of at most PLAN_CHUNK pairs.  The admissible ones become M2L triplets,
@@ -352,8 +327,8 @@ def blank_dtt(t_root: Cell, s_root: Cell, ctx: _Context) -> None:
     in that order.
     """
     tt, st = ctx.target_tree, ctx.source_tree
-    pairs = [(np.array([t_root.index], dtype=np.int32), np.array([s_root.index], dtype=np.int32))]
-    level = t_root.level
+    pairs = [(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))]
+    level = 0
     while pairs:
         sons = []
         for ti, si in _chunks(pairs):
@@ -378,7 +353,7 @@ def _walk(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> tuple:
     are (level, father rows, son cells, son rows, son octant codes), a
     son's code (son.coords - 2 * father.coords) @ (4, 2, 1)."""
     n = ctx.n_dirs
-    cuts = np.searchsorted(seeds, np.cumsum([0] + [len(c) for c in tree.levels]) * n).tolist()
+    cuts = np.searchsorted(seeds, tree.offsets * n).tolist()
     parts, links = [], []
     son_keys = np.empty(0, dtype=np.int64)
     start = 0  # the row of the level's first key
@@ -425,10 +400,12 @@ def _plan_rows(ctx: _Context) -> None:
 
 
 def _leaf_rows(keys: np.ndarray, tree: ClusterTree, n: int) -> list:
-    """(leaf, lo, hi) of each leaf that owns rows lo:hi of the sorted keys."""
-    spans = np.searchsorted(keys, np.arange(tree.n_cells + 1) * n).tolist()
-    rows = [(c, spans[c.index], spans[c.index + 1]) for c in tree.leaves]
-    return [(c, lo, hi) for c, lo, hi in rows if lo < hi]
+    """(level, leaf, lo, hi) of each leaf (a cell with n_sons 0) that owns
+    rows lo:hi of the sorted keys, in cell order."""
+    spans = np.searchsorted(keys, np.arange(tree.n_cells + 1) * n)
+    leaves = np.flatnonzero((tree.n_sons == 0) & (spans[:-1] < spans[1:]))
+    columns = (tree.cell_levels()[leaves], leaves, spans[leaves], spans[leaves + 1])
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def _waves(ctx: _Context, tree: ClusterTree, cells, cell_level: int, level: int, ds) -> np.ndarray:
@@ -455,12 +432,15 @@ def _waves(ctx: _Context, tree: ClusterTree, cells, cell_level: int, level: int,
 
 def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndarray:
     """(N, 3, L) 1D Lagrange values of every particle, on each axis, in the
-    frame of its leaf."""
-    alpha = np.empty_like(pset.positions)
-    beta = np.empty(len(pset.positions))
-    for leaf in tree.leaves:
-        alpha[leaf.start : leaf.stop] = leaf.frame.alpha
-        beta[leaf.start : leaf.stop] = leaf.frame.beta
+    frame alpha + beta * [0, 1]^3 of its leaf: alpha = lower + coords *
+    beta, beta the side of the leaf's level.  The leaves' ranges tile the
+    particles."""
+    leaves = np.flatnonzero(tree.n_sons == 0)
+    leaves = leaves[np.argsort(tree.start[leaves])]
+    beta = tree.root_box.side / (1 << tree.cell_levels()[leaves])
+    alpha = tree.root_box.lower + tree.coords[leaves] * beta[:, None]
+    counts = tree.stop[leaves] - tree.start[leaves]
+    alpha, beta = np.repeat(alpha, counts, axis=0), np.repeat(beta, counts)
     unit = (pset.positions - alpha) / beta[:, None]
     return interp.eval_matrix_1d(order, unit.reshape(-1)).reshape(-1, 3, order)
 
@@ -478,28 +458,32 @@ def _use_table(ctx: _Context, tree: ClusterTree, pset: ParticleSet) -> None:
 # upward pass, and the leaf and translation steps both passes use
 
 
-def _leaf_block(ctx: _Context, tree: ClusterTree, pset: ParticleSet, cell: Cell, keys) -> tuple:
-    """The leaf's (n, L^3) basis, its (rows, L^3) cell waves and its
-    (n, rows) particle phases exp(i*kappa*<y, u>) for its rows' keys."""
+def _leaf_block(
+    ctx: _Context, tree: ClusterTree, pset: ParticleSet, level: int, leaf: int, keys
+) -> tuple:
+    """The leaf's particle slice, its (n, L^3) basis, its (rows, L^3) cell
+    waves and its (n, rows) particle phases exp(i*kappa*<y, u>) for its
+    rows' keys."""
+    at = slice(tree.start[leaf], tree.stop[leaf])
     ds = keys % ctx.n_dirs
-    basis = interp.tensor_basis(ctx.table[cell.start : cell.stop])
-    pos = pset.positions[cell.start : cell.stop]
-    phases = interp.plane_wave(pos, ctx.config.kappa, ctx.units[cell.level][ds].T)
-    return basis, _waves(ctx, tree, cell.index, cell.level, cell.level, ds), phases
+    basis = interp.tensor_basis(ctx.table[at])
+    phases = interp.plane_wave(pset.positions[at], ctx.config.kappa, ctx.units[level][ds].T)
+    return at, basis, _waves(ctx, tree, leaf, level, level, ds), phases
 
 
-def _p2m_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
+def _p2m_cell(ctx: _Context, level: int, leaf: int, lo: int, hi: int) -> None:
     pset = ctx.source_pset
-    q = pset.charges[cell.start : cell.stop]
-    basis, waves, phases = _leaf_block(ctx, ctx.source_tree, pset, cell, ctx.source_keys[lo:hi])
-    ctx.multipole[lo:hi] = interp.p2m(basis, q[:, None] * phases.conj()).T * waves
+    keys = ctx.source_keys[lo:hi]
+    at, basis, waves, phases = _leaf_block(ctx, ctx.source_tree, pset, level, leaf, keys)
+    ctx.multipole[lo:hi] = interp.p2m(basis, pset.charges[at, None] * phases.conj()).T * waves
 
 
-def _l2p_cell(ctx: _Context, cell: Cell, lo: int, hi: int) -> None:
+def _l2p_cell(ctx: _Context, level: int, leaf: int, lo: int, hi: int) -> None:
     pset = ctx.target_pset
-    basis, waves, phases = _leaf_block(ctx, ctx.target_tree, pset, cell, ctx.target_keys[lo:hi])
+    keys = ctx.target_keys[lo:hi]
+    at, basis, waves, phases = _leaf_block(ctx, ctx.target_tree, pset, level, leaf, keys)
     vals = (interp.l2p(basis, (ctx.local[lo:hi] * waves.conj()).T) * phases).sum(axis=1)
-    pset.potentials[cell.start : cell.stop] += vals
+    pset.potentials[at] += vals
 
 
 def _translate(ctx: _Context, tree: ClusterTree, link: tuple, up: bool) -> None:
@@ -540,8 +524,8 @@ def _upward(ctx: _Context, tree: ClusterTree) -> None:
     keys = ctx.source_keys
     ctx.multipole = np.zeros((len(keys), ctx.workspace.nodal_size), dtype=complex)
     _use_table(ctx, tree, ctx.source_pset)
-    for leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs):
-        _p2m_cell(ctx, leaf, lo, hi)
+    for row in _leaf_rows(keys, tree, ctx.n_dirs):
+        _p2m_cell(ctx, *row)
     for link in reversed(ctx.source_links):
         _translate(ctx, tree, link, up=True)
 
@@ -569,11 +553,23 @@ def _m2f(ctx: _Context) -> None:
 # dual tree traversal
 
 
+def _log(ctx: _Context, kind: str, targets: np.ndarray, sources: np.ndarray) -> None:
+    """Append one event per (target, source) cell pair to ctx.events, if it
+    is kept; only this builds the trees' Cell views."""
+    if ctx.events is not None:
+        t, s = ctx.target_tree.cell, ctx.source_tree.cell
+        pairs = zip(targets.tolist(), sources.tolist())
+        ctx.events.extend(InteractionEvent(kind, t(i), s(j)) for i, j in pairs)
+
+
 def dtt(ctx: _Context) -> None:
     """Replay blank_dtt's lists: every M2L in recorded order, then the P2P
-    pairs as one direct sum per target cell, against all its near sources."""
-    tcells = ctx.target_tree.cells
-    scells = ctx.source_tree.cells
+    pairs as one direct sum per target cell, against all its near sources.
+
+    One stable argsort groups the P2P pairs by target, each target's
+    sources in recorded order; the targets go in cell order, so a cell's
+    sum comes before its descendants', as in the recorded order."""
+    tt, st = ctx.target_tree, ctx.source_tree
     n = ctx.n_dirs
     ctx.local_hat = np.zeros((len(ctx.m2l_keys), ctx.workspace.fourier_size), dtype=complex)
     # row views: one Python list lookup per operand instead of a 2-D index
@@ -583,28 +579,28 @@ def dtt(ctx: _Context) -> None:
     it = iter(ctx.m2l_plan)
     for j, row, entry in zip(it, it, it):
         m2l_hadamard(locals_hat[j], multipoles_hat[row], diagonals[entry])
-        if ctx.events is not None:
-            t = tcells[ctx.m2l_keys[j] // n]
-            ctx.events.append(InteractionEvent("M2L", t, scells[ctx.m2f_keys[row] // n]))
     # every M2L has read its multipole
     del multipoles_hat
     ctx.multipole_hat = None
-    # source cells of each target, in order of first appearance
-    near: dict = {}
-    it = iter(ctx.p2p_plan)
-    for ti, si in zip(it, it):
-        t, s = tcells[ti], scells[si]
-        near.setdefault(ti, []).append(s)
-        ctx.n_p2p_pairs += (t.stop - t.start) * (s.stop - s.start)
-        if ctx.events is not None:
-            ctx.events.append(InteractionEvent("P2P", t, s))
+    m2l = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
+    _log(ctx, "M2L", ctx.m2l_keys[m2l[:, 0]] // n, ctx.m2f_keys[m2l[:, 1]] // n)
+
+    p2p = np.frombuffer(ctx.p2p_plan, dtype=np.intc).reshape(-1, 2)
+    _log(ctx, "P2P", p2p[:, 0], p2p[:, 1])
+    ti, si = p2p[np.argsort(p2p[:, 0], kind="stable")].T
+    counts = (st.stop - st.start)[si]
+    ctx.n_p2p_pairs += int((tt.stop - tt.start)[ti] @ counts)
+    # the source particles of the pairs, in order, and each target's share
+    idx = _ramps(counts) + np.repeat(st.start[si], counts)
+    heads = np.flatnonzero(np.diff(ti, prepend=-1))
+    ends = np.concatenate([[0], np.cumsum(counts)])
+    bounds = np.append(ends[heads], ends[-1])
     tp = ctx.target_pset
     sp = ctx.source_pset
-    for ti, sources in near.items():
-        t = tcells[ti]
-        idx = np.concatenate([np.arange(s.start, s.stop) for s in sources])
-        tp.potentials[t.start : t.stop] += direct_sum(
-            ctx.kernel, tp.positions[t.start : t.stop], sp.positions[idx], sp.charges[idx]
+    for t, lo, hi in zip(ti[heads].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        at = slice(tt.start[t], tt.stop[t])
+        tp.potentials[at] += direct_sum(
+            ctx.kernel, tp.positions[at], sp.positions[idx[lo:hi]], sp.charges[idx[lo:hi]]
         )
 
 
@@ -627,8 +623,8 @@ def _downward(ctx: _Context, tree: ClusterTree) -> None:
     for link in ctx.target_links:
         _translate(ctx, tree, link, up=False)
     _use_table(ctx, tree, ctx.target_pset)
-    for leaf, lo, hi in _leaf_rows(ctx.target_keys, tree, ctx.n_dirs):
-        _l2p_cell(ctx, leaf, lo, hi)
+    for row in _leaf_rows(ctx.target_keys, tree, ctx.n_dirs):
+        _l2p_cell(ctx, *row)
 
 
 # ---------------------------------------------------------------------------
@@ -659,60 +655,37 @@ def run_fmm_full(
 
     t0 = time.perf_counter()
     same = targets is sources
-    if same:
-        source_tree, source_pset = build_tree(sources, charges, config.ncrit)
-        target_tree, target_pset = source_tree, source_pset
-    else:
-        from .geometry import compute_root_box
-
-        both = np.vstack([np.atleast_2d(targets), np.atleast_2d(sources)])
-        box = compute_root_box(both)
-        source_tree, source_pset = build_tree(sources, charges, config.ncrit, root_box=box)
-        target_tree, target_pset = build_tree(
-            targets, np.zeros(np.atleast_2d(targets).shape[0]), config.ncrit, root_box=box
-        )
+    targets = np.atleast_2d(targets)
+    box = None if same else compute_root_box(np.vstack([targets, np.atleast_2d(sources)]))
+    source_tree, source_pset = build_tree(sources, charges, config.ncrit, root_box=box)
+    target_tree, target_pset = (source_tree, source_pset) if same else build_tree(
+        targets, np.zeros(len(targets)), config.ncrit, root_box=box
+    )
     info.timings["tree"] = time.perf_counter() - t0
 
     # box-relative singularity suppression
-    kernel = HelmholtzKernel(
-        kappa=config.kappa, singularity_tol=1e-12 * source_tree.root_box.side
-    )
-    ctx = _Context(
-        config, kernel, target_tree, source_tree, target_pset, source_pset, events
-    )
+    kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=1e-12 * source_tree.root_box.side)
+    ctx = _Context(config, kernel, target_tree, source_tree, target_pset, source_pset, events)
     info.hf_max_level = ctx.hf_max_level
-
-    t0 = time.perf_counter()
-    blank_dtt(target_tree.root, source_tree.root, ctx)
-    _plan_rows(ctx)
-    info.timings["blank"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    _upward(ctx, source_tree)
-    info.timings["upward"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    _m2f(ctx)
-    info.timings["m2f"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    dtt(ctx)
-    info.timings["m2l_p2p"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    _f2l(ctx)
-    info.timings["f2l"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    _downward(ctx, target_tree)
-    info.timings["downward"] = time.perf_counter() - t0
-
+    steps = (  # each name is looked up when its step runs, so wrappers are timed
+        ("blank", lambda: (blank_dtt(ctx), _plan_rows(ctx))),
+        ("upward", lambda: _upward(ctx, source_tree)),
+        ("m2f", lambda: _m2f(ctx)),
+        ("m2l_p2p", lambda: dtt(ctx)),
+        ("f2l", lambda: _f2l(ctx)),
+        ("downward", lambda: _downward(ctx, target_tree)),
+    )
+    for name, step in steps:
+        t0 = time.perf_counter()
+        step()
+        info.timings[name] = time.perf_counter() - t0
     info.timings["precompute"] = ctx.precompute_time
     info.timings["total"] = time.perf_counter() - t_start
 
+    trees = (target_tree,) if same else (target_tree, source_tree)
     info.counts = {
-        "cells": target_tree.n_cells if same else target_tree.n_cells + source_tree.n_cells,
-        "leaves": len(target_tree.leaves) if same else len(target_tree.leaves) + len(source_tree.leaves),
+        "cells": sum(tree.n_cells for tree in trees),
+        "leaves": sum(tree.n_leaves for tree in trees),
         "symbols": ctx.cache.n_canonical,
         "effective_expansions": len(ctx.source_keys),
         "p2p_pairs": ctx.n_p2p_pairs,

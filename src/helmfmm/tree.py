@@ -1,11 +1,18 @@
-"""Ncrit-based octree over Morton-sorted particles.
+"""Ncrit-based octree over Morton-sorted particles, held as per-cell arrays.
 
-Each cell owns a contiguous index range into the sorted particle arrays, so
-its particles (and those of all its descendants) are consecutive in memory.
-A cell holds its geometry only: the traversal module keeps the expansions
-in per-solve arrays, one row per (cell, direction) that the solve uses.
-The tree also holds each cell's coordinates, son count and first son as
-int32 arrays, which the traversal plans on.
+Each cell owns a contiguous index range start:stop into the sorted particle
+arrays, so its particles (and those of all its descendants) are consecutive
+in memory.  The tree is a handful of per-cell arrays, cells ordered level
+by level and in Morton order within a level: start, stop, integer
+coordinates, number of sons and first son (the sons of a cell are
+consecutive cells), and the level offsets, the cells of level l being
+offsets[l]:offsets[l + 1].  The traversal module plans and evaluates on
+these arrays only, and keeps the expansions in per-solve arrays of its own.
+
+``Cell`` is a read-only view of one cell, with its frame and its sons, for
+the event log and the tests: the tree builds all of them once, on the first
+access to ``levels``, ``cells``, ``leaves`` or ``root``, so a solve that
+logs no events builds none.
 """
 
 from __future__ import annotations
@@ -14,21 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    MAX_MORTON_DEPTH,
-    BoundingBox,
-    CellFrame,
-    compute_root_box,
-    morton_encode_many,
-)
+from .geometry import MAX_MORTON_DEPTH, BoundingBox, CellFrame, compute_root_box, morton_encode_many
 
-__all__ = [
-    "ParticleSet",
-    "Cell",
-    "ClusterTree",
-    "build_tree",
-    "accumulate_potentials",
-]
+__all__ = ["ParticleSet", "Cell", "ClusterTree", "build_tree", "accumulate_potentials"]
 
 SQRT3 = float(np.sqrt(3.0))
 
@@ -53,15 +48,17 @@ class ParticleSet:
         return self.positions.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Cell:
+    """Read-only view of one cell of a ClusterTree."""
+
     level: int
     coords: np.ndarray  # integer cell coordinates at this level
     start: int
     stop: int
     frame: CellFrame
     index: int = -1  # position in ClusterTree.cells
-    sons: list = field(default_factory=list)
+    sons: tuple = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -71,59 +68,74 @@ class Cell:
     def n_particles(self) -> int:
         return self.stop - self.start
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.frame.center
-
-    @property
-    def side(self) -> float:
-        return self.frame.beta
-
-    @property
-    def radius(self) -> float:
-        """Half-diagonal: radius of the smallest ball containing the cell."""
-        return cell_radius(self.frame.beta)
-
 
 @dataclass
 class ClusterTree:
     root_box: BoundingBox
-    root: Cell
-    levels: list  # levels[k] = list of cells at depth k
-    # per cell, indexed like cells: integer coordinates (n_cells, 3), number
-    # of sons and index of the first son, all int32; the sons of a cell are
-    # consecutive cells
-    coords: np.ndarray = field(init=False, repr=False)
-    n_sons: np.ndarray = field(init=False, repr=False)
-    first_son: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        cells = self.cells
-        self.coords = np.array([c.coords for c in cells], dtype=np.int32).reshape(-1, 3)
-        self.n_sons = np.array([len(c.sons) for c in cells], dtype=np.int32)
-        # level l + 1 holds the sons of level l's cells in their order, so
-        # the sons of cell i follow the root and the sons of cells 0..i-1
-        self.first_son = (np.cumsum(self.n_sons) - self.n_sons + 1).astype(np.int32)
+    # per cell, level by level: particle range start:stop (int64), integer
+    # coordinates (n_cells, 3), number of sons and index of the first son
+    # (int32); and the level offsets (depth + 2,)
+    start: np.ndarray = field(repr=False)
+    stop: np.ndarray = field(repr=False)
+    coords: np.ndarray = field(repr=False)
+    n_sons: np.ndarray = field(repr=False)
+    first_son: np.ndarray = field(repr=False)
+    offsets: np.ndarray
+    _cells: list | None = field(default=None, init=False, repr=False)
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self.offsets) - 2
 
     @property
     def n_cells(self) -> int:
-        return sum(len(lv) for lv in self.levels)
+        return int(self.offsets[-1])
 
     @property
-    def cells(self) -> list:
-        """Every cell, level by level; cells[c.index] is c."""
-        return [c for lv in self.levels for c in lv]
-
-    @property
-    def leaves(self) -> list:
-        return [c for lv in self.levels for c in lv if c.is_leaf]
+    def n_leaves(self) -> int:
+        return int(np.count_nonzero(self.n_sons == 0))
 
     def side_at(self, level: int) -> float:
         return self.root_box.side / (1 << level)
+
+    def cell_levels(self) -> np.ndarray:
+        """The level of each cell."""
+        return np.repeat(np.arange(self.depth + 1), np.diff(self.offsets))
+
+    def cell(self, i: int) -> Cell:
+        """Cell i as a Cell, from the view ``cells``."""
+        return self.cells[i]
+
+    @property
+    def cells(self) -> list:
+        """Every cell as a Cell, level by level; cells[c.index] is c.  Built
+        once, on first access."""
+        if self._cells is None:
+            levels = self.cell_levels().tolist()
+            spans = list(zip(self.start.tolist(), self.stop.tolist()))
+            first, count = self.first_son.tolist(), self.n_sons.tolist()
+            cells = [None] * self.n_cells
+            for i in reversed(range(self.n_cells)):  # sons before their father
+                beta, coords = self.side_at(levels[i]), self.coords[i].astype(np.int64)
+                frame = CellFrame(alpha=self.root_box.lower + coords * beta, beta=beta)
+                sons = tuple(cells[first[i] : first[i] + count[i]])
+                cells[i] = Cell(levels[i], coords, *spans[i], frame, i, sons)
+            self._cells = cells
+        return self._cells
+
+    @property
+    def levels(self) -> list:
+        """levels[k]: the Cells of depth k."""
+        cells = self.cells
+        return [cells[a:b] for a, b in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())]
+
+    @property
+    def leaves(self) -> list:
+        return [c for c in self.cells if c.is_leaf]
+
+    @property
+    def root(self) -> Cell:
+        return self.cells[0]
 
 
 def build_tree(
@@ -139,15 +151,18 @@ def build_tree(
     codes (stably, so coincident points keep their input order).  The cells
     of level ``l`` are the runs of equal prefix
     ``code >> 3 * (MAX_MORTON_DEPTH - l)``; level by level, every cell
-    holding more than ``ncrit`` particles is cut where that prefix changes.
-    Empty cells never appear, sons come in Morton order, and a coincident
-    cluster stops at depth ``MAX_MORTON_DEPTH`` as one oversized leaf.
+    holding more than ``ncrit`` particles is split: its sons start at its
+    own start and at every prefix change strictly inside its range.  Empty
+    cells never appear, sons come in Morton order, and a coincident cluster
+    stops at depth ``MAX_MORTON_DEPTH`` as one oversized leaf.
     ``root_box``, when given, must contain every particle.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     charges = np.asarray(charges, dtype=complex)
     if points.shape[0] == 0:
         raise ValueError("at least one particle is required")
+    if charges.ndim != 1:
+        raise ValueError(f"charges must have shape (n,), not {charges.shape}")
     if points.shape[0] != charges.shape[0]:
         raise ValueError("points and charges length mismatch")
     if not np.all(np.isfinite(points)):
@@ -170,37 +185,48 @@ def build_tree(
     perm = np.argsort(codes, kind="stable")
     codes, grid = codes[perm], grid[perm]
 
-    def make_cell(level: int, coords: np.ndarray, start: int, stop: int) -> Cell:
-        beta = root_box.side / (1 << level)
-        frame = CellFrame(alpha=root_box.lower + coords * beta, beta=beta)
-        return Cell(level=level, coords=coords, start=start, stop=stop, frame=frame)
-
-    root = make_cell(0, np.zeros(3, dtype=np.int64), 0, n)
-    levels = [[root]]
+    # per level, the cells' ranges, coordinates and fathers (none at the root)
+    starts, stops = [np.zeros(1, dtype=np.int64)], [np.array([n])]
+    coords, fathers = [np.zeros((1, 3), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    base = 0  # the index of the last level's first cell
     for level in range(1, top + 1):
-        parents = [c for c in levels[-1] if c.n_particles > ncrit]
-        if not parents:
+        split = np.flatnonzero(stops[-1] - starts[-1] > ncrit)
+        if not len(split):
             break
+        lo, hi = starts[-1][split], stops[-1][split]
         prefix = codes >> np.uint64(3 * (top - level))
         cuts = np.flatnonzero(prefix[1:] != prefix[:-1]) + 1
-        levels.append([])
-        for parent in parents:
-            lo, hi = np.searchsorted(cuts, (parent.start + 1, parent.stop))
-            bounds = [parent.start, *cuts[lo:hi].tolist(), parent.stop]
-            for a, b in zip(bounds, bounds[1:]):
-                son = make_cell(level, grid[a] >> (top - level), a, b)
-                parent.sons.append(son)
-                levels[-1].append(son)
-    for i, cell in enumerate(c for lv in levels for c in lv):
-        cell.index = i
+        # a cut starts a son if it lies strictly inside the split cell before
+        # it (held); a level's cells are disjoint and ordered by start
+        held = np.maximum(np.searchsorted(lo, cuts, side="right") - 1, 0)
+        first = np.sort(np.concatenate([lo, cuts[(cuts > lo[held]) & (cuts < hi[held])]]))
+        father = np.searchsorted(lo, first, side="right") - 1
+        fathers.append(base + split[father])
+        base += len(starts[-1])
+        starts.append(first)
+        stops.append(np.minimum(np.append(first[1:], n), hi[father]))  # next son or father's end
+        coords.append(grid[first] >> (top - level))
 
+    offsets = np.cumsum([0] + [len(s) for s in starts])
+    n_sons = np.bincount(np.concatenate(fathers), minlength=offsets[-1]).astype(np.int32)
+    tree = ClusterTree(
+        root_box=root_box,
+        start=np.concatenate(starts),
+        stop=np.concatenate(stops),
+        coords=np.concatenate(coords).astype(np.int32),
+        n_sons=n_sons,
+        # level l + 1 holds the sons of level l's cells in their order, so
+        # the sons of cell i follow the root and the sons of cells 0..i-1
+        first_son=(np.cumsum(n_sons) - n_sons + 1).astype(np.int32),
+        offsets=offsets,
+    )
     pset = ParticleSet(
         positions=points[perm],
         charges=charges[perm],
         potentials=np.zeros(n, dtype=complex),
         original_index=perm,
     )
-    return ClusterTree(root_box=root_box, root=root, levels=levels), pset
+    return tree, pset
 
 
 def accumulate_potentials(pset: ParticleSet) -> np.ndarray:

@@ -20,6 +20,8 @@ from helmfmm.directions import father_direction, generate_direction_tree, neares
 from helmfmm.fourier import FourierWorkspace
 from helmfmm.kernel import MAX_BLOCK_ENTRIES
 from helmfmm.traversal import HF_SWITCH, FmmConfig, run_fmm_full
+from helmfmm import traversal
+from helmfmm.tree import build_tree, cell_radius
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,7 +64,7 @@ def _two_trees():
 
 
 def _refinement(config, cell) -> int:
-    return int(np.floor(np.log2(config.kappa * cell.radius / HF_SWITCH) + 0.5))
+    return int(np.floor(np.log2(config.kappa * cell_radius(cell.frame.beta) / HF_SWITCH) + 0.5))
 
 
 def _m2l_expansions(events, config, hf_max_level, side: str) -> set:
@@ -99,11 +101,26 @@ def _counting_rows(monkeypatch, name: str) -> list:
     return rows
 
 
+def _recording_trees(monkeypatch) -> list:
+    """Wrap build_tree, appending each tree it builds; done before the tracer
+    is built, so the tracer wraps the recorder."""
+    built = []
+
+    def wrapper(*args, **kwargs):
+        result = build_tree(*args, **kwargs)
+        built.append(result[0])
+        return result
+
+    monkeypatch.setattr(traversal, "build_tree", wrapper)
+    return built
+
+
 @pytest.mark.parametrize("problem", [_self_interaction, _laplace_self_interaction, _two_trees])
 def test_tracer_finds_and_measures_everything(monkeypatch, problem):
     tracing = _load_tracing()
     m2f_rows = _counting_rows(monkeypatch, "m2f")
     f2l_rows = _counting_rows(monkeypatch, "f2l")
+    built = _recording_trees(monkeypatch)
     tracer = tracing.Tracer(helmfmm)
     assert tracer.absent == []
 
@@ -115,6 +132,11 @@ def test_tracer_finds_and_measures_everything(monkeypatch, problem):
     tracer.check(metrics, info)
     assert {"upward", "m2f", "f2l", "downward"} <= set(info.timings)
     assert set(metrics) | WORKER_METRICS == _per_layer_names()
+    # the tree counts, read through the Cell views, are the arrays' counts
+    assert metrics["tree.cells"] == info.counts["cells"]
+    assert metrics["tree.leaves"] == info.counts["leaves"]
+    assert len(built) == (1 if targets is sources else 2)
+    assert metrics["tree.depth"] == max(tree.depth for tree in built)
 
     if config.kappa > 0:
         # the high-frequency path ran, so its functions were really exercised

@@ -6,12 +6,13 @@ from test_tree_properties import FMM_SETTINGS, far_clusters, fmm_ncrits, planar,
 
 from helmfmm import interpolation as interp
 from helmfmm import traversal
+from helmfmm import tree as tree_module
 from helmfmm.directions import father_direction, nearest_direction
 from helmfmm.distributions import Distribution, generate_distribution
 from helmfmm.fourier import FourierWorkspace, SymbolCache
 from helmfmm.geometry import BoundingBox, CellFrame, compute_root_box
 from helmfmm.kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum, relative_errors
-from helmfmm.tree import Cell, build_tree
+from helmfmm.tree import Cell, build_tree, cell_radius
 from helmfmm.traversal import (
     HF_SWITCH,
     FmmConfig,
@@ -57,33 +58,33 @@ def _reference(points, charges, kappa, box_side=1.0):
 
 def test_cell_distance_values():
     a = _cell([0, 0, 0], 2)
-    assert _distance(a.coords - _cell([1, 0, 0], 2).coords, a.side) == 0.0
-    assert _distance(a.coords - _cell([2, 0, 0], 2).coords, a.side) == pytest.approx(0.25)
-    assert _distance(a.coords - _cell([2, 2, 0], 2).coords, a.side) == pytest.approx(
+    assert _distance(a.coords - _cell([1, 0, 0], 2).coords, a.frame.beta) == 0.0
+    assert _distance(a.coords - _cell([2, 0, 0], 2).coords, a.frame.beta) == pytest.approx(0.25)
+    assert _distance(a.coords - _cell([2, 2, 0], 2).coords, a.frame.beta) == pytest.approx(
         0.25 * np.sqrt(2)
     )
 
 
 def test_strict_mac_cases():
     a = _cell([0, 0, 0], 2)
-    assert not admissible(a.coords - a.coords, a.side)
-    assert not admissible(a.coords - _cell([1, 1, 1], 2).coords, a.side)
-    assert admissible(a.coords - _cell([2, 0, 0], 2).coords, a.side)
-    assert admissible(a.coords - _cell([2, 1, 1], 2).coords, a.side)
+    assert not admissible(a.coords - a.coords, a.frame.beta)
+    assert not admissible(a.coords - _cell([1, 1, 1], 2).coords, a.frame.beta)
+    assert admissible(a.coords - _cell([2, 0, 0], 2).coords, a.frame.beta)
+    assert admissible(a.coords - _cell([2, 1, 1], 2).coords, a.frame.beta)
 
 
 def test_directional_mac_thresholds():
     a = _cell([0, 0, 0], 2)
     far = _cell([3, 3, 3], 2)
     near = _cell([2, 0, 0], 2)
-    w = a.radius
-    dist_far = _distance(a.coords - far.coords, a.side)
+    w = cell_radius(a.frame.beta)
+    dist_far = _distance(a.coords - far.coords, a.frame.beta)
     # pick kappa so the far pair is admissible but the near one is not
     kappa = dist_far / (w * w)
-    assert admissible(a.coords - far.coords, a.side, kappa, 1.0)
-    assert not admissible(a.coords - near.coords, a.side, kappa, 1.0)
+    assert admissible(a.coords - far.coords, a.frame.beta, kappa, 1.0)
+    assert not admissible(a.coords - near.coords, a.frame.beta, kappa, 1.0)
     # a larger eta re-admits the near pair when 2w permits
-    assert admissible(a.coords - near.coords, a.side, kappa, 10.0)
+    assert admissible(a.coords - near.coords, a.frame.beta, kappa, 10.0)
 
 
 def _translations(radius):
@@ -107,14 +108,15 @@ def test_array_mac_matches_the_cell_macs(kappa, eta):
     level = 4
     tvecs = _translations(6)
     t = _cell([6, 6, 6], level)
-    side = t.side
+    side = t.frame.beta
     strict = admissible(tvecs, side)
     directional = admissible(tvecs, side, kappa, eta)
     for tvec, a, b in zip(tvecs, strict.tolist(), directional.tolist()):
         s = _cell(t.coords - tvec, level)
         ts = t.coords - s.coords
-        assert a == admissible(ts, t.side) == _reference_mac(tvec, side, None, eta)
-        assert b == admissible(ts, t.side, kappa, eta) == _reference_mac(tvec, side, kappa, eta)
+        assert a == admissible(ts, t.frame.beta) == _reference_mac(tvec, side, None, eta)
+        directional_ref = _reference_mac(tvec, side, kappa, eta)
+        assert b == admissible(ts, t.frame.beta, kappa, eta) == directional_ref
     # ties admit: a gap of exactly one side, and 2w = eta * dist (kappa*w^2
     # is the smaller term here)
     assert admissible([[2, 0, 0], [2, 1, -1], [-1, 2, 1]], side).all()
@@ -157,6 +159,12 @@ def test_config_validation():
     for bad in (-2.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             FmmConfig(kappa=bad)
+    # eta and kappa are real numbers: no bool, string or complex
+    for name in ("eta", "kappa"):
+        for bad in (True, False, "1", None, 1j, np.bool_(True)):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                FmmConfig(**{name: bad})
+    assert FmmConfig(eta=2, kappa=np.float32(3.0)).kappa == 3.0
     with pytest.raises(ValueError):
         FmmConfig(ncrit=0)
     # order and ncrit are integers: no float, however whole, and no bool
@@ -214,7 +222,7 @@ def test_deepest_hf_level_refined_by_kappa_w():
     assert ctx.hf_max_level == 2
     assert ctx.refinement(2) == 1
     assert ctx.dirs.count(1) == 24
-    blank_dtt(tree.root, tree.root, ctx)
+    blank_dtt(ctx)
     _plan_rows(ctx)
     left = {tuple(c.coords): c for c in tree.levels[2]}[(0, 0, 0)]
     for keys in (ctx.source_keys, ctx.target_keys):
@@ -291,7 +299,7 @@ def test_kappa_zero_has_no_hf_levels():
     ctx = _Context(config, kernel, tree, tree, pset, pset)
     assert ctx.hf_max_level == -1
     assert ctx.dirs is None
-    blank_dtt(tree.root, tree.root, ctx)
+    blank_dtt(ctx)
     it = iter(ctx.m2l_plan)
     plan = list(zip(it, it, it))
     _plan_rows(ctx)
@@ -317,7 +325,7 @@ def test_blank_pass_marks_axis_direction():
     config = FmmConfig(order=4, ncrit=10, kappa=10.0)
     kernel = HelmholtzKernel(kappa=10.0, singularity_tol=1e-14)
     ctx = _Context(config, kernel, tree, tree, pset, pset)
-    blank_dtt(tree.root, tree.root, ctx)
+    blank_dtt(ctx)
     _plan_rows(ctx)
 
     cells = {tuple(c.coords): c for c in tree.levels[2]}
@@ -345,7 +353,7 @@ def test_blank_pass_marks_axis_direction():
 
 def test_each_side_builds_only_the_directions_it_uses():
     tree, ctx = _context(10.0)
-    blank_dtt(tree.root, tree.root, ctx)
+    blank_dtt(ctx)
     _plan_rows(ctx)
     cells = {tuple(c.coords): c for c in tree.levels[2]}
     left, right = cells[(0, 0, 0)], cells[(3, 0, 0)]
@@ -359,7 +367,7 @@ def test_each_side_builds_only_the_directions_it_uses():
 
 def _refinement(config, cell):
     """round(log2(kappa * w / HF_SWITCH)) of a high-frequency cell."""
-    return int(np.floor(np.log2(config.kappa * cell.radius / HF_SWITCH) + 0.5))
+    return int(np.floor(np.log2(config.kappa * cell_radius(cell.frame.beta) / HF_SWITCH) + 0.5))
 
 
 def test_effective_expansions_are_those_m2l_and_m2m_read():
@@ -401,7 +409,7 @@ def test_effective_expansions_are_those_m2l_and_m2m_read():
 
 def _planned(kappa):
     tree, ctx = _context(kappa, eta=2.0)
-    blank_dtt(tree.root, tree.root, ctx)
+    blank_dtt(ctx)
     _plan_rows(ctx)
     return ctx
 
@@ -412,7 +420,7 @@ def _planned_sphere_and_plane():
     sources = generate_distribution(Distribution("sphere", 1000))
     targets = sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
     ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=8, kappa=20.0))
-    blank_dtt(ctx.target_tree.root, ctx.source_tree.root, ctx)
+    blank_dtt(ctx)
     _plan_rows(ctx)
     return ctx
 
@@ -521,10 +529,10 @@ def _recursive_plan(ctx):
     def visit(t, s):
         tvec = t.coords - s.coords
         hf = ctx.is_hf(t.level)
-        if admissible(tvec, t.side, config.kappa if hf else None, config.eta):
+        if admissible(tvec, t.frame.beta, config.kappa if hf else None, config.eta):
             unit = tvec / np.linalg.norm(tvec)
             d = nearest_direction(ctx.dirs, ctx.refinement(t.level), unit) if hf else 0
-            diagonal = cache.diagonals[cache.get(t.level, tvec, t.side)]
+            diagonal = cache.diagonals[cache.get(t.level, tvec, t.frame.beta)]
             m2l.setdefault(t.level, []).append((t.index, s.index, diagonal, d))
         elif t.is_leaf or s.is_leaf:
             p2p.setdefault(t.level, []).append((t.index, s.index))
@@ -554,7 +562,7 @@ def _assert_planned_as_the_recursion(ctx):
     """blank_dtt's lists, level by level and in order, are the recursion's,
     each M2L with the same diagonal and direction; returns the P2P pairs."""
     m2l, p2p = _recursive_plan(ctx)
-    blank_dtt(ctx.target_tree.root, ctx.source_tree.root, ctx)
+    blank_dtt(ctx)
     cells = ctx.target_tree.cells
     planned = {}
     it = iter(ctx.m2l_plan)
@@ -688,12 +696,16 @@ def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
     q = rng.normal(size=400) + 1j * rng.normal(size=400)
     _, info = run_fmm_full(targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=12.0))
     assert len(blanks) == 1
-    ctx = blanks[0][2]
-    admitted = [entry for entry in ctx.resolved.values() if entry >= 0]
+    ctx = blanks[0][0]
+    # the cache's one map holds each admissible (level, translation) once
+    admitted = list(ctx.cache.entries.values())
     assert len(resolves) == len(admitted) == ctx.cache.n_translations > 0
     assert sorted(admitted) == list(range(ctx.cache.n_translations))
+    assert {(level, *tvec.tolist()) for _, level, tvec in resolves} == {
+        (level, *tvec) for level, tvec in ctx.cache.entries
+    }
     assert len({(level, *tvec.tolist()) for _, level, tvec in resolves}) == len(resolves)
-    assert len(ctx.resolved) < info.counts["m2l_events"] + len(ctx.p2p_plan) // 2
+    assert len(ctx.cache.entries) < info.counts["m2l_events"] + len(ctx.p2p_plan) // 2
 
 
 @pytest.mark.parametrize("same,kappa", [(True, 8.0), (False, 12.0)])
@@ -705,7 +717,7 @@ def test_table_directions_are_the_rows_each_m2l_reads_and_writes(same, kappa):
     sources = generate_distribution(Distribution("sphere", 1000))
     targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
     ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=8, kappa=kappa))
-    blank_dtt(ctx.target_tree.root, ctx.source_tree.root, ctx)
+    blank_dtt(ctx)
     cells = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3).copy()
     _plan_rows(ctx)
     rows = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
@@ -787,6 +799,29 @@ def test_event_log_partitions_all_pairs():
     assert np.all(coverage == 1)
 
 
+@pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
+def test_untraced_solve_builds_no_cell(monkeypatch, same):
+    """The solve reads the trees' arrays only: without an event log no Cell
+    is built, and with one the events' cells are the trees' views."""
+    rng = np.random.default_rng(5)
+    sources = rng.uniform(size=(400, 3))
+    targets = sources if same else rng.uniform(size=(150, 3))
+    q = rng.normal(size=400) + 1j * rng.normal(size=400)
+    config = FmmConfig(order=3, ncrit=16, kappa=12.0)
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a Cell was built")
+
+    monkeypatch.setattr(tree_module, "Cell", no_cell)
+    pot, info = run_fmm_full(targets, sources, q, config)
+    assert info.counts["m2l_events"] > 0 and info.counts["p2p_pairs"] > 0
+    monkeypatch.undo()
+    events = []
+    logged, _ = run_fmm_full(targets, sources, q, config, events=events)
+    assert logged.tobytes() == pot.tobytes()
+    assert all(type(e.target) is Cell and type(e.source) is Cell for e in events)
+
+
 def test_counts_are_consistent():
     rng = np.random.default_rng(5)
     pts = rng.uniform(size=(400, 3))
@@ -829,7 +864,7 @@ def _near_field(targets, sources, q, config):
     ctx = _planning_context(targets, sources, config, q)
     ttree, stree, tpset, spset = ctx.target_tree, ctx.source_tree, ctx.target_pset, ctx.source_pset
     kernel = ctx.kernel
-    blank_dtt(ttree.root, stree.root, ctx)
+    blank_dtt(ctx)
     _plan_rows(ctx)
     _upward(ctx, stree)
     _m2f(ctx)
@@ -982,7 +1017,9 @@ def _hf_leaf_blocks(ctx, keys, tree, pset):
     exp(i*kappa*<x, u>) built point by point, one per row."""
     order, kappa = ctx.config.order, ctx.config.kappa
     grid = interp.grid_points(order)
-    for leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs):
+    for level, index, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs):
+        leaf = tree.cells[index]
+        assert (leaf.level, leaf.is_leaf) == (level, True)
         if not ctx.is_hf(leaf.level) or hi - lo < 2:
             continue
         pos = pset.positions[leaf.start : leaf.stop]
@@ -1006,7 +1043,7 @@ def _leaf_context(ncrit):
     config = FmmConfig(order=4, ncrit=ncrit, kappa=12.0)
     tree, pset = build_tree(pts, q, config.ncrit)
     ctx = _Context(config, HelmholtzKernel(kappa=config.kappa), tree, tree, pset, pset)
-    blank_dtt(tree.root, tree.root, ctx)
+    blank_dtt(ctx)
     _plan_rows(ctx)
     _use_table(ctx, tree, pset)
     ctx.multipole = np.zeros((len(ctx.source_keys), config.order**3), dtype=complex)
@@ -1022,7 +1059,7 @@ def test_modulated_p2m_l2p_match_the_explicit_phases():
     size = ctx.config.order**3
     rows = 0
     for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(ctx, ctx.source_keys, tree, pset):
-        _p2m_cell(ctx, leaf, lo, hi)
+        _p2m_cell(ctx, leaf.level, leaf.index, lo, hi)
         qs = pset.charges[leaf.start : leaf.stop]
         for row, g, y in zip(range(lo, hi), on_grid, on_pos):
             expected = (b.T @ (qs * y.conj())) * g
@@ -1039,7 +1076,7 @@ def test_modulated_p2m_l2p_match_the_explicit_phases():
             ctx.local[lo:hi] = 0
             ctx.local[row] = local
             pset.potentials[:] = 0
-            _l2p_cell(ctx, leaf, lo, hi)
+            _l2p_cell(ctx, leaf.level, leaf.index, lo, hi)
             expected = (b @ (local * g.conj())) * y
             got = pset.potentials[leaf.start : leaf.stop]
             assert np.allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
@@ -1052,14 +1089,14 @@ def test_modulated_p2m_l2p_match_the_explicit_phases():
     low = [leaf for leaf in tree.leaves if not ctx.is_hf(leaf.level) and leaf.stop > leaf.start]
     assert low
     source_rows, target_rows = (
-        {leaf.index: (lo, hi) for leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs)}
+        {leaf: (lo, hi) for _, leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs)}
         for keys in (ctx.source_keys, ctx.target_keys)
     )
     for leaf in low:
         basis = interp.tensor_basis(ctx.table[leaf.start : leaf.stop])
         lo, hi = source_rows[leaf.index]
         assert ctx.source_keys[lo:hi].tolist() == [leaf.index * ctx.n_dirs]
-        _p2m_cell(ctx, leaf, lo, hi)
+        _p2m_cell(ctx, leaf.level, leaf.index, lo, hi)
         qs = pset.charges[leaf.start : leaf.stop]
         assert ctx.multipole[lo].tobytes() == (basis.T @ qs).tobytes()
 
@@ -1068,7 +1105,7 @@ def test_modulated_p2m_l2p_match_the_explicit_phases():
         local = rng.normal(size=size) + 1j * rng.normal(size=size)
         ctx.local[lo] = local
         pset.potentials[:] = 0
-        _l2p_cell(ctx, leaf, lo, hi)
+        _l2p_cell(ctx, leaf.level, leaf.index, lo, hi)
         assert pset.potentials[leaf.start : leaf.stop].tobytes() == (basis @ local).tobytes()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmfmm.geometry import MAX_MORTON_DEPTH, BoundingBox, morton_encode_many
+from helmfmm.geometry import MAX_MORTON_DEPTH, BoundingBox, compute_root_box, morton_encode_many
 from helmfmm.tree import accumulate_potentials, build_tree
 
 
@@ -138,6 +138,13 @@ def test_build_tree_input_validation():
         build_tree(np.zeros((3, 3)), np.zeros(2))
 
 
+@pytest.mark.parametrize("shape", [(5, 1), (5, 2), ()])
+def test_build_tree_rejects_charges_not_one_dimensional(shape):
+    pts, _ = _uniform_problem(5, seed=10)
+    with pytest.raises(ValueError, match=r"charges must have shape \(n,\)"):
+        build_tree(pts, np.ones(shape, dtype=complex))
+
+
 def test_build_tree_rejects_points_outside_root_box():
     box = BoundingBox(center=np.zeros(3), half_width=1.0)
     pts = np.zeros((10, 3))
@@ -148,3 +155,79 @@ def test_build_tree_rejects_points_outside_root_box():
     pts[3] = [1.0, -1.0, 1.0]
     tree, pset = build_tree(pts, np.ones(10), ncrit=2, root_box=box)
     assert pset.n == 10
+
+
+def _reference_arrays(points, ncrit):
+    """The tree's per-cell arrays and level sizes, built one cell at a time:
+    level by level, every cell of more than ncrit particles is cut where
+    the Morton prefix of the next level changes."""
+    box = compute_root_box(points)
+    top = MAX_MORTON_DEPTH
+    grid = ((points - box.lower) * ((1 << top) / box.side)).astype(np.int64)
+    grid = np.clip(grid, 0, (1 << top) - 1)
+    codes = morton_encode_many(grid, top)
+    order = np.argsort(codes, kind="stable")
+    codes, grid = codes[order].tolist(), grid[order]
+    levels = [[(0, len(points), (0, 0, 0))]]
+    n_sons = []
+    for level in range(1, top + 1):
+        shift = 3 * (top - level)
+        sons, counts = [], []
+        for start, stop, _ in levels[-1]:
+            bounds = [start]
+            if stop - start > ncrit:
+                inner = range(start + 1, stop)
+                bounds += [i for i in inner if codes[i] >> shift != codes[i - 1] >> shift]
+                bounds.append(stop)
+            counts.append(len(bounds) - 1)
+            for a, b in zip(bounds, bounds[1:]):
+                sons.append((a, b, tuple((grid[a] >> (top - level)).tolist())))
+        n_sons += counts
+        if not sons:
+            break
+        levels.append(sons)
+    else:
+        n_sons += [0] * len(levels[-1])
+    cells = [cell for level in levels for cell in level]
+    first_son = (np.cumsum(n_sons) - n_sons + 1).tolist()
+    return {
+        "start": [c[0] for c in cells],
+        "stop": [c[1] for c in cells],
+        "coords": [list(c[2]) for c in cells],
+        "n_sons": n_sons,
+        "first_son": first_son,
+        "sizes": [len(level) for level in levels],
+    }
+
+
+def _clouds():
+    rng = np.random.default_rng(20)
+    uniform = rng.uniform(size=(700, 3))
+    clustered = rng.uniform(size=(300, 3))
+    clustered[:70] = clustered[0]  # stops at depth 21 as one oversized leaf
+    return {
+        "uniform": uniform,
+        "coincident": np.tile([0.3, 0.7, 0.1], (40, 1)),
+        "planar": rng.uniform(size=(500, 3)) * [1.0, 1.0, 0.0],
+        "far-clusters": np.vstack(
+            [rng.uniform(size=(150, 3)) * 1e-3, rng.uniform(size=(150, 3)) * 1e-3 + 50.0]
+        ),
+        "coincident-cluster": clustered,
+    }
+
+
+@pytest.mark.parametrize("ncrit", [1, 4, 24, 64])
+@pytest.mark.parametrize("cloud", list(_clouds()))
+def test_array_build_equals_the_per_cell_loop(cloud, ncrit):
+    points = _clouds()[cloud]
+    tree, _ = build_tree(points, np.ones(len(points)), ncrit)
+    ref = _reference_arrays(points, ncrit)
+    assert tree.start.tolist() == ref["start"]
+    assert tree.stop.tolist() == ref["stop"]
+    assert tree.coords.tolist() == ref["coords"]
+    assert tree.n_sons.tolist() == ref["n_sons"]
+    assert tree.first_son.tolist() == ref["first_son"]
+    assert np.diff(tree.offsets).tolist() == ref["sizes"]
+    assert tree.depth == len(ref["sizes"]) - 1
+    if cloud == "coincident-cluster" and ncrit < 70:
+        assert tree.depth == MAX_MORTON_DEPTH
