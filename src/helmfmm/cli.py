@@ -1,4 +1,8 @@
-"""Command-line entry point for running FMM experiments."""
+"""Command-line entry point for running FMM experiments.
+
+Each ExperimentConfig field has one option, whose destination is the
+field's name; the parser's defaults are the dataclass's.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +10,10 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, fields
 
 from .distributions import KINDS
 from .harness import ExperimentConfig, run_experiment
-from .interpolation import STRATEGIES
 
 
 def _ncrit(text: str) -> int | str:
@@ -28,52 +32,34 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--distribution", choices=KINDS, default="uniform-cube",
-        help="particle distribution to generate",
+        "--distribution", choices=KINDS, help="particle distribution to generate"
     )
-    parser.add_argument("--n", type=int, default=10000, help="particle count")
+    parser.add_argument("--n", type=int, help="particle count")
     parser.add_argument(
-        "--kappa-d", type=float, default=0.0,
-        help="wavenumber times root box side (0 = Laplace limit)",
+        "--kappa-d", type=float, help="wavenumber times root box side (0 = Laplace limit)"
     )
-    parser.add_argument("--order", type=int, default=5, help="1D interpolation order L")
+    parser.add_argument("--order", type=int, help="1D interpolation order L")
     parser.add_argument(
-        "--ncrit", type=_ncrit, default=64,
+        "--ncrit", type=_ncrit,
         help="max particles per leaf, or 'auto' for a small tuning sweep",
     )
-    parser.add_argument("--eta", type=float, default=1.0, help="MAC parameter")
+    parser.add_argument("--eta", type=float, help="MAC parameter: bound <= eta * distance")
     parser.add_argument(
-        "--strategy", choices=STRATEGIES, default="t+s+r",
-        help="M2M/L2L application strategy",
-    )
-    parser.add_argument(
-        "--check-error", type=int, default=0, metavar="M",
+        "--check-error", type=int, metavar="M",
         help="validate against direct summation on M sampled targets",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--input", default=None, metavar="FILE",
+    parser.add_argument("--seed", type=int, help="RNG seed")
+    parser.add_argument("--input", dest="particle_file", metavar="FILE",
                         help="particle file ('x y z re_q im_q' per line) instead of a generator")
-    parser.add_argument("--output", default=None, metavar="PATH.json",
-                        help="write the run record as JSON")
-    parser.add_argument("--csv", default=None, metavar="PATH.csv",
-                        help="append the run record as one CSV row")
+    parser.add_argument("--output", metavar="PATH.json", help="write the run record as JSON")
+    parser.add_argument("--csv", metavar="PATH.csv", help="append the run record as one CSV row")
+    parser.set_defaults(**asdict(ExperimentConfig()))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = ExperimentConfig(
-        distribution=args.distribution,
-        n=args.n,
-        kappa_d=args.kappa_d,
-        order=args.order,
-        ncrit=args.ncrit,
-        eta=args.eta,
-        strategy=args.strategy,
-        check_error=args.check_error,
-        seed=args.seed,
-        particle_file=args.input,
-    )
+    cfg = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     record = run_experiment(cfg)
     if args.output:
         record.write_json(args.output)

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .distributions import Distribution, generate_distribution, random_charges
 from .geometry import compute_root_box
-from .kernel import HelmholtzKernel, direct_sum, relative_errors
+from .kernel import DEFAULT_SINGULARITY_TOL, HelmholtzKernel, direct_sum, relative_errors
 from .traversal import FmmConfig, run_fmm_full
 
 __all__ = [
@@ -24,28 +24,18 @@ __all__ = [
 
 NCRIT_SWEEP = (32, 64, 128, 256)
 
-TIMING_FIELDS = (
-    "tree", "blank", "precompute", "upward", "m2f", "m2l_p2p", "f2l", "downward", "total",
-)
-COUNT_FIELDS = (
-    "cells",
-    "leaves",
-    "symbols",
-    "effective_expansions",
-    "p2p_pairs",
-    "m2l_events",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: its fields are the CLI's options (cli.py) and the
+    record's config echo."""
+
     distribution: str = "uniform-cube"
     n: int = 10000
     kappa_d: float = 0.0  # product of wavenumber and root box side
     order: int = 5
     ncrit: int | str = 64  # integer or "auto"
     eta: float = 1.0
-    strategy: str = "t+s+r"
     check_error: int = 0  # number of sampled targets for the direct oracle
     seed: int = 0
     particle_file: str | None = None
@@ -53,6 +43,9 @@ class ExperimentConfig:
 
 @dataclass
 class RunRecord:
+    """A run's config echo, and the solve's timings and counts as
+    run_fmm_full reports them."""
+
     config: dict
     timings: dict
     counts: dict
@@ -62,8 +55,8 @@ class RunRecord:
     def to_json_dict(self) -> dict:
         return {
             "config": self.config,
-            "timings": {k: self.timings.get(k, 0.0) for k in TIMING_FIELDS},
-            "counts": {k: self.counts.get(k, 0) for k in COUNT_FIELDS},
+            "timings": self.timings,
+            "counts": self.counts,
             "errors": self.errors,
         }
 
@@ -72,15 +65,8 @@ class RunRecord:
 
     def write_csv(self, path) -> None:
         d = self.to_json_dict()
-        row: dict = {}
-        for k, v in d["config"].items():
-            row[f"config.{k}"] = v
-        for k in TIMING_FIELDS:
-            row[f"timings.{k}"] = d["timings"][k]
-        for k in COUNT_FIELDS:
-            row[f"counts.{k}"] = d["counts"][k]
-        for k in ("linf", "l1", "l2"):
-            row[f"errors.{k}"] = d["errors"][k] if d["errors"] else ""
+        d["errors"] = d["errors"] or dict.fromkeys(("linf", "l1", "l2"), "")
+        row = {f"{part}.{k}": v for part, values in d.items() for k, v in values.items()}
         path = Path(path)
         exists = path.exists()
         with path.open("a", newline="") as fh:
@@ -117,20 +103,6 @@ def _load_problem(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return points, charges
 
 
-def _single_run(points, charges, cfg: ExperimentConfig, ncrit: int):
-    box = compute_root_box(points)
-    kappa = cfg.kappa_d / box.side
-    fmm_cfg = FmmConfig(
-        order=cfg.order,
-        ncrit=ncrit,
-        eta=cfg.eta,
-        kappa=kappa,
-        strategy=cfg.strategy,
-    )
-    potentials, info = run_fmm_full(points, points, charges, fmm_cfg)
-    return potentials, info, kappa
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Run one FMM evaluation and collect timings, counts and sampled errors.
 
@@ -138,26 +110,25 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     total time, mirroring how the leaf criterion is tuned in practice.
     """
     points, charges = _load_problem(cfg)
+    side = compute_root_box(points).side
+    kappa = cfg.kappa_d / side
 
-    if cfg.ncrit == "auto":
-        best = None
-        for ncrit in NCRIT_SWEEP:
-            result = _single_run(points, charges, cfg, ncrit)
-            if best is None or result[1].timings["total"] < best[1][1].timings["total"]:
-                best = (ncrit, result)
-        ncrit, (potentials, info, kappa) = best
+    def solve(ncrit: int) -> tuple:
+        config = FmmConfig(order=cfg.order, ncrit=ncrit, eta=cfg.eta, kappa=kappa)
+        return (ncrit, *run_fmm_full(points, points, charges, config))
+
+    if cfg.ncrit == "auto":  # the first fastest of the sweep
+        runs = (solve(ncrit) for ncrit in NCRIT_SWEEP)
+        ncrit, potentials, info = min(runs, key=lambda run: run[2].timings["total"])
     else:
-        ncrit = int(cfg.ncrit)
-        potentials, info, kappa = _single_run(points, charges, cfg, ncrit)
+        ncrit, potentials, info = solve(int(cfg.ncrit))
 
     errors = None
     if cfg.check_error > 0:
         rng = np.random.default_rng(cfg.seed + 2)
         m = min(cfg.check_error, points.shape[0])
         sample = rng.choice(points.shape[0], size=m, replace=False)
-        kernel = HelmholtzKernel(
-            kappa=kappa, singularity_tol=1e-12 * compute_root_box(points).side
-        )
+        kernel = HelmholtzKernel(kappa=kappa, singularity_tol=DEFAULT_SINGULARITY_TOL * side)
         reference = direct_sum(kernel, points[sample], points, charges)
         report = relative_errors(reference, potentials[sample])
         errors = {
@@ -166,19 +137,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             "l2": report.rel_l2,
         }
 
-    config_echo = {
-        "distribution": cfg.distribution,
-        "n": int(points.shape[0]),
-        "kappa_d": cfg.kappa_d,
-        "kappa": kappa,
-        "order": cfg.order,
-        "ncrit": ncrit,
-        "eta": cfg.eta,
-        "strategy": cfg.strategy,
-        "check_error": cfg.check_error,
-        "seed": cfg.seed,
-        "particle_file": cfg.particle_file,
-    }
+    # the config as given, with the measured n, the kappa and the chosen ncrit
+    config_echo = {**asdict(cfg), "n": int(points.shape[0]), "kappa": kappa, "ncrit": ncrit}
     return RunRecord(
         config=config_echo,
         timings=info.timings,

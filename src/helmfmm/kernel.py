@@ -16,7 +16,8 @@ __all__ = [
 ]
 
 # Default distance below which an interaction is suppressed to zero.  The FMM
-# driver rescales this by the root box side so the policy is box-relative.
+# driver and the harness's direct-sum oracle rescale it by the root box side,
+# so the policy is box-relative.
 DEFAULT_SINGULARITY_TOL = 1e-12
 
 # entries of one kernel block in direct_sum; it bounds the temporaries of

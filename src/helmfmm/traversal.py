@@ -14,10 +14,10 @@ The blank DTT plans level by level on cell-index arrays, with no
 recursion, from the pair of roots (cell 0 of each tree): the pairs that
 neither interact nor touch a leaf hand their son pairs, target son major,
 to the next level, so each level keeps the order of the recursive
-traversal.  The strict MAC applies at low-frequency levels and the
-direction-free MAC max{kappa*w^2, 2w} / dist(t, s) <= eta at
-high-frequency ones (admissible); both depend on (level, translation)
-only, so a chunk of pairs evaluates them once per distinct translation,
+traversal.  The MAC is bound <= eta * dist(t, s), with bound the side at
+low-frequency levels and the direction-free max{kappa*w^2, 2w} at
+high-frequency ones (admissible); it depends on (level, translation)
+only, so a chunk of pairs evaluates it once per distinct translation,
 and each admissible one enters the solve's M2L table (the SymbolCache,
 which holds each entry's diagonal symbol and, at high frequency, its
 direction) once, so symbol precomputation lies inside the blank pass.
@@ -37,7 +37,8 @@ derives its side's keys and son links (_walk), so every son row a link
 names exists.  P2M and L2P take each leaf (n_sons 0) as one block of rows,
 one per direction, with a basis from one (N, 3, L) table of 1D Lagrange
 values per tree; M2M and L2L make one stacked apply per son octant of a
-level's links (_translate).  The modulation exp(i*kappa*<x, u>) on a cell
+level's links (_translate), with the stacked, real-deinterleaved
+strategy "t+s+r".  The modulation exp(i*kappa*<x, u>) on a cell
 grid alpha + beta * g is one phase per row times a grid wave built once
 per (level, direction) (_waves); a low-frequency level is the
 one-direction case u = 0, so each operator has one formula for both
@@ -58,7 +59,7 @@ from . import interpolation as interp
 from .directions import DirectionTree, father_direction, generate_direction_tree, nearest_direction
 from .fourier import FourierWorkspace, SymbolCache, m2l_hadamard
 from .geometry import compute_root_box
-from .kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum
+from .kernel import DEFAULT_SINGULARITY_TOL, MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum
 from .tree import ClusterTree, ParticleSet, accumulate_potentials, build_tree, cell_radius
 
 __all__ = ["FmmConfig", "InteractionEvent", "run_fmm", "run_fmm_full", "FmmInfo"]
@@ -85,7 +86,6 @@ class FmmConfig:
     ncrit: int = 64
     eta: float = 1.0
     kappa: float = 0.0
-    strategy: str = "t+s+r"
 
     def __post_init__(self):
         for name in ("order", "ncrit"):
@@ -96,14 +96,13 @@ class FmmConfig:
             raise ValueError("order must be >= 2")
         if self.ncrit < 1:
             raise ValueError("ncrit must be >= 1")
-        if self.strategy not in interp.STRATEGIES:
-            raise ValueError(f"strategy must be one of {interp.STRATEGIES}")
         for name in ("eta", "kappa"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, not {value!r}")
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise ValueError("eta must be finite and > 0")
+        # _distinct's int64 codes stay below 2**40 for eta >= 2**-10
+        if not (np.isfinite(self.eta) and self.eta >= 2.0**-10):
+            raise ValueError("eta must be finite and >= 2**-10")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError("kappa must be finite and >= 0")
 
@@ -124,14 +123,16 @@ def _distance(tvecs, side: float) -> np.ndarray:
 
 def admissible(tvecs, side: float, kappa: float | None = None, eta: float = 1.0) -> np.ndarray:
     """MAC of same-level cells of side ``side`` at the integer translations
-    tvecs (..., 3).  With kappa None the strict MAC: the cube distance is
-    at least one side; otherwise the directional MAC max{kappa*w^2, 2w} /
-    dist(t, s) <= eta, with w the cell radius."""
-    dist = _distance(tvecs, side)
+    tvecs (..., 3): bound <= eta * dist(t, s), with bound the side at low
+    frequency (kappa None) and max{kappa*w^2, 2w} at high frequency, w the
+    cell radius.  The gaps are integers, so at low frequency any eta >= 1
+    gives the strict MAC: the cubes lie at least one side apart."""
     if kappa is None:
-        return dist >= side
-    w = cell_radius(side)
-    return max(kappa * w * w, 2.0 * w) <= eta * dist
+        bound = side
+    else:
+        w = cell_radius(side)
+        bound = max(kappa * w * w, 2.0 * w)
+    return bound <= eta * _distance(tvecs, side)
 
 
 class _Context:
@@ -247,10 +248,11 @@ def _resolve(ctx: _Context, level: int, tvec: np.ndarray) -> int:
 def _distinct(tvecs: np.ndarray) -> tuple:
     """(distinct rows of tvecs in lexicographic order, the position of each
     row among them), through one int64 code per row over the rows'
-    bounding box.  The code stays below 2**30: MAX_REFINEMENT keeps the
+    bounding box.  The code stays below 2**40: MAX_REFINEMENT keeps the
     high-frequency levels among 0 to 8, a translation at levels 0 to 9 has
     less than 2**9 cells per axis, and the sons of a low-frequency pair the
-    strict MAC rejects lie at most 3 cells apart per axis."""
+    MAC rejects (a gap below 1 / eta sides per axis) lie fewer than
+    2 / eta + 3 cells apart per axis, with eta >= 2**-10 (FmmConfig)."""
     lo = tvecs.min(axis=0)
     ext = tuple((tvecs.max(axis=0) - lo + 1).tolist())
     code = tvecs[:, 0] - np.int64(lo[0])
@@ -515,7 +517,7 @@ def _translate(ctx: _Context, tree: ClusterTree, link: tuple, up: bool) -> None:
             src, dst = (s, f) if up else (f, s)
             into, out = (son_waves, father_waves) if up else (father_waves, son_waves)
             cols = rows[src] * into.conj()
-            stacked = interp.apply_strategy(ctx.config.strategy, factors, cols.T).T
+            stacked = interp.apply_strategy("t+s+r", factors, cols.T).T
             stacked *= out
             np.add.at(rows, dst, stacked)
 
@@ -656,6 +658,8 @@ def run_fmm_full(
     t0 = time.perf_counter()
     same = targets is sources
     targets = np.atleast_2d(targets)
+    if targets.ndim != 2 or targets.shape[1] != 3:
+        raise ValueError(f"targets must have shape (m, 3), not {targets.shape}")
     box = None if same else compute_root_box(np.vstack([targets, np.atleast_2d(sources)]))
     source_tree, source_pset = build_tree(sources, charges, config.ncrit, root_box=box)
     target_tree, target_pset = (source_tree, source_pset) if same else build_tree(
@@ -664,7 +668,8 @@ def run_fmm_full(
     info.timings["tree"] = time.perf_counter() - t0
 
     # box-relative singularity suppression
-    kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=1e-12 * source_tree.root_box.side)
+    tol = DEFAULT_SINGULARITY_TOL * source_tree.root_box.side
+    kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=tol)
     ctx = _Context(config, kernel, target_tree, source_tree, target_pset, source_pset, events)
     info.hf_max_level = ctx.hf_max_level
     steps = (  # each name is looked up when its step runs, so wrappers are timed

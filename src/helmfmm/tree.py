@@ -159,8 +159,8 @@ def build_tree(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     charges = np.asarray(charges, dtype=complex)
-    if points.shape[0] == 0:
-        raise ValueError("at least one particle is required")
+    if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
+        raise ValueError(f"points must have shape (n, 3) with n >= 1, not {points.shape}")
     if charges.ndim != 1:
         raise ValueError(f"charges must have shape (n,), not {charges.shape}")
     if points.shape[0] != charges.shape[0]:

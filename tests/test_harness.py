@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -142,3 +143,27 @@ def test_cli_rejects_a_bad_ncrit(capsys, ncrit):
         main(["--n", "100", "--ncrit", ncrit])
     assert exc.value.code == 2
     assert "--ncrit" in capsys.readouterr().err
+
+
+def test_cli_sets_every_experiment_field(tmp_path, capsys):
+    """Every ExperimentConfig field has a flag whose non-default value
+    reaches the record's config; --strategy is no longer an option."""
+    path = tmp_path / "cloud.txt"
+    pts = np.random.default_rng(2).uniform(size=(120, 3))
+    path.write_text("".join(f"{x} {y} {z} 1.0 0.5\n" for x, y, z in pts))
+    values = {
+        "distribution": "sphere", "n": 120, "kappa_d": 3.0, "order": 3, "ncrit": 16,
+        "eta": 1.5, "check_error": 10, "seed": 4, "particle_file": str(path),
+    }
+    assert set(values) == {f.name for f in fields(ExperimentConfig)}
+    defaults = asdict(ExperimentConfig())
+    assert all(value != defaults[name] for name, value in values.items())
+    flags = {name: "--" + name.replace("_", "-") for name in values} | {"particle_file": "--input"}
+    assert main([arg for name, value in values.items() for arg in (flags[name], str(value))]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert {name: config[name] for name in values} == values
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--n", "100", "--strategy", "t"])
+    assert exc.value.code == 2
+    assert "--strategy" in capsys.readouterr().err

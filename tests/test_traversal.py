@@ -148,14 +148,56 @@ def test_array_mac_admits_the_kappa_w_squared_tie(eta):
     assert not admissible(tvec, side, above, eta)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (4,), (2, 4, 3)])
+def test_targets_must_be_points_in_3d(shape):
+    """The two-tree path checks the targets' shape before it stacks them
+    with the sources for their common root box."""
+    rng = np.random.default_rng(3)
+    sources = rng.uniform(size=(50, 3))
+    with pytest.raises(ValueError, match=r"targets must have shape \(m, 3\)"):
+        run_fmm_full(np.zeros(shape), sources, np.ones(50, dtype=complex))
+
+
+def test_eta_above_one_keeps_the_strict_mac_at_low_frequency():
+    """At kappa = 0 every level is low-frequency, where the MAC is
+    side <= eta * dist: the gaps are integers, so eta 2 and 100 plan and
+    sum exactly as eta 1."""
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(size=(600, 3))
+    q = rng.normal(size=600) + 1j * rng.normal(size=600)
+    ref = run_fmm(pts, pts, q, FmmConfig(order=3, ncrit=16))
+    for eta in (2.0, 100.0):
+        pot = run_fmm(pts, pts, q, FmmConfig(order=3, ncrit=16, eta=eta))
+        assert pot.tobytes() == ref.tobytes()
+
+
+def _low_frequency_gaps(eta):
+    """The squared gap sums of the low-frequency M2L translations planned on
+    a sphere at kappa = 8, which has high- and low-frequency levels."""
+    sources = generate_distribution(Distribution("sphere", 1000))
+    ctx = _planning_context(sources, sources, FmmConfig(order=3, ncrit=8, kappa=8.0, eta=eta))
+    blank_dtt(ctx)
+    plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
+    lf = ctx.target_tree.cell_levels()[plan[:, 0]] > ctx.hf_max_level
+    assert ctx.hf_max_level >= 0 and lf.any()
+    tt, st = ctx.target_tree, ctx.source_tree
+    tvecs = tt.coords[plan[lf, 0]].astype(np.int64) - st.coords[plan[lf, 1]]
+    return (np.maximum(np.abs(tvecs) - 1, 0) ** 2).sum(axis=1)
+
+
+def test_eta_below_one_tightens_the_low_frequency_mac():
+    """At eta = 0.5 a low-frequency M2L needs side <= dist / 2, a squared
+    gap sum of at least 4, where eta = 1 admits gap sums from 1."""
+    assert (_low_frequency_gaps(0.5) >= 4).all()
+    assert (_low_frequency_gaps(1.0) < 4).any()
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FmmConfig(order=1)
-    with pytest.raises(ValueError):
-        FmmConfig(strategy="dense")
-    for bad in (0.0, np.inf, np.nan):
+    for bad in (0.0, 2.0**-11, np.inf, np.nan):
         with pytest.raises(ValueError):
             FmmConfig(eta=bad)
+    assert FmmConfig(eta=2.0**-10).eta == 2.0**-10
     for bad in (-2.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             FmmConfig(kappa=bad)

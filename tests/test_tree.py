@@ -145,6 +145,14 @@ def test_build_tree_rejects_charges_not_one_dimensional(shape):
         build_tree(pts, np.ones(shape, dtype=complex))
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (4, 4), (0, 3)])
+def test_build_tree_checks_points_with_a_root_box(shape):
+    """An explicit root box does not skip the check compute_root_box makes:
+    points of shape (n, 3) with n >= 1."""
+    box = BoundingBox(center=np.zeros(3), half_width=1.0)
+    with pytest.raises(ValueError, match=r"points must have shape \(n, 3\)"):
+        build_tree(np.zeros(shape), np.ones(shape[0]), root_box=box)
+
 def test_build_tree_rejects_points_outside_root_box():
     box = BoundingBox(center=np.zeros(3), half_width=1.0)
     pts = np.zeros((10, 3))
