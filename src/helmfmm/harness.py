@@ -137,8 +137,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             "l2": report.rel_l2,
         }
 
-    # the config as given, with the measured n, the kappa and the chosen ncrit
+    # the config as given, with the measured n, the kappa and the chosen
+    # ncrit; a particle file replaces the generator's distribution, but the
+    # seed still picks the error sample
     config_echo = {**asdict(cfg), "n": int(points.shape[0]), "kappa": kappa, "ncrit": ncrit}
+    if cfg.particle_file is not None:
+        config_echo["distribution"] = None
     return RunRecord(
         config=config_echo,
         timings=info.timings,

@@ -4,11 +4,12 @@ The driver pipeline plans, then executes:
 
     build trees -> blank DTT (interaction lists) -> keys and son links ->
     P2M at leaves -> M2M per level upward -> M2F -> DTT (replay: Hadamard
-    M2L, then P2P) -> F2L -> L2L per level downward -> L2P -> un-permute
+    M2L streamed into F2L a stack of target rows at a time, then P2P) ->
+    L2L per level downward -> L2P -> un-permute
 
 Every step reads the trees' per-cell arrays (tree.py) only; a tree's Cell
 views are built for the event log alone.  The driver times each step in
-its own bucket of info.timings.
+its own bucket of info.timings, and the DTT its M2L, F2L and P2P apart.
 
 The blank DTT plans level by level on cell-index arrays, with no
 recursion, from the pair of roots (cell 0 of each tree): the pairs that
@@ -21,11 +22,13 @@ only, so a chunk of pairs evaluates it once per distinct translation,
 and each admissible one enters the solve's M2L table (the SymbolCache,
 which holds each entry's diagonal symbol and, at high frequency, its
 direction) once, so symbol precomputation lies inside the blank pass.
-The numeric DTT replays the M2L events in recorded order, so every
-accumulator sums as in the recursion.  One stable argsort groups the P2P
-pairs by target: each target cell takes one direct sum against the
-particles of its near source cells in recorded order, in kernel blocks of
-at most MAX_BLOCK_ENTRIES entries, real at kappa = 0.
+The numeric DTT replays the M2L events stack by stack of target rows,
+each stack's in recorded order, so every accumulator sums as in the
+recursion while only one stack of Fourier locals is alive; F2L takes
+each stack as soon as its last event is done.  One stable argsort groups
+the P2P pairs by target: each target cell takes one direct sum against
+the particles of its near source cells in recorded order, in kernel
+blocks of at most MAX_BLOCK_ENTRIES entries, real at kappa = 0.
 
 Expansions live in per-solve arrays, one row per key cell * n_dirs + d (d
 indexes ctx.units at the cell's level: 0, u = 0, at low frequency), in the
@@ -52,6 +55,7 @@ import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -164,12 +168,13 @@ class _Context:
         self.m2l_plan = array("i")
         self.p2p_plan = array("i")
         # _plan_rows' sorted keys (see the module docstring); m2l_keys are
-        # the target keys M2L writes, one local_hat row each, and m2f_keys
-        # the source keys it reads, one multipole_hat row each; and _walk's
-        # son links, one table per father level and side
+        # the target keys M2L writes, one Fourier local each, held only
+        # while dtt replays their stack (_m2l), and m2f_keys the source keys
+        # it reads, one multipole_hat row each; and _walk's son links, one
+        # table per father level and side
         self.source_keys = self.target_keys = self.m2l_keys = self.m2f_keys = None
         self.source_links = self.target_links = None
-        self.multipole = self.multipole_hat = self.local_hat = self.local = None
+        self.multipole = self.multipole_hat = self.local = None
         # the Lagrange table of table_pset (_use_table) and the grid waves
         # (_waves), both built once per solve
         self.table = self.table_pset = None
@@ -325,8 +330,9 @@ def blank_dtt(ctx: _Context) -> None:
     of at most PLAN_CHUNK pairs.  The admissible ones become M2L triplets,
     the others with a leaf P2P pairs, and the rest hand their son pairs to
     the next level.  Each level keeps the order in which the recursive
-    traversal visits its pairs, so every local_hat row sums its M2L terms
-    in that order.
+    traversal visits its pairs, and so does every target row when dtt
+    replays the events stack by stack, so every Fourier local sums its
+    M2L terms in that order.
     """
     tt, st = ctx.target_tree, ctx.source_tree
     pairs = [(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))]
@@ -378,9 +384,9 @@ def _walk(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> tuple:
 
 def _plan_rows(ctx: _Context) -> None:
     """Rewrite the M2L plan's cell indices in place: the target as its row
-    of local_hat (one row per key of m2l_keys), the source as its row of
-    multipole_hat (one row per key of m2f_keys); then derive both key sets
-    and their son links from these (_walk)."""
+    (one row per key of m2l_keys), the source as its row of multipole_hat
+    (one row per key of m2f_keys); order the plan by stack of target rows;
+    then derive both key sets and their son links from these (_walk)."""
     n = ctx.n_dirs
     plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
     dirs = np.array(ctx.cache.directions, dtype=np.int64)
@@ -395,6 +401,9 @@ def _plan_rows(ctx: _Context) -> None:
         return distinct
 
     ctx.m2l_keys, ctx.m2f_keys = rows(0), rows(1)
+    # the events stack by stack of target rows (_stacks), each stack's in
+    # recorded order: dtt replays and transforms one stack at a time
+    plan[:] = plan[np.argsort(plan[:, 0] // _stack_rows(ctx), kind="stable")]
     # after the per-event temporaries are freed: arrays kept while they
     # lived would pin the heap they grew (29 MB on the N = 80,000 sphere)
     ctx.target_keys, ctx.target_links = _walk(ctx, ctx.target_tree, ctx.m2l_keys)
@@ -532,12 +541,17 @@ def _upward(ctx: _Context, tree: ClusterTree) -> None:
         _translate(ctx, tree, link, up=True)
 
 
+def _stack_rows(ctx: _Context) -> int:
+    """The rows of a full stack (_stacks)."""
+    return max(1, MAX_BLOCK_ENTRIES // ctx.workspace.fourier_size)
+
+
 def _stacks(ctx: _Context, n: int) -> list:
     """Slices of at most MAX_BLOCK_ENTRIES // P^3 rows that cover n rows in
     order: the stacks M2F and F2L transform at a time.  Their temporaries
     stay under 1 MB; a whole level's would grow the heap (29 MB on a
     4,000-point sphere at kappa*D = 32)."""
-    step = max(1, MAX_BLOCK_ENTRIES // ctx.workspace.fourier_size)
+    step = _stack_rows(ctx)
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
@@ -564,29 +578,52 @@ def _log(ctx: _Context, kind: str, targets: np.ndarray, sources: np.ndarray) -> 
         ctx.events.extend(InteractionEvent(kind, t(i), s(j)) for i, j in pairs)
 
 
-def dtt(ctx: _Context) -> None:
-    """Replay blank_dtt's lists: every M2L in recorded order, then the P2P
-    pairs as one direct sum per target cell, against all its near sources.
+def _m2l(ctx: _Context) -> float:
+    """Replay the M2L events a stack of target rows (_stacks) at a time,
+    each stack's in recorded order (_plan_rows sorted them so), into one
+    reused (stack, P^3) buffer, and F2L each stack into its rows of
+    ctx.local as soon as its last event is done; returns the F2L time.
+    local holds the locals M2L wrote (m2l_keys) in their rows of
+    target_keys, and zeros elsewhere."""
+    rows = np.searchsorted(ctx.target_keys, ctx.m2l_keys)
+    stacks = _stacks(ctx, len(rows))
+    step = _stack_rows(ctx)
+    ctx.local = np.zeros((len(ctx.target_keys), ctx.workspace.nodal_size), dtype=complex)
+    buffer = np.zeros((min(step, len(rows)), ctx.workspace.fourier_size), dtype=complex)
+    # row views: one Python list lookup per operand instead of a 2-D index;
+    # the local of row j sums in buffer row j % step
+    accumulators = list(buffer) * len(stacks)
+    multipoles_hat = list(ctx.multipole_hat)
+    diagonals = ctx.cache.diagonals
+    plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
+    counts = np.bincount(plan[:, 0] // step, minlength=len(stacks)).tolist()
+    it = iter(ctx.m2l_plan)
+    f2l = 0.0
+    for at, count in zip(stacks, counts):
+        events = islice(it, 3 * count)
+        for j, row, entry in zip(events, events, events):
+            m2l_hadamard(accumulators[j], multipoles_hat[row], diagonals[entry])
+        dst = rows[at]
+        stack = buffer[: len(dst)]
+        t0 = time.perf_counter()
+        ctx.local[dst] = ctx.workspace.f2l(stack)
+        f2l += time.perf_counter() - t0
+        stack.fill(0)
+    # every M2L has read its multipole
+    del multipoles_hat
+    ctx.multipole_hat = None
+    n = ctx.n_dirs
+    _log(ctx, "M2L", ctx.m2l_keys[plan[:, 0]] // n, ctx.m2f_keys[plan[:, 1]] // n)
+    return f2l
+
+
+def _p2p(ctx: _Context) -> None:
+    """One direct sum per target cell, against all its near sources.
 
     One stable argsort groups the P2P pairs by target, each target's
     sources in recorded order; the targets go in cell order, so a cell's
     sum comes before its descendants', as in the recorded order."""
     tt, st = ctx.target_tree, ctx.source_tree
-    n = ctx.n_dirs
-    ctx.local_hat = np.zeros((len(ctx.m2l_keys), ctx.workspace.fourier_size), dtype=complex)
-    # row views: one Python list lookup per operand instead of a 2-D index
-    locals_hat = list(ctx.local_hat)
-    multipoles_hat = list(ctx.multipole_hat)
-    diagonals = ctx.cache.diagonals
-    it = iter(ctx.m2l_plan)
-    for j, row, entry in zip(it, it, it):
-        m2l_hadamard(locals_hat[j], multipoles_hat[row], diagonals[entry])
-    # every M2L has read its multipole
-    del multipoles_hat
-    ctx.multipole_hat = None
-    m2l = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
-    _log(ctx, "M2L", ctx.m2l_keys[m2l[:, 0]] // n, ctx.m2f_keys[m2l[:, 1]] // n)
-
     p2p = np.frombuffer(ctx.p2p_plan, dtype=np.intc).reshape(-1, 2)
     _log(ctx, "P2P", p2p[:, 0], p2p[:, 1])
     ti, si = p2p[np.argsort(p2p[:, 0], kind="stable")].T
@@ -606,19 +643,19 @@ def dtt(ctx: _Context) -> None:
         )
 
 
+def dtt(ctx: _Context) -> dict:
+    """Replay blank_dtt's lists: the M2L events with their F2L, stack by
+    stack (_m2l), then the P2P pairs (_p2p).  Returns the time of each
+    part in its own bucket: m2l (the replay), f2l and p2p."""
+    t0 = time.perf_counter()
+    f2l = _m2l(ctx)
+    t1 = time.perf_counter()
+    _p2p(ctx)
+    return {"m2l": t1 - t0 - f2l, "f2l": f2l, "p2p": time.perf_counter() - t1}
+
+
 # ---------------------------------------------------------------------------
 # downward pass
-
-
-def _f2l(ctx: _Context) -> None:
-    """Transform the locals M2L wrote (m2l_keys) back to the nodal domain, a
-    stack of rows at a time, the mirror of M2F: local holds them in their
-    rows of target_keys and zeros elsewhere."""
-    rows = np.searchsorted(ctx.target_keys, ctx.m2l_keys)
-    ctx.local = np.zeros((len(ctx.target_keys), ctx.workspace.nodal_size), dtype=complex)
-    for at in _stacks(ctx, len(rows)):
-        ctx.local[rows[at]] = ctx.workspace.f2l(ctx.local_hat[at])
-    ctx.local_hat = None
 
 
 def _downward(ctx: _Context, tree: ClusterTree) -> None:
@@ -660,7 +697,11 @@ def run_fmm_full(
     targets = np.atleast_2d(targets)
     if targets.ndim != 2 or targets.shape[1] != 3:
         raise ValueError(f"targets must have shape (m, 3), not {targets.shape}")
-    box = None if same else compute_root_box(np.vstack([targets, np.atleast_2d(sources)]))
+    if not same:
+        sources = np.atleast_2d(sources)
+        if sources.ndim != 2 or sources.shape[1] != 3:
+            raise ValueError(f"sources must have shape (n, 3), not {sources.shape}")
+    box = None if same else compute_root_box(np.vstack([targets, sources]))
     source_tree, source_pset = build_tree(sources, charges, config.ncrit, root_box=box)
     target_tree, target_pset = (source_tree, source_pset) if same else build_tree(
         targets, np.zeros(len(targets)), config.ncrit, root_box=box
@@ -672,18 +713,18 @@ def run_fmm_full(
     kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=tol)
     ctx = _Context(config, kernel, target_tree, source_tree, target_pset, source_pset, events)
     info.hf_max_level = ctx.hf_max_level
-    steps = (  # each name is looked up when its step runs, so wrappers are timed
-        ("blank", lambda: (blank_dtt(ctx), _plan_rows(ctx))),
-        ("upward", lambda: _upward(ctx, source_tree)),
-        ("m2f", lambda: _m2f(ctx)),
-        ("m2l_p2p", lambda: dtt(ctx)),
-        ("f2l", lambda: _f2l(ctx)),
-        ("downward", lambda: _downward(ctx, target_tree)),
-    )
-    for name, step in steps:
+
+    def timed(name: str, step) -> None:
         t0 = time.perf_counter()
         step()
         info.timings[name] = time.perf_counter() - t0
+
+    # each name is looked up when its step runs, so wrappers are timed
+    timed("blank", lambda: (blank_dtt(ctx), _plan_rows(ctx)))
+    timed("upward", lambda: _upward(ctx, source_tree))
+    timed("m2f", lambda: _m2f(ctx))
+    info.timings.update(dtt(ctx))  # its m2l, f2l and p2p buckets
+    timed("downward", lambda: _downward(ctx, target_tree))
     info.timings["precompute"] = ctx.precompute_time
     info.timings["total"] = time.perf_counter() - t_start
 

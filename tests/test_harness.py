@@ -1,7 +1,7 @@
 import csv
 import hashlib
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,8 @@ def test_run_experiment_record_schema():
     # kappa = kappa_d / root box side, and the unit cube's box side is ~1
     assert 8.0 / d["config"]["kappa"] == pytest.approx(1.0, rel=0.2)
     assert set(d["timings"]) == {
-        "tree", "blank", "precompute", "upward", "m2f", "m2l_p2p", "f2l", "downward", "total",
+        "tree", "blank", "precompute", "upward", "m2f", "m2l", "f2l", "p2p", "downward",
+        "total",
     }
     assert set(d["counts"]) == {
         "cells", "leaves", "symbols", "effective_expansions", "p2p_pairs",
@@ -102,6 +103,23 @@ def test_experiment_from_particle_file(tmp_path):
     assert record.errors["l2"] < 1e-2
 
 
+def test_file_input_echoes_no_distribution(tmp_path):
+    """A run from a particle file echoes no generator distribution, but keeps
+    the seed, which still picks the error sample."""
+    path = tmp_path / "cloud.txt"
+    pts = np.random.default_rng(6).uniform(size=(80, 3))
+    path.write_text("".join(f"{x} {y} {z} 1.0 0.5\n" for x, y, z in pts))
+    base = ExperimentConfig(
+        distribution="sphere", order=3, ncrit=16, check_error=10, particle_file=str(path)
+    )
+    records = [run_experiment(replace(base, seed=seed)) for seed in (7, 7, 8)]
+    assert [r.config["distribution"] for r in records] == [None] * 3
+    assert [r.config["seed"] for r in records] == [7, 7, 8]
+    assert records[0].errors == records[1].errors != records[2].errors
+    generated = run_experiment(replace(base, n=80, particle_file=None))
+    assert generated.config["distribution"] == "sphere"
+
+
 def test_cli_writes_json_and_prints_digest(tmp_path, capsys):
     out = tmp_path / "run.json"
     code = main([
@@ -161,7 +179,8 @@ def test_cli_sets_every_experiment_field(tmp_path, capsys):
     flags = {name: "--" + name.replace("_", "-") for name in values} | {"particle_file": "--input"}
     assert main([arg for name, value in values.items() for arg in (flags[name], str(value))]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert {name: config[name] for name in values} == values
+    # the particle file replaces the generated distribution
+    assert {name: config[name] for name in values} == values | {"distribution": None}
 
     with pytest.raises(SystemExit) as exc:
         main(["--n", "100", "--strategy", "t"])

@@ -19,7 +19,6 @@ from helmfmm.traversal import (
     _Context,
     _distance,
     _downward,
-    _f2l,
     _l2p_cell,
     _lagrange_table,
     _p2m_cell,
@@ -156,6 +155,15 @@ def test_targets_must_be_points_in_3d(shape):
     sources = rng.uniform(size=(50, 3))
     with pytest.raises(ValueError, match=r"targets must have shape \(m, 3\)"):
         run_fmm_full(np.zeros(shape), sources, np.ones(50, dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (5,), (2, 5, 3)])
+def test_sources_must_be_points_in_3d(shape):
+    """The two-tree path checks the sources' shape, too, before it stacks
+    them with the targets."""
+    targets = np.random.default_rng(3).uniform(size=(4, 3))
+    with pytest.raises(ValueError, match=r"sources must have shape \(n, 3\)"):
+        run_fmm(targets, np.zeros(shape), np.ones(5))
 
 
 def test_eta_above_one_keeps_the_strict_mac_at_low_frequency():
@@ -540,11 +548,10 @@ def test_downward_pass_fails_on_a_missing_son_local(kappa):
     tree = ctx.target_tree
     _upward(ctx, ctx.source_tree)
     _m2f(ctx)
-    dtt(ctx)
     victim = _son_key(ctx, tree, ctx.target_keys)
     assert victim in ctx.target_keys and victim not in ctx.m2l_keys
     ctx.target_keys = ctx.target_keys[ctx.target_keys != victim]
-    _f2l(ctx)
+    dtt(ctx)
     with pytest.raises(RuntimeError, match="missing son expansion"):
         _downward(ctx, tree)
 
@@ -694,18 +701,26 @@ def test_translation_slices_keep_the_potentials(monkeypatch):
     assert sliced.tobytes() == whole.tobytes()
 
 
-@pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
-@pytest.mark.parametrize("kappa", [12.0, 0.0])
-def test_fourier_stacks_keep_the_potentials(monkeypatch, kappa, same):
-    """M2F and F2L transform at most MAX_BLOCK_ENTRIES // P^3 rows at a
-    time.  Stacks of three rows give bitwise the potentials of the default,
-    which takes these problems in one stack; the last stack is ragged on
-    all but the self-interaction at kappa = 12 (96 rows each way)."""
+def _stack_problem(kappa, same):
+    """400 random sources at order 3, either with targets on themselves or
+    on a plane through them."""
     rng = np.random.default_rng(11)
     sources = rng.uniform(size=(400, 3))
     targets = sources if same else rng.uniform(size=(150, 3)) * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.5]
     q = rng.normal(size=400) + 1j * rng.normal(size=400)
-    config = FmmConfig(order=3, ncrit=16, kappa=kappa)
+    return targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=kappa)
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
+@pytest.mark.parametrize("kappa", [12.0, 0.0])
+def test_fourier_stacks_keep_the_potentials(monkeypatch, kappa, same):
+    """M2F and F2L transform at most MAX_BLOCK_ENTRIES // P^3 rows at a
+    time, and M2L replays the events of one stack of target rows at a time.
+    Stacks of three rows, or of one, give bitwise the potentials of the
+    default, which takes these problems in one stack; the last stack of
+    three is ragged on all but the self-interaction at kappa = 12 (96 rows
+    each way)."""
+    targets, sources, q, config = _stack_problem(kappa, same)
     stacks = {"m2f": [], "f2l": []}
     for name, seen in stacks.items():
         original = getattr(FourierWorkspace, name)
@@ -717,12 +732,40 @@ def test_fourier_stacks_keep_the_potentials(monkeypatch, kappa, same):
     whole = run_fmm(targets, sources, q, config)
     assert [len(seen) for seen in stacks.values()] == [1, 1]
     rows = {name: seen.pop() for name, seen in stacks.items()}
-    monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", 3 * FourierWorkspace(config.order).fourier_size)
-    stacked = run_fmm(targets, sources, q, config)
-    for name, seen in stacks.items():
-        assert sum(seen) == rows[name] > 6
-        assert seen == [3] * (len(seen) - 1) + [rows[name] - 3 * (len(seen) - 1)]
-    assert stacked.tobytes() == whole.tobytes()
+    size = FourierWorkspace(config.order).fourier_size
+    for width in (3, 1):
+        monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", width * size)
+        stacked = run_fmm(targets, sources, q, config)
+        for name, seen in stacks.items():
+            assert sum(seen) == rows[name] > 6
+            assert seen == [width] * (len(seen) - 1) + [rows[name] - width * (len(seen) - 1)]
+            seen.clear()
+        assert stacked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
+@pytest.mark.parametrize("kappa", [12.0, 0.0])
+def test_m2l_accumulates_in_one_buffer_of_a_stack(monkeypatch, kappa, same):
+    """Every accumulator M2L receives is a row of one buffer of at most
+    MAX_BLOCK_ENTRIES // P^3 rows, so the Fourier locals never live whole;
+    the rows F2L receives are contiguous rows of that buffer."""
+    targets, sources, q, config = _stack_problem(kappa, same)
+    size = FourierWorkspace(config.order).fourier_size
+    width = 5
+    monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", width * size)
+    accumulators, stacks = [], []
+    hadamard = traversal.m2l_hadamard
+    monkeypatch.setattr(
+        traversal, "m2l_hadamard", lambda a, s, d: accumulators.append(a) or hadamard(a, s, d)
+    )
+    f2l = FourierWorkspace.f2l
+    monkeypatch.setattr(FourierWorkspace, "f2l", lambda self, x: stacks.append(x) or f2l(self, x))
+    _, info = run_fmm_full(targets, sources, q, config)
+    assert len(accumulators) == info.counts["m2l_events"] > 0
+    buffer = accumulators[0].base
+    assert buffer is not None and all(a.base is buffer for a in accumulators)
+    assert buffer.shape == (width, size)
+    assert len(stacks) > 1 and all(x.base is buffer for x in stacks)
 
 
 @pytest.mark.parametrize("same", [True, False])
@@ -755,7 +798,8 @@ def test_table_directions_are_the_rows_each_m2l_reads_and_writes(same, kappa):
     """The direction of an M2L event's table entry is the direction of the
     local it writes and of the multipole it reads: the direction nearest
     to its translation at a high-frequency level, 0 at a low-frequency
-    one."""
+    one.  The rows' plan goes stack by stack of target rows (_stacks),
+    each stack's events in recorded order."""
     sources = generate_distribution(Distribution("sphere", 1000))
     targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
     ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=8, kappa=kappa))
@@ -764,6 +808,12 @@ def test_table_directions_are_the_rows_each_m2l_reads_and_writes(same, kappa):
     _plan_rows(ctx)
     rows = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
     n = ctx.n_dirs
+    step = traversal._stack_rows(ctx)
+    stack = rows[:, 0] // step
+    assert stack[-1] > 0 and np.all(np.diff(stack) >= 0)
+    keys = cells[:, 0] * np.int64(n) + np.array(ctx.cache.directions)[cells[:, 2]]
+    recorded = np.searchsorted(ctx.m2l_keys, keys) // step
+    cells = cells[np.argsort(recorded, kind="stable")]
     tcells, scells = ctx.target_tree.cells, ctx.source_tree.cells
     levels = set()
     for (ti, si, entry), (j, row, _) in zip(cells.tolist(), rows.tolist()):
@@ -880,20 +930,21 @@ def test_counts_are_consistent():
     )
     assert info.hf_max_level == -1
     assert set(info.timings) >= {
-        "tree", "blank", "precompute", "upward", "m2f", "m2l_p2p", "f2l", "downward", "total",
+        "tree", "blank", "precompute", "upward", "m2f", "m2l", "f2l", "p2p", "downward", "total",
     }
 
 
 @pytest.mark.parametrize("kappa", [0.0, 12.0])
 def test_timing_buckets_are_disjoint(kappa):
-    """The driver times each step in its own bucket: every bucket is >= 0,
+    """The driver times each step in its own bucket, and dtt times its M2L
+    replay, its streamed F2L stacks and its P2P apart: every bucket is >= 0,
     and the steps (all but precompute, which lies inside blank) sum to at
     most total."""
     rng = np.random.default_rng(5)
     pts = rng.uniform(size=(400, 3))
     q = rng.uniform(size=400) + 1j * rng.uniform(size=400)
     _, info = run_fmm_full(pts, pts, q, FmmConfig(order=3, ncrit=16, kappa=kappa))
-    steps = ("tree", "blank", "upward", "m2f", "m2l_p2p", "f2l", "downward")
+    steps = ("tree", "blank", "upward", "m2f", "m2l", "f2l", "p2p", "downward")
     assert all(info.timings[k] >= 0 for k in (*steps, "precompute", "total"))
     assert info.timings["precompute"] <= info.timings["blank"]
     assert sum(info.timings[k] for k in steps) <= info.timings["total"]
