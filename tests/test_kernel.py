@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helmfmm.kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum, relative_errors
+from helmfmm.kernel import (
+    CIS_BOUND,
+    MAX_BLOCK_ENTRIES,
+    HelmholtzKernel,
+    direct_sum,
+    relative_errors,
+)
 from helmfmm.traversal import FmmConfig, run_fmm
 
 
@@ -89,18 +95,63 @@ def test_matrix_is_real_inverse_distance_at_kappa_zero():
     assert np.allclose(mat[~coincident], 1.0 / (4.0 * np.pi * r[~coincident]), rtol=1e-15, atol=0)
 
 
-def test_matrix_matches_of_distance_at_positive_kappa():
+@pytest.mark.parametrize("kr_max", [2.0, 20.0, 1.5e3])
+def test_matrix_matches_of_distance_at_positive_kappa(kr_max):
     rng = np.random.default_rng(3)
     # targets on the signed axes around a source at the origin: the distance
     # is exact however it is summed, so only the kernel formula is compared
-    r = np.concatenate([rng.uniform(0.01, 4.0, size=40), [0.0]])
+    kappa = 7.5
+    r = np.concatenate([rng.uniform(0.0, kr_max, size=1000) / kappa, [0.0]])
     axes = np.vstack([np.eye(3), -np.eye(3)])[rng.integers(0, 6, size=r.size)]
-    ker = HelmholtzKernel(kappa=7.5, singularity_tol=1e-12)
+    ker = HelmholtzKernel(kappa=kappa, singularity_tol=1e-12)
     mat = ker.matrix(r[:, None] * axes, np.zeros((1, 3)))[:, 0]
     ref = ker.of_distance(r)
     assert mat.dtype == np.complex128
     assert mat[-1] == 0.0
     assert np.all(np.abs(mat - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_matrix_matches_of_distance_at_quadrant_edges_and_the_libm_bound(monkeypatch):
+    """kappa*r at 0, tiny, k*pi/4 and k*pi/2 with their neighbours, and on
+    both sides of CIS_BOUND, where the block leaves the polynomial sincos
+    for np.cos and np.sin."""
+    quarters = np.arange(1, 17) * (np.pi / 4)
+    halves = np.array([1, 2, 3, 4, 1 << 10, 1 << 18, (1 << 19) - 1]) * (np.pi / 2)
+    edges = np.concatenate([quarters, halves])
+    below = np.concatenate(
+        [
+            [0.0, 1e-300, 1e-200, 1e-20, 2.0**-30, 1e-8],
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, np.inf),
+            [np.nextafter(CIS_BOUND, 0.0)],
+        ]
+    )
+    above = np.array([CIS_BOUND, np.nextafter(CIS_BOUND, np.inf), 2.0 * CIS_BOUND, 1e7, 1e12])
+    libm_calls = []
+    libm_cos = np.cos
+    monkeypatch.setattr(np, "cos", lambda *a, **k: libm_calls.append(1) or libm_cos(*a, **k))
+    # kappa = 1, so kappa*r = r; one 1x1 block each, since a block leaves
+    # the polynomial path as a whole
+    ker = HelmholtzKernel(kappa=1.0, singularity_tol=1e-300)
+    for x, libm in [(x, False) for x in below] + [(x, True) for x in above]:
+        libm_calls.clear()
+        got = ker.matrix(np.array([[0.0, 0.0, x]]), np.zeros((1, 3)))[0, 0]
+        ref = ker.of_distance(x)
+        assert abs(got - ref) <= 1e-15 * abs(ref), x
+        assert bool(libm_calls) == libm, x
+
+
+@pytest.mark.parametrize("kappa", [0.0, 5.0, 700.0])
+def test_matrix_is_bitwise_reciprocal(kappa):
+    """r is symmetric in its two points, so swapping targets and sources
+    transposes the block bit for bit (the benchmark's reciprocity gap
+    relies on it)."""
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-1.0, 1.0, size=(30, 3))
+    y = np.vstack([rng.uniform(-1.0, 1.0, size=(45, 3)), x[:3]])
+    ker = HelmholtzKernel(kappa=kappa)
+    assert ker.matrix(x, y).tobytes() == ker.matrix(y, x).T.copy().tobytes()
 
 
 @pytest.mark.parametrize("kappa", [0.0, 4.0])
@@ -136,6 +187,24 @@ def test_direct_sum_matches_dense_product():
     # a small block size forces the blocked path
     got = direct_sum(ker, x, y, q, block=7)
     assert np.allclose(got, expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "t_cols, s_cols, q_shape, name",
+    [
+        (4, 3, (5,), "targets"),
+        (3, 2, (5,), "sources"),
+        (3, 3, (5, 2), "charges"),
+        (3, 3, (6,), "charges"),
+    ],
+    ids=["targets-4-columns", "sources-2-columns", "charges-2d", "charges-too-long"],
+)
+def test_direct_sum_rejects_malformed_input(t_cols, s_cols, q_shape, name):
+    # unchecked, (m, 4) targets would sum over their first three columns
+    # without a word, and (n, 2) sources or charges fail deep inside numpy
+    targets, sources = np.ones((4, t_cols)), np.zeros((5, s_cols))
+    with pytest.raises(ValueError, match=f"{name} must have shape"):
+        direct_sum(HelmholtzKernel(kappa=2.0), targets, sources, np.ones(q_shape, dtype=complex))
 
 
 def test_direct_sum_excludes_self_interaction():
