@@ -63,7 +63,7 @@ for canon, members in sorted(classes.items()):
     print(f"    {canon}: orbit size {len(members)}")
 
 cache = SymbolCache(kernel, ORDER)
-entries = [cache.get(0, t, BETA) for t in translations]
+entries = cache.get(0, np.array(translations), BETA)  # one stacked request
 print(f"  cache stores {cache.n_canonical} precomputed diagonals "
       f"serving {cache.n_translations} translations")
 worst = 0.0

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import MAX_BLOCK_ENTRIES
+
 __all__ = [
     "DirectionTree",
     "generate_direction_tree",
@@ -63,18 +65,30 @@ def generate_direction_tree(max_refinement: int) -> DirectionTree:
     return DirectionTree(levels=levels, fathers=fathers)
 
 
-def nearest_direction(tree: DirectionTree, refinement: int, v: np.ndarray) -> int:
-    """Index of the refinement-level direction closest to the unit vector v.
+def nearest_direction(tree: DirectionTree, refinement: int, v: np.ndarray):
+    """Index of the refinement-level direction closest to the unit vector v,
+    or the (k,) indices of the rows of a (k, 3) stack of unit vectors.
 
-    Ties are broken by smallest index (argmin semantics).
+    Ties are broken by smallest index (argmin semantics).  A stack goes in
+    slices whose (rows, 6 * 4**refinement, 3) differences stay within
+    MAX_BLOCK_ENTRIES entries.
     """
     if refinement < 0 or refinement > tree.max_refinement:
         raise ValueError("refinement out of range")
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+    if v.ndim == 1:
+        return int(nearest_direction(tree, refinement, v[None])[0])
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"v must have shape (3,) or (k, 3), not {v.shape}")
+    if np.any(np.abs(np.linalg.norm(v, axis=1) - 1.0) > 1e-9):
         raise ValueError("v must be a unit vector")
-    d2 = np.sum((tree.levels[refinement] - v) ** 2, axis=1)
-    return int(np.argmin(d2))
+    dirs = tree.levels[refinement]
+    out = np.empty(len(v), dtype=np.int64)
+    step = max(1, MAX_BLOCK_ENTRIES // dirs.size)
+    for lo in range(0, len(v), step):
+        d2 = np.sum((dirs - v[lo : lo + step, None, :]) ** 2, axis=2)
+        out[lo : lo + step] = np.argmin(d2, axis=1)
+    return out
 
 
 def father_direction(tree: DirectionTree, refinement: int, index):

@@ -25,8 +25,14 @@ class Distribution:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _uniform_cube(n: int, rng: np.random.Generator) -> np.ndarray:

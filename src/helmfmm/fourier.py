@@ -21,13 +21,14 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .kernel import HelmholtzKernel
+from .kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel
 
 __all__ = [
     "FourierWorkspace",
     "SymbolCache",
     "hyperoctahedral_group",
     "canonicalize_translation",
+    "canonicalize_translations",
     "frequency_permutation",
     "precompute_symbol",
     "permute_symbol",
@@ -145,6 +146,32 @@ def canonicalize_translation(tvec) -> tuple:
     raise AssertionError("unreachable: cube group is transitive on orbits")
 
 
+# _SIGNED_PERMUTATIONS as arrays: element k maps v to _SIGNS[k] * v[_PERMS[k]]
+_PERMS = np.array([perm for perm, _ in _SIGNED_PERMUTATIONS], dtype=np.int64)
+_SIGNS = np.array([signs for _, signs in _SIGNED_PERMUTATIONS], dtype=np.int64)
+
+
+def canonicalize_translations(tvecs: np.ndarray) -> tuple:
+    """canonicalize_translation of each row of a (k, 3) integer array:
+    ((k, 3) canonical vectors, (k,) rotation ids).  The canonical vector is
+    |t| sorted non-increasing; the rotation id is the first of the 48
+    elements that maps it onto t, found by comparing all 48 images at once,
+    in slices whose (rows, 48, 3) images stay within MAX_BLOCK_ENTRIES."""
+    tvecs = np.asarray(tvecs, dtype=np.int64)
+    if tvecs.ndim != 2 or tvecs.shape[1] != 3:
+        raise ValueError("translations must be a (k, 3) integer array")
+    if not tvecs.any(axis=1).all():
+        raise ValueError("zero translation cannot be canonicalized")
+    canon = -np.sort(-np.abs(tvecs), axis=1)
+    rids = np.empty(len(tvecs), dtype=np.int64)
+    step = max(1, MAX_BLOCK_ENTRIES // _PERMS.size)
+    for lo in range(0, len(tvecs), step):
+        at = slice(lo, lo + step)
+        images = _SIGNS * canon[at][:, _PERMS]
+        rids[at] = (images == tvecs[at, None, :]).all(axis=-1).argmax(axis=1)
+    return canon, rids
+
+
 @lru_cache(maxsize=None)
 def frequency_permutation(order: int, rotation_id: int) -> np.ndarray:
     """Flat index map realizing the action of a rotation on the symbol.
@@ -168,11 +195,16 @@ def frequency_permutation(order: int, rotation_id: int) -> np.ndarray:
     return flat
 
 
-def _difference_offsets(order: int) -> np.ndarray:
-    """Per-axis grid offsets in FFT wrap-around order: 0..L-1, -(L-1)..-1."""
+@lru_cache(maxsize=None)
+def _difference_offsets(order: int) -> tuple:
+    """The difference grid's offsets z = k / (L-1), k in FFT wrap-around
+    order 0..L-1, -(L-1)..-1, as three read-only arrays of shapes (P, 1, 1),
+    (1, P, 1) and (1, 1, P) that broadcast to the (P, P, P) grid."""
     pad = 2 * order - 1
     off = np.arange(pad)
-    return np.where(off < order, off, off - pad)
+    off = np.where(off < order, off, off - pad) * (1.0 / (order - 1))
+    off.setflags(write=False)
+    return off[:, None, None], off[None, :, None], off[None, None, :]
 
 
 def precompute_symbol(kernel: HelmholtzKernel, tvec, beta: float, order: int) -> np.ndarray:
@@ -184,11 +216,8 @@ def precompute_symbol(kernel: HelmholtzKernel, tvec, beta: float, order: int) ->
     1/(L-1).
     """
     tvec = tuple(int(v) for v in tvec)
-    h = 1.0 / (order - 1)
-    off = _difference_offsets(order) * h
-    zx, zy, zz = np.meshgrid(
-        tvec[0] + off, tvec[1] + off, tvec[2] + off, indexing="ij"
-    )
+    ox, oy, oz = _difference_offsets(order)
+    zx, zy, zz = tvec[0] + ox, tvec[1] + oy, tvec[2] + oz
     r = beta * np.sqrt(zx**2 + zy**2 + zz**2)
     if np.min(r) < kernel.singularity_tol:
         raise ValueError("kernel singularity inside the M2L stencil: MAC violated")
@@ -240,22 +269,42 @@ class SymbolCache:
     def n_translations(self) -> int:
         return len(self.diagonals)
 
-    def get(self, level: int, tvec, beta: float) -> int:
-        """The entry of (level, tvec), added on the first request."""
-        tvec = tuple(int(v) for v in tvec)
-        entry = self.entries.get((level, tvec))
-        if entry is not None:
-            return entry
-        canon, rid = canonicalize_translation(tvec)
-        base = self._canonical.get((level, canon))
-        if base is None:
-            base = self._canonical[level, canon] = precompute_symbol(
-                self.kernel, canon, beta, self.order
-            )
-        entry = self.entries[level, tvec] = len(self.diagonals)
-        self.diagonals.append(permute_symbol(base, rid, self.order) if canon != tvec else base)
-        self.directions.append(0)
-        return entry
+    def get(self, level: int, tvecs, beta: float):
+        """The entry of (level, t) for one translation t, or the (k,) entries
+        of the rows of a (k, 3) stack, each added on its first request and
+        numbered in the order of its first row.  A stack's new rows are
+        canonicalized together; each new (level, canonical translation) is
+        precomputed once, and every other row permutes its diagonal."""
+        t = np.asarray(tvecs)
+        if t.ndim == 1:
+            return int(self.get(level, t[None], beta)[0])
+        if t.ndim != 2 or t.shape[1] != 3:
+            raise ValueError(f"translations must have shape (3,) or (k, 3), not {t.shape}")
+        keys = list(map(tuple, t.astype(np.int64).tolist()))
+        fresh = {}  # each new key, in order of its first row -> its entry
+        for key in keys:
+            if (level, key) not in self.entries and key not in fresh:
+                fresh[key] = len(self.diagonals) + len(fresh)
+        if fresh:
+            canon, rids = canonicalize_translations(np.array(list(fresh), dtype=np.int64))
+            diagonals = []
+            for key, rid in zip(map(tuple, canon.tolist()), rids.tolist()):
+                base = self._canonical.get((level, key))
+                if base is None:
+                    base = self._canonical[level, key] = precompute_symbol(
+                        self.kernel, key, beta, self.order
+                    )
+                # rotation 0 is the identity: a canonical translation keeps its base
+                diagonals.append(permute_symbol(base, rid, self.order) if rid else base)
+            self.diagonals.extend(diagonals)
+            self.directions.extend([0] * len(diagonals))
+            self.entries.update(((level, key), entry) for key, entry in fresh.items())
+        return np.array([self.entries[level, key] for key in keys], dtype=np.int64)
 
-    def tag_direction(self, entry: int, direction: int) -> None:
-        self.directions[entry] = direction
+    def tag_direction(self, entries, directions) -> None:
+        """Set the direction index of one entry, or of each of an array of
+        entries."""
+        for entry, direction in zip(
+            np.atleast_1d(entries).tolist(), np.atleast_1d(directions).tolist()
+        ):
+            self.directions[entry] = direction

@@ -22,6 +22,9 @@ only, so a chunk of pairs evaluates it once per distinct translation,
 and each admissible one enters the solve's M2L table (the SymbolCache,
 which holds each entry's diagonal symbol and, at high frequency, its
 direction) once, so symbol precomputation lies inside the blank pass.
+A chunk's new translations are resolved together, in array steps: one
+stacked SymbolCache.get canonicalizes them and, at high frequency, one
+nearest_direction and one tag_direction give them their directions.
 The numeric DTT replays the M2L events stack by stack of target rows,
 each stack's in recorded order, so every accumulator sums as in the
 recursion while only one stack of Fourier locals is alive; F2L takes
@@ -237,19 +240,6 @@ class _Context:
 # blank pass and expansion keys
 
 
-def _resolve(ctx: _Context, level: int, tvec: np.ndarray) -> int:
-    """The cache entry of the admissible translation tvec at level, tagged
-    at high frequency with the direction nearest to tvec (0, the one
-    direction u = 0, at low frequency)."""
-    t0 = time.perf_counter()
-    entry = ctx.cache.get(level, tvec, ctx.target_tree.side_at(level))
-    ctx.precompute_time += time.perf_counter() - t0
-    if ctx.is_hf(level):
-        unit = tvec / np.linalg.norm(tvec)
-        ctx.cache.tag_direction(entry, nearest_direction(ctx.dirs, ctx.refinement(level), unit))
-    return entry
-
-
 def _distinct(tvecs: np.ndarray) -> tuple:
     """(distinct rows of tvecs in lexicographic order, the position of each
     row among them), through one int64 code per row over the rows'
@@ -273,18 +263,33 @@ def _distinct(tvecs: np.ndarray) -> tuple:
 def _entries(ctx: _Context, level: int, ti: np.ndarray, si: np.ndarray) -> np.ndarray:
     """The cache entry of each cell pair (ti, si) at level, -1 where it is
     not admissible.  The MAC is evaluated on all distinct translations at
-    once; an admissible one not yet in the cache is resolved once."""
+    once, and the admissible ones not yet in the cache are resolved
+    together: one SymbolCache.get and, at high frequency, one
+    nearest_direction and one tag_direction of their unit vectors."""
     tvecs = np.empty((len(ti), 3), dtype=np.int32)
     for k in range(3):  # an axis at a time: no (n, 3) temporaries
         np.subtract(ctx.target_tree.coords[ti, k], ctx.source_tree.coords[si, k], out=tvecs[:, k])
     distinct, inverse = _distinct(tvecs)
     del tvecs
+    beta = ctx.target_tree.side_at(level)
     kappa = ctx.config.kappa if ctx.is_hf(level) else None
-    mac = admissible(distinct, ctx.target_tree.side_at(level), kappa, ctx.config.eta)
+    mac = admissible(distinct, beta, kappa, ctx.config.eta)
     entries = np.full(len(distinct), -1, dtype=np.int32)
-    for i, tvec in zip(np.flatnonzero(mac).tolist(), distinct[mac].tolist()):
-        entry = ctx.cache.entries.get((level, tuple(tvec)))
-        entries[i] = _resolve(ctx, level, distinct[i]) if entry is None else entry
+    rows = np.flatnonzero(mac)
+    cached = ctx.cache.entries
+    entries[rows] = [cached.get((level, tvec), -1) for tvec in map(tuple, distinct[rows].tolist())]
+    new = rows[entries[rows] < 0]
+    if len(new):
+        tvecs = distinct[new]
+        t0 = time.perf_counter()
+        resolved = ctx.cache.get(level, tvecs, beta)
+        ctx.precompute_time += time.perf_counter() - t0
+        entries[new] = resolved
+        if ctx.is_hf(level):
+            # the integer sum of squares is exact: bitwise t / np.linalg.norm(t)
+            units = tvecs / np.sqrt((tvecs * tvecs).sum(axis=1))[:, None]
+            nearest = nearest_direction(ctx.dirs, ctx.refinement(level), units)
+            ctx.cache.tag_direction(resolved, nearest)
     return entries[inverse]
 
 

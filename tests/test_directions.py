@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from helmfmm import directions
 from helmfmm.directions import (
     father_direction,
     generate_direction_tree,
@@ -114,6 +117,69 @@ def test_nearest_direction_validates_input():
         nearest_direction(tree, 0, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         nearest_direction(tree, 5, np.array([1.0, 0.0, 0.0]))
+
+
+def _cube_translations(radius: int) -> np.ndarray:
+    """Every integer translation in [-radius, radius]^3 but 0, as (k, 3)."""
+    t = np.array(list(itertools.product(range(-radius, radius + 1), repeat=3)))
+    return t[t.any(axis=1)]
+
+
+def _scalar_rule(dirs: np.ndarray, v: np.ndarray) -> int:
+    """The one-vector rule: argmin of the squared distances, smallest index
+    on ties."""
+    return int(np.argmin(np.sum((dirs - v) ** 2, axis=1)))
+
+
+def test_stacked_nearest_direction_matches_scalar_rule_exhaustively():
+    """Every translation in [-10, 10]^3 gets the scalar rule's direction at
+    refinements 0-4, ties included, from one stacked call per refinement.
+    Its unit vector t / sqrt(sum t^2) is bitwise t / |t|: the sum is exact."""
+    tree = generate_direction_tree(4)
+    t = _cube_translations(10)
+    units = t / np.sqrt((t * t).sum(axis=1))[:, None]
+    rows = [tvec / np.linalg.norm(tvec) for tvec in t]
+    assert units.tobytes() == np.array(rows).tobytes()
+    for e in range(5):
+        stacked = nearest_direction(tree, e, units)
+        assert stacked.shape == (len(t),)
+        assert stacked.tolist() == [_scalar_rule(tree.levels[e], v) for v in rows]
+        assert nearest_direction(tree, e, units[123]) == stacked[123]
+
+
+def test_nearest_direction_ties_go_to_the_smallest_index():
+    # at refinement 0 (+x, -x, +y, -y, +z, -z) these lie between axes
+    tree = generate_direction_tree(1)
+    ties = np.array([(1, 1, 0), (1, 1, 1), (-1, -1, 0), (0, 1, 1), (0, -1, -1), (-1, 0, -1)])
+    units = ties / np.linalg.norm(ties, axis=1)[:, None]
+    assert nearest_direction(tree, 0, units).tolist() == [0, 0, 1, 2, 3, 1]
+    # a tie between two sub-face centers at refinement 1
+    d = tree.levels[1]
+    v = (d[0] + d[1]) / np.linalg.norm(d[0] + d[1])
+    d2 = np.sum((d - v) ** 2, axis=1)
+    assert len(np.flatnonzero(d2 == d2.min())) > 1
+    assert nearest_direction(tree, 1, v[None]).tolist() == [np.flatnonzero(d2 == d2.min())[0]]
+
+
+def test_nearest_direction_slices_keep_the_indices(monkeypatch):
+    """A stack goes in slices of (rows, directions, 3) differences within
+    MAX_BLOCK_ENTRIES entries, down to one row, with the same indices."""
+    tree = generate_direction_tree(3)
+    t = _cube_translations(3)
+    units = t / np.linalg.norm(t, axis=1)[:, None]
+    whole = nearest_direction(tree, 3, units)
+    for block in (tree.levels[3].size * 5, 1):
+        monkeypatch.setattr(directions, "MAX_BLOCK_ENTRIES", block)
+        assert np.array_equal(nearest_direction(tree, 3, units), whole)
+
+
+def test_stacked_nearest_direction_validates_every_row():
+    tree = generate_direction_tree(1)
+    units = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="unit vector"):
+        nearest_direction(tree, 0, units)
+    with pytest.raises(ValueError, match="shape"):
+        nearest_direction(tree, 0, np.ones((2, 2)))
 
 
 def test_father_of_coarsest_refinement_raises():

@@ -64,6 +64,31 @@ def test_invalid_parameters_rejected():
         Distribution("sphere", 0)
 
 
+@pytest.mark.parametrize(
+    "kind,n,seed",
+    [
+        ("sphere", 10.5, 0),  # used to give 11 points
+        ("uniform-cube", 10.5, 0),  # used to fail inside numpy
+        ("sphere", True, 0),  # used to give 1 point
+        ("sphere", 10, 1.5),
+        ("sphere", 10, True),
+    ],
+)
+def test_non_integer_size_and_seed_rejected(kind, n, seed):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Distribution(kind, n, seed)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        Distribution("sphere", 10, -1)
+
+
+def test_numpy_integers_accepted():
+    pts = generate_distribution(Distribution("uniform-cube", np.int64(10), np.int64(3)))
+    assert np.array_equal(pts, generate_distribution(Distribution("uniform-cube", 10, 3)))
+
+
 def test_random_charges_in_unit_square():
     q = random_charges(5000, seed=0)
     assert q.shape == (5000,)

@@ -8,6 +8,7 @@ from helmfmm.fourier import (
     FourierWorkspace,
     SymbolCache,
     canonicalize_translation,
+    canonicalize_translations,
     dense_m2l_matrix,
     frequency_permutation,
     hyperoctahedral_group,
@@ -70,6 +71,43 @@ def test_canonicalize_matches_first_matching_group_element():
 def test_canonicalize_rejects_zero():
     with pytest.raises(ValueError):
         canonicalize_translation((0, 0, 0))
+
+
+def test_stacked_canonical_form_matches_scalar_rule_exhaustively():
+    """Every translation in [-10, 10]^3 gets canonicalize_translation's
+    canonical vector and rotation id, ties of |t| and zeros included."""
+    t = np.array(list(itertools.product(range(-10, 11), repeat=3)))
+    t = t[t.any(axis=1)]
+    canon, rids = canonicalize_translations(t)
+    assert canon.shape == t.shape and rids.shape == (len(t),)
+    scalar = [canonicalize_translation(tvec) for tvec in t.tolist()]
+    assert list(map(tuple, canon.tolist())) == [c for c, _ in scalar]
+    assert rids.tolist() == [rid for _, rid in scalar]
+
+
+def test_stacked_canonical_form_rejects_zero_rows():
+    with pytest.raises(ValueError, match="zero translation"):
+        canonicalize_translations(np.array([[1, 0, 0], [0, 0, 0]]))
+
+
+def _old_precompute_symbol(kernel, tvec, beta, order):
+    """precompute_symbol as it was before its offset grid was cached: a
+    meshgrid of the offsets on every call."""
+    pad = 2 * order - 1
+    off = np.arange(pad)
+    off = np.where(off < order, off, off - pad) * (1.0 / (order - 1))
+    zx, zy, zz = np.meshgrid(tvec[0] + off, tvec[1] + off, tvec[2] + off, indexing="ij")
+    r = beta * np.sqrt(zx**2 + zy**2 + zz**2)
+    return np.fft.fftn(kernel.of_distance(r)).ravel()
+
+
+@pytest.mark.parametrize("kappa", [0.0, 7.5])
+def test_precompute_symbol_keeps_the_old_formula_bits(kappa):
+    kernel = HelmholtzKernel(kappa=kappa, singularity_tol=1e-14)
+    for order in (2, 3, 5):
+        for tvec, beta in [((2, 0, 0), 0.25), ((3, -1, 2), 0.125), ((-4, 4, 4), 1.0 / 3)]:
+            new = precompute_symbol(kernel, tvec, beta, order)
+            assert np.array_equal(new, _old_precompute_symbol(kernel, tvec, beta, order))
 
 
 def test_strict_mac_orbit_count():
@@ -276,6 +314,36 @@ def test_symbol_cache_shares_canonical_work():
     # every entry starts untagged, and a tag writes its entry only
     cache.tag_direction(again, 5)
     assert cache.directions == [0, 5, 0, 0]
+
+
+def test_stacked_get_matches_row_by_row_calls():
+    """One stacked get with repeated and already-cached rows returns the
+    entries, numbering and diagonals of a get per row."""
+    kernel = HelmholtzKernel(kappa=3.0, singularity_tol=1e-14)
+    rng = np.random.default_rng(5)
+    stack = np.concatenate([rng.integers(-4, 5, size=(60, 3)), [(2, 0, 0), (0, -2, 0)]])
+    stack = stack[np.abs(stack).max(axis=1) >= 2]
+    stack = np.concatenate([stack, stack[::3]])  # repeated rows
+    stacked, rowwise = SymbolCache(kernel, order=3), SymbolCache(kernel, order=3)
+    for cache in (stacked, rowwise):  # already cached before the stack
+        cache.get(1, (2, 0, 0), 0.5)
+        cache.get(1, (0, 0, 3), 0.5)
+    entries = stacked.get(1, stack, 0.5)
+    assert entries.shape == (len(stack),)
+    assert entries.tolist() == [rowwise.get(1, tvec, 0.5) for tvec in stack]
+    assert stacked.entries == rowwise.entries
+    assert stacked.n_canonical == rowwise.n_canonical < stacked.n_translations
+    assert len(stacked.diagonals) == len(rowwise.diagonals)
+    for a, b in zip(stacked.diagonals, rowwise.diagonals):
+        assert np.array_equal(a, b)
+    # each diagonal is its canonical one, permuted
+    for tvec, entry in zip(stack.tolist(), entries.tolist()):
+        canon, rid = canonicalize_translation(tvec)
+        base = precompute_symbol(kernel, canon, 0.5, 3)
+        assert np.array_equal(stacked.diagonals[entry], permute_symbol(base, rid, 3))
+    # a stack of tags writes each of its entries
+    stacked.tag_direction(entries[:3], np.array([7, 8, 9]))
+    assert [stacked.directions[e] for e in entries[:3].tolist()] == [7, 8, 9]
 
 
 def test_symbol_cache_all_strict_orbits():

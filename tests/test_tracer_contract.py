@@ -17,7 +17,7 @@ import pytest
 
 import helmfmm
 from helmfmm.directions import father_direction, generate_direction_tree, nearest_direction
-from helmfmm.fourier import FourierWorkspace
+from helmfmm.fourier import FourierWorkspace, SymbolCache
 from helmfmm.kernel import MAX_BLOCK_ENTRIES
 from helmfmm.traversal import HF_SWITCH, FmmConfig, run_fmm_full
 from helmfmm import traversal
@@ -160,8 +160,27 @@ def test_tracer_finds_and_measures_everything(monkeypatch, problem):
     assert metrics["fourier.f2l_calls"] == len(f2l_rows) == -(-len(written) // step)
 
 
-def test_each_translation_is_resolved_once():
+def _recording_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap owner.<name>, appending the arguments of each call; done before
+    the tracer is built, so the tracer wraps the recorder."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_each_translation_is_resolved_once(monkeypatch):
+    """SymbolCache.get receives each admissible (level, translation) as one
+    row, once, and nearest_direction one row per high-frequency one; both
+    take the rows of a planning chunk together."""
     tracing = _load_tracing()
+    gets = _recording_calls(monkeypatch, SymbolCache, "get")
+    nearest = _recording_calls(monkeypatch, traversal, "nearest_direction")
     tracer = tracing.Tracer(helmfmm)
     targets, sources, q, config = _self_interaction()
     events = []
@@ -171,8 +190,13 @@ def test_each_translation_is_resolved_once():
     m2l = [e for e in events if e.kind == "M2L"]
     translations = {(e.target.level, *(e.target.coords - e.source.coords).tolist()) for e in m2l}
     hf = {t for t in translations if t[0] <= info.hf_max_level}
-    assert metrics["fourier.symbol_get_calls"] == len(translations) < len(m2l)
-    assert metrics["directions.nearest_calls"] == len(hf)
+    rows = [(level, *t) for _, level, tvecs, _ in gets for t in np.atleast_2d(tvecs).tolist()]
+    assert len(rows) == len(set(rows)) == len(translations) < len(m2l)
+    assert set(rows) == translations
+    assert sum(len(np.atleast_2d(units)) for _, _, units in nearest) == len(hf)
+    # the tracer counts the calls, a few per solve
+    assert metrics["fourier.symbol_get_calls"] == len(gets) < len(translations)
+    assert metrics["directions.nearest_calls"] == len(nearest) < len(hf)
     # the numeric traversal replays the lists: one call, no recursion
     assert metrics["traversal.dtt_visits"] == 1
 

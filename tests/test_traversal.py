@@ -771,10 +771,14 @@ def test_m2l_accumulates_in_one_buffer_of_a_stack(monkeypatch, kappa, same):
 @pytest.mark.parametrize("same", [True, False])
 def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
     """The planner is one call per solve, and it resolves each distinct
-    admissible (level, translation) once: no Python visit per cell pair."""
-    blanks, resolves = [], []
+    admissible (level, translation) once: SymbolCache.get receives it as
+    one row, and nearest_direction one row per high-frequency one, a
+    planning chunk's rows together; no Python visit per cell pair."""
+    blanks, gets, nearest = [], [], []
     _counting(monkeypatch, "blank_dtt", blanks)
-    _counting(monkeypatch, "_resolve", resolves)
+    _counting(monkeypatch, "nearest_direction", nearest)
+    get = SymbolCache.get
+    monkeypatch.setattr(SymbolCache, "get", lambda self, *args: gets.append(args) or get(self, *args))
     rng = np.random.default_rng(11)
     sources = rng.uniform(size=(400, 3))
     targets = sources if same else rng.uniform(size=(150, 3)) * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.5]
@@ -784,12 +788,14 @@ def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
     ctx = blanks[0][0]
     # the cache's one map holds each admissible (level, translation) once
     admitted = list(ctx.cache.entries.values())
-    assert len(resolves) == len(admitted) == ctx.cache.n_translations > 0
+    rows = [(level, *t) for level, tvecs, _ in gets for t in np.atleast_2d(tvecs).tolist()]
+    assert len(rows) == len(admitted) == ctx.cache.n_translations > 0
     assert sorted(admitted) == list(range(ctx.cache.n_translations))
-    assert {(level, *tvec.tolist()) for _, level, tvec in resolves} == {
-        (level, *tvec) for level, tvec in ctx.cache.entries
-    }
-    assert len({(level, *tvec.tolist()) for _, level, tvec in resolves}) == len(resolves)
+    assert set(rows) == {(level, *tvec) for level, tvec in ctx.cache.entries}
+    assert len(set(rows)) == len(rows)
+    hf = [row for row in rows if ctx.is_hf(row[0])]
+    assert sum(len(np.atleast_2d(units)) for _, _, units in nearest) == len(hf) > 0
+    assert len(gets) < len(rows) and len(nearest) < len(hf)
     assert len(ctx.cache.entries) < info.counts["m2l_events"] + len(ctx.p2p_plan) // 2
 
 
