@@ -1,7 +1,7 @@
 """Directional FFT-accelerated fast multipole method for the 3D Helmholtz kernel."""
 
 from .distributions import Distribution, generate_distribution, random_charges
-from .geometry import BoundingBox, CellFrame, compute_root_box
+from .geometry import BoundingBox, compute_root_box
 from .harness import ExperimentConfig, RunRecord, run_experiment
 from .kernel import ErrorReport, HelmholtzKernel, direct_sum, relative_errors
 from .traversal import FmmConfig, run_fmm, run_fmm_full
@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
-    "CellFrame",
     "ClusterTree",
     "Distribution",
     "ErrorReport",

@@ -1,8 +1,9 @@
-"""Boxes, cell frames and Morton codes for the octree.
+"""The root box and Morton codes of the octree.
 
-All geometry is expressed in "computational box" units: the root box is a
-cube and every cell at depth ``k`` is an axis-aligned cube of side
-``side(root) / 2**k`` addressed by integer coordinates in ``[0, 2**k)``.
+The root box is a cube, and every cell at depth ``k`` is an axis-aligned
+cube of side ``side(root) / 2**k`` addressed by integer coordinates ``c``
+in ``[0, 2**k)``: it spans ``lower(root) + c * side`` to
+``lower(root) + (c + 1) * side``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "BoundingBox",
-    "CellFrame",
     "compute_root_box",
     "morton_encode_many",
     "MAX_MORTON_DEPTH",
@@ -21,6 +21,10 @@ __all__ = [
 
 # 21 levels of 3 bits each fit in a uint64 with room to spare.
 MAX_MORTON_DEPTH = 21
+
+# compute_root_box inflates the cube by this relative margin, so that
+# boundary particles fall strictly inside
+ROOT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,25 +54,9 @@ class BoundingBox:
         return np.all((p >= self.lower) & (p <= self.lower + self.side), axis=1)
 
 
-@dataclass(frozen=True)
-class CellFrame:
-    """Affine correspondence ``cell = alpha + beta * [0,1]^3``."""
-
-    alpha: np.ndarray  # lower corner, shape (3,)
-    beta: float  # cell side length
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        if not (self.beta > 0):
-            raise ValueError("beta must be positive")
-
-
-def compute_root_box(points: np.ndarray, margin: float = 1e-6) -> BoundingBox:
-    """Smallest cube centered on the centroid containing all points.
-
-    The cube is inflated by a relative margin so that boundary particles fall
-    strictly inside.
-    """
+def compute_root_box(points: np.ndarray) -> BoundingBox:
+    """Smallest cube centered on the centroid containing all points,
+    inflated by ROOT_MARGIN."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
         raise ValueError("points must have shape (n, 3) with n >= 1")
@@ -78,7 +66,7 @@ def compute_root_box(points: np.ndarray, margin: float = 1e-6) -> BoundingBox:
     half = np.max(np.abs(pts - center)) if pts.shape[0] > 1 else 0.5
     if half < np.finfo(float).tiny * (1 << MAX_MORTON_DEPTH):
         half = 0.5  # coincident, or too close for the deepest cells to have a side
-    return BoundingBox(center=center, half_width=half * (1.0 + margin))
+    return BoundingBox(center=center, half_width=half * (1.0 + ROOT_MARGIN))
 
 
 def _part_bits(v: np.ndarray) -> np.ndarray:

@@ -22,8 +22,14 @@ DEFAULT_SINGULARITY_TOL = 1e-12
 
 # entries of one kernel block in direct_sum.  HelmholtzKernel.matrix holds up
 # to seven block-sized float64 arrays (r, d, 1/(4*pi*r), the two of
-# _cis_times and the complex result as two), 1.75 MiB at this bound
+# _cis_times and the complex result as two), 1.75 MiB at this bound.  The
+# blank pass takes a level's candidate cell pairs in slices of as many
+# pairs, so that their temporaries (about 50 bytes a pair) stay under 2 MB
+# however many pairs a level holds; a level's son pairs are still held whole
 MAX_BLOCK_ENTRIES = 1 << 15
+
+# targets of one kernel block in direct_sum, at most
+MAX_BLOCK_TARGETS = 512
 
 # sqrt of the smallest normal double: a distance above it squares without
 # underflow, so HelmholtzKernel.matrix only rescales for a lower tolerance
@@ -196,14 +202,13 @@ def direct_sum(
     targets: np.ndarray,
     sources: np.ndarray,
     charges: np.ndarray,
-    block: int = 512,
 ) -> np.ndarray:
     """O(N*M) direct evaluation of the potentials: the FMM near field and
     the reference oracle.
 
-    The product is built from kernel blocks of at most ``block`` targets and
-    MAX_BLOCK_ENTRIES entries.  A real block (kappa = 0) multiplies the
-    complex charges viewed as an (n, 2) float64 array.  Targets must have
+    The product is built from kernel blocks of at most MAX_BLOCK_TARGETS
+    targets and MAX_BLOCK_ENTRIES entries.  A real block (kappa = 0)
+    multiplies the complex charges viewed as an (n, 2) float64 array.  Targets must have
     shape (m, 3), sources (n, 3) and charges (n,); their values are not
     scanned, since the near field calls this once per target cell.
     """
@@ -218,7 +223,7 @@ def direct_sum(
         raise ValueError(f"charges must have shape ({sources.shape[0]},), not {charges.shape}")
     n_t, n_s = targets.shape[0], sources.shape[0]
     cols = max(1, min(n_s, MAX_BLOCK_ENTRIES))
-    rows = max(1, min(block, MAX_BLOCK_ENTRIES // cols))
+    rows = max(1, min(MAX_BLOCK_TARGETS, MAX_BLOCK_ENTRIES // cols))
     out = np.zeros(n_t, dtype=complex)
     for c0 in range(0, n_s, cols):
         src = sources[c0 : c0 + cols]

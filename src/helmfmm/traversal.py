@@ -81,11 +81,6 @@ MAX_REFINEMENT = 8
 # kappa * radius ~ 2**e * HF_SWITCH uses the 6 * 4**e directions
 HF_SWITCH = 2.0
 
-# candidate cell pairs blank_dtt takes at a time, so that _entries'
-# temporaries (about 50 bytes a pair) stay under 2 MB however many pairs a
-# level holds; a level's son pairs are still held whole
-PLAN_CHUNK = 1 << 15
-
 
 @dataclass(frozen=True)
 class FmmConfig:
@@ -191,7 +186,7 @@ class _Context:
         # and stepped by exactly one per level above it: the father/son
         # direction nesting of M2M and L2L relies on that step.
         levels = range(max(target_tree.depth, source_tree.depth) + 1)
-        kw = [config.kappa * np.sqrt(3.0) * target_tree.side_at(lv) / 2.0 for lv in levels]
+        kw = [config.kappa * cell_radius(target_tree.side_at(lv)) for lv in levels]
         self.hf_max_level = sum(k >= HF_SWITCH for k in kw) - 1  # kw halves per level
         self.deepest_refinement = 0
         self.dirs: DirectionTree | None = None
@@ -321,10 +316,10 @@ def _append(plan: array, *columns: np.ndarray) -> None:
 
 def _chunks(pairs: list):
     """The (target, source) index arrays of a level in slices of at most
-    PLAN_CHUNK pairs, in order."""
+    MAX_BLOCK_ENTRIES pairs, in order."""
     for ti, si in pairs:
-        for lo in range(0, len(ti), PLAN_CHUNK):
-            yield ti[lo : lo + PLAN_CHUNK], si[lo : lo + PLAN_CHUNK]
+        for lo in range(0, len(ti), MAX_BLOCK_ENTRIES):
+            yield ti[lo : lo + MAX_BLOCK_ENTRIES], si[lo : lo + MAX_BLOCK_ENTRIES]
 
 
 def blank_dtt(ctx: _Context) -> None:
@@ -332,9 +327,9 @@ def blank_dtt(ctx: _Context) -> None:
     the pair of their roots, cell 0 of each.
 
     The candidate pairs of a level are cell-index arrays, taken in slices
-    of at most PLAN_CHUNK pairs.  The admissible ones become M2L triplets,
-    the others with a leaf P2P pairs, and the rest hand their son pairs to
-    the next level.  Each level keeps the order in which the recursive
+    of at most MAX_BLOCK_ENTRIES pairs.  The admissible ones become M2L
+    triplets, the others with a leaf P2P pairs, and the rest hand their son
+    pairs to the next level.  Each level keeps the order in which the recursive
     traversal visits its pairs, and so does every target row when dtt
     replays the events stack by stack, so every Fourier local sums its
     M2L terms in that order.
@@ -448,7 +443,7 @@ def _waves(ctx: _Context, tree: ClusterTree, cells, cell_level: int, level: int,
 
 def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndarray:
     """(N, 3, L) 1D Lagrange values of every particle, on each axis, in the
-    frame alpha + beta * [0, 1]^3 of its leaf: alpha = lower + coords *
+    cube alpha + beta * [0, 1]^3 of its leaf: alpha = lower + coords *
     beta, beta the side of the leaf's level.  The leaves' ranges tile the
     particles."""
     leaves = np.flatnonzero(tree.n_sons == 0)
@@ -578,9 +573,9 @@ def _log(ctx: _Context, kind: str, targets: np.ndarray, sources: np.ndarray) -> 
     """Append one event per (target, source) cell pair to ctx.events, if it
     is kept; only this builds the trees' Cell views."""
     if ctx.events is not None:
-        t, s = ctx.target_tree.cell, ctx.source_tree.cell
+        t, s = ctx.target_tree.cells, ctx.source_tree.cells
         pairs = zip(targets.tolist(), sources.tolist())
-        ctx.events.extend(InteractionEvent(kind, t(i), s(j)) for i, j in pairs)
+        ctx.events.extend(InteractionEvent(kind, t[i], s[j]) for i, j in pairs)
 
 
 def _m2l(ctx: _Context) -> float:

@@ -6,13 +6,15 @@ in memory.  The tree is a handful of per-cell arrays, cells ordered level
 by level and in Morton order within a level: start, stop, integer
 coordinates, number of sons and first son (the sons of a cell are
 consecutive cells), and the level offsets, the cells of level l being
-offsets[l]:offsets[l + 1].  The traversal module plans and evaluates on
-these arrays only, and keeps the expansions in per-solve arrays of its own.
+offsets[l]:offsets[l + 1].  The leaves are the cells with n_sons 0, and the
+cell with coordinates c at level l spans root_box.lower + c * side_at(l)
+to root_box.lower + (c + 1) * side_at(l).  The traversal module plans and
+evaluates on these arrays only, and keeps the expansions in per-solve
+arrays of its own.
 
-``Cell`` is a read-only view of one cell, with its frame and its sons, for
-the event log and the tests: the tree builds all of them once, on the first
-access to ``levels``, ``cells``, ``leaves`` or ``root``, so a solve that
-logs no events builds none.
+``Cell`` is a read-only view of one cell, with its sons, for the event log:
+the tree builds all of them once, on the first access to ``levels`` or
+``cells``, so a solve that logs no events builds none.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MAX_MORTON_DEPTH, BoundingBox, CellFrame, compute_root_box, morton_encode_many
+from .geometry import MAX_MORTON_DEPTH, BoundingBox, compute_root_box, morton_encode_many
 
 __all__ = ["ParticleSet", "Cell", "ClusterTree", "build_tree", "accumulate_potentials"]
 
@@ -43,10 +45,6 @@ class ParticleSet:
     potentials: np.ndarray  # (n,) complex, accumulated in place
     original_index: np.ndarray  # sorted index -> input index
 
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class Cell:
@@ -56,17 +54,12 @@ class Cell:
     coords: np.ndarray  # integer cell coordinates at this level
     start: int
     stop: int
-    frame: CellFrame
-    index: int = -1  # position in ClusterTree.cells
-    sons: tuple = ()
+    index: int  # position in ClusterTree.cells
+    sons: tuple
 
     @property
     def is_leaf(self) -> bool:
         return not self.sons
-
-    @property
-    def n_particles(self) -> int:
-        return self.stop - self.start
 
 
 @dataclass
@@ -102,10 +95,6 @@ class ClusterTree:
         """The level of each cell."""
         return np.repeat(np.arange(self.depth + 1), np.diff(self.offsets))
 
-    def cell(self, i: int) -> Cell:
-        """Cell i as a Cell, from the view ``cells``."""
-        return self.cells[i]
-
     @property
     def cells(self) -> list:
         """Every cell as a Cell, level by level; cells[c.index] is c.  Built
@@ -116,10 +105,8 @@ class ClusterTree:
             first, count = self.first_son.tolist(), self.n_sons.tolist()
             cells = [None] * self.n_cells
             for i in reversed(range(self.n_cells)):  # sons before their father
-                beta, coords = self.side_at(levels[i]), self.coords[i].astype(np.int64)
-                frame = CellFrame(alpha=self.root_box.lower + coords * beta, beta=beta)
                 sons = tuple(cells[first[i] : first[i] + count[i]])
-                cells[i] = Cell(levels[i], coords, *spans[i], frame, i, sons)
+                cells[i] = Cell(levels[i], self.coords[i].astype(np.int64), *spans[i], i, sons)
             self._cells = cells
         return self._cells
 
@@ -128,14 +115,6 @@ class ClusterTree:
         """levels[k]: the Cells of depth k."""
         cells = self.cells
         return [cells[a:b] for a, b in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())]
-
-    @property
-    def leaves(self) -> list:
-        return [c for c in self.cells if c.is_leaf]
-
-    @property
-    def root(self) -> Cell:
-        return self.cells[0]
 
 
 def build_tree(

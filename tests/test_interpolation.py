@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from helmfmm.geometry import CellFrame
 from helmfmm import interpolation as interp
 
 
-def _random_frame(rng):
-    return CellFrame(alpha=rng.uniform(-1, 1, size=3), beta=rng.uniform(0.5, 2.0))
+def _random_cube(rng):
+    """(lower corner, side) of a random cube."""
+    return rng.uniform(-1, 1, size=3), rng.uniform(0.5, 2.0)
 
 
-def _basis(frame, order, positions):
-    """(n, L^3) basis values at particles given in physical coordinates."""
-    return interp.basis_matrix(order, (np.atleast_2d(positions) - frame.alpha) / frame.beta)
+def _basis(lower, side, order, positions):
+    """(n, L^3) basis values at particles given in physical coordinates, on
+    the cube lower + side * [0, 1]^3."""
+    return interp.basis_matrix(order, (np.atleast_2d(positions) - lower) / side)
 
 
 def test_nodes_include_endpoints():
@@ -88,11 +89,10 @@ def test_basis_matrix_cardinal_on_grid():
 
 
 def test_p2m_node_coincident_particle():
-    frame = CellFrame(alpha=np.zeros(3), beta=1.0)
     order = 3
     g = interp.grid_points(order)
     j = 14
-    coeffs = interp.p2m(_basis(frame, order, g[j : j + 1]), np.array([1.0 + 0j]))
+    coeffs = interp.p2m(_basis(np.zeros(3), 1.0, order, g[j : j + 1]), np.array([1.0 + 0j]))
     expected = np.zeros(order**3)
     expected[j] = 1.0
     assert np.allclose(coeffs, expected, atol=1e-12)
@@ -100,33 +100,32 @@ def test_p2m_node_coincident_particle():
 
 def test_p2m_zero_charges():
     rng = np.random.default_rng(0)
-    frame = _random_frame(rng)
-    pos = frame.alpha + rng.uniform(size=(10, 3)) * frame.beta
-    coeffs = interp.p2m(_basis(frame, 4, pos), np.zeros(10, dtype=complex))
+    lower, side = _random_cube(rng)
+    pos = lower + rng.uniform(size=(10, 3)) * side
+    coeffs = interp.p2m(_basis(lower, side, 4, pos), np.zeros(10, dtype=complex))
     assert np.all(coeffs == 0)
 
 
 def test_l2p_node_coincident_particle_reads_coefficient():
-    frame = CellFrame(alpha=np.zeros(3), beta=1.0)
     order = 3
     g = interp.grid_points(order)
     rng = np.random.default_rng(1)
     local = rng.normal(size=order**3) + 1j * rng.normal(size=order**3)
-    vals = interp.l2p(_basis(frame, order, g[5:6]), local)
+    vals = interp.l2p(_basis(np.zeros(3), 1.0, order, g[5:6]), local)
     assert vals[0] == pytest.approx(local[5])
 
 
 def test_p2m_l2p_dense_oracle():
     """P2M then L2P equals the explicit basis-matrix products."""
     rng = np.random.default_rng(2)
-    frame = _random_frame(rng)
+    lower, side = _random_cube(rng)
     order = 4
-    pos = frame.alpha + rng.uniform(size=(20, 3)) * frame.beta
+    pos = lower + rng.uniform(size=(20, 3)) * side
     q = rng.normal(size=20) + 1j * rng.normal(size=20)
-    b = interp.basis_matrix(order, (pos - frame.alpha) / frame.beta)
-    assert np.allclose(interp.p2m(_basis(frame, order, pos), q), b.T @ q, atol=1e-13)
+    b = interp.basis_matrix(order, (pos - lower) / side)
+    assert np.allclose(interp.p2m(_basis(lower, side, order, pos), q), b.T @ q, atol=1e-13)
     local = rng.normal(size=order**3) + 1j * rng.normal(size=order**3)
-    assert np.allclose(interp.l2p(_basis(frame, order, pos), local), b @ local, atol=1e-13)
+    assert np.allclose(interp.l2p(_basis(lower, side, order, pos), local), b @ local, atol=1e-13)
 
 
 def test_m2m_factor_columns_sum_to_one():
@@ -161,32 +160,30 @@ def test_m2m_chain_matches_direct_p2m():
     """
     rng = np.random.default_rng(5)
     order = 4
-    father = CellFrame(alpha=np.zeros(3), beta=1.0)
     octant = (1, 0, 1)
-    son = CellFrame(alpha=np.array(octant) * 0.5, beta=0.5)
-    pos = son.alpha + rng.uniform(size=(30, 3)) * son.beta
+    son = np.array(octant) * 0.5  # the son's lower corner, side 0.5
+    pos = son + rng.uniform(size=(30, 3)) * 0.5
     q = rng.normal(size=30) + 1j * rng.normal(size=30)
-    son_exp = interp.p2m(_basis(son, order, pos), q)
+    son_exp = interp.p2m(_basis(son, 0.5, order, pos), q)
     via_m2m = interp.kron_apply(
         interp.m2m_factors(order, octant), son_exp[:, None]
     )[:, 0]
-    direct = interp.p2m(_basis(father, order, pos), q)
+    direct = interp.p2m(_basis(np.zeros(3), 1.0, order, pos), q)
     assert np.allclose(via_m2m, direct, atol=1e-12)
 
 
 def test_l2l_chain_matches_direct_l2p():
     rng = np.random.default_rng(6)
     order = 4
-    father = CellFrame(alpha=np.zeros(3), beta=1.0)
     octant = (0, 1, 0)
-    son = CellFrame(alpha=np.array(octant) * 0.5, beta=0.5)
-    pos = son.alpha + rng.uniform(size=(30, 3)) * son.beta
+    son = np.array(octant) * 0.5  # the son's lower corner, side 0.5
+    pos = son + rng.uniform(size=(30, 3)) * 0.5
     local = rng.normal(size=order**3) + 1j * rng.normal(size=order**3)
     son_local = interp.kron_apply(
         interp.l2l_factors(order, octant), local[:, None]
     )[:, 0]
-    via_l2l = interp.l2p(_basis(son, order, pos), son_local)
-    direct = interp.l2p(_basis(father, order, pos), local)
+    via_l2l = interp.l2p(_basis(son, 0.5, order, pos), son_local)
+    direct = interp.l2p(_basis(np.zeros(3), 1.0, order, pos), local)
     assert np.allclose(via_l2l, direct, atol=1e-12)
 
 

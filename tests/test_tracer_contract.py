@@ -18,6 +18,7 @@ import pytest
 import helmfmm
 from helmfmm.directions import father_direction, generate_direction_tree, nearest_direction
 from helmfmm.fourier import FourierWorkspace, SymbolCache
+from helmfmm.geometry import compute_root_box
 from helmfmm.kernel import MAX_BLOCK_ENTRIES
 from helmfmm.traversal import HF_SWITCH, FmmConfig, run_fmm_full
 from helmfmm import traversal
@@ -63,11 +64,17 @@ def _two_trees():
     return targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=12.0)
 
 
-def _refinement(config, cell) -> int:
-    return int(np.floor(np.log2(config.kappa * cell_radius(cell.frame.beta) / HF_SWITCH) + 0.5))
+def _root_side(targets, sources) -> float:
+    """The side of a solve's root box, as run_fmm_full computes it."""
+    return compute_root_box(sources if targets is sources else np.vstack([targets, sources])).side
 
 
-def _m2l_expansions(events, config, hf_max_level, side: str) -> set:
+def _refinement(config, root_side, level) -> int:
+    side = root_side / (1 << level)
+    return int(np.floor(np.log2(config.kappa * cell_radius(side) / HF_SWITCH) + 0.5))
+
+
+def _m2l_expansions(events, config, hf_max_level, root_side, side: str) -> set:
     """(cell, direction index) of each expansion that M2L reads (side
     "source") or writes (side "target"): at a high-frequency level, the
     direction nearest to the translation at the refinement
@@ -79,7 +86,7 @@ def _m2l_expansions(events, config, hf_max_level, side: str) -> set:
             continue
         t, d = e.target, 0
         if t.level <= hf_max_level:
-            refinement = _refinement(config, t)
+            refinement = _refinement(config, root_side, t.level)
             dirs = trees.setdefault(refinement, generate_direction_tree(refinement))
             tvec = t.coords - e.source.coords
             d = nearest_direction(dirs, refinement, tvec / np.linalg.norm(tvec))
@@ -152,10 +159,11 @@ def test_tracer_finds_and_measures_everything(monkeypatch, problem):
     # M2F transforms one row per multipole M2L reads, F2L one per local
     # expansion it writes, in stacks of at most MAX_BLOCK_ENTRIES // P^3 rows
     step = MAX_BLOCK_ENTRIES // FourierWorkspace(config.order).fourier_size
-    read = _m2l_expansions(events, config, info.hf_max_level, "source")
+    root_side = _root_side(targets, sources)
+    read = _m2l_expansions(events, config, info.hf_max_level, root_side, "source")
     assert sum(m2f_rows) == len(read)
     assert metrics["fourier.m2f_calls"] == len(m2f_rows) == -(-len(read) // step)
-    written = _m2l_expansions(events, config, info.hf_max_level, "target")
+    written = _m2l_expansions(events, config, info.hf_max_level, root_side, "target")
     assert sum(f2l_rows) == len(written)
     assert metrics["fourier.f2l_calls"] == len(f2l_rows) == -(-len(written) // step)
 
@@ -201,14 +209,14 @@ def test_each_translation_is_resolved_once(monkeypatch):
     assert metrics["traversal.dtt_visits"] == 1
 
 
-def _son_links(events, config, hf_max_level, side: str) -> Counter:
+def _son_links(events, config, hf_max_level, root_side, side: str) -> Counter:
     """Per father level, the (father expansion, son) pairs of one side: M2M
     reads (side "source") or L2L writes (side "target") one son expansion
     per pair, below every expansion M2L reads or writes.  A high-frequency
     son takes the father direction's father_direction, any other son the
     one direction 0."""
     cells = {id(getattr(e, side)): getattr(e, side) for e in events if e.kind == "M2L"}
-    held = _m2l_expansions(events, config, hf_max_level, side)
+    held = _m2l_expansions(events, config, hf_max_level, root_side, side)
     todo = list(held)
     links = Counter()
     while todo:
@@ -218,7 +226,7 @@ def _son_links(events, config, hf_max_level, side: str) -> Counter:
             links[father.level] += 1
             sd = 0
             if son.level <= hf_max_level:
-                refinement = _refinement(config, father)
+                refinement = _refinement(config, root_side, father.level)
                 sd = father_direction(generate_direction_tree(refinement), refinement, d)
             cells[id(son)] = son
             if (id(son), sd) not in held:
@@ -240,8 +248,9 @@ def test_m2m_and_l2l_stack_a_level_per_son_octant(problem):
     with tracer:
         _, info = run_fmm_full(targets, sources, q, config, events=events)
     metrics = tracer.metrics(info, events)
-    up = _son_links(events, config, info.hf_max_level, "source")
-    down = _son_links(events, config, info.hf_max_level, "target")
+    root_side = _root_side(targets, sources)
+    up = _son_links(events, config, info.hf_max_level, root_side, "source")
+    down = _son_links(events, config, info.hf_max_level, root_side, "target")
     assert up and down
     assert metrics["interpolation.apply_calls"] <= 8 * (len(up) + len(down))
     assert metrics["interpolation.apply_columns"] == sum(up.values()) + sum(down.values())

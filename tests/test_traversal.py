@@ -10,7 +10,7 @@ from helmfmm import tree as tree_module
 from helmfmm.directions import father_direction, nearest_direction
 from helmfmm.distributions import Distribution, generate_distribution
 from helmfmm.fourier import FourierWorkspace, SymbolCache
-from helmfmm.geometry import BoundingBox, CellFrame, compute_root_box
+from helmfmm.geometry import BoundingBox, compute_root_box
 from helmfmm.kernel import MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum, relative_errors
 from helmfmm.tree import Cell, build_tree, cell_radius
 from helmfmm.traversal import (
@@ -38,16 +38,9 @@ from helmfmm.traversal import (
 UNIT_BOX = BoundingBox(center=np.array([0.5, 0.5, 0.5]), half_width=0.5)
 
 
-def _cell(coords, level, side=1.0):
-    coords = np.asarray(coords, dtype=np.int64)
-    beta = side / (1 << level)
-    return Cell(
-        level=level,
-        coords=coords,
-        start=0,
-        stop=0,
-        frame=CellFrame(alpha=coords * beta, beta=beta),
-    )
+def _side(level):
+    """The side of a level's cells under a unit root box."""
+    return 1.0 / (1 << level)
 
 
 def _reference(points, charges, kappa, box_side=1.0):
@@ -56,34 +49,32 @@ def _reference(points, charges, kappa, box_side=1.0):
 
 
 def test_cell_distance_values():
-    a = _cell([0, 0, 0], 2)
-    assert _distance(a.coords - _cell([1, 0, 0], 2).coords, a.frame.beta) == 0.0
-    assert _distance(a.coords - _cell([2, 0, 0], 2).coords, a.frame.beta) == pytest.approx(0.25)
-    assert _distance(a.coords - _cell([2, 2, 0], 2).coords, a.frame.beta) == pytest.approx(
-        0.25 * np.sqrt(2)
-    )
+    a, side = np.array([0, 0, 0]), _side(2)
+    assert _distance(a - [1, 0, 0], side) == 0.0
+    assert _distance(a - [2, 0, 0], side) == pytest.approx(0.25)
+    assert _distance(a - [2, 2, 0], side) == pytest.approx(0.25 * np.sqrt(2))
 
 
 def test_strict_mac_cases():
-    a = _cell([0, 0, 0], 2)
-    assert not admissible(a.coords - a.coords, a.frame.beta)
-    assert not admissible(a.coords - _cell([1, 1, 1], 2).coords, a.frame.beta)
-    assert admissible(a.coords - _cell([2, 0, 0], 2).coords, a.frame.beta)
-    assert admissible(a.coords - _cell([2, 1, 1], 2).coords, a.frame.beta)
+    a, side = np.array([0, 0, 0]), _side(2)
+    assert not admissible(a - a, side)
+    assert not admissible(a - [1, 1, 1], side)
+    assert admissible(a - [2, 0, 0], side)
+    assert admissible(a - [2, 1, 1], side)
 
 
 def test_directional_mac_thresholds():
-    a = _cell([0, 0, 0], 2)
-    far = _cell([3, 3, 3], 2)
-    near = _cell([2, 0, 0], 2)
-    w = cell_radius(a.frame.beta)
-    dist_far = _distance(a.coords - far.coords, a.frame.beta)
+    a, side = np.array([0, 0, 0]), _side(2)
+    far = np.array([3, 3, 3])
+    near = np.array([2, 0, 0])
+    w = cell_radius(side)
+    dist_far = _distance(a - far, side)
     # pick kappa so the far pair is admissible but the near one is not
     kappa = dist_far / (w * w)
-    assert admissible(a.coords - far.coords, a.frame.beta, kappa, 1.0)
-    assert not admissible(a.coords - near.coords, a.frame.beta, kappa, 1.0)
+    assert admissible(a - far, side, kappa, 1.0)
+    assert not admissible(a - near, side, kappa, 1.0)
     # a larger eta re-admits the near pair when 2w permits
-    assert admissible(a.coords - near.coords, a.frame.beta, kappa, 10.0)
+    assert admissible(a - near, side, kappa, 10.0)
 
 
 def _translations(radius):
@@ -106,16 +97,16 @@ def _reference_mac(tvec, side, kappa, eta):
 def test_array_mac_matches_the_cell_macs(kappa, eta):
     level = 4
     tvecs = _translations(6)
-    t = _cell([6, 6, 6], level)
-    side = t.frame.beta
+    t = np.array([6, 6, 6])
+    side = _side(level)
     strict = admissible(tvecs, side)
     directional = admissible(tvecs, side, kappa, eta)
     for tvec, a, b in zip(tvecs, strict.tolist(), directional.tolist()):
-        s = _cell(t.coords - tvec, level)
-        ts = t.coords - s.coords
-        assert a == admissible(ts, t.frame.beta) == _reference_mac(tvec, side, None, eta)
+        s = t - tvec  # the source cell's coordinates
+        ts = t - s
+        assert a == admissible(ts, side) == _reference_mac(tvec, side, None, eta)
         directional_ref = _reference_mac(tvec, side, kappa, eta)
-        assert b == admissible(ts, t.frame.beta, kappa, eta) == directional_ref
+        assert b == admissible(ts, side, kappa, eta) == directional_ref
     # ties admit: a gap of exactly one side, and 2w = eta * dist (kappa*w^2
     # is the smaller term here)
     assert admissible([[2, 0, 0], [2, 1, -1], [-1, 2, 1]], side).all()
@@ -415,9 +406,10 @@ def test_each_side_builds_only_the_directions_it_uses():
     assert _axis_directions(ctx, ctx.target_keys, right) == {1.0}
 
 
-def _refinement(config, cell):
-    """round(log2(kappa * w / HF_SWITCH)) of a high-frequency cell."""
-    return int(np.floor(np.log2(config.kappa * cell_radius(cell.frame.beta) / HF_SWITCH) + 0.5))
+def _refinement(config, side):
+    """round(log2(kappa * w / HF_SWITCH)) of a high-frequency cell of side
+    ``side``."""
+    return int(np.floor(np.log2(config.kappa * cell_radius(side) / HF_SWITCH) + 0.5))
 
 
 def test_effective_expansions_are_those_m2l_and_m2m_read():
@@ -436,7 +428,8 @@ def test_effective_expansions_are_those_m2l_and_m2m_read():
         if t.level > hf:
             return 0
         tvec = t.coords - s.coords
-        return nearest_direction(dirs, _refinement(config, t), tvec / np.linalg.norm(tvec))
+        refinement = _refinement(config, tree.side_at(t.level))
+        return nearest_direction(dirs, refinement, tvec / np.linalg.norm(tvec))
 
     read = set()
 
@@ -446,7 +439,8 @@ def test_effective_expansions_are_those_m2l_and_m2m_read():
         read.add((cell.index, d))
         for son in cell.sons:
             son_hf = son.level <= hf
-            add(son, father_direction(dirs, _refinement(config, cell), d) if son_hf else 0)
+            refinement = _refinement(config, tree.side_at(cell.level))
+            add(son, father_direction(dirs, refinement, d) if son_hf else 0)
 
     m2l = [e for e in events if e.kind == "M2L"]
     for e in m2l:
@@ -578,10 +572,11 @@ def _recursive_plan(ctx):
     def visit(t, s):
         tvec = t.coords - s.coords
         hf = ctx.is_hf(t.level)
-        if admissible(tvec, t.frame.beta, config.kappa if hf else None, config.eta):
+        side = ctx.target_tree.side_at(t.level)
+        if admissible(tvec, side, config.kappa if hf else None, config.eta):
             unit = tvec / np.linalg.norm(tvec)
             d = nearest_direction(ctx.dirs, ctx.refinement(t.level), unit) if hf else 0
-            diagonal = cache.diagonals[cache.get(t.level, tvec, t.frame.beta)]
+            diagonal = cache.diagonals[cache.get(t.level, tvec, side)]
             m2l.setdefault(t.level, []).append((t.index, s.index, diagonal, d))
         elif t.is_leaf or s.is_leaf:
             p2p.setdefault(t.level, []).append((t.index, s.index))
@@ -590,7 +585,7 @@ def _recursive_plan(ctx):
                 for s2 in s.sons:
                     visit(t2, s2)
 
-    visit(ctx.target_tree.root, ctx.source_tree.root)
+    visit(ctx.target_tree.cells[0], ctx.source_tree.cells[0])
     return m2l, p2p
 
 
@@ -634,7 +629,7 @@ def _assert_planned_as_the_recursion(ctx):
 @pytest.mark.parametrize("chunk", [None, 97])
 def test_plan_matches_the_recursion_on_a_laplace_cube(monkeypatch, chunk):
     if chunk:  # levels taken in many slices
-        monkeypatch.setattr(traversal, "PLAN_CHUNK", chunk)
+        monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", chunk)
     pts = generate_distribution(Distribution("uniform-cube", 2000, 3))
     ctx = _planning_context(pts, pts, FmmConfig(order=3, ncrit=16, kappa=0.0))
     assert ctx.hf_max_level == -1 and ctx.target_tree.depth >= 3
@@ -644,7 +639,7 @@ def test_plan_matches_the_recursion_on_a_laplace_cube(monkeypatch, chunk):
 @pytest.mark.parametrize("chunk", [None, 97])
 def test_plan_matches_the_recursion_on_a_directional_sphere(monkeypatch, chunk):
     if chunk:
-        monkeypatch.setattr(traversal, "PLAN_CHUNK", chunk)
+        monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", chunk)
     pts = generate_distribution(Distribution("sphere", 1000))
     ctx = _planning_context(pts, pts, FmmConfig(order=3, ncrit=8, kappa=20.0))
     assert ctx.hf_max_level >= 2 and ctx.refinement(0) > ctx.refinement(ctx.hf_max_level)
@@ -930,7 +925,7 @@ def test_counts_are_consistent():
     )
     assert info.counts["m2l_events"] == sum(1 for e in events if e.kind == "M2L")
     assert info.counts["p2p_pairs"] == sum(
-        e.target.n_particles * e.source.n_particles
+        (e.target.stop - e.target.start) * (e.source.stop - e.source.start)
         for e in events
         if e.kind == "P2P"
     )
@@ -1058,10 +1053,14 @@ def test_leaf_basis_from_the_table_matches_basis_matrix():
     tree, pset = build_tree(pts, rng.normal(size=600) + 0j, 16)
     table = _lagrange_table(order, tree, pset)
     assert table.shape == (600, 3, order)
-    for leaf in tree.leaves:
-        pos = pset.positions[leaf.start : leaf.stop]
-        ref = interp.basis_matrix(order, (pos - leaf.frame.alpha) / leaf.frame.beta)
-        got = interp.tensor_basis(table[leaf.start : leaf.stop])
+    levels = tree.cell_levels()
+    for leaf in np.flatnonzero(tree.n_sons == 0):
+        at = slice(tree.start[leaf], tree.stop[leaf])
+        side = tree.side_at(levels[leaf])
+        pos = pset.positions[at]
+        lower = tree.root_box.lower + tree.coords[leaf] * side
+        ref = interp.basis_matrix(order, (pos - lower) / side)
+        got = interp.tensor_basis(table[at])
         assert np.abs(got - ref).max(initial=0.0) <= 1e-15
 
 
@@ -1083,8 +1082,9 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
         index = np.repeat([cell.index for cell in cells], n_units)
         ds = np.tile(np.arange(n_units), len(cells))
         waves = iter(_waves(ctx, tree, index, level, dl, ds))
+        side = tree.side_at(level)
         for cell in cells:
-            x = cell.frame.alpha + cell.frame.beta * grid
+            x = (tree.root_box.lower + cell.coords * side) + side * grid
             for d in range(n_units):
                 ref = interp.plane_wave(x, config.kappa, ctx.units[dl][d])
                 assert np.abs(next(waves) - ref).max() < 1e-13
@@ -1104,8 +1104,9 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
     wave = _waves(low, tree, index, tree.depth, tree.depth, np.zeros(len(index), dtype=np.int64))
     assert wave is low.unit_wave and not wave.flags.writeable
     assert wave.shape == (1, config.order**3)
+    side = tree.side_at(tree.depth)
     for cell in (deepest[0], deepest[-1]):
-        x = cell.frame.alpha + cell.frame.beta * grid
+        x = (tree.root_box.lower + cell.coords * side) + side * grid
         assert wave[0].tobytes() == interp.plane_wave(x, 10.0, np.zeros(3)).tobytes()
     assert not low.grid_waves
 
@@ -1121,10 +1122,12 @@ def _hf_leaf_blocks(ctx, keys, tree, pset):
         assert (leaf.level, leaf.is_leaf) == (level, True)
         if not ctx.is_hf(leaf.level) or hi - lo < 2:
             continue
+        side = tree.side_at(leaf.level)
+        lower = tree.root_box.lower + leaf.coords * side
         pos = pset.positions[leaf.start : leaf.stop]
-        b = interp.basis_matrix(order, (pos - leaf.frame.alpha) / leaf.frame.beta)
+        b = interp.basis_matrix(order, (pos - lower) / side)
         units = ctx.dirs.levels[ctx.refinement(leaf.level)][keys[lo:hi] % ctx.n_dirs]
-        x = leaf.frame.alpha + leaf.frame.beta * grid
+        x = lower + side * grid
         yield (
             leaf, lo, hi, b,
             [interp.plane_wave(x, kappa, u) for u in units],
@@ -1185,7 +1188,11 @@ def test_modulated_p2m_l2p_match_the_explicit_phases():
     # a low-frequency leaf is the one-direction case u = 0: its one row is
     # exactly the plain basis product, on both sides
     tree, pset, ctx, rng = _leaf_context(4)
-    low = [leaf for leaf in tree.leaves if not ctx.is_hf(leaf.level) and leaf.stop > leaf.start]
+    low = [
+        leaf
+        for leaf in tree.cells
+        if leaf.is_leaf and not ctx.is_hf(leaf.level) and leaf.stop > leaf.start
+    ]
     assert low
     source_rows, target_rows = (
         {leaf: (lo, hi) for _, leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs)}

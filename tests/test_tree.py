@@ -15,8 +15,9 @@ def _uniform_problem(n, seed=0):
 def test_leaf_sizes_and_range_partition():
     pts, q = _uniform_problem(100)
     tree, pset = build_tree(pts, q, ncrit=10)
-    ranges = sorted((c.start, c.stop) for c in tree.leaves)
-    assert all(c.n_particles <= 10 for c in tree.leaves)
+    leaves = tree.n_sons == 0
+    ranges = sorted(zip(tree.start[leaves].tolist(), tree.stop[leaves].tolist()))
+    assert all(stop - start <= 10 for start, stop in ranges)
     # leaf ranges tile [0, n) without gaps or overlaps
     assert ranges[0][0] == 0
     assert ranges[-1][1] == 100
@@ -33,7 +34,7 @@ def test_internal_ranges_cover_sons():
                 continue
             assert cell.start == cell.sons[0].start
             assert cell.stop == cell.sons[-1].stop
-            assert sum(s.n_particles for s in cell.sons) == cell.n_particles
+            assert sum(s.stop - s.start for s in cell.sons) == cell.stop - cell.start
 
 
 def test_sons_in_morton_order_and_no_empty_cells():
@@ -41,7 +42,7 @@ def test_sons_in_morton_order_and_no_empty_cells():
     tree, _ = build_tree(pts, q, ncrit=16)
     for level in tree.levels:
         for cell in level:
-            assert cell.n_particles > 0
+            assert cell.stop - cell.start > 0
             if cell.sons:
                 coords = np.array([s.coords for s in cell.sons])
                 codes = morton_encode_many(coords, cell.level + 1).tolist()
@@ -53,28 +54,35 @@ def test_leaves_tile_the_morton_curve():
     pts, q = _uniform_problem(600, seed=3)
     tree, pset = build_tree(pts, q, ncrit=8)
     box = tree.root_box
-    leaves = sorted(tree.leaves, key=lambda c: c.start)
+    leaves = np.flatnonzero(tree.n_sons == 0)
+    levels = tree.cell_levels()
     prev_hi = -1
-    for leaf in leaves:
-        code = int(morton_encode_many(leaf.coords[None, :], leaf.level)[0])
-        shift = 3 * (tree.depth - leaf.level)
+    for leaf in leaves[np.argsort(tree.start[leaves])]:
+        level = int(levels[leaf])
+        code = int(morton_encode_many(tree.coords[leaf][None, :], level)[0])
+        shift = 3 * (tree.depth - level)
         lo = code << shift
         assert lo > prev_hi
         prev_hi = ((code + 1) << shift) - 1
         # every particle of the leaf lands in the leaf's own cell
-        n_side = 1 << leaf.level
-        local = pset.positions[leaf.start : leaf.stop]
+        n_side = 1 << level
+        local = pset.positions[tree.start[leaf] : tree.stop[leaf]]
         coords = np.clip(((local - box.lower) / box.side * n_side).astype(np.int64), 0, n_side - 1)
-        assert np.all(morton_encode_many(coords, leaf.level) == code)
+        assert np.all(morton_encode_many(coords, level) == code)
 
 
 def test_cells_contain_their_particles():
+    """Every cell, internal ones included, holds only particles of its own
+    cube lower + coords * side to lower + (coords + 1) * side."""
     pts, q = _uniform_problem(300, seed=4)
     tree, pset = build_tree(pts, q, ncrit=25)
-    for cell in tree.leaves:
-        local = pset.positions[cell.start : cell.stop]
-        assert np.all(local >= cell.frame.alpha - 1e-12)
-        assert np.all(local <= cell.frame.alpha + cell.frame.beta + 1e-12)
+    assert tree.depth >= 2
+    side = tree.root_box.side / (1 << tree.cell_levels())
+    lower = tree.root_box.lower + tree.coords * side[:, None]
+    for i in range(tree.n_cells):
+        local = pset.positions[tree.start[i] : tree.stop[i]]
+        assert np.all(local >= lower[i] - 1e-12)
+        assert np.all(local <= lower[i] + side[i] + 1e-12)
 
 
 def test_charges_permuted_consistently():
@@ -99,7 +107,8 @@ def test_coincident_points_respect_depth_cap():
     tree, _ = build_tree(pts, q, ncrit=4)
     assert tree.depth <= MAX_MORTON_DEPTH
     # the coincident cluster ends up in one oversized leaf
-    assert max(c.n_particles for c in tree.leaves) == 50
+    leaves = tree.n_sons == 0
+    assert (tree.stop - tree.start)[leaves].max() == 50
 
 
 def test_cell_index_is_position_in_cells():
@@ -162,7 +171,7 @@ def test_build_tree_rejects_points_outside_root_box():
     # the closed cube is accepted, faces included
     pts[3] = [1.0, -1.0, 1.0]
     tree, pset = build_tree(pts, np.ones(10), ncrit=2, root_box=box)
-    assert pset.n == 10
+    assert len(pset.positions) == 10
 
 
 def _reference_arrays(points, ncrit):

@@ -62,19 +62,23 @@ def _check(points, ncrit, root_box=None):
     assert np.array_equal(np.sort(pset.original_index), np.arange(n))
     assert np.array_equal(pset.positions, points[pset.original_index])
 
-    ranges = sorted((c.start, c.stop) for c in tree.leaves)
+    leaves = tree.n_sons == 0
+    ranges = sorted(zip(tree.start[leaves].tolist(), tree.stop[leaves].tolist()))
     assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
     assert ranges[-1][1] == n
 
     # rounding of the quantisation: a few ulps of the box coordinates
     tol = 1e-12 * (box.side + np.abs(box.center).max())
     for cell in tree.cells:
-        assert cell.n_particles > 0
+        count = cell.stop - cell.start
+        assert count > 0
+        side = tree.side_at(cell.level)
+        lower = box.lower + cell.coords * side
         local = pset.positions[cell.start : cell.stop]
-        assert np.all(local >= cell.frame.alpha - tol)
-        assert np.all(local <= cell.frame.alpha + cell.frame.beta + tol)
+        assert np.all(local >= lower - tol)
+        assert np.all(local <= lower + side + tol)
         if cell.is_leaf:
-            assert cell.n_particles <= ncrit or cell.level == MAX_MORTON_DEPTH
+            assert count <= ncrit or cell.level == MAX_MORTON_DEPTH
             continue
         coords = np.array([s.coords for s in cell.sons])
         assert np.all(coords >> 1 == cell.coords)
