@@ -19,9 +19,8 @@ import numpy as np
 from helmfmm.fourier import (
     FourierWorkspace,
     SymbolCache,
-    canonicalize_translation,
+    canonicalize_translations,
     dense_m2l_matrix,
-    m2l_hadamard,
     precompute_symbol,
 )
 from helmfmm.kernel import HelmholtzKernel
@@ -37,14 +36,9 @@ print("FFT pipeline vs dense operator")
 for tvec in [(2, 0, 0), (3, 1, 0), (-2, 2, -2)]:
     diagonal = precompute_symbol(kernel, tvec, BETA, ORDER)
     dense = dense_m2l_matrix(kernel, tvec, BETA, ORDER)
-    columns = []
-    for j in range(ORDER**3):
-        basis = np.zeros(ORDER**3, dtype=complex)
-        basis[j] = 1.0
-        accumulator = np.zeros(workspace.fourier_size, dtype=complex)
-        m2l_hadamard(accumulator, workspace.m2f(basis), diagonal)
-        columns.append(workspace.f2l(accumulator))
-    fft_operator = np.column_stack(columns)
+    # one stack of all basis vectors: row j of the result is column j
+    fourier = workspace.m2f(np.eye(ORDER**3, dtype=complex))
+    fft_operator = workspace.f2l(diagonal * fourier).T
     deviation = np.abs(fft_operator - dense).max() / np.abs(dense).max()
     print(f"  translation {tvec}: relative deviation {deviation:.2e}")
 
@@ -55,8 +49,8 @@ translations = [
     if max(abs(c) for c in t) >= 2
 ]
 classes = {}
-for t in translations:
-    classes.setdefault(canonicalize_translation(t)[0], []).append(t)
+for t, canon in zip(translations, canonicalize_translations(translations)[0].tolist()):
+    classes.setdefault(tuple(canon), []).append(t)
 print(f"  {len(translations)} admissible translations")
 print(f"  {len(classes)} canonical classes:")
 for canon, members in sorted(classes.items()):

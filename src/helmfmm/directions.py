@@ -65,23 +65,22 @@ def generate_direction_tree(max_refinement: int) -> DirectionTree:
     return DirectionTree(levels=levels, fathers=fathers)
 
 
-def nearest_direction(tree: DirectionTree, refinement: int, v: np.ndarray):
-    """Index of the refinement-level direction closest to the unit vector v,
-    or the (k,) indices of the rows of a (k, 3) stack of unit vectors.
+def nearest_direction(tree: DirectionTree, refinement: int, v: np.ndarray) -> np.ndarray:
+    """The (k,) indices of the refinement-level directions closest to the
+    rows of a (k, 3) stack of unit vectors.
 
-    Ties are broken by smallest index (argmin semantics).  A stack goes in
+    Ties are broken by smallest index (argmin semantics).  The stack goes in
     slices whose (rows, 6 * 4**refinement, 3) differences stay within
     MAX_BLOCK_ENTRIES entries.
     """
     if refinement < 0 or refinement > tree.max_refinement:
         raise ValueError("refinement out of range")
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        return int(nearest_direction(tree, refinement, v[None])[0])
     if v.ndim != 2 or v.shape[1] != 3:
-        raise ValueError(f"v must have shape (3,) or (k, 3), not {v.shape}")
-    if np.any(np.abs(np.linalg.norm(v, axis=1) - 1.0) > 1e-9):
-        raise ValueError("v must be a unit vector")
+        raise ValueError(f"v must have shape (k, 3), not {v.shape}")
+    # written so that a NaN or infinite row fails the test too
+    if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-9):
+        raise ValueError("each row of v must be a unit vector")
     dirs = tree.levels[refinement]
     out = np.empty(len(v), dtype=np.int64)
     step = max(1, MAX_BLOCK_ENTRIES // dirs.size)

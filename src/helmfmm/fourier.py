@@ -27,7 +27,6 @@ __all__ = [
     "FourierWorkspace",
     "SymbolCache",
     "hyperoctahedral_group",
-    "canonicalize_translation",
     "canonicalize_translations",
     "frequency_permutation",
     "precompute_symbol",
@@ -41,7 +40,8 @@ __all__ = [
 class FourierWorkspace:
     """Transform sizes and the unitary-DFT convention used throughout.
 
-    M2F and F2L take a stack of expansions, one per row, and transform it
+    M2F and F2L take a (k, size) stack of expansions, one per row, and
+    nothing else (one expansion is a one-row stack), and transform it
     one axis at a time, last axis first as np.fft.fftn does: M2F zero-pads
     each axis as it transforms it, so the lines that are all zero are never
     transformed, and F2L crops each axis to L right after its inverse
@@ -71,32 +71,32 @@ class FourierWorkspace:
 
     @staticmethod
     def _checked(values, size: int, what: str) -> np.ndarray:
-        """values as an array of one expansion (size,) or a stack (k, size)."""
+        """values as a (k, size) stack of expansions."""
         values = np.asarray(values)
-        if values.ndim not in (1, 2) or values.shape[-1] != size:
-            raise ValueError(f"{what} must have shape ({size},) or (k, {size}), not {values.shape}")
+        if values.ndim != 2 or values.shape[1] != size:
+            raise ValueError(f"{what} must have shape (k, {size}), not {values.shape}")
         return values
 
     def m2f(self, nodal: np.ndarray) -> np.ndarray:
         """Zero-pad and transform, F . chi . v, each nodal expansion of a
-        (k, L^3) stack (or one (L^3,) expansion): (k, P^3) (or (P^3,))."""
+        (k, L^3) stack: (k, P^3)."""
         nodal = self._checked(nodal, self.nodal_size, "nodal expansions")
         ordr, pad = self.order, self.padded
         out = nodal.reshape(-1, ordr, ordr, ordr)
         for axis in (3, 2, 1):
             out = np.fft.fft(out, n=pad, axis=axis)
         out /= self._norm
-        return out.reshape(nodal.shape[:-1] + (self.fourier_size,))
+        return out.reshape(len(nodal), self.fourier_size)
 
     def f2l(self, fourier: np.ndarray) -> np.ndarray:
         """Adjoint path, chi^T . F* . w, of each Fourier expansion of a
-        (k, P^3) stack (or one (P^3,) expansion): (k, L^3) (or (L^3,))."""
+        (k, P^3) stack: (k, L^3)."""
         fourier = self._checked(fourier, self.fourier_size, "Fourier expansions")
         ordr, pad = self.order, self.padded
         out = fourier.reshape(-1, pad, pad, pad)
         for axis in (3, 2, 1):
             out = np.fft.ifft(out, axis=axis)[(slice(None),) * axis + (slice(ordr),)]
-        return (out * self._norm).reshape(fourier.shape[:-1] + (self.nodal_size,))
+        return (out * self._norm).reshape(len(fourier), self.nodal_size)
 
 
 def m2l_hadamard(accumulator: np.ndarray, source: np.ndarray, diagonal: np.ndarray) -> None:
@@ -126,40 +126,28 @@ def hyperoctahedral_group() -> tuple:
     return tuple(mats)
 
 
-def canonicalize_translation(tvec) -> tuple:
-    """Canonical representative of a translation under cube symmetries.
-
-    Returns (canonical, rotation_id) with components of the canonical vector
-    non-negative and sorted non-increasing, and group[rotation_id] mapping
-    the canonical vector onto ``tvec``: the first such element of
-    hyperoctahedral_group(), found in Python integer arithmetic.
-    """
-    t = tuple(int(v) for v in tvec)
-    if len(t) != 3:
-        raise ValueError("translation must be an integer triple")
-    if not any(t):
-        raise ValueError("zero translation cannot be canonicalized")
-    canon = tuple(sorted(map(abs, t), reverse=True))
-    for rid, ((p0, p1, p2), (s0, s1, s2)) in enumerate(_SIGNED_PERMUTATIONS):
-        if (s0 * canon[p0], s1 * canon[p1], s2 * canon[p2]) == t:
-            return canon, rid
-    raise AssertionError("unreachable: cube group is transitive on orbits")
-
-
 # _SIGNED_PERMUTATIONS as arrays: element k maps v to _SIGNS[k] * v[_PERMS[k]]
 _PERMS = np.array([perm for perm, _ in _SIGNED_PERMUTATIONS], dtype=np.int64)
 _SIGNS = np.array([signs for _, signs in _SIGNED_PERMUTATIONS], dtype=np.int64)
 
 
+def _translations(tvecs) -> np.ndarray:
+    """tvecs as a (k, 3) int64 array; a float one is rejected, not truncated."""
+    tvecs = np.asarray(tvecs)
+    if tvecs.ndim != 2 or tvecs.shape[1] != 3 or not np.issubdtype(tvecs.dtype, np.integer):
+        raise ValueError(f"translations must be (k, 3) integers, not {tvecs.dtype} {tvecs.shape}")
+    return tvecs.astype(np.int64, copy=False)
+
+
 def canonicalize_translations(tvecs: np.ndarray) -> tuple:
-    """canonicalize_translation of each row of a (k, 3) integer array:
-    ((k, 3) canonical vectors, (k,) rotation ids).  The canonical vector is
-    |t| sorted non-increasing; the rotation id is the first of the 48
-    elements that maps it onto t, found by comparing all 48 images at once,
-    in slices whose (rows, 48, 3) images stay within MAX_BLOCK_ENTRIES."""
-    tvecs = np.asarray(tvecs, dtype=np.int64)
-    if tvecs.ndim != 2 or tvecs.shape[1] != 3:
-        raise ValueError("translations must be a (k, 3) integer array")
+    """Canonical representatives of the rows of a (k, 3) integer array of
+    nonzero translations under the cube symmetries: ((k, 3) canonical
+    vectors, (k,) rotation ids).  The canonical vector of t is |t| sorted
+    non-increasing; its rotation id is the first k such that
+    hyperoctahedral_group()[k] maps the canonical vector onto t.  All 48
+    images are compared at once, in slices whose (rows, 48, 3) images stay
+    within MAX_BLOCK_ENTRIES."""
+    tvecs = _translations(tvecs)
     if not tvecs.any(axis=1).all():
         raise ValueError("zero translation cannot be canonicalized")
     canon = -np.sort(-np.abs(tvecs), axis=1)
@@ -269,18 +257,13 @@ class SymbolCache:
     def n_translations(self) -> int:
         return len(self.diagonals)
 
-    def get(self, level: int, tvecs, beta: float):
-        """The entry of (level, t) for one translation t, or the (k,) entries
-        of the rows of a (k, 3) stack, each added on its first request and
-        numbered in the order of its first row.  A stack's new rows are
-        canonicalized together; each new (level, canonical translation) is
-        precomputed once, and every other row permutes its diagonal."""
-        t = np.asarray(tvecs)
-        if t.ndim == 1:
-            return int(self.get(level, t[None], beta)[0])
-        if t.ndim != 2 or t.shape[1] != 3:
-            raise ValueError(f"translations must have shape (3,) or (k, 3), not {t.shape}")
-        keys = list(map(tuple, t.astype(np.int64).tolist()))
+    def get(self, level: int, tvecs, beta: float) -> np.ndarray:
+        """The (k,) entries of (level, t) for the rows t of a (k, 3) integer
+        stack, each added on its first request and numbered in the order of
+        its first row.  A stack's new rows are canonicalized together; each
+        new (level, canonical translation) is precomputed once, and every
+        other row permutes its diagonal."""
+        keys = list(map(tuple, _translations(tvecs).tolist()))
         fresh = {}  # each new key, in order of its first row -> its entry
         for key in keys:
             if (level, key) not in self.entries and key not in fresh:
@@ -302,9 +285,9 @@ class SymbolCache:
         return np.array([self.entries[level, key] for key in keys], dtype=np.int64)
 
     def tag_direction(self, entries, directions) -> None:
-        """Set the direction index of one entry, or of each of an array of
-        entries."""
-        for entry, direction in zip(
-            np.atleast_1d(entries).tolist(), np.atleast_1d(directions).tolist()
-        ):
+        """Set the direction index of each of an array of entries, from an
+        array of the same length."""
+        entries, directions = np.asarray(entries).tolist(), np.asarray(directions).tolist()
+        # paired whole first: a length mismatch raises before any entry is written
+        for entry, direction in list(zip(entries, directions, strict=True)):
             self.directions[entry] = direction

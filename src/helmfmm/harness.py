@@ -109,6 +109,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     ``ncrit="auto"`` sweeps a small set of leaf sizes and keeps the fastest
     total time, mirroring how the leaf criterion is tuned in practice.
     """
+    if cfg.check_error < 0:
+        raise ValueError(f"check_error must be >= 0 sampled targets, not {cfg.check_error}")
     points, charges = _load_problem(cfg)
     side = compute_root_box(points).side
     kappa = cfg.kappa_d / side

@@ -15,7 +15,7 @@ from helmfmm.directions import generate_direction_tree
 from helmfmm.distributions import Distribution, generate_distribution, random_charges
 from helmfmm.fourier import (
     FourierWorkspace,
-    canonicalize_translation,
+    canonicalize_translations,
     dense_m2l_matrix,
     hyperoctahedral_group,
     m2l_hadamard,
@@ -90,8 +90,8 @@ def _fft_operator(kernel, tvec, beta, order):
     cols = []
     for j in range(order**3):
         acc = np.zeros(ws.fourier_size, dtype=complex)
-        m2l_hadamard(acc, ws.m2f(basis[j]), diagonal)
-        cols.append(ws.f2l(acc))
+        m2l_hadamard(acc, ws.m2f(basis[j][None])[0], diagonal)
+        cols.append(ws.f2l(acc[None])[0])
     return np.column_stack(cols)
 
 
@@ -126,7 +126,7 @@ def test_criterion_4_symmetry_reduction():
         for t in itertools.product(range(-3, 4), repeat=3)
         if max(abs(c) for c in t) >= 2
     ]
-    classes = {canonicalize_translation(t)[0] for t in translations}
+    classes = set(map(tuple, canonicalize_translations(translations)[0].tolist()))
     count_ok = len(translations) == 316 and len(classes) == 16
 
     rng = np.random.default_rng(1)

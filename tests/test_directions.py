@@ -98,9 +98,9 @@ def test_direction_tree_matches_a_loop_over_sub_faces():
 
 def test_nearest_direction_axis_cases():
     tree = generate_direction_tree(1)
-    idx = nearest_direction(tree, 0, np.array([1.0, 0.0, 0.0]))
+    idx = nearest_direction(tree, 0, np.array([[1.0, 0.0, 0.0]]))[0]
     assert np.allclose(tree.levels[0][idx], [1.0, 0.0, 0.0])
-    idx = nearest_direction(tree, 0, np.array([0.0, 0.0, -1.0]))
+    idx = nearest_direction(tree, 0, np.array([[0.0, 0.0, -1.0]]))[0]
     assert np.allclose(tree.levels[0][idx], [0.0, 0.0, -1.0])
 
 
@@ -108,15 +108,30 @@ def test_nearest_direction_recovers_members():
     tree = generate_direction_tree(2)
     for e in range(3):
         for i in range(0, tree.count(e), 7):
-            assert nearest_direction(tree, e, tree.levels[e][i]) == i
+            assert nearest_direction(tree, e, tree.levels[e][i][None])[0] == i
 
 
 def test_nearest_direction_validates_input():
     tree = generate_direction_tree(1)
     with pytest.raises(ValueError):
-        nearest_direction(tree, 0, np.array([1.0, 1.0, 0.0]))
+        nearest_direction(tree, 0, np.array([[1.0, 1.0, 0.0]]))
     with pytest.raises(ValueError):
-        nearest_direction(tree, 5, np.array([1.0, 0.0, 0.0]))
+        nearest_direction(tree, 5, np.array([[1.0, 0.0, 0.0]]))
+
+
+def test_nearest_direction_takes_stacks_only():
+    # one vector is a one-row stack: a (3,) array is rejected, not searched
+    tree = generate_direction_tree(1)
+    with pytest.raises(ValueError, match=r"\(k, 3\)"):
+        nearest_direction(tree, 0, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_direction_rejects_non_finite_rows(bad):
+    tree = generate_direction_tree(1)
+    for units in ([[bad, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, bad, 0.0]], [[bad] * 3]):
+        with pytest.raises(ValueError, match="unit vector"):
+            nearest_direction(tree, 1, np.array(units))
 
 
 def _cube_translations(radius: int) -> np.ndarray:
@@ -144,7 +159,7 @@ def test_stacked_nearest_direction_matches_scalar_rule_exhaustively():
         stacked = nearest_direction(tree, e, units)
         assert stacked.shape == (len(t),)
         assert stacked.tolist() == [_scalar_rule(tree.levels[e], v) for v in rows]
-        assert nearest_direction(tree, e, units[123]) == stacked[123]
+        assert nearest_direction(tree, e, units[123:124]).tolist() == [stacked[123]]
 
 
 def test_nearest_direction_ties_go_to_the_smallest_index():

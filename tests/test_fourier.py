@@ -7,12 +7,10 @@ from helmfmm import fourier
 from helmfmm.fourier import (
     FourierWorkspace,
     SymbolCache,
-    canonicalize_translation,
     canonicalize_translations,
     dense_m2l_matrix,
     frequency_permutation,
     hyperoctahedral_group,
-    m2l_hadamard,
     permute_symbol,
     precompute_symbol,
 )
@@ -37,57 +35,69 @@ def test_group_has_48_orthogonal_elements():
         assert np.array_equal(m @ m.T, np.eye(3, dtype=np.int64))
 
 
+def _first_matching_group_element(t: np.ndarray) -> tuple:
+    """The canonical rule from its definition, for each row of a (k, 3)
+    array: canon is |t| sorted non-increasing, and rid the first k with
+    hyperoctahedral_group()[k] @ canon == t, over all 48 matrices at once."""
+    canon = np.sort(np.abs(t), axis=1)[:, ::-1]
+    images = np.einsum("gab,nb->nga", np.array(hyperoctahedral_group()), canon)
+    matches = (images == t[:, None, :]).all(axis=-1)
+    assert matches.any(axis=1).all()
+    return canon, matches.argmax(axis=1)
+
+
 def test_canonicalize_examples():
-    canon, rid = canonicalize_translation((-2, 1, 0))
-    assert canon == (2, 1, 0)
-    assert np.array_equal(hyperoctahedral_group()[rid] @ canon, [-2, 1, 0])
-    canon, _ = canonicalize_translation((0, -3, 2))
-    assert canon == (3, 2, 0)
+    canon, rid = canonicalize_translations([(-2, 1, 0)])
+    assert canon[0].tolist() == [2, 1, 0]
+    assert np.array_equal(hyperoctahedral_group()[rid[0]] @ canon[0], [-2, 1, 0])
+    canon, _ = canonicalize_translations([(0, -3, 2)])
+    assert canon[0].tolist() == [3, 2, 0]
 
 
 def test_canonicalize_is_idempotent():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        t = rng.integers(-4, 5, size=3)
-        if not np.any(t):
-            continue
-        canon, _ = canonicalize_translation(t)
-        again, rid = canonicalize_translation(canon)
-        assert again == canon
-        assert np.array_equal(hyperoctahedral_group()[rid] @ np.array(canon), canon)
+    t = rng.integers(-4, 5, size=(50, 3))
+    t = t[t.any(axis=1)]
+    canon, _ = canonicalize_translations(t)
+    again, rid = canonicalize_translations(canon)
+    assert np.array_equal(again, canon)
+    for r, c in zip(rid, canon):
+        assert np.array_equal(hyperoctahedral_group()[r] @ c, c)
 
 
 def test_canonicalize_matches_first_matching_group_element():
-    group = hyperoctahedral_group()
-    for t in itertools.product(range(-4, 5), repeat=3):
-        if not any(t):
-            continue
-        canon = np.sort(np.abs(t))[::-1]
-        rid = next(k for k, rot in enumerate(group) if np.array_equal(rot @ canon, t))
-        assert canonicalize_translation(t) == (tuple(int(v) for v in canon), rid)
-        assert canonicalize_translation(np.array(t)) == canonicalize_translation(t)
-
-
-def test_canonicalize_rejects_zero():
-    with pytest.raises(ValueError):
-        canonicalize_translation((0, 0, 0))
-
-
-def test_stacked_canonical_form_matches_scalar_rule_exhaustively():
-    """Every translation in [-10, 10]^3 gets canonicalize_translation's
-    canonical vector and rotation id, ties of |t| and zeros included."""
+    """Every translation in [-10, 10]^3 gets the canonical vector and
+    rotation id of the rule's definition, ties of |t| and zeros included,
+    from an integer array or a list of tuples alike."""
     t = np.array(list(itertools.product(range(-10, 11), repeat=3)))
     t = t[t.any(axis=1)]
     canon, rids = canonicalize_translations(t)
     assert canon.shape == t.shape and rids.shape == (len(t),)
-    scalar = [canonicalize_translation(tvec) for tvec in t.tolist()]
-    assert list(map(tuple, canon.tolist())) == [c for c, _ in scalar]
-    assert rids.tolist() == [rid for _, rid in scalar]
+    ref_canon, ref_rids = _first_matching_group_element(t)
+    assert np.array_equal(canon, ref_canon)
+    assert np.array_equal(rids, ref_rids)
+    from_tuples = canonicalize_translations(list(map(tuple, t.tolist())))
+    assert np.array_equal(from_tuples[0], canon) and np.array_equal(from_tuples[1], rids)
 
 
 def test_stacked_canonical_form_rejects_zero_rows():
-    with pytest.raises(ValueError, match="zero translation"):
-        canonicalize_translations(np.array([[1, 0, 0], [0, 0, 0]]))
+    for zero in ([[0, 0, 0]], [[1, 0, 0], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="zero translation"):
+            canonicalize_translations(np.array(zero))
+
+
+def test_translations_must_be_integer_stacks():
+    """A float translation is rejected, not truncated to its integer part,
+    and one translation is a one-row stack."""
+    kernel = HelmholtzKernel(kappa=1.0, singularity_tol=1e-14)
+    cache = SymbolCache(kernel, order=3)
+    for bad in ([[2.5, 0, 0]], np.array([[2.0, 0, 0]]), [2, 0, 0], np.zeros((2, 2), int)):
+        with pytest.raises(ValueError, match=r"\(k, 3\) integer"):
+            canonicalize_translations(bad)
+        with pytest.raises(ValueError, match=r"\(k, 3\) integer"):
+            cache.get(0, bad, 0.5)
+    assert cache.n_translations == 0
+    assert cache.get(0, np.array([[2, 0, 0]], dtype=np.int32), 0.5).tolist() == [0]
 
 
 def _old_precompute_symbol(kernel, tvec, beta, order):
@@ -113,7 +123,7 @@ def test_precompute_symbol_keeps_the_old_formula_bits(kappa):
 def test_strict_mac_orbit_count():
     translations = _strict_mac_translations()
     assert len(translations) == 316
-    classes = {canonicalize_translation(t)[0] for t in translations}
+    classes = set(map(tuple, canonicalize_translations(translations)[0].tolist()))
     assert len(classes) == 16
 
 
@@ -126,7 +136,7 @@ def test_frequency_permutation_is_bijection():
 def test_m2f_f2l_round_trip():
     rng = np.random.default_rng(1)
     ws = FourierWorkspace(order=4)
-    v = rng.normal(size=ws.nodal_size) + 1j * rng.normal(size=ws.nodal_size)
+    v = rng.normal(size=(1, ws.nodal_size)) + 1j * rng.normal(size=(1, ws.nodal_size))
     back = ws.f2l(ws.m2f(v))
     assert np.allclose(back, v, atol=1e-13)
 
@@ -135,7 +145,7 @@ def test_m2f_parseval():
     # the padded transform is unitary, and zero-padding preserves the norm
     rng = np.random.default_rng(2)
     ws = FourierWorkspace(order=5)
-    v = rng.normal(size=ws.nodal_size) + 1j * rng.normal(size=ws.nodal_size)
+    v = rng.normal(size=(1, ws.nodal_size)) + 1j * rng.normal(size=(1, ws.nodal_size))
     assert np.linalg.norm(ws.m2f(v)) == pytest.approx(np.linalg.norm(v))
 
 
@@ -144,8 +154,8 @@ def test_m2f_f2l_adjoint_identity():
     ws = FourierWorkspace(order=3)
     u = rng.normal(size=ws.nodal_size) + 1j * rng.normal(size=ws.nodal_size)
     w = rng.normal(size=ws.fourier_size) + 1j * rng.normal(size=ws.fourier_size)
-    lhs = np.vdot(w, ws.m2f(u))
-    rhs = np.vdot(ws.f2l(w), u)
+    lhs = np.vdot(w, ws.m2f(u[None]))
+    rhs = np.vdot(ws.f2l(w[None]), u)
     assert lhs == pytest.approx(rhs)
 
 
@@ -180,10 +190,6 @@ def test_stacked_transforms_equal_the_per_row_fftn_bitwise(order, rows):
     for i in range(rows):
         assert np.array_equal(hat[i], _m2f_per_row(ws, v[i]))
         assert np.array_equal(back[i], _f2l_per_row(ws, w[i]))
-    if rows:
-        # one expansion in, one expansion out, the same bits as its row
-        assert np.array_equal(ws.m2f(v[-1]), hat[-1])
-        assert np.array_equal(ws.f2l(w[-1]), back[-1])
 
 
 def test_stacked_adjoint_identity():
@@ -214,24 +220,27 @@ def test_transforms_reject_a_wrong_trailing_length(method, shape):
         getattr(ws, method)(np.zeros(shape, dtype=complex))
 
 
+@pytest.mark.parametrize("method", ["m2f", "f2l"])
+def test_transforms_take_stacks_only(method):
+    # one expansion is a one-row stack: a 1-D array is rejected, not transformed
+    ws = FourierWorkspace(order=3)
+    size = {"m2f": ws.nodal_size, "f2l": ws.fourier_size}[method]
+    with pytest.raises(ValueError, match=rf"\(k, {size}\)"):
+        getattr(ws, method)(np.zeros(size, dtype=complex))
+
+
 def test_zero_expansion_transforms_to_zero():
     ws = FourierWorkspace(order=3)
-    assert np.all(ws.m2f(np.zeros(ws.nodal_size)) == 0)
-    assert np.all(ws.f2l(np.zeros(ws.fourier_size)) == 0)
+    assert np.all(ws.m2f(np.zeros((1, ws.nodal_size))) == 0)
+    assert np.all(ws.f2l(np.zeros((1, ws.fourier_size))) == 0)
 
 
 def _fft_m2l_matrix(kernel, tvec, beta, order):
-    """Assemble the full FFT-path operator column by column."""
+    """Assemble the full FFT-path operator from one stack of all basis
+    vectors: row j of the result is column j."""
     ws = FourierWorkspace(order)
     diagonal = precompute_symbol(kernel, tvec, beta, order)
-    cols = []
-    for j in range(order**3):
-        e = np.zeros(order**3, dtype=complex)
-        e[j] = 1.0
-        acc = np.zeros(ws.fourier_size, dtype=complex)
-        m2l_hadamard(acc, ws.m2f(e), diagonal)
-        cols.append(ws.f2l(acc))
-    return np.column_stack(cols)
+    return ws.f2l(diagonal * ws.m2f(np.eye(order**3, dtype=complex))).T
 
 
 @pytest.mark.parametrize("kappa,order", [(0.0, 2), (0.0, 4), (3.0, 4), (10.0, 5)])
@@ -301,18 +310,22 @@ def test_precompute_rejects_singular_stencil():
 def test_symbol_cache_shares_canonical_work():
     kernel = HelmholtzKernel(kappa=1.0, singularity_tol=1e-14)
     cache = SymbolCache(kernel, order=3)
-    entries = [cache.get(0, t, 0.5) for t in [(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, 0, -2)]]
+    entries = [cache.get(0, [t], 0.5)[0] for t in [(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, 0, -2)]]
     assert entries == [0, 1, 2, 3]
     assert cache.n_canonical == 1
     assert cache.n_translations == 4
     # a repeated query returns its entry and adds none
-    again = cache.get(0, (-2, 0, 0), 0.5)
+    again = cache.get(0, [(-2, 0, 0)], 0.5)[0]
     assert again == 1
     assert cache.n_translations == 4
     direct = precompute_symbol(kernel, (-2, 0, 0), 0.5, 3)
     assert np.allclose(cache.diagonals[again], direct, atol=1e-13)
     # every entry starts untagged, and a tag writes its entry only
-    cache.tag_direction(again, 5)
+    cache.tag_direction([again], [5])
+    assert cache.directions == [0, 5, 0, 0]
+    # entries and directions pair up one for one, or nothing is written
+    with pytest.raises(ValueError, match="zip"):
+        cache.tag_direction([0, 1], [7])
     assert cache.directions == [0, 5, 0, 0]
 
 
@@ -326,19 +339,18 @@ def test_stacked_get_matches_row_by_row_calls():
     stack = np.concatenate([stack, stack[::3]])  # repeated rows
     stacked, rowwise = SymbolCache(kernel, order=3), SymbolCache(kernel, order=3)
     for cache in (stacked, rowwise):  # already cached before the stack
-        cache.get(1, (2, 0, 0), 0.5)
-        cache.get(1, (0, 0, 3), 0.5)
+        cache.get(1, [(2, 0, 0)], 0.5)
+        cache.get(1, [(0, 0, 3)], 0.5)
     entries = stacked.get(1, stack, 0.5)
     assert entries.shape == (len(stack),)
-    assert entries.tolist() == [rowwise.get(1, tvec, 0.5) for tvec in stack]
+    assert entries.tolist() == [rowwise.get(1, tvec[None], 0.5)[0] for tvec in stack]
     assert stacked.entries == rowwise.entries
     assert stacked.n_canonical == rowwise.n_canonical < stacked.n_translations
     assert len(stacked.diagonals) == len(rowwise.diagonals)
     for a, b in zip(stacked.diagonals, rowwise.diagonals):
         assert np.array_equal(a, b)
     # each diagonal is its canonical one, permuted
-    for tvec, entry in zip(stack.tolist(), entries.tolist()):
-        canon, rid = canonicalize_translation(tvec)
+    for canon, rid, entry in zip(*_first_matching_group_element(stack), entries.tolist()):
         base = precompute_symbol(kernel, canon, 0.5, 3)
         assert np.array_equal(stacked.diagonals[entry], permute_symbol(base, rid, 3))
     # a stack of tags writes each of its entries
@@ -350,6 +362,6 @@ def test_symbol_cache_all_strict_orbits():
     kernel = HelmholtzKernel(kappa=0.0, singularity_tol=1e-14)
     cache = SymbolCache(kernel, order=2)
     for t in _strict_mac_translations():
-        cache.get(2, t, 0.25)
+        cache.get(2, [t], 0.25)
     assert cache.n_canonical == 16
     assert cache.n_translations == 316

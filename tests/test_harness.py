@@ -186,3 +186,13 @@ def test_cli_sets_every_experiment_field(tmp_path, capsys):
         main(["--n", "100", "--strategy", "t"])
     assert exc.value.code == 2
     assert "--strategy" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_negative_check_error(capsys):
+    """A negative sample count is an error before any solve, not a run that
+    samples nothing."""
+    with pytest.raises(ValueError, match="check_error"):
+        main(["--n", "100", "--check-error", "-3"])
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError, match="check_error"):
+        run_experiment(ExperimentConfig(n=100, check_error=-1))

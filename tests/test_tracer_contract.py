@@ -89,7 +89,7 @@ def _m2l_expansions(events, config, hf_max_level, root_side, side: str) -> set:
             refinement = _refinement(config, root_side, t.level)
             dirs = trees.setdefault(refinement, generate_direction_tree(refinement))
             tvec = t.coords - e.source.coords
-            d = nearest_direction(dirs, refinement, tvec / np.linalg.norm(tvec))
+            d = nearest_direction(dirs, refinement, (tvec / np.linalg.norm(tvec))[None])[0]
         out.add((id(getattr(e, side)), d))
     return out
 

@@ -429,7 +429,7 @@ def test_effective_expansions_are_those_m2l_and_m2m_read():
             return 0
         tvec = t.coords - s.coords
         refinement = _refinement(config, tree.side_at(t.level))
-        return nearest_direction(dirs, refinement, tvec / np.linalg.norm(tvec))
+        return nearest_direction(dirs, refinement, (tvec / np.linalg.norm(tvec))[None])[0]
 
     read = set()
 
@@ -575,8 +575,8 @@ def _recursive_plan(ctx):
         side = ctx.target_tree.side_at(t.level)
         if admissible(tvec, side, config.kappa if hf else None, config.eta):
             unit = tvec / np.linalg.norm(tvec)
-            d = nearest_direction(ctx.dirs, ctx.refinement(t.level), unit) if hf else 0
-            diagonal = cache.diagonals[cache.get(t.level, tvec, side)]
+            d = nearest_direction(ctx.dirs, ctx.refinement(t.level), unit[None])[0] if hf else 0
+            diagonal = cache.diagonals[cache.get(t.level, tvec[None], side)[0]]
             m2l.setdefault(t.level, []).append((t.index, s.index, diagonal, d))
         elif t.is_leaf or s.is_leaf:
             p2p.setdefault(t.level, []).append((t.index, s.index))
@@ -825,7 +825,7 @@ def test_table_directions_are_the_rows_each_m2l_reads_and_writes(same, kappa):
         if ctx.is_hf(t.level):
             tvec = t.coords - s.coords
             unit = tvec / np.linalg.norm(tvec)
-            assert d == nearest_direction(ctx.dirs, ctx.refinement(t.level), unit)
+            assert d == nearest_direction(ctx.dirs, ctx.refinement(t.level), unit[None])[0]
         else:
             assert d == 0
         levels.add(ctx.is_hf(t.level))
