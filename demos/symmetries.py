@@ -56,8 +56,8 @@ print(f"  {len(classes)} canonical classes:")
 for canon, members in sorted(classes.items()):
     print(f"    {canon}: orbit size {len(members)}")
 
-cache = SymbolCache(kernel, ORDER)
-entries = cache.get(0, np.array(translations), BETA)  # one stacked request
+cache = SymbolCache(kernel, ORDER, BETA)  # level 0 has the root side
+entries = cache.get(0, np.array(translations))  # one stacked request
 print(f"  cache stores {cache.n_canonical} precomputed diagonals "
       f"serving {cache.n_translations} translations")
 worst = 0.0

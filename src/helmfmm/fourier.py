@@ -42,11 +42,12 @@ class FourierWorkspace:
 
     M2F and F2L take a (k, size) stack of expansions, one per row, and
     nothing else (one expansion is a one-row stack), and transform it
-    one axis at a time, last axis first as np.fft.fftn does: M2F zero-pads
-    each axis as it transforms it, so the lines that are all zero are never
-    transformed, and F2L crops each axis to L right after its inverse
-    transform.  Every entry is then the same floating-point expression as
-    the per-expansion fftn / ifftn of the zero-padded cube.  Forward and
+    one axis at a time, last axis first.  M2F is numpy's padded fftn
+    (s = (P, P, P)), which zero-pads each axis as it transforms it, so the
+    lines that are all zero are never transformed; F2L crops each axis to
+    L right after its inverse transform (ifftn with s would crop before
+    it).  Every entry is then the same floating-point expression as the
+    per-expansion fftn / ifftn of the zero-padded cube.  Forward and
     backward are normalized symmetrically by P^(d/2) so that they are
     mutually adjoint.
     """
@@ -81,10 +82,8 @@ class FourierWorkspace:
         """Zero-pad and transform, F . chi . v, each nodal expansion of a
         (k, L^3) stack: (k, P^3)."""
         nodal = self._checked(nodal, self.nodal_size, "nodal expansions")
-        ordr, pad = self.order, self.padded
-        out = nodal.reshape(-1, ordr, ordr, ordr)
-        for axis in (3, 2, 1):
-            out = np.fft.fft(out, n=pad, axis=axis)
+        cubes = nodal.reshape(-1, self.order, self.order, self.order)
+        out = np.fft.fftn(cubes, s=(self.padded,) * 3, axes=(1, 2, 3))
         out /= self._norm
         return out.reshape(len(nodal), self.fourier_size)
 
@@ -233,17 +232,19 @@ def dense_m2l_matrix(
 class SymbolCache:
     """The M2L table of one solve, populated lazily, with symmetry reduction.
 
-    Entry i is the i-th distinct (level, translation) asked for: its
-    diagonal Fourier symbol diagonals[i] and its direction index
-    directions[i], 0 unless tag_direction sets it.  One kernel evaluation
-    + DFT happens per (level, canonical translation); every other
-    translation in the same orbit is served by a permutation of that
-    diagonal.
+    The cells of level l have side root_side / 2**l, the float
+    ClusterTree.side_at gives.  Entry i is the i-th distinct (level,
+    translation) asked for: its diagonal Fourier symbol diagonals[i] and
+    its direction index directions[i], 0 unless tag_direction sets it.
+    One kernel evaluation + DFT happens per (level, canonical
+    translation); every other translation in the same orbit is served by
+    a permutation of that diagonal.
     """
 
-    def __init__(self, kernel: HelmholtzKernel, order: int):
+    def __init__(self, kernel: HelmholtzKernel, order: int, root_side: float):
         self.kernel = kernel
         self.order = order
+        self.root_side = root_side
         self.diagonals: list = []
         self.directions: list = []
         self._canonical: dict = {}  # (level, canon) -> diagonal
@@ -257,12 +258,14 @@ class SymbolCache:
     def n_translations(self) -> int:
         return len(self.diagonals)
 
-    def get(self, level: int, tvecs, beta: float) -> np.ndarray:
+    def get(self, level: int, tvecs) -> np.ndarray:
         """The (k,) entries of (level, t) for the rows t of a (k, 3) integer
         stack, each added on its first request and numbered in the order of
         its first row.  A stack's new rows are canonicalized together; each
-        new (level, canonical translation) is precomputed once, and every
-        other row permutes its diagonal."""
+        new (level, canonical translation) is precomputed once, at the
+        level's side root_side / 2**level, and every other row permutes its
+        diagonal.  Every new diagonal is computed before any entry is
+        written, so a failing precomputation adds no entry."""
         keys = list(map(tuple, _translations(tvecs).tolist()))
         fresh = {}  # each new key, in order of its first row -> its entry
         for key in keys:
@@ -275,7 +278,7 @@ class SymbolCache:
                 base = self._canonical.get((level, key))
                 if base is None:
                     base = self._canonical[level, key] = precompute_symbol(
-                        self.kernel, key, beta, self.order
+                        self.kernel, key, self.root_side / (1 << level), self.order
                     )
                 # rotation 0 is the identity: a canonical translation keeps its base
                 diagonals.append(permute_symbol(base, rid, self.order) if rid else base)

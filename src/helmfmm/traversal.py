@@ -18,11 +18,11 @@ to the next level, so each level keeps the order of the recursive
 traversal.  The MAC is bound <= eta * dist(t, s), with bound the side at
 low-frequency levels and the direction-free max{kappa*w^2, 2w} at
 high-frequency ones (admissible); it depends on (level, translation)
-only, so a chunk of pairs evaluates it once per distinct translation,
+only, so a block of pairs evaluates it once per distinct translation,
 and each admissible one enters the solve's M2L table (the SymbolCache,
 which holds each entry's diagonal symbol and, at high frequency, its
 direction) once, so symbol precomputation lies inside the blank pass.
-A chunk's new translations are resolved together, in array steps: one
+A block's new translations are resolved together, in array steps: one
 stacked SymbolCache.get canonicalizes them and, at high frequency, one
 nearest_direction and one tag_direction give them their directions.
 The numeric DTT replays the M2L events stack by stack of target rows,
@@ -49,7 +49,7 @@ grid alpha + beta * g is one phase per row times a grid wave built once
 per (level, direction) (_waves); a low-frequency level is the
 one-direction case u = 0, so each operator has one formula for both
 regimes.  M2F transforms only the multipoles M2L reads, and F2L only the
-locals it writes, in stacks of rows (_stacks).
+locals it writes, in stacks of rows (_blocks).
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class _Context:
         self.target_pset = target_pset
         self.source_pset = source_pset
         self.workspace = FourierWorkspace(config.order)
-        self.cache = SymbolCache(kernel, config.order)
+        self.cache = SymbolCache(kernel, config.order, target_tree.root_box.side)
         self.events = events
         self.n_p2p_pairs = 0
         self.precompute_time = 0.0
@@ -173,9 +173,9 @@ class _Context:
         self.source_keys = self.target_keys = self.m2l_keys = self.m2f_keys = None
         self.source_links = self.target_links = None
         self.multipole = self.multipole_hat = self.local = None
-        # the Lagrange table of table_pset (_use_table) and the grid waves
-        # (_waves), both built once per solve
-        self.table = self.table_pset = None
+        # the Lagrange table of the side a pass is on (_upward, _downward)
+        # and the grid waves (_waves), both built once per solve
+        self.table = None
         self.grid_waves: dict = {}
 
         # hf_max_level is the deepest level whose cells satisfy
@@ -277,7 +277,7 @@ def _entries(ctx: _Context, level: int, ti: np.ndarray, si: np.ndarray) -> np.nd
     if len(new):
         tvecs = distinct[new]
         t0 = time.perf_counter()
-        resolved = ctx.cache.get(level, tvecs, beta)
+        resolved = ctx.cache.get(level, tvecs)
         ctx.precompute_time += time.perf_counter() - t0
         entries[new] = resolved
         if ctx.is_hf(level):
@@ -314,20 +314,22 @@ def _append(plan: array, *columns: np.ndarray) -> None:
     plan.frombytes(np.stack(columns, axis=1, dtype=np.intc).view(np.uint8))
 
 
-def _chunks(pairs: list):
-    """The (target, source) index arrays of a level in slices of at most
-    MAX_BLOCK_ENTRIES pairs, in order."""
-    for ti, si in pairs:
-        for lo in range(0, len(ti), MAX_BLOCK_ENTRIES):
-            yield ti[lo : lo + MAX_BLOCK_ENTRIES], si[lo : lo + MAX_BLOCK_ENTRIES]
+def _blocks(n: int, width: int) -> list:
+    """Slices of at most MAX_BLOCK_ENTRIES // width rows (at least one)
+    that cover n rows in order, for a step whose temporaries hold width
+    entries a row.  A step over all rows at once would leave the heap grown
+    (29 MB for a level's M2F on a 4,000-point sphere at kappa*D = 32, 42 MB
+    for M2M and L2L on the N = 80,000 sphere)."""
+    step = max(1, MAX_BLOCK_ENTRIES // width)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def blank_dtt(ctx: _Context) -> None:
     """Record the interaction lists of the two trees, level by level from
     the pair of their roots, cell 0 of each.
 
-    The candidate pairs of a level are cell-index arrays, taken in slices
-    of at most MAX_BLOCK_ENTRIES pairs.  The admissible ones become M2L
+    The candidate pairs of a level are cell-index arrays, taken in blocks
+    of at most MAX_BLOCK_ENTRIES pairs (_blocks).  The admissible ones become M2L
     triplets, the others with a leaf P2P pairs, and the rest hand their son
     pairs to the next level.  Each level keeps the order in which the recursive
     traversal visits its pairs, and so does every target row when dtt
@@ -339,7 +341,7 @@ def blank_dtt(ctx: _Context) -> None:
     level = 0
     while pairs:
         sons = []
-        for ti, si in _chunks(pairs):
+        for ti, si in ((t[at], s[at]) for t, s in pairs for at in _blocks(len(t), 1)):
             entry = _entries(ctx, level, ti, si)
             m2l = entry >= 0
             _append(ctx.m2l_plan, ti[m2l], si[m2l], entry[m2l])
@@ -401,7 +403,7 @@ def _plan_rows(ctx: _Context) -> None:
         return distinct
 
     ctx.m2l_keys, ctx.m2f_keys = rows(0), rows(1)
-    # the events stack by stack of target rows (_stacks), each stack's in
+    # the events stack by stack of target rows (_stack_rows), each stack's in
     # recorded order: dtt replays and transforms one stack at a time
     plan[:] = plan[np.argsort(plan[:, 0] // _stack_rows(ctx), kind="stable")]
     # after the per-event temporaries are freed: arrays kept while they
@@ -456,15 +458,6 @@ def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndar
     return interp.eval_matrix_1d(order, unit.reshape(-1)).reshape(-1, 3, order)
 
 
-def _use_table(ctx: _Context, tree: ClusterTree, pset: ParticleSet) -> None:
-    """Make ctx.table the Lagrange table of pset, built once per solve: a
-    single tree's upward and downward passes share one."""
-    if ctx.table_pset is not pset:
-        ctx.table = None  # release the other tree's table first
-        ctx.table = _lagrange_table(ctx.config.order, tree, pset)
-        ctx.table_pset = pset
-
-
 # ---------------------------------------------------------------------------
 # upward pass, and the leaf and translation steps both passes use
 
@@ -497,28 +490,28 @@ def _l2p_cell(ctx: _Context, level: int, leaf: int, lo: int, hi: int) -> None:
     pset.potentials[at] += vals
 
 
-def _translate(ctx: _Context, tree: ClusterTree, link: tuple, up: bool) -> None:
+def _translate(ctx: _Context, link: tuple, up: bool) -> None:
     """M2M (up) or L2L of one father level's son links, one stacked apply
     per son octant: M2M adds each son row into its father row, L2L each
     father row into its son row, unbuffered and in link order, since
     several father directions may write one son row.  An octant's links go
-    in slices whose (links, L^3) temporaries hold at most MAX_BLOCK_ENTRIES
-    entries: larger ones leave the heap grown (42 MB on the N = 80,000
-    sphere).  Each link's son row must hold the son's handed-down key:
-    rows moved after the walk would translate the wrong expansions."""
+    in blocks of (links, L^3) temporaries (_blocks).  Each link's son row
+    must hold the son's handed-down key: rows moved after the walk would
+    translate the wrong expansions."""
     level, fathers, sons, son_rows, codes = link
+    tree = ctx.source_tree if up else ctx.target_tree
     keys, rows = (ctx.source_keys, ctx.multipole) if up else (ctx.target_keys, ctx.local)
     n = ctx.n_dirs
     son_keys = keys.take(son_rows, mode="clip")
     handed = ctx.hand_down[level][keys.take(fathers, mode="clip") % n]
     if not (np.array_equal(son_keys // n, sons) and np.array_equal(son_keys % n, handed)):
         raise RuntimeError(f"missing son expansion below level {level}")
-    step = max(1, MAX_BLOCK_ENTRIES // ctx.workspace.nodal_size)
     for code in np.unique(codes).tolist():
         octant = (code >> 2, code >> 1 & 1, code & 1)
         factors = (interp.m2m_factors if up else interp.l2l_factors)(ctx.config.order, octant)
         group = np.flatnonzero(codes == code)
-        for at in np.split(group, range(step, len(group), step)):
+        for block in _blocks(len(group), ctx.workspace.nodal_size):
+            at = group[block]
             f, s = fathers[at], son_rows[at]
             ds = keys[f] % n
             father_waves = _waves(ctx, tree, keys[f] // n, level, level, ds)
@@ -531,28 +524,20 @@ def _translate(ctx: _Context, tree: ClusterTree, link: tuple, up: bool) -> None:
             np.add.at(rows, dst, stacked)
 
 
-def _upward(ctx: _Context, tree: ClusterTree) -> None:
-    keys = ctx.source_keys
+def _upward(ctx: _Context) -> None:
+    tree, keys = ctx.source_tree, ctx.source_keys
     ctx.multipole = np.zeros((len(keys), ctx.workspace.nodal_size), dtype=complex)
-    _use_table(ctx, tree, ctx.source_pset)
+    ctx.table = _lagrange_table(ctx.config.order, tree, ctx.source_pset)
     for row in _leaf_rows(keys, tree, ctx.n_dirs):
         _p2m_cell(ctx, *row)
     for link in reversed(ctx.source_links):
-        _translate(ctx, tree, link, up=True)
+        _translate(ctx, link, up=True)
 
 
 def _stack_rows(ctx: _Context) -> int:
-    """The rows of a full stack (_stacks)."""
+    """The rows of a full stack, the block of (rows, P^3) temporaries M2F
+    and F2L transform at a time (_blocks)."""
     return max(1, MAX_BLOCK_ENTRIES // ctx.workspace.fourier_size)
-
-
-def _stacks(ctx: _Context, n: int) -> list:
-    """Slices of at most MAX_BLOCK_ENTRIES // P^3 rows that cover n rows in
-    order: the stacks M2F and F2L transform at a time.  Their temporaries
-    stay under 1 MB; a whole level's would grow the heap (29 MB on a
-    4,000-point sphere at kappa*D = 32)."""
-    step = _stack_rows(ctx)
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _m2f(ctx: _Context) -> None:
@@ -560,7 +545,7 @@ def _m2f(ctx: _Context) -> None:
     stack of rows at a time, and release the nodal multipoles."""
     rows = np.searchsorted(ctx.source_keys, ctx.m2f_keys)
     ctx.multipole_hat = np.empty((len(rows), ctx.workspace.fourier_size), dtype=complex)
-    for at in _stacks(ctx, len(rows)):
+    for at in _blocks(len(rows), ctx.workspace.fourier_size):
         ctx.multipole_hat[at] = ctx.workspace.m2f(ctx.multipole[rows[at]])
     ctx.multipole = None
 
@@ -579,14 +564,14 @@ def _log(ctx: _Context, kind: str, targets: np.ndarray, sources: np.ndarray) -> 
 
 
 def _m2l(ctx: _Context) -> float:
-    """Replay the M2L events a stack of target rows (_stacks) at a time,
+    """Replay the M2L events a stack of target rows (_stack_rows) at a time,
     each stack's in recorded order (_plan_rows sorted them so), into one
     reused (stack, P^3) buffer, and F2L each stack into its rows of
     ctx.local as soon as its last event is done; returns the F2L time.
     local holds the locals M2L wrote (m2l_keys) in their rows of
     target_keys, and zeros elsewhere."""
     rows = np.searchsorted(ctx.target_keys, ctx.m2l_keys)
-    stacks = _stacks(ctx, len(rows))
+    stacks = _blocks(len(rows), ctx.workspace.fourier_size)
     step = _stack_rows(ctx)
     ctx.local = np.zeros((len(ctx.target_keys), ctx.workspace.nodal_size), dtype=complex)
     buffer = np.zeros((min(step, len(rows)), ctx.workspace.fourier_size), dtype=complex)
@@ -658,10 +643,13 @@ def dtt(ctx: _Context) -> dict:
 # downward pass
 
 
-def _downward(ctx: _Context, tree: ClusterTree) -> None:
+def _downward(ctx: _Context) -> None:
+    tree = ctx.target_tree
     for link in ctx.target_links:
-        _translate(ctx, tree, link, up=False)
-    _use_table(ctx, tree, ctx.target_pset)
+        _translate(ctx, link, up=False)
+    if tree is not ctx.source_tree:  # one tree's passes share its table
+        ctx.table = None  # release the source table first
+        ctx.table = _lagrange_table(ctx.config.order, tree, ctx.target_pset)
     for row in _leaf_rows(ctx.target_keys, tree, ctx.n_dirs):
         _l2p_cell(ctx, *row)
 
@@ -695,12 +683,12 @@ def run_fmm_full(
     t0 = time.perf_counter()
     same = targets is sources
     targets = np.atleast_2d(targets)
-    if targets.ndim != 2 or targets.shape[1] != 3:
-        raise ValueError(f"targets must have shape (m, 3), not {targets.shape}")
+    if targets.ndim != 2 or targets.shape[1] != 3 or len(targets) == 0:
+        raise ValueError(f"targets must have shape (m, 3) with m >= 1, not {targets.shape}")
     if not same:
         sources = np.atleast_2d(sources)
-        if sources.ndim != 2 or sources.shape[1] != 3:
-            raise ValueError(f"sources must have shape (n, 3), not {sources.shape}")
+        if sources.ndim != 2 or sources.shape[1] != 3 or len(sources) == 0:
+            raise ValueError(f"sources must have shape (n, 3) with n >= 1, not {sources.shape}")
     box = None if same else compute_root_box(np.vstack([targets, sources]))
     source_tree, source_pset = build_tree(sources, charges, config.ncrit, root_box=box)
     target_tree, target_pset = (source_tree, source_pset) if same else build_tree(
@@ -721,10 +709,10 @@ def run_fmm_full(
 
     # each name is looked up when its step runs, so wrappers are timed
     timed("blank", lambda: (blank_dtt(ctx), _plan_rows(ctx)))
-    timed("upward", lambda: _upward(ctx, source_tree))
+    timed("upward", lambda: _upward(ctx))
     timed("m2f", lambda: _m2f(ctx))
     info.timings.update(dtt(ctx))  # its m2l, f2l and p2p buckets
-    timed("downward", lambda: _downward(ctx, target_tree))
+    timed("downward", lambda: _downward(ctx))
     info.timings["precompute"] = ctx.precompute_time
     info.timings["total"] = time.perf_counter() - t_start
 

@@ -90,14 +90,14 @@ def test_translations_must_be_integer_stacks():
     """A float translation is rejected, not truncated to its integer part,
     and one translation is a one-row stack."""
     kernel = HelmholtzKernel(kappa=1.0, singularity_tol=1e-14)
-    cache = SymbolCache(kernel, order=3)
+    cache = SymbolCache(kernel, order=3, root_side=0.5)
     for bad in ([[2.5, 0, 0]], np.array([[2.0, 0, 0]]), [2, 0, 0], np.zeros((2, 2), int)):
         with pytest.raises(ValueError, match=r"\(k, 3\) integer"):
             canonicalize_translations(bad)
         with pytest.raises(ValueError, match=r"\(k, 3\) integer"):
-            cache.get(0, bad, 0.5)
+            cache.get(0, bad)
     assert cache.n_translations == 0
-    assert cache.get(0, np.array([[2, 0, 0]], dtype=np.int32), 0.5).tolist() == [0]
+    assert cache.get(0, np.array([[2, 0, 0]], dtype=np.int32)).tolist() == [0]
 
 
 def _old_precompute_symbol(kernel, tvec, beta, order):
@@ -309,13 +309,13 @@ def test_precompute_rejects_singular_stencil():
 
 def test_symbol_cache_shares_canonical_work():
     kernel = HelmholtzKernel(kappa=1.0, singularity_tol=1e-14)
-    cache = SymbolCache(kernel, order=3)
-    entries = [cache.get(0, [t], 0.5)[0] for t in [(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, 0, -2)]]
+    cache = SymbolCache(kernel, order=3, root_side=0.5)
+    entries = [cache.get(0, [t])[0] for t in [(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, 0, -2)]]
     assert entries == [0, 1, 2, 3]
     assert cache.n_canonical == 1
     assert cache.n_translations == 4
     # a repeated query returns its entry and adds none
-    again = cache.get(0, [(-2, 0, 0)], 0.5)[0]
+    again = cache.get(0, [(-2, 0, 0)])[0]
     assert again == 1
     assert cache.n_translations == 4
     direct = precompute_symbol(kernel, (-2, 0, 0), 0.5, 3)
@@ -329,6 +329,22 @@ def test_symbol_cache_shares_canonical_work():
     assert cache.directions == [0, 5, 0, 0]
 
 
+def test_each_level_takes_its_own_side():
+    """The table derives each level's side, root_side / 2**level: one
+    translation pair asked for at three levels gets three canonical
+    diagonals, each bitwise the direct one at its level's side."""
+    kernel = HelmholtzKernel(kappa=3.0, singularity_tol=1e-14)
+    cache = SymbolCache(kernel, 3, root_side=1.0)
+    tvecs = np.array([(2, 0, 0), (-2, 0, 0)])
+    canon, rids = canonicalize_translations(tvecs)
+    for level in range(3):
+        entries = cache.get(level, tvecs)
+        for entry, c, rid in zip(entries.tolist(), canon, rids.tolist()):
+            direct = permute_symbol(precompute_symbol(kernel, c, 2.0**-level, 3), rid, 3)
+            assert cache.diagonals[entry].tobytes() == direct.tobytes()
+    assert cache.n_canonical == 3 and cache.n_translations == 6
+
+
 def test_stacked_get_matches_row_by_row_calls():
     """One stacked get with repeated and already-cached rows returns the
     entries, numbering and diagonals of a get per row."""
@@ -337,13 +353,13 @@ def test_stacked_get_matches_row_by_row_calls():
     stack = np.concatenate([rng.integers(-4, 5, size=(60, 3)), [(2, 0, 0), (0, -2, 0)]])
     stack = stack[np.abs(stack).max(axis=1) >= 2]
     stack = np.concatenate([stack, stack[::3]])  # repeated rows
-    stacked, rowwise = SymbolCache(kernel, order=3), SymbolCache(kernel, order=3)
+    stacked, rowwise = (SymbolCache(kernel, order=3, root_side=1.0) for _ in range(2))
     for cache in (stacked, rowwise):  # already cached before the stack
-        cache.get(1, [(2, 0, 0)], 0.5)
-        cache.get(1, [(0, 0, 3)], 0.5)
-    entries = stacked.get(1, stack, 0.5)
+        cache.get(1, [(2, 0, 0)])
+        cache.get(1, [(0, 0, 3)])
+    entries = stacked.get(1, stack)
     assert entries.shape == (len(stack),)
-    assert entries.tolist() == [rowwise.get(1, tvec[None], 0.5)[0] for tvec in stack]
+    assert entries.tolist() == [rowwise.get(1, tvec[None])[0] for tvec in stack]
     assert stacked.entries == rowwise.entries
     assert stacked.n_canonical == rowwise.n_canonical < stacked.n_translations
     assert len(stacked.diagonals) == len(rowwise.diagonals)
@@ -360,8 +376,8 @@ def test_stacked_get_matches_row_by_row_calls():
 
 def test_symbol_cache_all_strict_orbits():
     kernel = HelmholtzKernel(kappa=0.0, singularity_tol=1e-14)
-    cache = SymbolCache(kernel, order=2)
+    cache = SymbolCache(kernel, order=2, root_side=1.0)
     for t in _strict_mac_translations():
-        cache.get(2, [t], 0.25)
+        cache.get(2, [t])
     assert cache.n_canonical == 16
     assert cache.n_translations == 316

@@ -198,7 +198,7 @@ def test_each_translation_is_resolved_once(monkeypatch):
     m2l = [e for e in events if e.kind == "M2L"]
     translations = {(e.target.level, *(e.target.coords - e.source.coords).tolist()) for e in m2l}
     hf = {t for t in translations if t[0] <= info.hf_max_level}
-    rows = [(level, *t) for _, level, tvecs, _ in gets for t in np.atleast_2d(tvecs).tolist()]
+    rows = [(level, *t) for _, level, tvecs in gets for t in np.atleast_2d(tvecs).tolist()]
     assert len(rows) == len(set(rows)) == len(translations) < len(m2l)
     assert set(rows) == translations
     assert sum(len(np.atleast_2d(units)) for _, _, units in nearest) == len(hf)

@@ -25,7 +25,6 @@ from helmfmm.traversal import (
     _plan_rows,
     _leaf_rows,
     _m2f,
-    _use_table,
     _upward,
     _waves,
     admissible,
@@ -155,6 +154,18 @@ def test_sources_must_be_points_in_3d(shape):
     targets = np.random.default_rng(3).uniform(size=(4, 3))
     with pytest.raises(ValueError, match=r"sources must have shape \(n, 3\)"):
         run_fmm(targets, np.zeros(shape), np.ones(5))
+
+
+@pytest.mark.parametrize("empty", ["targets", "sources", "self"])
+def test_points_must_not_be_empty(empty):
+    """A side with no points raises a ValueError that names it, not the
+    tree builder's; on the self path the one array is the targets."""
+    points, none = np.random.default_rng(3).uniform(size=(5, 3)), np.zeros((0, 3))
+    targets = points if empty == "sources" else none
+    sources = points if empty == "targets" else none  # "self": one array
+    name, m = ("sources", "n") if empty == "sources" else ("targets", "m")
+    with pytest.raises(ValueError, match=rf"{name} must have shape \({m}, 3\) with {m} >= 1"):
+        run_fmm(targets, sources, np.ones(len(sources)))
 
 
 def test_eta_above_one_keeps_the_strict_mac_at_low_frequency():
@@ -533,21 +544,21 @@ def test_upward_pass_fails_on_a_missing_son_multipole(kappa):
     assert victim in ctx.source_keys
     ctx.source_keys = ctx.source_keys[ctx.source_keys != victim]
     with pytest.raises(RuntimeError, match="missing son expansion"):
-        _upward(ctx, tree)
+        _upward(ctx)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 16.0])
 def test_downward_pass_fails_on_a_missing_son_local(kappa):
     ctx = _planned(kappa)
     tree = ctx.target_tree
-    _upward(ctx, ctx.source_tree)
+    _upward(ctx)
     _m2f(ctx)
     victim = _son_key(ctx, tree, ctx.target_keys)
     assert victim in ctx.target_keys and victim not in ctx.m2l_keys
     ctx.target_keys = ctx.target_keys[ctx.target_keys != victim]
     dtt(ctx)
     with pytest.raises(RuntimeError, match="missing son expansion"):
-        _downward(ctx, tree)
+        _downward(ctx)
 
 
 @pytest.mark.parametrize("spread", [3, 1000])
@@ -565,7 +576,7 @@ def _recursive_plan(ctx):
     """The interaction lists of the recursive dual tree traversal, per
     level: M2L as (target, source, diagonal, direction), P2P as (target,
     source), with symbols from a cache of its own."""
-    cache = SymbolCache(ctx.kernel, ctx.config.order)
+    cache = SymbolCache(ctx.kernel, ctx.config.order, ctx.target_tree.root_box.side)
     config = ctx.config
     m2l, p2p = {}, {}
 
@@ -576,7 +587,7 @@ def _recursive_plan(ctx):
         if admissible(tvec, side, config.kappa if hf else None, config.eta):
             unit = tvec / np.linalg.norm(tvec)
             d = nearest_direction(ctx.dirs, ctx.refinement(t.level), unit[None])[0] if hf else 0
-            diagonal = cache.diagonals[cache.get(t.level, tvec[None], side)[0]]
+            diagonal = cache.diagonals[cache.get(t.level, tvec[None])[0]]
             m2l.setdefault(t.level, []).append((t.index, s.index, diagonal, d))
         elif t.is_leaf or s.is_leaf:
             p2p.setdefault(t.level, []).append((t.index, s.index))
@@ -696,6 +707,20 @@ def test_translation_slices_keep_the_potentials(monkeypatch):
     assert sliced.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize(
+    "n,width,sizes",
+    [(0, 1, []), (5, 9, [1] * 5), (12, 2, [4, 4, 4]), (10, 2, [4, 4, 2])],
+    ids=["empty", "width-above-the-bound", "exact-multiple", "ragged"],
+)
+def test_blocks_tile_the_rows_in_order(monkeypatch, n, width, sizes):
+    """_blocks slices n rows into blocks of MAX_BLOCK_ENTRIES // width rows,
+    one row where width exceeds the bound, the last block ragged."""
+    monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", 8)
+    rows = [list(range(n)[at]) for at in traversal._blocks(n, width)]
+    assert [len(block) for block in rows] == sizes
+    assert [i for block in rows for i in block] == list(range(n))
+
+
 def _stack_problem(kappa, same):
     """400 random sources at order 3, either with targets on themselves or
     on a plane through them."""
@@ -783,7 +808,7 @@ def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
     ctx = blanks[0][0]
     # the cache's one map holds each admissible (level, translation) once
     admitted = list(ctx.cache.entries.values())
-    rows = [(level, *t) for level, tvecs, _ in gets for t in np.atleast_2d(tvecs).tolist()]
+    rows = [(level, *t) for level, tvecs in gets for t in np.atleast_2d(tvecs).tolist()]
     assert len(rows) == len(admitted) == ctx.cache.n_translations > 0
     assert sorted(admitted) == list(range(ctx.cache.n_translations))
     assert set(rows) == {(level, *tvec) for level, tvec in ctx.cache.entries}
@@ -799,7 +824,7 @@ def test_table_directions_are_the_rows_each_m2l_reads_and_writes(same, kappa):
     """The direction of an M2L event's table entry is the direction of the
     local it writes and of the multipole it reads: the direction nearest
     to its translation at a high-frequency level, 0 at a low-frequency
-    one.  The rows' plan goes stack by stack of target rows (_stacks),
+    one.  The rows' plan goes stack by stack of target rows (_stack_rows),
     each stack's events in recorded order."""
     sources = generate_distribution(Distribution("sphere", 1000))
     targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
@@ -960,7 +985,7 @@ def _near_field(targets, sources, q, config):
     kernel = ctx.kernel
     blank_dtt(ctx)
     _plan_rows(ctx)
-    _upward(ctx, stree)
+    _upward(ctx)
     _m2f(ctx)
     # M2L accumulates into local expansions: only P2P adds to potentials
     dtt(ctx)
@@ -1147,7 +1172,7 @@ def _leaf_context(ncrit):
     ctx = _Context(config, HelmholtzKernel(kappa=config.kappa), tree, tree, pset, pset)
     blank_dtt(ctx)
     _plan_rows(ctx)
-    _use_table(ctx, tree, pset)
+    ctx.table = _lagrange_table(config.order, tree, pset)
     ctx.multipole = np.zeros((len(ctx.source_keys), config.order**3), dtype=complex)
     ctx.local = np.zeros((len(ctx.target_keys), config.order**3), dtype=complex)
     return tree, pset, ctx, rng
