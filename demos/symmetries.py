@@ -63,5 +63,5 @@ print(f"  cache stores {cache.n_canonical} precomputed diagonals "
 worst = 0.0
 for t, entry in zip(translations, entries):
     direct = precompute_symbol(kernel, t, BETA, ORDER)
-    worst = max(worst, np.abs(cache.diagonals[entry] - direct).max() / np.abs(direct).max())
+    worst = max(worst, np.abs(cache.diagonal(entry) - direct).max() / np.abs(direct).max())
 print(f"  table diagonals vs direct computation: worst relative deviation {worst:.2e}")

@@ -233,57 +233,69 @@ class SymbolCache:
     """The M2L table of one solve, populated lazily, with symmetry reduction.
 
     The cells of level l have side root_side / 2**l, the float
-    ClusterTree.side_at gives.  Entry i is the i-th distinct (level,
-    translation) asked for: its diagonal Fourier symbol diagonals[i] and
-    its direction index directions[i], 0 unless tag_direction sets it.
-    One kernel evaluation + DFT happens per (level, canonical
-    translation); every other translation in the same orbit is served by
-    a permutation of that diagonal.
+    ClusterTree.side_at gives.  One kernel evaluation + DFT happens per
+    (level, canonical translation), and the table stores these canonical
+    diagonals only, canonicals[c].  Entry i is the i-th distinct (level,
+    translation) asked for: it stores the index bases[i] of its canonical
+    diagonal, the rotation id rotations[i] that maps its canonical
+    translation onto it, and its direction index directions[i], 0 unless
+    tag_direction sets it.  diagonal(i) permutes the canonical diagonal
+    into entry i's own, so a caller holds it only while it uses it.
     """
 
     def __init__(self, kernel: HelmholtzKernel, order: int, root_side: float):
         self.kernel = kernel
         self.order = order
         self.root_side = root_side
-        self.diagonals: list = []
+        self.canonicals: list = []
+        self.bases: list = []
+        self.rotations: list = []
         self.directions: list = []
-        self._canonical: dict = {}  # (level, canon) -> diagonal
+        self._canonical: dict = {}  # (level, canon) -> index into canonicals
         self.entries: dict = {}  # (level, tvec) -> entry index
 
     @property
     def n_canonical(self) -> int:
-        return len(self._canonical)
+        return len(self.canonicals)
 
     @property
     def n_translations(self) -> int:
-        return len(self.diagonals)
+        return len(self.bases)
+
+    def diagonal(self, entry: int) -> np.ndarray:
+        """The (P^3,) diagonal symbol of an entry, a permutation of its
+        canonical diagonal (rotation 0, the identity, is the stored array)."""
+        base, rid = self.canonicals[self.bases[entry]], self.rotations[entry]
+        return permute_symbol(base, rid, self.order) if rid else base
 
     def get(self, level: int, tvecs) -> np.ndarray:
         """The (k,) entries of (level, t) for the rows t of a (k, 3) integer
         stack, each added on its first request and numbered in the order of
-        its first row.  A stack's new rows are canonicalized together; each
-        new (level, canonical translation) is precomputed once, at the
-        level's side root_side / 2**level, and every other row permutes its
-        diagonal.  Every new diagonal is computed before any entry is
-        written, so a failing precomputation adds no entry."""
+        its first row.  A stack's new rows are canonicalized together, and
+        each new (level, canonical translation) is precomputed once, at the
+        level's side root_side / 2**level.  The table changes only after
+        every precomputation of the call has succeeded, so a failing one
+        adds neither a canonical diagonal nor an entry."""
         keys = list(map(tuple, _translations(tvecs).tolist()))
         fresh = {}  # each new key, in order of its first row -> its entry
         for key in keys:
             if (level, key) not in self.entries and key not in fresh:
-                fresh[key] = len(self.diagonals) + len(fresh)
+                fresh[key] = len(self.bases) + len(fresh)
         if fresh:
             canon, rids = canonicalize_translations(np.array(list(fresh), dtype=np.int64))
-            diagonals = []
-            for key, rid in zip(map(tuple, canon.tolist()), rids.tolist()):
-                base = self._canonical.get((level, key))
-                if base is None:
-                    base = self._canonical[level, key] = precompute_symbol(
+            canon = list(map(tuple, canon.tolist()))
+            new = {}  # each new canonical translation -> its diagonal
+            for key in canon:
+                if (level, key) not in self._canonical and key not in new:
+                    new[key] = precompute_symbol(
                         self.kernel, key, self.root_side / (1 << level), self.order
                     )
-                # rotation 0 is the identity: a canonical translation keeps its base
-                diagonals.append(permute_symbol(base, rid, self.order) if rid else base)
-            self.diagonals.extend(diagonals)
-            self.directions.extend([0] * len(diagonals))
+            for key, diagonal in new.items():
+                self._canonical[level, key] = len(self.canonicals)
+                self.canonicals.append(diagonal)
+            self.bases.extend(self._canonical[level, key] for key in canon)
+            self.rotations.extend(rids.tolist())
+            self.directions.extend([0] * len(fresh))
             self.entries.update(((level, key), entry) for key, entry in fresh.items())
         return np.array([self.entries[level, key] for key in keys], dtype=np.int64)
 

@@ -3,13 +3,15 @@
 The driver pipeline plans, then executes:
 
     build trees -> blank DTT (interaction lists) -> keys and son links ->
-    P2M at leaves -> M2M per level upward -> M2F -> DTT (replay: Hadamard
-    M2L streamed into F2L a stack of target rows at a time, then P2P) ->
+    P2M at leaves -> M2M per level upward -> DTT (replay, one (level,
+    direction) group at a time: M2F of its multipoles, then Hadamard M2L
+    streamed into F2L a stack of target rows at a time; then P2P) ->
     L2L per level downward -> L2P -> un-permute
 
 Every step reads the trees' per-cell arrays (tree.py) only; a tree's Cell
 views are built for the event log alone.  The driver times each step in
-its own bucket of info.timings, and the DTT its M2L, F2L and P2P apart.
+its own bucket of info.timings, and the DTT its M2F, M2L, F2L and P2P
+apart.
 
 The blank DTT plans level by level on cell-index arrays, with no
 recursion, from the pair of roots (cell 0 of each tree): the pairs that
@@ -20,15 +22,22 @@ low-frequency levels and the direction-free max{kappa*w^2, 2w} at
 high-frequency ones (admissible); it depends on (level, translation)
 only, so a block of pairs evaluates it once per distinct translation,
 and each admissible one enters the solve's M2L table (the SymbolCache,
-which holds each entry's diagonal symbol and, at high frequency, its
+which stores one diagonal symbol per (level, canonical translation) and
+per entry its canonical diagonal, its rotation and, at high frequency, its
 direction) once, so symbol precomputation lies inside the blank pass.
 A block's new translations are resolved together, in array steps: one
 stacked SymbolCache.get canonicalizes them and, at high frequency, one
 nearest_direction and one tag_direction give them their directions.
-The numeric DTT replays the M2L events stack by stack of target rows,
-each stack's in recorded order, so every accumulator sums as in the
-recursion while only one stack of Fourier locals is alive; F2L takes
-each stack as soon as its last event is done.  One stable argsort groups
+The numeric DTT replays the M2L events one (level, direction) group at a
+time: an event's target and source rows carry the level of its cells and
+the direction of its entry, so each expansion and each table entry
+belongs to one group.  A group transforms the multipoles it reads into
+one block (M2F), permutes its entries' diagonals out of their canonical
+ones, and replays its events stack by stack of target rows, each stack's
+in recorded order, so every accumulator sums as in the recursion while
+only one stack of Fourier locals is alive; F2L takes each stack as soon
+as its last event is done, and the group's Fourier multipoles and
+diagonals are dropped before the next group runs.  One stable argsort groups
 the P2P pairs by target: each target cell takes one direct sum against
 the particles of its near source cells in recorded order, in kernel
 blocks of at most MAX_BLOCK_ENTRIES entries, real at kappa = 0.
@@ -49,7 +58,7 @@ grid alpha + beta * g is one phase per row times a grid wave built once
 per (level, direction) (_waves); a low-frequency level is the
 one-direction case u = 0, so each operator has one formula for both
 regimes.  M2F transforms only the multipoles M2L reads, and F2L only the
-locals it writes, in stacks of rows (_blocks).
+locals it writes, in stacks of one group's rows (_blocks).
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -165,14 +174,15 @@ class _Context:
         # cells _plan_rows rewrites as rows, and flat (target, source) pairs
         self.m2l_plan = array("i")
         self.p2p_plan = array("i")
-        # _plan_rows' sorted keys (see the module docstring); m2l_keys are
-        # the target keys M2L writes, one Fourier local each, held only
-        # while dtt replays their stack (_m2l), and m2f_keys the source keys
-        # it reads, one multipole_hat row each; and _walk's son links, one
-        # table per father level and side
+        # the sorted keys of each side (see the module docstring), and the
+        # group-major keys of _plan_rows: m2l_keys, the target keys M2L
+        # writes, one Fourier local each, held only while dtt replays their
+        # stack, and m2f_keys, the source keys it reads, one Fourier
+        # multipole each, held only while dtt replays their group (_m2l);
+        # and _walk's son links, one table per father level and side
         self.source_keys = self.target_keys = self.m2l_keys = self.m2f_keys = None
         self.source_links = self.target_links = None
-        self.multipole = self.multipole_hat = self.local = None
+        self.multipole = self.local = None
         # the Lagrange table of the side a pass is on (_upward, _downward)
         # and the grid waves (_waves), both built once per solve
         self.table = None
@@ -333,8 +343,8 @@ def blank_dtt(ctx: _Context) -> None:
     triplets, the others with a leaf P2P pairs, and the rest hand their son
     pairs to the next level.  Each level keeps the order in which the recursive
     traversal visits its pairs, and so does every target row when dtt
-    replays the events stack by stack, so every Fourier local sums its
-    M2L terms in that order.
+    replays the events group by group and stack by stack, so every Fourier
+    local sums its M2L terms in that order.
     """
     tt, st = ctx.target_tree, ctx.source_tree
     pairs = [(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))]
@@ -384,32 +394,61 @@ def _walk(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> tuple:
     return keys, [(lv, f, s, np.searchsorted(keys, k), o) for lv, f, s, k, o in links]
 
 
+def _groups(ctx: _Context, tree: ClusterTree, keys: np.ndarray) -> np.ndarray:
+    """The (level, direction) group of each key of tree, as level * n_dirs + d:
+    an M2L event's target and source rows share its group, since they are
+    same-level cells with the direction of its entry."""
+    n = ctx.n_dirs
+    return tree.cell_levels()[keys // n] * n + keys % n
+
+
+def _runs(groups: np.ndarray) -> np.ndarray:
+    """The bounds of the runs of a non-decreasing array: run k is
+    bounds[k]:bounds[k + 1]."""
+    return np.append(np.flatnonzero(np.diff(groups, prepend=-1)), len(groups))
+
+
+def _stacks(ctx: _Context, groups: np.ndarray) -> np.ndarray:
+    """The stack of each group-major row, for the rows' non-decreasing
+    groups: each group's rows are cut from its first in stacks of
+    _stack_rows rows (_blocks), numbered in row order."""
+    sizes = np.diff(_runs(groups))
+    step = _stack_rows(ctx)
+    n_stacks = -(-sizes // step)
+    return np.repeat(np.cumsum(n_stacks) - n_stacks, sizes) + _ramps(sizes) // step
+
+
 def _plan_rows(ctx: _Context) -> None:
     """Rewrite the M2L plan's cell indices in place: the target as its row
-    (one row per key of m2l_keys), the source as its row of multipole_hat
-    (one row per key of m2f_keys); order the plan by stack of target rows;
-    then derive both key sets and their son links from these (_walk)."""
+    of m2l_keys, the source as its row of m2f_keys, both keys group-major
+    (by (level, direction) group, then by cell); order the plan by stack of
+    target rows within each group (_stacks); then derive both key sets and
+    their son links from these (_walk)."""
     n = ctx.n_dirs
     plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
     dirs = np.array(ctx.cache.directions, dtype=np.int64)
 
-    def rows(col: int) -> np.ndarray:
-        """The sorted keys of the plan's column col, which becomes their rows."""
-        keys = plan[:, col].astype(np.int64)
-        keys *= n
-        keys += dirs[plan[:, 2]]
-        distinct = np.unique(keys)
-        plan[:, col] = np.searchsorted(distinct, keys)
-        return distinct
+    def rows(col: int, tree: ClusterTree) -> np.ndarray:
+        """The group-major keys of the plan's column col, which become their
+        rows: one int64 code (group, cell) per event, then unique."""
+        cells = plan[:, col].astype(np.int64)
+        code = tree.cell_levels()[cells] * n + dirs[plan[:, 2]]
+        code *= tree.n_cells
+        code += cells
+        distinct, plan[:, col] = np.unique(code, return_inverse=True)
+        return distinct % tree.n_cells * n + distinct // tree.n_cells % n
 
-    ctx.m2l_keys, ctx.m2f_keys = rows(0), rows(1)
-    # the events stack by stack of target rows (_stack_rows), each stack's in
-    # recorded order: dtt replays and transforms one stack at a time
-    plan[:] = plan[np.argsort(plan[:, 0] // _stack_rows(ctx), kind="stable")]
+    ctx.m2l_keys, ctx.m2f_keys = rows(0, ctx.target_tree), rows(1, ctx.source_tree)
+    # the events group by group and, within a group, stack by stack of
+    # target rows, each stack's in recorded order: dtt replays, transforms
+    # and releases one group at a time
+    stacks = _stacks(ctx, _groups(ctx, ctx.target_tree, ctx.m2l_keys))
+    plan[:] = plan[np.argsort(stacks[plan[:, 0]], kind="stable")]
+    del stacks
     # after the per-event temporaries are freed: arrays kept while they
     # lived would pin the heap they grew (29 MB on the N = 80,000 sphere)
-    ctx.target_keys, ctx.target_links = _walk(ctx, ctx.target_tree, ctx.m2l_keys)
-    ctx.source_keys, ctx.source_links = _walk(ctx, ctx.source_tree, ctx.m2f_keys)
+    ctx.target_keys, ctx.target_links = _walk(ctx, ctx.target_tree, np.sort(ctx.m2l_keys))
+    ctx.source_keys, ctx.source_links = _walk(ctx, ctx.source_tree, np.sort(ctx.m2f_keys))
 
 
 def _leaf_rows(keys: np.ndarray, tree: ClusterTree, n: int) -> list:
@@ -540,16 +579,6 @@ def _stack_rows(ctx: _Context) -> int:
     return max(1, MAX_BLOCK_ENTRIES // ctx.workspace.fourier_size)
 
 
-def _m2f(ctx: _Context) -> None:
-    """Transform the multipoles M2L reads (m2f_keys) into multipole_hat, a
-    stack of rows at a time, and release the nodal multipoles."""
-    rows = np.searchsorted(ctx.source_keys, ctx.m2f_keys)
-    ctx.multipole_hat = np.empty((len(rows), ctx.workspace.fourier_size), dtype=complex)
-    for at in _blocks(len(rows), ctx.workspace.fourier_size):
-        ctx.multipole_hat[at] = ctx.workspace.m2f(ctx.multipole[rows[at]])
-    ctx.multipole = None
-
-
 # ---------------------------------------------------------------------------
 # dual tree traversal
 
@@ -563,43 +592,73 @@ def _log(ctx: _Context, kind: str, targets: np.ndarray, sources: np.ndarray) -> 
         ctx.events.extend(InteractionEvent(kind, t[i], s[j]) for i, j in pairs)
 
 
-def _m2l(ctx: _Context) -> float:
-    """Replay the M2L events a stack of target rows (_stack_rows) at a time,
-    each stack's in recorded order (_plan_rows sorted them so), into one
-    reused (stack, P^3) buffer, and F2L each stack into its rows of
-    ctx.local as soon as its last event is done; returns the F2L time.
+def _m2l(ctx: _Context) -> tuple:
+    """Replay the M2L events one (level, direction) group at a time and
+    return the (M2F, F2L) time.  A group transforms the multipoles it reads
+    (its rows of m2f_keys) into one block, a stack of rows at a time, and
+    permutes the diagonals of its entries out of the table; it replays its
+    events a stack of target rows (_stack_rows) at a time, each stack's in
+    recorded order (_plan_rows sorted them so), into one reused (stack,
+    P^3) buffer, and F2L takes each stack into its rows of ctx.local as
+    soon as its last event is done.  The group's block and diagonals are
+    dropped before the next group, the nodal multipoles after the last.
     local holds the locals M2L wrote (m2l_keys) in their rows of
     target_keys, and zeros elsewhere."""
-    rows = np.searchsorted(ctx.target_keys, ctx.m2l_keys)
-    stacks = _blocks(len(rows), ctx.workspace.fourier_size)
-    step = _stack_rows(ctx)
-    ctx.local = np.zeros((len(ctx.target_keys), ctx.workspace.nodal_size), dtype=complex)
-    buffer = np.zeros((min(step, len(rows)), ctx.workspace.fourier_size), dtype=complex)
-    # row views: one Python list lookup per operand instead of a 2-D index;
-    # the local of row j sums in buffer row j % step
-    accumulators = list(buffer) * len(stacks)
-    multipoles_hat = list(ctx.multipole_hat)
-    diagonals = ctx.cache.diagonals
+    ws, cache = ctx.workspace, ctx.cache
     plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
-    counts = np.bincount(plan[:, 0] // step, minlength=len(stacks)).tolist()
+    t_groups = _groups(ctx, ctx.target_tree, ctx.m2l_keys)
+    # both sides hold the same groups, in the same order
+    t_runs = _runs(t_groups).tolist()
+    s_runs = _runs(_groups(ctx, ctx.source_tree, ctx.m2f_keys)).tolist()
+    counts = iter(np.bincount(_stacks(ctx, t_groups)[plan[:, 0]]).tolist())
+    local_rows = np.searchsorted(ctx.target_keys, ctx.m2l_keys)
+    multipole_rows = np.searchsorted(ctx.source_keys, ctx.m2f_keys)
+    step = _stack_rows(ctx)
+    ctx.local = np.zeros((len(ctx.target_keys), ws.nodal_size), dtype=complex)
+    buffer = np.zeros((min(step, len(local_rows)), ws.fourier_size), dtype=complex)
+    # row views, indexed by the plan's rows: one Python list lookup per
+    # operand instead of a 2-D index; the local of a group's i-th row sums
+    # in buffer row i % step, and only the running group's operands are set
+    views = list(buffer)
+    accumulators = [views[i] for i in (_ramps(np.diff(t_runs)) % step).tolist()]
+    multipoles_hat = [None] * len(multipole_rows)
+    diagonals = [None] * cache.n_translations
     it = iter(ctx.m2l_plan)
-    f2l = 0.0
-    for at, count in zip(stacks, counts):
-        events = islice(it, 3 * count)
-        for j, row, entry in zip(events, events, events):
-            m2l_hadamard(accumulators[j], multipoles_hat[row], diagonals[entry])
-        dst = rows[at]
-        stack = buffer[: len(dst)]
+    done = 0  # the events of the groups before this one
+    m2f = f2l = 0.0
+    for (t_lo, t_hi), (s_lo, s_hi) in zip(pairwise(t_runs), pairwise(s_runs)):
         t0 = time.perf_counter()
-        ctx.local[dst] = ctx.workspace.f2l(stack)
-        f2l += time.perf_counter() - t0
-        stack.fill(0)
-    # every M2L has read its multipole
-    del multipoles_hat
-    ctx.multipole_hat = None
+        rows = multipole_rows[s_lo:s_hi]
+        hat = np.empty((len(rows), ws.fourier_size), dtype=complex)
+        for at in _blocks(len(rows), ws.fourier_size):
+            hat[at] = ws.m2f(ctx.multipole[rows[at]])
+        m2f += time.perf_counter() - t0
+        multipoles_hat[s_lo:s_hi] = hat
+        stacks = _blocks(t_hi - t_lo, ws.fourier_size)
+        stack_counts = list(islice(counts, len(stacks)))
+        entries = np.unique(plan[done : done + sum(stack_counts), 2]).tolist()
+        done += sum(stack_counts)
+        for entry in entries:
+            diagonals[entry] = cache.diagonal(entry)
+        for at, count in zip(stacks, stack_counts):
+            events = islice(it, 3 * count)
+            for j, row, entry in zip(events, events, events):
+                m2l_hadamard(accumulators[j], multipoles_hat[row], diagonals[entry])
+            dst = local_rows[t_lo:t_hi][at]
+            stack = buffer[: len(dst)]
+            t0 = time.perf_counter()
+            ctx.local[dst] = ws.f2l(stack)
+            f2l += time.perf_counter() - t0
+            stack.fill(0)
+        # every M2L of the group has read its multipoles and diagonals
+        multipoles_hat[s_lo:s_hi] = [None] * len(rows)
+        for entry in entries:
+            diagonals[entry] = None
+        del hat
+    ctx.multipole = None
     n = ctx.n_dirs
     _log(ctx, "M2L", ctx.m2l_keys[plan[:, 0]] // n, ctx.m2f_keys[plan[:, 1]] // n)
-    return f2l
+    return m2f, f2l
 
 
 def _p2p(ctx: _Context) -> None:
@@ -629,14 +688,15 @@ def _p2p(ctx: _Context) -> None:
 
 
 def dtt(ctx: _Context) -> dict:
-    """Replay blank_dtt's lists: the M2L events with their F2L, stack by
-    stack (_m2l), then the P2P pairs (_p2p).  Returns the time of each
-    part in its own bucket: m2l (the replay), f2l and p2p."""
+    """Replay blank_dtt's lists: the M2L events with their M2F and F2L,
+    group by group (_m2l), then the P2P pairs (_p2p).  Returns the time of
+    each part in its own bucket: m2f, m2l (the rest of the replay), f2l and
+    p2p."""
     t0 = time.perf_counter()
-    f2l = _m2l(ctx)
+    m2f, f2l = _m2l(ctx)
     t1 = time.perf_counter()
     _p2p(ctx)
-    return {"m2l": t1 - t0 - f2l, "f2l": f2l, "p2p": time.perf_counter() - t1}
+    return {"m2f": m2f, "m2l": t1 - t0 - m2f - f2l, "f2l": f2l, "p2p": time.perf_counter() - t1}
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +770,7 @@ def run_fmm_full(
     # each name is looked up when its step runs, so wrappers are timed
     timed("blank", lambda: (blank_dtt(ctx), _plan_rows(ctx)))
     timed("upward", lambda: _upward(ctx))
-    timed("m2f", lambda: _m2f(ctx))
-    info.timings.update(dtt(ctx))  # its m2l, f2l and p2p buckets
+    info.timings.update(dtt(ctx))  # its m2f, m2l, f2l and p2p buckets
     timed("downward", lambda: _downward(ctx))
     info.timings["precompute"] = ctx.precompute_time
     info.timings["total"] = time.perf_counter() - t_start

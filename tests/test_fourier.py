@@ -319,7 +319,7 @@ def test_symbol_cache_shares_canonical_work():
     assert again == 1
     assert cache.n_translations == 4
     direct = precompute_symbol(kernel, (-2, 0, 0), 0.5, 3)
-    assert np.allclose(cache.diagonals[again], direct, atol=1e-13)
+    assert np.allclose(cache.diagonal(again), direct, atol=1e-13)
     # every entry starts untagged, and a tag writes its entry only
     cache.tag_direction([again], [5])
     assert cache.directions == [0, 5, 0, 0]
@@ -327,6 +327,35 @@ def test_symbol_cache_shares_canonical_work():
     with pytest.raises(ValueError, match="zip"):
         cache.tag_direction([0, 1], [7])
     assert cache.directions == [0, 5, 0, 0]
+
+
+def test_failing_get_leaves_the_table_as_it_was():
+    """A get whose later precomputation raises keeps none of the call's
+    canonical diagonals, not even those computed before the failure."""
+    cache = SymbolCache(HelmholtzKernel(kappa=1.0, singularity_tol=1e-14), 3, 1.0)
+    with pytest.raises(ValueError, match="singularity"):
+        cache.get(0, [(2, 0, 0), (1, 0, 0)])
+    assert cache.n_canonical == cache.n_translations == 0
+    assert cache.entries == {} and cache.directions == []
+    # the next get numbers its canonical diagonal and its entry from 0
+    assert cache.get(0, [(0, 2, 0)]).tolist() == [0]
+    assert cache.bases == [0] and cache.n_canonical == 1
+
+
+def test_the_table_stores_canonical_diagonals_only():
+    """Each entry holds the index of its canonical diagonal and a rotation
+    id; diagonal(entry) permutes the stored one, which a canonical
+    translation (rotation 0) returns as it is."""
+    kernel = HelmholtzKernel(kappa=3.0, singularity_tol=1e-14)
+    cache = SymbolCache(kernel, 3, root_side=1.0)
+    entries = cache.get(1, [(2, 0, 0), (0, -2, 0), (3, 1, 0), (-1, 0, 3)]).tolist()
+    assert cache.n_canonical == 2 and cache.n_translations == 4
+    assert cache.bases == [0, 0, 1, 1]
+    assert [cache.rotations[e] == 0 for e in entries] == [True, False, True, False]
+    assert cache.diagonal(entries[0]) is cache.canonicals[0]
+    for entry, tvec in zip(entries, [(2, 0, 0), (0, -2, 0), (3, 1, 0), (-1, 0, 3)]):
+        direct = precompute_symbol(kernel, tvec, 0.5, 3)
+        assert np.abs(cache.diagonal(entry) - direct).max() < 1e-13 * np.abs(direct).max()
 
 
 def test_each_level_takes_its_own_side():
@@ -341,7 +370,7 @@ def test_each_level_takes_its_own_side():
         entries = cache.get(level, tvecs)
         for entry, c, rid in zip(entries.tolist(), canon, rids.tolist()):
             direct = permute_symbol(precompute_symbol(kernel, c, 2.0**-level, 3), rid, 3)
-            assert cache.diagonals[entry].tobytes() == direct.tobytes()
+            assert cache.diagonal(entry).tobytes() == direct.tobytes()
     assert cache.n_canonical == 3 and cache.n_translations == 6
 
 
@@ -362,13 +391,13 @@ def test_stacked_get_matches_row_by_row_calls():
     assert entries.tolist() == [rowwise.get(1, tvec[None])[0] for tvec in stack]
     assert stacked.entries == rowwise.entries
     assert stacked.n_canonical == rowwise.n_canonical < stacked.n_translations
-    assert len(stacked.diagonals) == len(rowwise.diagonals)
-    for a, b in zip(stacked.diagonals, rowwise.diagonals):
-        assert np.array_equal(a, b)
+    assert stacked.n_translations == rowwise.n_translations
+    for entry in range(stacked.n_translations):
+        assert np.array_equal(stacked.diagonal(entry), rowwise.diagonal(entry))
     # each diagonal is its canonical one, permuted
     for canon, rid, entry in zip(*_first_matching_group_element(stack), entries.tolist()):
         base = precompute_symbol(kernel, canon, 0.5, 3)
-        assert np.array_equal(stacked.diagonals[entry], permute_symbol(base, rid, 3))
+        assert np.array_equal(stacked.diagonal(entry), permute_symbol(base, rid, 3))
     # a stack of tags writes each of its entries
     stacked.tag_direction(entries[:3], np.array([7, 8, 9]))
     assert [stacked.directions[e] for e in entries[:3].tolist()] == [7, 8, 9]

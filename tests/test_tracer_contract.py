@@ -157,15 +157,22 @@ def test_tracer_finds_and_measures_everything(monkeypatch, problem):
     assert metrics["interpolation.p2m_calls"] <= info.counts["leaves"]
     assert metrics["interpolation.l2p_calls"] <= info.counts["leaves"]
     # M2F transforms one row per multipole M2L reads, F2L one per local
-    # expansion it writes, in stacks of at most MAX_BLOCK_ENTRIES // P^3 rows
+    # expansion it writes, each (level, direction) group's rows in stacks of
+    # at most MAX_BLOCK_ENTRIES // P^3 rows
     step = MAX_BLOCK_ENTRIES // FourierWorkspace(config.order).fourier_size
     root_side = _root_side(targets, sources)
+    levels = {id(c): c.level for e in events if e.kind == "M2L" for c in (e.target, e.source)}
+
+    def stacks(expansions) -> int:
+        groups = Counter((levels[cell], d) for cell, d in expansions)
+        return sum(-(-rows // step) for rows in groups.values())
+
     read = _m2l_expansions(events, config, info.hf_max_level, root_side, "source")
     assert sum(m2f_rows) == len(read)
-    assert metrics["fourier.m2f_calls"] == len(m2f_rows) == -(-len(read) // step)
+    assert metrics["fourier.m2f_calls"] == len(m2f_rows) == stacks(read)
     written = _m2l_expansions(events, config, info.hf_max_level, root_side, "target")
     assert sum(f2l_rows) == len(written)
-    assert metrics["fourier.f2l_calls"] == len(f2l_rows) == -(-len(written) // step)
+    assert metrics["fourier.f2l_calls"] == len(f2l_rows) == stacks(written)
 
 
 def _recording_calls(monkeypatch, owner, name: str) -> list:

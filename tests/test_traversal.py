@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,7 +26,6 @@ from helmfmm.traversal import (
     _p2m_cell,
     _plan_rows,
     _leaf_rows,
-    _m2f,
     _upward,
     _waves,
     admissible,
@@ -552,7 +553,6 @@ def test_downward_pass_fails_on_a_missing_son_local(kappa):
     ctx = _planned(kappa)
     tree = ctx.target_tree
     _upward(ctx)
-    _m2f(ctx)
     victim = _son_key(ctx, tree, ctx.target_keys)
     assert victim in ctx.target_keys and victim not in ctx.m2l_keys
     ctx.target_keys = ctx.target_keys[ctx.target_keys != victim]
@@ -587,7 +587,7 @@ def _recursive_plan(ctx):
         if admissible(tvec, side, config.kappa if hf else None, config.eta):
             unit = tvec / np.linalg.norm(tvec)
             d = nearest_direction(ctx.dirs, ctx.refinement(t.level), unit[None])[0] if hf else 0
-            diagonal = cache.diagonals[cache.get(t.level, tvec[None])[0]]
+            diagonal = cache.diagonal(cache.get(t.level, tvec[None])[0])
             m2l.setdefault(t.level, []).append((t.index, s.index, diagonal, d))
         elif t.is_leaf or s.is_leaf:
             p2p.setdefault(t.level, []).append((t.index, s.index))
@@ -622,7 +622,7 @@ def _assert_planned_as_the_recursion(ctx):
     planned = {}
     it = iter(ctx.m2l_plan)
     for t, s, entry in zip(it, it, it):
-        diagonal, d = ctx.cache.diagonals[entry], ctx.cache.directions[entry]
+        diagonal, d = ctx.cache.diagonal(entry), ctx.cache.directions[entry]
         planned.setdefault(cells[t].level, []).append((t, s, diagonal, d))
     assert planned.keys() == m2l.keys()
     for level, ref in m2l.items():
@@ -734,12 +734,11 @@ def _stack_problem(kappa, same):
 @pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
 @pytest.mark.parametrize("kappa", [12.0, 0.0])
 def test_fourier_stacks_keep_the_potentials(monkeypatch, kappa, same):
-    """M2F and F2L transform at most MAX_BLOCK_ENTRIES // P^3 rows at a
-    time, and M2L replays the events of one stack of target rows at a time.
-    Stacks of three rows, or of one, give bitwise the potentials of the
-    default, which takes these problems in one stack; the last stack of
-    three is ragged on all but the self-interaction at kappa = 12 (96 rows
-    each way)."""
+    """M2F and F2L transform at most MAX_BLOCK_ENTRIES // P^3 rows of one
+    (level, direction) group at a time, and M2L replays the events of one
+    stack of target rows at a time.  Stacks of three rows, or of one, give
+    bitwise the potentials of the default, which takes each group of these
+    problems in one stack; some group's last stack of three is ragged."""
     targets, sources, q, config = _stack_problem(kappa, same)
     stacks = {"m2f": [], "f2l": []}
     for name, seen in stacks.items():
@@ -750,17 +749,24 @@ def test_fourier_stacks_keep_the_potentials(monkeypatch, kappa, same):
             lambda self, x, original=original, seen=seen: seen.append(len(x)) or original(self, x),
         )
     whole = run_fmm(targets, sources, q, config)
-    assert [len(seen) for seen in stacks.values()] == [1, 1]
-    rows = {name: seen.pop() for name, seen in stacks.items()}
     size = FourierWorkspace(config.order).fourier_size
+    # one stack per group: the default stack holds every group's rows
+    groups = {name: seen.copy() for name, seen in stacks.items()}
+    for seen in stacks.values():
+        assert len(seen) == len(groups["m2f"]) and max(seen) <= traversal.MAX_BLOCK_ENTRIES // size
+        seen.clear()
+    # one level at kappa = 0, several directions at kappa = 12
+    assert len(groups["m2f"]) == 1 if kappa == 0 else len(groups["m2f"]) > 1
     for width in (3, 1):
         monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", width * size)
         stacked = run_fmm(targets, sources, q, config)
         for name, seen in stacks.items():
-            assert sum(seen) == rows[name] > 6
-            assert seen == [width] * (len(seen) - 1) + [rows[name] - width * (len(seen) - 1)]
+            cut = [[width] * (rows // width) + [rows % width] * (rows % width > 0) for rows in groups[name]]
+            assert sum(seen) == sum(groups[name]) > 6
+            assert seen == [rows for group in cut for rows in group]
             seen.clear()
         assert stacked.tobytes() == whole.tobytes()
+    assert any(rows % 3 for group in groups.values() for rows in group)
 
 
 @pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
@@ -786,6 +792,73 @@ def test_m2l_accumulates_in_one_buffer_of_a_stack(monkeypatch, kappa, same):
     assert buffer is not None and all(a.base is buffer for a in accumulators)
     assert buffer.shape == (width, size)
     assert len(stacks) > 1 and all(x.base is buffer for x in stacks)
+
+
+@pytest.mark.parametrize("same,kappa", [(True, 8.0), (False, 12.0)], ids=["self", "two-tree"])
+def test_fourier_transforms_take_one_group_at_a_time(monkeypatch, same, kappa):
+    """Every m2f call transforms multipoles of one (level, direction) group
+    only, and every f2l call locals of one group: a group's rows take
+    ceil(rows / step) calls of each, in stacks of at most step rows, and
+    each row is transformed once.  The solve's table then holds exactly
+    n_canonical diagonals of P^3 complex values each, and no other array."""
+    sources = generate_distribution(Distribution("sphere", 1000))
+    targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
+    ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=8, kappa=kappa))
+    size = ctx.workspace.fourier_size
+    step = 4  # stacks of four rows cut the larger groups in several
+    monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", step * size)
+    blank_dtt(ctx)
+    _plan_rows(ctx)
+    _upward(ctx)
+    # each multipole holds its row of source_keys, so an m2f stack names its
+    # rows; each f2l call marks the locals it writes with its call number
+    ctx.multipole[:] = np.arange(len(ctx.source_keys))[:, None]
+    m2f_rows, f2l_calls = [], []
+    m2f = FourierWorkspace.m2f
+
+    def record(self, nodal):
+        m2f_rows.append(nodal[:, 0].real.astype(int).tolist())
+        return m2f(self, nodal)
+
+    def mark(self, fourier):
+        f2l_calls.append(len(fourier))
+        return np.full((len(fourier), self.nodal_size), len(f2l_calls), dtype=complex)
+
+    monkeypatch.setattr(FourierWorkspace, "m2f", record)
+    monkeypatch.setattr(FourierWorkspace, "f2l", mark)
+    dtt(ctx)
+    n = ctx.n_dirs
+
+    def group(tree, key):
+        return tree.cells[key // n].level, key % n
+
+    read = [[group(ctx.source_tree, ctx.source_keys[r]) for r in rows] for rows in m2f_rows]
+    written = {}  # f2l call -> the groups of the locals it wrote
+    for key, row in zip(ctx.m2l_keys.tolist(), np.searchsorted(ctx.target_keys, ctx.m2l_keys)):
+        call = int(ctx.local[row, 0].real)
+        written.setdefault(call, []).append(group(ctx.target_tree, key))
+    assert sorted(written) == list(range(1, len(f2l_calls) + 1))
+    assert [len(written[call]) for call in sorted(written)] == f2l_calls
+    sides = ((read, ctx.source_tree, ctx.m2f_keys), (written.values(), ctx.target_tree, ctx.m2l_keys))
+    for calls, tree, keys in sides:
+        assert all(len(set(groups)) == 1 and len(groups) <= step for groups in calls)
+        sizes = Counter(group(tree, k) for k in keys.tolist())
+        per_group = Counter(groups[0] for groups in calls)
+        assert per_group == {g: -(-rows // step) for g, rows in sizes.items()}
+        assert len(sizes) > 1 and max(per_group.values()) > 1
+    assert sorted(r for rows in m2f_rows for r in rows) == sorted(
+        np.searchsorted(ctx.source_keys, ctx.m2f_keys).tolist()
+    )
+    cache = ctx.cache
+    held = [
+        v
+        for value in vars(cache).values()
+        for v in (value.values() if isinstance(value, dict) else value if isinstance(value, list) else [value])
+        if isinstance(v, np.ndarray)
+    ]
+    assert len(held) == cache.n_canonical < cache.n_translations
+    assert all(a is b for a, b in zip(held, cache.canonicals))
+    assert all(a.shape == (size,) and a.dtype == complex for a in held)
 
 
 @pytest.mark.parametrize("same", [True, False])
@@ -820,12 +893,15 @@ def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
 
 
 @pytest.mark.parametrize("same,kappa", [(True, 8.0), (False, 12.0)])
-def test_table_directions_are_the_rows_each_m2l_reads_and_writes(same, kappa):
+def test_table_directions_are_the_rows_each_m2l_reads_and_writes(monkeypatch, same, kappa):
     """The direction of an M2L event's table entry is the direction of the
     local it writes and of the multipole it reads: the direction nearest
     to its translation at a high-frequency level, 0 at a low-frequency
-    one.  The rows' plan goes stack by stack of target rows (_stack_rows),
-    each stack's events in recorded order."""
+    one.  Each (level, direction) group's target rows are one run of
+    rows, cut from its first in stacks of _stack_rows rows; the rows' plan
+    goes stack by stack within each group, each stack's events in recorded
+    order.  Stacks of four rows cut the larger groups in several."""
+    monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", 4 * FourierWorkspace(3).fourier_size)
     sources = generate_distribution(Distribution("sphere", 1000))
     targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
     ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=8, kappa=kappa))
@@ -835,11 +911,19 @@ def test_table_directions_are_the_rows_each_m2l_reads_and_writes(same, kappa):
     rows = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
     n = ctx.n_dirs
     step = traversal._stack_rows(ctx)
-    stack = rows[:, 0] // step
-    assert stack[-1] > 0 and np.all(np.diff(stack) >= 0)
+    levels = ctx.target_tree.cell_levels()
+    groups = [(levels[k // n], k % n) for k in ctx.m2l_keys.tolist()]
+    runs = [g for j, g in enumerate(groups) if j == 0 or groups[j - 1] != g]
+    assert len(runs) == len(set(runs)) > 1
+    first = {g: groups.index(g) for g in runs}
+    # each row's stack, as (group's first row, stack within the group)
+    stack = [(first[g], (j - first[g]) // step) for j, g in enumerate(groups)]
+    planned = [stack[j] for j in rows[:, 0].tolist()]
+    assert planned == sorted(planned) and len(set(planned)) > len(runs)
+    row_of = {k: j for j, k in enumerate(ctx.m2l_keys.tolist())}
     keys = cells[:, 0] * np.int64(n) + np.array(ctx.cache.directions)[cells[:, 2]]
-    recorded = np.searchsorted(ctx.m2l_keys, keys) // step
-    cells = cells[np.argsort(recorded, kind="stable")]
+    recorded = [stack[row_of[k]] for k in keys.tolist()]
+    cells = cells[sorted(range(len(recorded)), key=recorded.__getitem__)]
     tcells, scells = ctx.target_tree.cells, ctx.source_tree.cells
     levels = set()
     for (ti, si, entry), (j, row, _) in zip(cells.tolist(), rows.tolist()):
@@ -962,8 +1046,9 @@ def test_counts_are_consistent():
 
 @pytest.mark.parametrize("kappa", [0.0, 12.0])
 def test_timing_buckets_are_disjoint(kappa):
-    """The driver times each step in its own bucket, and dtt times its M2L
-    replay, its streamed F2L stacks and its P2P apart: every bucket is >= 0,
+    """The driver times each step in its own bucket, and dtt times its M2F
+    blocks, the rest of its M2L replay, its streamed F2L stacks and its P2P
+    apart: every bucket is >= 0,
     and the steps (all but precompute, which lies inside blank) sum to at
     most total."""
     rng = np.random.default_rng(5)
@@ -986,7 +1071,6 @@ def _near_field(targets, sources, q, config):
     blank_dtt(ctx)
     _plan_rows(ctx)
     _upward(ctx)
-    _m2f(ctx)
     # M2L accumulates into local expansions: only P2P adds to potentials
     dtt(ctx)
     ref = np.zeros(len(tpset.potentials), dtype=complex)
