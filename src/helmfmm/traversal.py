@@ -1,17 +1,23 @@
 """Dual tree traversal, blank precomputation passes and the FMM driver.
 
-The driver pipeline plans, then executes:
+A solve is a charge-free plan and an apply, in the plan/execute shape of
+FFTW (Frigo & Johnson, Proc. IEEE 2005):
 
-    build trees -> blank DTT (interaction lists) -> keys and son links ->
-    P2M at leaves -> M2M per level upward -> DTT (replay, one (level,
-    direction) group at a time: M2F of its multipoles, then Hadamard M2L
-    streamed into F2L a stack of target rows at a time; then P2P) ->
-    L2L per level downward -> L2P -> un-permute
+    plan_fmm:  build trees -> blank DTT (interaction lists) -> rows, keys,
+               son links and M2L stacks -> one Lagrange table per tree
+    apply:     P2M at leaves -> M2M per level upward -> DTT (replay, one
+               (level, direction) group at a time: M2F of its multipoles,
+               then Hadamard M2L streamed into F2L a stack of target rows
+               at a time; then P2P) -> L2L per level downward -> L2P ->
+               un-permute
 
-Every step reads the trees' per-cell arrays (tree.py) only; a tree's Cell
-views are built for the event log alone.  The driver times each step in
-its own bucket of info.timings, and the DTT its M2F, M2L, F2L and P2P
-apart.
+The plan (FmmPlan) holds only what the geometry, the config and the kernel
+fix, so one plan applies to any number of charge vectors; the charges in
+tree order, the expansions and the potentials are arrays apply allocates
+and hands to each step.  Every step reads the trees' per-cell arrays
+(tree.py) only; a tree's Cell views are built for the event log alone.
+The plan times its steps, and apply each of its own, in their own buckets
+of info.timings, and the DTT its M2F, M2L, F2L and P2P apart.
 
 The blank DTT plans level by level on cell-index arrays, with no
 recursion, from the pair of roots (cell 0 of each tree): the pairs that
@@ -21,7 +27,7 @@ traversal.  The MAC is bound <= eta * dist(t, s), with bound the side at
 low-frequency levels and the direction-free max{kappa*w^2, 2w} at
 high-frequency ones (admissible); it depends on (level, translation)
 only, so a block of pairs evaluates it once per distinct translation,
-and each admissible one enters the solve's M2L table (the SymbolCache,
+and each admissible one enters the plan's M2L table (the SymbolCache,
 which stores one diagonal symbol per (level, canonical translation) and
 per entry its canonical diagonal, its rotation and, at high frequency, its
 direction) once, so symbol precomputation lies inside the blank pass.
@@ -42,16 +48,16 @@ the P2P pairs by target: each target cell takes one direct sum against
 the particles of its near source cells in recorded order, in kernel
 blocks of at most MAX_BLOCK_ENTRIES entries, real at kappa = 0.
 
-Expansions live in per-solve arrays, one row per key cell * n_dirs + d (d
-indexes ctx.units at the cell's level: 0, u = 0, at low frequency), in the
+Expansions live in per-apply arrays, one row per key cell * n_dirs + d (d
+indexes plan.units at the cell's level: 0, u = 0, at low frequency), in the
 sorted key order of their side: the source keys are the multipoles M2L
-reads (m2f_keys) and, below them through ctx.hand_down, those M2M reads;
+reads (m2f_keys) and, below them through plan.hand_down, those M2M reads;
 the target keys are the locals M2L writes (m2l_keys) and, below them,
 those L2L writes.  One walk down each tree, cut by its level offsets,
 derives its side's keys and son links (_walk), so every son row a link
 names exists.  P2M and L2P take each leaf (n_sons 0) as one block of rows,
-one per direction, with a basis from one (N, 3, L) table of 1D Lagrange
-values per tree; M2M and L2L make one stacked apply per son octant of a
+one per direction, with a basis from its tree's (N, 3, L) table of 1D
+Lagrange values; M2M and L2L make one stacked apply per son octant of a
 level's links (_translate), with the stacked, real-deinterleaved
 strategy "t+s+r".  The modulation exp(i*kappa*<x, u>) on a cell
 grid alpha + beta * g is one phase per row times a grid wave built once
@@ -66,7 +72,7 @@ from __future__ import annotations
 import numbers
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, pairwise
 
 import numpy as np
@@ -76,9 +82,9 @@ from .directions import DirectionTree, father_direction, generate_direction_tree
 from .fourier import FourierWorkspace, SymbolCache, m2l_hadamard
 from .geometry import compute_root_box
 from .kernel import DEFAULT_SINGULARITY_TOL, MAX_BLOCK_ENTRIES, HelmholtzKernel, direct_sum
-from .tree import ClusterTree, ParticleSet, accumulate_potentials, build_tree, cell_radius
+from .tree import ClusterTree, ParticleSet, build_tree, cell_radius
 
-__all__ = ["FmmConfig", "InteractionEvent", "run_fmm", "run_fmm_full", "FmmInfo"]
+__all__ = ["FmmConfig", "FmmPlan", "InteractionEvent", "plan_fmm", "run_fmm", "run_fmm_full", "FmmInfo"]
 
 
 # the finest direction set a solve may build: 6 * 4**8 = 393,216 directions
@@ -146,46 +152,32 @@ def admissible(tvecs, side: float, kappa: float | None = None, eta: float = 1.0)
     return bound <= eta * _distance(tvecs, side)
 
 
-class _Context:
-    """Shared state of one FMM evaluation."""
+class FmmPlan:
+    """The charge-free half of a solve, made once per geometry: the trees
+    and their particles in tree order, the kernel, the direction tables,
+    the M2L table (cache), blank_dtt's lists (m2l_plan, p2p_plan), their
+    rows, keys, son links and M2L stacks (_plan_rows), one Lagrange table
+    per tree, and the solve's counts.  apply evaluates it for one charge
+    vector; it changes nothing in the plan but the grid waves (_waves),
+    which fill on first use.
 
-    def __init__(
-        self,
-        config: FmmConfig,
-        kernel: HelmholtzKernel,
-        target_tree: ClusterTree,
-        source_tree: ClusterTree,
-        target_pset: ParticleSet,
-        source_pset: ParticleSet,
-        events: list | None = None,
-    ):
+    target and source are build_tree's (tree, particles) pairs, one pair
+    for a single tree; plan_fmm builds them on one root box, and tree_s is
+    the time it took."""
+
+    def __init__(self, config: FmmConfig, target: tuple, source: tuple, tree_s: float = 0.0):
+        t_start = time.perf_counter()
         self.config = config
-        self.kernel = kernel
-        self.target_tree = target_tree
-        self.source_tree = source_tree
-        self.target_pset = target_pset
-        self.source_pset = source_pset
+        (target_tree, self.target_pset), (source_tree, self.source_pset) = target, source
+        self.target_tree, self.source_tree = target_tree, source_tree
+        # box-relative singularity suppression
+        tol = DEFAULT_SINGULARITY_TOL * source_tree.root_box.side
+        self.kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=tol)
         self.workspace = FourierWorkspace(config.order)
-        self.cache = SymbolCache(kernel, config.order, target_tree.root_box.side)
-        self.events = events
-        self.n_p2p_pairs = 0
-        self.precompute_time = 0.0
-        # blank_dtt's plan: flat (target, source, entry) triplets, whose
-        # cells _plan_rows rewrites as rows, and flat (target, source) pairs
-        self.m2l_plan = array("i")
-        self.p2p_plan = array("i")
-        # the sorted keys of each side (see the module docstring), and the
-        # group-major keys of _plan_rows: m2l_keys, the target keys M2L
-        # writes, one Fourier local each, held only while dtt replays their
-        # stack, and m2f_keys, the source keys it reads, one Fourier
-        # multipole each, held only while dtt replays their group (_m2l);
-        # and _walk's son links, one table per father level and side
-        self.source_keys = self.target_keys = self.m2l_keys = self.m2f_keys = None
-        self.source_links = self.target_links = None
-        self.multipole = self.local = None
-        # the Lagrange table of the side a pass is on (_upward, _downward)
-        # and the grid waves (_waves), both built once per solve
-        self.table = None
+        self.cache = SymbolCache(self.kernel, config.order, target_tree.root_box.side)
+        # precompute lies inside blank; total is the plan's, trees included
+        self.timings = {"tree": tree_s, "blank": 0.0, "precompute": 0.0}
+        # the grid waves (_waves), built once per plan
         self.grid_waves: dict = {}
 
         # hf_max_level is the deepest level whose cells satisfy
@@ -233,12 +225,84 @@ class _Context:
         self.unit_wave = np.ones((1, config.order**3), dtype=complex)
         self.unit_wave.flags.writeable = False
 
+        # blank_dtt's lists: flat (target, source, entry) triplets, whose
+        # cells _plan_rows rewrites as rows, and flat (target, source) pairs
+        self.m2l_plan, self.p2p_plan = array("i"), array("i")
+        t0 = time.perf_counter()
+        blank_dtt(self)
+        _plan_rows(self)
+        same = target_tree is source_tree
+        self.source_table = _lagrange_table(config.order, source_tree, self.source_pset)
+        self.target_table = (
+            self.source_table if same else _lagrange_table(config.order, target_tree, self.target_pset)
+        )
+        self.timings["blank"] = time.perf_counter() - t0
+        trees = (target_tree,) if same else (target_tree, source_tree)
+        p2p = np.frombuffer(self.p2p_plan, dtype=np.intc).reshape(-1, 2)
+        self.counts = {
+            "cells": sum(tree.n_cells for tree in trees),
+            "leaves": sum(tree.n_leaves for tree in trees),
+            "symbols": self.cache.n_canonical,
+            "effective_expansions": len(self.source_keys),
+            "p2p_pairs": int(
+                (target_tree.stop - target_tree.start)[p2p[:, 0]]
+                @ (source_tree.stop - source_tree.start)[p2p[:, 1]]
+            ),
+            "m2l_events": len(self.m2l_plan) // 3,
+        }
+        self.timings["total"] = tree_s + time.perf_counter() - t_start
+
     def is_hf(self, level: int) -> bool:
         return level <= self.hf_max_level
 
     def refinement(self, level: int) -> int:
         """Direction refinement of a high-frequency level."""
         return self.deepest_refinement + self.hf_max_level - level
+
+    def log(self, events: list) -> None:
+        """Append one InteractionEvent per M2L event, in replay order, then
+        one per P2P pair, in recorded order, to events; only this builds the
+        trees' Cell views."""
+        n = self.n_dirs
+        m2l = np.frombuffer(self.m2l_plan, dtype=np.intc).reshape(-1, 3)
+        p2p = np.frombuffer(self.p2p_plan, dtype=np.intc).reshape(-1, 2)
+        t, s = self.target_tree.cells, self.source_tree.cells
+        for kind, ti, si in (
+            ("M2L", self.m2l_keys[m2l[:, 0]] // n, self.m2f_keys[m2l[:, 1]] // n),
+            ("P2P", p2p[:, 0], p2p[:, 1]),
+        ):
+            events.extend(InteractionEvent(kind, t[i], s[j]) for i, j in zip(ti.tolist(), si.tolist()))
+
+    def apply(self, charges: np.ndarray) -> tuple[np.ndarray, FmmInfo]:
+        """(potentials, run info) of one (n,) charge vector on the sources:
+        potentials at the targets, both in the caller's order.  The info
+        holds the plan's counts and timings with this apply's steps, its
+        total the plan's plus this apply's."""
+        t_start = time.perf_counter()
+        charges = np.asarray(charges, dtype=complex)
+        if charges.ndim != 1:
+            raise ValueError(f"charges must have shape (n,), not {charges.shape}")
+        if len(charges) != len(self.source_pset.positions):
+            raise ValueError("points and charges length mismatch")
+        if not np.all(np.isfinite(charges)):
+            raise ValueError("charges must be finite")
+        charges = charges[self.source_pset.original_index]  # in tree order
+        size = self.workspace.nodal_size
+        multipole = np.zeros((len(self.source_keys), size), dtype=complex)
+        local = np.zeros((len(self.target_keys), size), dtype=complex)
+        potentials = np.zeros(len(self.target_pset.positions), dtype=complex)
+        timings = dict(self.timings)
+        t0 = time.perf_counter()
+        _upward(self, charges, multipole)
+        timings["upward"] = time.perf_counter() - t0
+        timings.update(dtt(self, charges, multipole, local, potentials))
+        t0 = time.perf_counter()
+        _downward(self, local, potentials)
+        timings["downward"] = time.perf_counter() - t0
+        timings["total"] += time.perf_counter() - t_start
+        out = np.empty_like(potentials)
+        out[self.target_pset.original_index] = potentials
+        return out, FmmInfo(timings, dict(self.counts), self.hf_max_level)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +329,7 @@ def _distinct(tvecs: np.ndarray) -> tuple:
     return distinct.astype(np.int64), inverse
 
 
-def _entries(ctx: _Context, level: int, ti: np.ndarray, si: np.ndarray) -> np.ndarray:
+def _entries(plan: FmmPlan, level: int, ti: np.ndarray, si: np.ndarray) -> np.ndarray:
     """The cache entry of each cell pair (ti, si) at level, -1 where it is
     not admissible.  The MAC is evaluated on all distinct translations at
     once, and the admissible ones not yet in the cache are resolved
@@ -273,28 +337,28 @@ def _entries(ctx: _Context, level: int, ti: np.ndarray, si: np.ndarray) -> np.nd
     nearest_direction and one tag_direction of their unit vectors."""
     tvecs = np.empty((len(ti), 3), dtype=np.int32)
     for k in range(3):  # an axis at a time: no (n, 3) temporaries
-        np.subtract(ctx.target_tree.coords[ti, k], ctx.source_tree.coords[si, k], out=tvecs[:, k])
+        np.subtract(plan.target_tree.coords[ti, k], plan.source_tree.coords[si, k], out=tvecs[:, k])
     distinct, inverse = _distinct(tvecs)
     del tvecs
-    beta = ctx.target_tree.side_at(level)
-    kappa = ctx.config.kappa if ctx.is_hf(level) else None
-    mac = admissible(distinct, beta, kappa, ctx.config.eta)
+    beta = plan.target_tree.side_at(level)
+    kappa = plan.config.kappa if plan.is_hf(level) else None
+    mac = admissible(distinct, beta, kappa, plan.config.eta)
     entries = np.full(len(distinct), -1, dtype=np.int32)
     rows = np.flatnonzero(mac)
-    cached = ctx.cache.entries
+    cached = plan.cache.entries
     entries[rows] = [cached.get((level, tvec), -1) for tvec in map(tuple, distinct[rows].tolist())]
     new = rows[entries[rows] < 0]
     if len(new):
         tvecs = distinct[new]
         t0 = time.perf_counter()
-        resolved = ctx.cache.get(level, tvecs)
-        ctx.precompute_time += time.perf_counter() - t0
+        resolved = plan.cache.get(level, tvecs)
+        plan.timings["precompute"] += time.perf_counter() - t0
         entries[new] = resolved
-        if ctx.is_hf(level):
+        if plan.is_hf(level):
             # the integer sum of squares is exact: bitwise t / np.linalg.norm(t)
             units = tvecs / np.sqrt((tvecs * tvecs).sum(axis=1))[:, None]
-            nearest = nearest_direction(ctx.dirs, ctx.refinement(level), units)
-            ctx.cache.tag_direction(resolved, nearest)
+            nearest = nearest_direction(plan.dirs, plan.refinement(level), units)
+            plan.cache.tag_direction(resolved, nearest)
     return entries[inverse]
 
 
@@ -305,11 +369,11 @@ def _ramps(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _son_pairs(ctx: _Context, ti: np.ndarray, si: np.ndarray) -> tuple:
+def _son_pairs(plan: FmmPlan, ti: np.ndarray, si: np.ndarray) -> tuple:
     """The son pairs of the cell pairs (ti, si), pair by pair and target son
     major, as the recursion visits them: a row of source sons per (pair,
     target son)."""
-    tt, st = ctx.target_tree, ctx.source_tree
+    tt, st = plan.target_tree, plan.source_tree
     n_t, n_s = tt.n_sons[ti], st.n_sons[si]
     row_t = np.repeat(tt.first_son[ti], n_t) + _ramps(n_t)
     row_s = np.repeat(st.first_son[si], n_t)
@@ -319,9 +383,9 @@ def _son_pairs(ctx: _Context, ti: np.ndarray, si: np.ndarray) -> tuple:
     return np.repeat(row_t, width), s2
 
 
-def _append(plan: array, *columns: np.ndarray) -> None:
+def _append(out: array, *columns: np.ndarray) -> None:
     # the rows' bytes are read through a uint8 view, without a copy
-    plan.frombytes(np.stack(columns, axis=1, dtype=np.intc).view(np.uint8))
+    out.frombytes(np.stack(columns, axis=1, dtype=np.intc).view(np.uint8))
 
 
 def _blocks(n: int, width: int) -> list:
@@ -334,7 +398,7 @@ def _blocks(n: int, width: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
-def blank_dtt(ctx: _Context) -> None:
+def blank_dtt(plan: FmmPlan) -> None:
     """Record the interaction lists of the two trees, level by level from
     the pair of their roots, cell 0 of each.
 
@@ -346,33 +410,33 @@ def blank_dtt(ctx: _Context) -> None:
     replays the events group by group and stack by stack, so every Fourier
     local sums its M2L terms in that order.
     """
-    tt, st = ctx.target_tree, ctx.source_tree
+    tt, st = plan.target_tree, plan.source_tree
     pairs = [(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))]
     level = 0
     while pairs:
         sons = []
         for ti, si in ((t[at], s[at]) for t, s in pairs for at in _blocks(len(t), 1)):
-            entry = _entries(ctx, level, ti, si)
+            entry = _entries(plan, level, ti, si)
             m2l = entry >= 0
-            _append(ctx.m2l_plan, ti[m2l], si[m2l], entry[m2l])
+            _append(plan.m2l_plan, ti[m2l], si[m2l], entry[m2l])
             near = ~m2l
             split = near & (tt.n_sons[ti] > 0) & (st.n_sons[si] > 0)
             near &= ~split
-            _append(ctx.p2p_plan, ti[near], si[near])
+            _append(plan.p2p_plan, ti[near], si[near])
             if split.any():
-                sons.append(_son_pairs(ctx, ti[split], si[split]))
+                sons.append(_son_pairs(plan, ti[split], si[split]))
         pairs = sons
         level += 1
 
 
-def _walk(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> tuple:
+def _walk(plan: FmmPlan, tree: ClusterTree, seeds: np.ndarray) -> tuple:
     """One side's sorted keys and son links, in one walk down the tree: a
     level's keys are its seeds and the son keys the level above hands down
-    (ctx.hand_down), so every son row exists.  A father level's links,
+    (plan.hand_down), so every son row exists.  A father level's links,
     one per (father row, son), fathers row-major and sons in Morton order,
     are (level, father rows, son cells, son rows, son octant codes), a
     son's code (son.coords - 2 * father.coords) @ (4, 2, 1)."""
-    n = ctx.n_dirs
+    n = plan.n_dirs
     cuts = np.searchsorted(seeds, tree.offsets * n).tolist()
     parts, links = [], []
     son_keys = np.empty(0, dtype=np.int64)
@@ -385,7 +449,7 @@ def _walk(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> tuple:
         counts = tree.n_sons[heads]
         sons = np.repeat(tree.first_son[heads], counts) + _ramps(counts)
         son_keys = sons.astype(np.int64) * n
-        son_keys += np.repeat(ctx.hand_down[level][keys[fathers] % n], counts)
+        son_keys += np.repeat(plan.hand_down[level][keys[fathers] % n], counts)
         if len(sons):
             codes = (tree.coords[sons] - np.repeat(2 * tree.coords[heads], counts, 0)) @ (4, 2, 1)
             links.append((level, start + np.repeat(fathers, counts), sons, son_keys, codes))
@@ -394,11 +458,11 @@ def _walk(ctx: _Context, tree: ClusterTree, seeds: np.ndarray) -> tuple:
     return keys, [(lv, f, s, np.searchsorted(keys, k), o) for lv, f, s, k, o in links]
 
 
-def _groups(ctx: _Context, tree: ClusterTree, keys: np.ndarray) -> np.ndarray:
+def _groups(plan: FmmPlan, tree: ClusterTree, keys: np.ndarray) -> np.ndarray:
     """The (level, direction) group of each key of tree, as level * n_dirs + d:
     an M2L event's target and source rows share its group, since they are
     same-level cells with the direction of its entry."""
-    n = ctx.n_dirs
+    n = plan.n_dirs
     return tree.cell_levels()[keys // n] * n + keys % n
 
 
@@ -408,47 +472,51 @@ def _runs(groups: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(np.diff(groups, prepend=-1)), len(groups))
 
 
-def _stacks(ctx: _Context, groups: np.ndarray) -> np.ndarray:
-    """The stack of each group-major row, for the rows' non-decreasing
-    groups: each group's rows are cut from its first in stacks of
-    _stack_rows rows (_blocks), numbered in row order."""
-    sizes = np.diff(_runs(groups))
-    step = _stack_rows(ctx)
-    n_stacks = -(-sizes // step)
-    return np.repeat(np.cumsum(n_stacks) - n_stacks, sizes) + _ramps(sizes) // step
-
-
-def _plan_rows(ctx: _Context) -> None:
+def _plan_rows(plan: FmmPlan) -> None:
     """Rewrite the M2L plan's cell indices in place: the target as its row
     of m2l_keys, the source as its row of m2f_keys, both keys group-major
-    (by (level, direction) group, then by cell); order the plan by stack of
-    target rows within each group (_stacks); then derive both key sets and
-    their son links from these (_walk)."""
-    n = ctx.n_dirs
-    plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
-    dirs = np.array(ctx.cache.directions, dtype=np.int64)
+    (by (level, direction) group, then by cell).  Cut each group's target
+    rows, from its first, in stacks of (rows, P^3) Fourier locals
+    (_blocks), order the plan by stack, and keep the schedule dtt replays
+    (m2l_groups): per group, its source rows s_lo:s_hi and its stacks, each
+    its target rows t_lo:t_hi and its number of events.  Then derive both
+    key sets and their son links from these (_walk)."""
+    n = plan.n_dirs
+    m2l = np.frombuffer(plan.m2l_plan, dtype=np.intc).reshape(-1, 3)
+    dirs = np.array(plan.cache.directions, dtype=np.int64)
 
     def rows(col: int, tree: ClusterTree) -> np.ndarray:
         """The group-major keys of the plan's column col, which become their
         rows: one int64 code (group, cell) per event, then unique."""
-        cells = plan[:, col].astype(np.int64)
-        code = tree.cell_levels()[cells] * n + dirs[plan[:, 2]]
+        cells = m2l[:, col].astype(np.int64)
+        code = tree.cell_levels()[cells] * n + dirs[m2l[:, 2]]
         code *= tree.n_cells
         code += cells
-        distinct, plan[:, col] = np.unique(code, return_inverse=True)
+        distinct, m2l[:, col] = np.unique(code, return_inverse=True)
         return distinct % tree.n_cells * n + distinct // tree.n_cells % n
 
-    ctx.m2l_keys, ctx.m2f_keys = rows(0, ctx.target_tree), rows(1, ctx.source_tree)
+    plan.m2l_keys, plan.m2f_keys = rows(0, plan.target_tree), rows(1, plan.source_tree)
+    # both sides hold the same groups, in the same order
+    t_runs = _runs(_groups(plan, plan.target_tree, plan.m2l_keys)).tolist()
+    s_runs = _runs(_groups(plan, plan.source_tree, plan.m2f_keys)).tolist()
+    size = plan.workspace.fourier_size
+    stacks = [[range(lo, hi)[at] for at in _blocks(hi - lo, size)] for lo, hi in pairwise(t_runs)]
+    sizes = [len(stack) for group in stacks for stack in group]
     # the events group by group and, within a group, stack by stack of
     # target rows, each stack's in recorded order: dtt replays, transforms
     # and releases one group at a time
-    stacks = _stacks(ctx, _groups(ctx, ctx.target_tree, ctx.m2l_keys))
-    plan[:] = plan[np.argsort(stacks[plan[:, 0]], kind="stable")]
-    del stacks
+    by_stack = np.repeat(np.arange(len(sizes)), sizes)[m2l[:, 0]]
+    m2l[:] = m2l[np.argsort(by_stack, kind="stable")]
+    events = iter(np.bincount(by_stack, minlength=len(sizes)).tolist())
+    del by_stack
+    plan.m2l_groups = [
+        (s_lo, s_hi, [(stack.start, stack.stop, next(events)) for stack in group])
+        for (s_lo, s_hi), group in zip(pairwise(s_runs), stacks)
+    ]
     # after the per-event temporaries are freed: arrays kept while they
     # lived would pin the heap they grew (29 MB on the N = 80,000 sphere)
-    ctx.target_keys, ctx.target_links = _walk(ctx, ctx.target_tree, np.sort(ctx.m2l_keys))
-    ctx.source_keys, ctx.source_links = _walk(ctx, ctx.source_tree, np.sort(ctx.m2f_keys))
+    plan.target_keys, plan.target_links = _walk(plan, plan.target_tree, np.sort(plan.m2l_keys))
+    plan.source_keys, plan.source_links = _walk(plan, plan.source_tree, np.sort(plan.m2f_keys))
 
 
 def _leaf_rows(keys: np.ndarray, tree: ClusterTree, n: int) -> list:
@@ -460,26 +528,26 @@ def _leaf_rows(keys: np.ndarray, tree: ClusterTree, n: int) -> list:
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def _waves(ctx: _Context, tree: ClusterTree, cells, cell_level: int, level: int, ds) -> np.ndarray:
+def _waves(plan: FmmPlan, tree: ClusterTree, cells, cell_level: int, level: int, ds) -> np.ndarray:
     """exp(i*kappa*<x, u>) on cell grids, row i on the grid of cells[i] (cell
     indices of tree at cell_level, or one index for all rows) for the
     direction index ds[i] of ``level`` (the cells' own level or, in M2M and
     L2L, their fathers').  A row is the phase exp(i*kappa*<alpha, u>) at
     the cell's corner times the grid wave exp(i*kappa*beta*<g, u>) on the
     reference grid g, which depends on the cell only through its level
-    (side beta) and is built once per solve.  At a low-frequency level
+    (side beta) and is built once per plan.  At a low-frequency level
     u = 0: the one row is the unit wave, shared and read-only."""
-    if not ctx.is_hf(level):
-        return ctx.unit_wave
-    kappa, units = ctx.config.kappa, ctx.units[level]
+    if not plan.is_hf(level):
+        return plan.unit_wave
+    kappa, units = plan.config.kappa, plan.units[level]
     beta = tree.side_at(cell_level)
     keys = [(cell_level, level, d) for d in ds.tolist()]
-    for key in {key for key in keys if key not in ctx.grid_waves}:
-        grid = beta * interp.grid_points(ctx.config.order)
-        ctx.grid_waves[key] = interp.plane_wave(grid, kappa, units[key[2]])
+    for key in {key for key in keys if key not in plan.grid_waves}:
+        grid = beta * interp.grid_points(plan.config.order)
+        plan.grid_waves[key] = interp.plane_wave(grid, kappa, units[key[2]])
     alpha = tree.root_box.lower + tree.coords[cells] * beta
     corner = np.exp(1j * kappa * (units[ds] * alpha).sum(axis=-1))
-    return np.array([ctx.grid_waves[key] for key in keys]) * corner[:, None]
+    return np.array([plan.grid_waves[key] for key in keys]) * corner[:, None]
 
 
 def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndarray:
@@ -501,60 +569,59 @@ def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndar
 # upward pass, and the leaf and translation steps both passes use
 
 
-def _leaf_block(
-    ctx: _Context, tree: ClusterTree, pset: ParticleSet, level: int, leaf: int, keys
-) -> tuple:
-    """The leaf's particle slice, its (n, L^3) basis, its (rows, L^3) cell
-    waves and its (n, rows) particle phases exp(i*kappa*<y, u>) for its
-    rows' keys."""
+def _leaf_block(plan: FmmPlan, up: bool, level: int, leaf: int, keys) -> tuple:
+    """The particle slice of a source (up) or target leaf, its (n, L^3)
+    basis, its (rows, L^3) cell waves and its (n, rows) particle phases
+    exp(i*kappa*<y, u>) for its rows' keys."""
+    tree, pset, table = (
+        (plan.source_tree, plan.source_pset, plan.source_table)
+        if up
+        else (plan.target_tree, plan.target_pset, plan.target_table)
+    )
     at = slice(tree.start[leaf], tree.stop[leaf])
-    ds = keys % ctx.n_dirs
-    basis = interp.tensor_basis(ctx.table[at])
-    phases = interp.plane_wave(pset.positions[at], ctx.config.kappa, ctx.units[level][ds].T)
-    return at, basis, _waves(ctx, tree, leaf, level, level, ds), phases
+    ds = keys % plan.n_dirs
+    basis = interp.tensor_basis(table[at])
+    phases = interp.plane_wave(pset.positions[at], plan.config.kappa, plan.units[level][ds].T)
+    return at, basis, _waves(plan, tree, leaf, level, level, ds), phases
 
 
-def _p2m_cell(ctx: _Context, level: int, leaf: int, lo: int, hi: int) -> None:
-    pset = ctx.source_pset
-    keys = ctx.source_keys[lo:hi]
-    at, basis, waves, phases = _leaf_block(ctx, ctx.source_tree, pset, level, leaf, keys)
-    ctx.multipole[lo:hi] = interp.p2m(basis, pset.charges[at, None] * phases.conj()).T * waves
+def _p2m_cell(plan: FmmPlan, charges, multipole, level: int, leaf: int, lo: int, hi: int) -> None:
+    at, basis, waves, phases = _leaf_block(plan, True, level, leaf, plan.source_keys[lo:hi])
+    multipole[lo:hi] = interp.p2m(basis, charges[at, None] * phases.conj()).T * waves
 
 
-def _l2p_cell(ctx: _Context, level: int, leaf: int, lo: int, hi: int) -> None:
-    pset = ctx.target_pset
-    keys = ctx.target_keys[lo:hi]
-    at, basis, waves, phases = _leaf_block(ctx, ctx.target_tree, pset, level, leaf, keys)
-    vals = (interp.l2p(basis, (ctx.local[lo:hi] * waves.conj()).T) * phases).sum(axis=1)
-    pset.potentials[at] += vals
+def _l2p_cell(plan: FmmPlan, local, potentials, level: int, leaf: int, lo: int, hi: int) -> None:
+    at, basis, waves, phases = _leaf_block(plan, False, level, leaf, plan.target_keys[lo:hi])
+    vals = (interp.l2p(basis, (local[lo:hi] * waves.conj()).T) * phases).sum(axis=1)
+    potentials[at] += vals
 
 
-def _translate(ctx: _Context, link: tuple, up: bool) -> None:
-    """M2M (up) or L2L of one father level's son links, one stacked apply
-    per son octant: M2M adds each son row into its father row, L2L each
-    father row into its son row, unbuffered and in link order, since
-    several father directions may write one son row.  An octant's links go
-    in blocks of (links, L^3) temporaries (_blocks).  Each link's son row
-    must hold the son's handed-down key: rows moved after the walk would
-    translate the wrong expansions."""
+def _translate(plan: FmmPlan, link: tuple, rows: np.ndarray, up: bool) -> None:
+    """M2M (up, rows the multipoles) or L2L (rows the locals) of one father
+    level's son links, one stacked apply per son octant: M2M adds each son
+    row into its father row, L2L each father row into its son row,
+    unbuffered and in link order, since several father directions may
+    write one son row.  An octant's links go in blocks of (links, L^3)
+    temporaries (_blocks).  Each link's son row must hold the son's
+    handed-down key: rows moved after the walk would translate the wrong
+    expansions."""
     level, fathers, sons, son_rows, codes = link
-    tree = ctx.source_tree if up else ctx.target_tree
-    keys, rows = (ctx.source_keys, ctx.multipole) if up else (ctx.target_keys, ctx.local)
-    n = ctx.n_dirs
+    tree, keys = (plan.source_tree, plan.source_keys) if up else (plan.target_tree, plan.target_keys)
+    n = plan.n_dirs
     son_keys = keys.take(son_rows, mode="clip")
-    handed = ctx.hand_down[level][keys.take(fathers, mode="clip") % n]
+    handed = plan.hand_down[level][keys.take(fathers, mode="clip") % n]
     if not (np.array_equal(son_keys // n, sons) and np.array_equal(son_keys % n, handed)):
         raise RuntimeError(f"missing son expansion below level {level}")
     for code in np.unique(codes).tolist():
         octant = (code >> 2, code >> 1 & 1, code & 1)
-        factors = (interp.m2m_factors if up else interp.l2l_factors)(ctx.config.order, octant)
+        factors = (interp.m2m_factors if up else interp.l2l_factors)(plan.config.order, octant)
         group = np.flatnonzero(codes == code)
-        for block in _blocks(len(group), ctx.workspace.nodal_size):
+        for block in _blocks(len(group), plan.workspace.nodal_size):
             at = group[block]
             f, s = fathers[at], son_rows[at]
             ds = keys[f] % n
-            father_waves = _waves(ctx, tree, keys[f] // n, level, level, ds)
-            son_waves = _waves(ctx, tree, sons[at], level + 1, level, ds)
+            father_waves = _waves(plan, tree, keys[f] // n, level, level, ds)
+            son_waves = _waves(plan, tree, sons[at], level + 1, level, ds)
             src, dst = (s, f) if up else (f, s)
             into, out = (son_waves, father_waves) if up else (father_waves, son_waves)
             cols = rows[src] * into.conj()
@@ -563,91 +630,69 @@ def _translate(ctx: _Context, link: tuple, up: bool) -> None:
             np.add.at(rows, dst, stacked)
 
 
-def _upward(ctx: _Context) -> None:
-    tree, keys = ctx.source_tree, ctx.source_keys
-    ctx.multipole = np.zeros((len(keys), ctx.workspace.nodal_size), dtype=complex)
-    ctx.table = _lagrange_table(ctx.config.order, tree, ctx.source_pset)
-    for row in _leaf_rows(keys, tree, ctx.n_dirs):
-        _p2m_cell(ctx, *row)
-    for link in reversed(ctx.source_links):
-        _translate(ctx, link, up=True)
-
-
-def _stack_rows(ctx: _Context) -> int:
-    """The rows of a full stack, the block of (rows, P^3) temporaries M2F
-    and F2L transform at a time (_blocks)."""
-    return max(1, MAX_BLOCK_ENTRIES // ctx.workspace.fourier_size)
+def _upward(plan: FmmPlan, charges: np.ndarray, multipole: np.ndarray) -> None:
+    """P2M of the charges (in tree order) at each source leaf, then M2M up
+    the source tree, into multipole, one row per source key."""
+    for row in _leaf_rows(plan.source_keys, plan.source_tree, plan.n_dirs):
+        _p2m_cell(plan, charges, multipole, *row)
+    for link in reversed(plan.source_links):
+        _translate(plan, link, multipole, up=True)
 
 
 # ---------------------------------------------------------------------------
 # dual tree traversal
 
 
-def _log(ctx: _Context, kind: str, targets: np.ndarray, sources: np.ndarray) -> None:
-    """Append one event per (target, source) cell pair to ctx.events, if it
-    is kept; only this builds the trees' Cell views."""
-    if ctx.events is not None:
-        t, s = ctx.target_tree.cells, ctx.source_tree.cells
-        pairs = zip(targets.tolist(), sources.tolist())
-        ctx.events.extend(InteractionEvent(kind, t[i], s[j]) for i, j in pairs)
-
-
-def _m2l(ctx: _Context) -> tuple:
+def _m2l(plan: FmmPlan, multipole: np.ndarray, local: np.ndarray) -> tuple:
     """Replay the M2L events one (level, direction) group at a time and
     return the (M2F, F2L) time.  A group transforms the multipoles it reads
     (its rows of m2f_keys) into one block, a stack of rows at a time, and
     permutes the diagonals of its entries out of the table; it replays its
-    events a stack of target rows (_stack_rows) at a time, each stack's in
-    recorded order (_plan_rows sorted them so), into one reused (stack,
-    P^3) buffer, and F2L takes each stack into its rows of ctx.local as
-    soon as its last event is done.  The group's block and diagonals are
-    dropped before the next group, the nodal multipoles after the last.
-    local holds the locals M2L wrote (m2l_keys) in their rows of
-    target_keys, and zeros elsewhere."""
-    ws, cache = ctx.workspace, ctx.cache
-    plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
-    t_groups = _groups(ctx, ctx.target_tree, ctx.m2l_keys)
-    # both sides hold the same groups, in the same order
-    t_runs = _runs(t_groups).tolist()
-    s_runs = _runs(_groups(ctx, ctx.source_tree, ctx.m2f_keys)).tolist()
-    counts = iter(np.bincount(_stacks(ctx, t_groups)[plan[:, 0]]).tolist())
-    local_rows = np.searchsorted(ctx.target_keys, ctx.m2l_keys)
-    multipole_rows = np.searchsorted(ctx.source_keys, ctx.m2f_keys)
-    step = _stack_rows(ctx)
-    ctx.local = np.zeros((len(ctx.target_keys), ws.nodal_size), dtype=complex)
-    buffer = np.zeros((min(step, len(local_rows)), ws.fourier_size), dtype=complex)
+    events a stack of target rows at a time (plan.m2l_groups), each
+    stack's in recorded order, into one reused (stack, P^3) buffer, and F2L
+    takes each stack into its rows of local as soon as its last event is
+    done.  The group's block and diagonals are dropped before the next
+    group.  local receives the locals M2L writes (m2l_keys) in their rows
+    of target_keys."""
+    ws, cache = plan.workspace, plan.cache
+    m2l = np.frombuffer(plan.m2l_plan, dtype=np.intc).reshape(-1, 3)
+    local_rows = np.searchsorted(plan.target_keys, plan.m2l_keys)
+    multipole_rows = np.searchsorted(plan.source_keys, plan.m2f_keys)
+    # rows for a full stack, or for all rows if fewer (_blocks)
+    full = next(iter(_blocks(len(local_rows), ws.fourier_size)), slice(0))
+    buffer = np.zeros((len(local_rows[full]), ws.fourier_size), dtype=complex)
     # row views, indexed by the plan's rows: one Python list lookup per
-    # operand instead of a 2-D index; the local of a group's i-th row sums
-    # in buffer row i % step, and only the running group's operands are set
+    # operand instead of a 2-D index; the local of a stack's i-th row sums
+    # in buffer row i, and only the running group's operands are set
     views = list(buffer)
-    accumulators = [views[i] for i in (_ramps(np.diff(t_runs)) % step).tolist()]
+    accumulators = [
+        views[i] for _, _, stacks in plan.m2l_groups for lo, hi, _ in stacks for i in range(hi - lo)
+    ]
     multipoles_hat = [None] * len(multipole_rows)
     diagonals = [None] * cache.n_translations
-    it = iter(ctx.m2l_plan)
+    it = iter(plan.m2l_plan)
     done = 0  # the events of the groups before this one
     m2f = f2l = 0.0
-    for (t_lo, t_hi), (s_lo, s_hi) in zip(pairwise(t_runs), pairwise(s_runs)):
+    for s_lo, s_hi, stacks in plan.m2l_groups:
         t0 = time.perf_counter()
         rows = multipole_rows[s_lo:s_hi]
         hat = np.empty((len(rows), ws.fourier_size), dtype=complex)
         for at in _blocks(len(rows), ws.fourier_size):
-            hat[at] = ws.m2f(ctx.multipole[rows[at]])
+            hat[at] = ws.m2f(multipole[rows[at]])
         m2f += time.perf_counter() - t0
         multipoles_hat[s_lo:s_hi] = hat
-        stacks = _blocks(t_hi - t_lo, ws.fourier_size)
-        stack_counts = list(islice(counts, len(stacks)))
-        entries = np.unique(plan[done : done + sum(stack_counts), 2]).tolist()
-        done += sum(stack_counts)
+        n_events = sum(count for _, _, count in stacks)
+        entries = np.unique(m2l[done : done + n_events, 2]).tolist()
+        done += n_events
         for entry in entries:
             diagonals[entry] = cache.diagonal(entry)
-        for at, count in zip(stacks, stack_counts):
+        for lo, hi, count in stacks:
             events = islice(it, 3 * count)
             for j, row, entry in zip(events, events, events):
                 m2l_hadamard(accumulators[j], multipoles_hat[row], diagonals[entry])
-            dst = local_rows[t_lo:t_hi][at]
-            stack = buffer[: len(dst)]
+            stack = buffer[: hi - lo]
             t0 = time.perf_counter()
-            ctx.local[dst] = ws.f2l(stack)
+            local[local_rows[lo:hi]] = ws.f2l(stack)
             f2l += time.perf_counter() - t0
             stack.fill(0)
         # every M2L of the group has read its multipoles and diagonals
@@ -655,47 +700,40 @@ def _m2l(ctx: _Context) -> tuple:
         for entry in entries:
             diagonals[entry] = None
         del hat
-    ctx.multipole = None
-    n = ctx.n_dirs
-    _log(ctx, "M2L", ctx.m2l_keys[plan[:, 0]] // n, ctx.m2f_keys[plan[:, 1]] // n)
     return m2f, f2l
 
 
-def _p2p(ctx: _Context) -> None:
+def _p2p(plan: FmmPlan, charges: np.ndarray, potentials: np.ndarray) -> None:
     """One direct sum per target cell, against all its near sources.
 
     One stable argsort groups the P2P pairs by target, each target's
     sources in recorded order; the targets go in cell order, so a cell's
     sum comes before its descendants', as in the recorded order."""
-    tt, st = ctx.target_tree, ctx.source_tree
-    p2p = np.frombuffer(ctx.p2p_plan, dtype=np.intc).reshape(-1, 2)
-    _log(ctx, "P2P", p2p[:, 0], p2p[:, 1])
+    tt, st = plan.target_tree, plan.source_tree
+    p2p = np.frombuffer(plan.p2p_plan, dtype=np.intc).reshape(-1, 2)
     ti, si = p2p[np.argsort(p2p[:, 0], kind="stable")].T
     counts = (st.stop - st.start)[si]
-    ctx.n_p2p_pairs += int((tt.stop - tt.start)[ti] @ counts)
     # the source particles of the pairs, in order, and each target's share
     idx = _ramps(counts) + np.repeat(st.start[si], counts)
     heads = np.flatnonzero(np.diff(ti, prepend=-1))
     ends = np.concatenate([[0], np.cumsum(counts)])
     bounds = np.append(ends[heads], ends[-1])
-    tp = ctx.target_pset
-    sp = ctx.source_pset
+    tp, sp = plan.target_pset.positions, plan.source_pset.positions
     for t, lo, hi in zip(ti[heads].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
         at = slice(tt.start[t], tt.stop[t])
-        tp.potentials[at] += direct_sum(
-            ctx.kernel, tp.positions[at], sp.positions[idx[lo:hi]], sp.charges[idx[lo:hi]]
-        )
+        potentials[at] += direct_sum(plan.kernel, tp[at], sp[idx[lo:hi]], charges[idx[lo:hi]])
 
 
-def dtt(ctx: _Context) -> dict:
+def dtt(plan: FmmPlan, charges, multipole, local, potentials) -> dict:
     """Replay blank_dtt's lists: the M2L events with their M2F and F2L,
-    group by group (_m2l), then the P2P pairs (_p2p).  Returns the time of
-    each part in its own bucket: m2f, m2l (the rest of the replay), f2l and
+    group by group, from multipole into local (_m2l), then the P2P pairs
+    from the charges into potentials (_p2p).  Returns the time of each
+    part in its own bucket: m2f, m2l (the rest of the replay), f2l and
     p2p."""
     t0 = time.perf_counter()
-    m2f, f2l = _m2l(ctx)
+    m2f, f2l = _m2l(plan, multipole, local)
     t1 = time.perf_counter()
-    _p2p(ctx)
+    _p2p(plan, charges, potentials)
     return {"m2f": m2f, "m2l": t1 - t0 - m2f - f2l, "f2l": f2l, "p2p": time.perf_counter() - t1}
 
 
@@ -703,15 +741,13 @@ def dtt(ctx: _Context) -> dict:
 # downward pass
 
 
-def _downward(ctx: _Context) -> None:
-    tree = ctx.target_tree
-    for link in ctx.target_links:
-        _translate(ctx, link, up=False)
-    if tree is not ctx.source_tree:  # one tree's passes share its table
-        ctx.table = None  # release the source table first
-        ctx.table = _lagrange_table(ctx.config.order, tree, ctx.target_pset)
-    for row in _leaf_rows(ctx.target_keys, tree, ctx.n_dirs):
-        _l2p_cell(ctx, *row)
+def _downward(plan: FmmPlan, local: np.ndarray, potentials: np.ndarray) -> None:
+    """L2L down the target tree, then L2P of local at each target leaf,
+    added into potentials (in tree order)."""
+    for link in plan.target_links:
+        _translate(plan, link, local, up=False)
+    for row in _leaf_rows(plan.target_keys, plan.target_tree, plan.n_dirs):
+        _l2p_cell(plan, local, potentials, *row)
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +756,28 @@ def _downward(ctx: _Context) -> None:
 
 @dataclass
 class FmmInfo:
-    timings: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
-    hf_max_level: int = -1
+    timings: dict
+    counts: dict
+    hf_max_level: int
+
+
+def plan_fmm(targets: np.ndarray, sources: np.ndarray, config: FmmConfig = FmmConfig()) -> FmmPlan:
+    """Plan the Helmholtz N-body sum of the sources on the targets, for any
+    charges: FmmPlan.apply evaluates it.  When ``targets is sources`` a
+    single tree serves both sides."""
+    t0 = time.perf_counter()
+    same = targets is sources
+    targets = np.atleast_2d(targets)
+    if targets.ndim != 2 or targets.shape[1] != 3 or len(targets) == 0:
+        raise ValueError(f"targets must have shape (m, 3) with m >= 1, not {targets.shape}")
+    if not same:
+        sources = np.atleast_2d(sources)
+        if sources.ndim != 2 or sources.shape[1] != 3 or len(sources) == 0:
+            raise ValueError(f"sources must have shape (n, 3) with n >= 1, not {sources.shape}")
+    box = None if same else compute_root_box(np.vstack([targets, sources]))
+    source = build_tree(sources, config.ncrit, root_box=box)
+    target = source if same else build_tree(targets, config.ncrit, root_box=box)
+    return FmmPlan(config, target, source, tree_s=time.perf_counter() - t0)
 
 
 def run_fmm_full(
@@ -734,57 +789,14 @@ def run_fmm_full(
 ) -> tuple[np.ndarray, FmmInfo]:
     """Evaluate the Helmholtz N-body sum; returns (potentials, run info).
 
-    Potentials come back in the caller's original particle order.  When
-    ``targets is sources`` a single tree serves both sides.
+    One plan (plan_fmm), its event log when ``events`` is given, and one
+    apply.  Potentials come back in the caller's original particle order.
+    When ``targets is sources`` a single tree serves both sides.
     """
-    info = FmmInfo()
-    t_start = time.perf_counter()
-
-    t0 = time.perf_counter()
-    same = targets is sources
-    targets = np.atleast_2d(targets)
-    if targets.ndim != 2 or targets.shape[1] != 3 or len(targets) == 0:
-        raise ValueError(f"targets must have shape (m, 3) with m >= 1, not {targets.shape}")
-    if not same:
-        sources = np.atleast_2d(sources)
-        if sources.ndim != 2 or sources.shape[1] != 3 or len(sources) == 0:
-            raise ValueError(f"sources must have shape (n, 3) with n >= 1, not {sources.shape}")
-    box = None if same else compute_root_box(np.vstack([targets, sources]))
-    source_tree, source_pset = build_tree(sources, charges, config.ncrit, root_box=box)
-    target_tree, target_pset = (source_tree, source_pset) if same else build_tree(
-        targets, np.zeros(len(targets)), config.ncrit, root_box=box
-    )
-    info.timings["tree"] = time.perf_counter() - t0
-
-    # box-relative singularity suppression
-    tol = DEFAULT_SINGULARITY_TOL * source_tree.root_box.side
-    kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=tol)
-    ctx = _Context(config, kernel, target_tree, source_tree, target_pset, source_pset, events)
-    info.hf_max_level = ctx.hf_max_level
-
-    def timed(name: str, step) -> None:
-        t0 = time.perf_counter()
-        step()
-        info.timings[name] = time.perf_counter() - t0
-
-    # each name is looked up when its step runs, so wrappers are timed
-    timed("blank", lambda: (blank_dtt(ctx), _plan_rows(ctx)))
-    timed("upward", lambda: _upward(ctx))
-    info.timings.update(dtt(ctx))  # its m2f, m2l, f2l and p2p buckets
-    timed("downward", lambda: _downward(ctx))
-    info.timings["precompute"] = ctx.precompute_time
-    info.timings["total"] = time.perf_counter() - t_start
-
-    trees = (target_tree,) if same else (target_tree, source_tree)
-    info.counts = {
-        "cells": sum(tree.n_cells for tree in trees),
-        "leaves": sum(tree.n_leaves for tree in trees),
-        "symbols": ctx.cache.n_canonical,
-        "effective_expansions": len(ctx.source_keys),
-        "p2p_pairs": ctx.n_p2p_pairs,
-        "m2l_events": len(ctx.m2l_plan) // 3,
-    }
-    return accumulate_potentials(target_pset), info
+    plan = plan_fmm(targets, sources, config)
+    if events is not None:
+        plan.log(events)
+    return plan.apply(charges)
 
 
 def run_fmm(

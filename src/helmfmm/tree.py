@@ -8,9 +8,11 @@ coordinates, number of sons and first son (the sons of a cell are
 consecutive cells), and the level offsets, the cells of level l being
 offsets[l]:offsets[l + 1].  The leaves are the cells with n_sons 0, and the
 cell with coordinates c at level l spans root_box.lower + c * side_at(l)
-to root_box.lower + (c + 1) * side_at(l).  The traversal module plans and
-evaluates on these arrays only, and keeps the expansions in per-solve
-arrays of its own.
+to root_box.lower + (c + 1) * side_at(l).  The tree knows positions only:
+the traversal module plans on these arrays, and keeps the charges, the
+expansions and the potentials in per-apply arrays of its own, the charges
+and potentials in tree order, mapped from and to the caller's order by
+ParticleSet.original_index.
 
 ``Cell`` is a read-only view of one cell, with its sons, for the event log:
 the tree builds all of them once, on the first access to ``levels`` or
@@ -25,7 +27,7 @@ import numpy as np
 
 from .geometry import MAX_MORTON_DEPTH, BoundingBox, compute_root_box, morton_encode_many
 
-__all__ = ["ParticleSet", "Cell", "ClusterTree", "build_tree", "accumulate_potentials"]
+__all__ = ["ParticleSet", "Cell", "ClusterTree", "build_tree"]
 
 SQRT3 = float(np.sqrt(3.0))
 
@@ -41,8 +43,6 @@ class ParticleSet:
     """Structure-of-arrays particle storage in Morton-sorted order."""
 
     positions: np.ndarray  # (n, 3) float
-    charges: np.ndarray  # (n,) complex
-    potentials: np.ndarray  # (n,) complex, accumulated in place
     original_index: np.ndarray  # sorted index -> input index
 
 
@@ -119,11 +119,10 @@ class ClusterTree:
 
 def build_tree(
     points: np.ndarray,
-    charges: np.ndarray,
     ncrit: int = 64,
     root_box: BoundingBox | None = None,
 ) -> tuple[ClusterTree, ParticleSet]:
-    """Build the octree and the consistently permuted particle arrays.
+    """Build the octree and the particles' positions in its sorted order.
 
     Each particle is quantised to integer coordinates at depth
     ``MAX_MORTON_DEPTH`` and the particles are sorted once by their Morton
@@ -137,17 +136,10 @@ def build_tree(
     ``root_box``, when given, must contain every particle.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    charges = np.asarray(charges, dtype=complex)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
         raise ValueError(f"points must have shape (n, 3) with n >= 1, not {points.shape}")
-    if charges.ndim != 1:
-        raise ValueError(f"charges must have shape (n,), not {charges.shape}")
-    if points.shape[0] != charges.shape[0]:
-        raise ValueError("points and charges length mismatch")
     if not np.all(np.isfinite(points)):
         raise ValueError("particle coordinates must be finite")
-    if not np.all(np.isfinite(charges)):
-        raise ValueError("charges must be finite")
     if root_box is None:
         root_box = compute_root_box(points)
     elif not np.all(root_box.contains(points)):
@@ -199,17 +191,4 @@ def build_tree(
         first_son=(np.cumsum(n_sons) - n_sons + 1).astype(np.int32),
         offsets=offsets,
     )
-    pset = ParticleSet(
-        positions=points[perm],
-        charges=charges[perm],
-        potentials=np.zeros(n, dtype=complex),
-        original_index=perm,
-    )
-    return tree, pset
-
-
-def accumulate_potentials(pset: ParticleSet) -> np.ndarray:
-    """Potentials permuted back to the caller's original particle order."""
-    out = np.empty_like(pset.potentials)
-    out[pset.original_index] = pset.potentials
-    return out
+    return tree, ParticleSet(positions=points[perm], original_index=perm)

@@ -18,3 +18,10 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_the_plan_and_apply_api_is_exported():
+    """A solve is plan_fmm(targets, sources, config), then plan.apply(charges)."""
+    assert {"plan_fmm", "run_fmm_full"} <= set(helmfmm.__all__)
+    assert helmfmm.plan_fmm is helmfmm.traversal.plan_fmm
+    assert "FmmPlan" in helmfmm.traversal.__all__

@@ -79,5 +79,5 @@ def test_morton_order_refines_with_depth():
 def test_sort_is_stable_for_coincident_points():
     pts = np.tile([0.25, 0.25, 0.25], (10, 1))
     box = BoundingBox(center=np.array([0.5, 0.5, 0.5]), half_width=0.5)
-    _, pset = build_tree(pts, np.ones(10), ncrit=4, root_box=box)
+    _, pset = build_tree(pts, ncrit=4, root_box=box)
     assert np.array_equal(pset.original_index, np.arange(10))

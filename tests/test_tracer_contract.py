@@ -139,6 +139,9 @@ def test_tracer_finds_and_measures_everything(monkeypatch, problem):
     tracer.check(metrics, info)
     assert {"upward", "m2f", "f2l", "downward"} <= set(info.timings)
     assert set(metrics) | WORKER_METRICS == _per_layer_names()
+    # one plan per solve: one blank pass, and one replay of its lists
+    assert metrics["traversal.blank_visits"] == 1
+    assert metrics["traversal.dtt_visits"] == 1
     # the tree counts, read through the Cell views, are the arrays' counts
     assert metrics["tree.cells"] == info.counts["cells"]
     assert metrics["tree.leaves"] == info.counts["leaves"]

@@ -18,19 +18,18 @@ from helmfmm.tree import Cell, build_tree, cell_radius
 from helmfmm.traversal import (
     HF_SWITCH,
     FmmConfig,
-    _Context,
+    FmmPlan,
     _distance,
     _downward,
     _l2p_cell,
     _lagrange_table,
     _p2m_cell,
-    _plan_rows,
     _leaf_rows,
     _upward,
     _waves,
     admissible,
-    blank_dtt,
     dtt,
+    plan_fmm,
     run_fmm,
     run_fmm_full,
 )
@@ -46,6 +45,34 @@ def _side(level):
 def _reference(points, charges, kappa, box_side=1.0):
     ker = HelmholtzKernel(kappa=kappa, singularity_tol=1e-12 * box_side)
     return direct_sum(ker, points, points, charges)
+
+
+def _recorded(build):
+    """The plan build() makes, and its M2L list as blank_dtt recorded it:
+    (target cell, source cell, entry) rows, before _plan_rows rewrote them
+    in place."""
+    recorded = []
+    plan_rows = traversal._plan_rows
+
+    def keep(plan):
+        recorded.append(np.frombuffer(plan.m2l_plan, dtype=np.intc).reshape(-1, 3).copy())
+        plan_rows(plan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traversal, "_plan_rows", keep)
+        plan = build()
+    return plan, recorded[0]
+
+
+def _arrays(plan):
+    """Zeroed per-apply arrays of a plan, as apply allocates them: the
+    multipoles, the locals and the potentials."""
+    size = plan.workspace.nodal_size
+    return (
+        np.zeros((len(plan.source_keys), size), dtype=complex),
+        np.zeros((len(plan.target_keys), size), dtype=complex),
+        np.zeros(len(plan.target_pset.positions), dtype=complex),
+    )
 
 
 def test_cell_distance_values():
@@ -186,13 +213,12 @@ def _low_frequency_gaps(eta):
     """The squared gap sums of the low-frequency M2L translations planned on
     a sphere at kappa = 8, which has high- and low-frequency levels."""
     sources = generate_distribution(Distribution("sphere", 1000))
-    ctx = _planning_context(sources, sources, FmmConfig(order=3, ncrit=8, kappa=8.0, eta=eta))
-    blank_dtt(ctx)
-    plan = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
-    lf = ctx.target_tree.cell_levels()[plan[:, 0]] > ctx.hf_max_level
-    assert ctx.hf_max_level >= 0 and lf.any()
-    tt, st = ctx.target_tree, ctx.source_tree
-    tvecs = tt.coords[plan[lf, 0]].astype(np.int64) - st.coords[plan[lf, 1]]
+    config = FmmConfig(order=3, ncrit=8, kappa=8.0, eta=eta)
+    plan, cells = _recorded(lambda: plan_fmm(sources, sources, config))
+    lf = plan.target_tree.cell_levels()[cells[:, 0]] > plan.hf_max_level
+    assert plan.hf_max_level >= 0 and lf.any()
+    tt, st = plan.target_tree, plan.source_tree
+    tvecs = tt.coords[cells[lf, 0]].astype(np.int64) - st.coords[cells[lf, 1]]
     return (np.maximum(np.abs(tvecs) - 1, 0) ** 2).sum(axis=1)
 
 
@@ -242,68 +268,63 @@ def _two_cluster_problem():
 
 
 def test_hf_regime_levels():
-    pts, q = _two_cluster_problem()
-    tree, pset = build_tree(pts, q, ncrit=10, root_box=UNIT_BOX)
-    config = FmmConfig(order=4, ncrit=10, kappa=10.0)
-    kernel = HelmholtzKernel(kappa=10.0, singularity_tol=1e-14)
-    ctx = _Context(config, kernel, tree, tree, pset, pset)
+    _, plan = _two_cluster_plan(10.0)
     # kappa * w crosses the switch between levels 2 and 3
-    assert ctx.hf_max_level == 2
-    assert ctx.is_hf(2) and not ctx.is_hf(3)
-    assert ctx.refinement(2) == 0 and ctx.refinement(1) == 1
-    assert ctx.dirs.count(0) == 6
+    assert plan.hf_max_level == 2
+    assert plan.is_hf(2) and not plan.is_hf(3)
+    assert plan.refinement(2) == 0 and plan.refinement(1) == 1
+    assert plan.dirs.count(0) == 6
 
 
-def _context(kappa, ncrit=10, eta=1.0):
-    pts, q = _two_cluster_problem()
-    tree, pset = build_tree(pts, q, ncrit=ncrit, root_box=UNIT_BOX)
+def _two_cluster_plan(kappa, ncrit=10, eta=1.0, build=lambda make: make()):
+    """The tree of the two clusters under UNIT_BOX, and the plan made from
+    it, through build (see _recorded)."""
+    pts, _ = _two_cluster_problem()
+    pair = build_tree(pts, ncrit=ncrit, root_box=UNIT_BOX)
     config = FmmConfig(order=4, ncrit=ncrit, eta=eta, kappa=kappa)
-    kernel = HelmholtzKernel(kappa=kappa, singularity_tol=1e-14)
-    return tree, _Context(config, kernel, tree, tree, pset, pset)
+    return pair[0], build(lambda: FmmPlan(config, pair, pair))
 
 
-def _directions_of(ctx, keys, cell):
+def _directions_of(plan, keys, cell):
     """Direction indices of the cell's expansions among the sorted keys."""
-    n = ctx.n_dirs
+    n = plan.n_dirs
     return [int(k) % n for k in keys if k // n == cell.index]
 
 
 def test_deepest_hf_level_refined_by_kappa_w():
     # kappa * w^2 = 0.75 exceeds the level-2 gap 0.5; eta = 2 admits the pair
-    tree, ctx = _context(16.0, eta=2.0)
+    tree, plan = _two_cluster_plan(16.0, eta=2.0)
     # kappa * w = 3.46 at level 2 and 1.73 at level 3
-    assert ctx.hf_max_level == 2
-    assert ctx.refinement(2) == 1
-    assert ctx.dirs.count(1) == 24
-    blank_dtt(ctx)
-    _plan_rows(ctx)
+    assert plan.hf_max_level == 2
+    assert plan.refinement(2) == 1
+    assert plan.dirs.count(1) == 24
     left = {tuple(c.coords): c for c in tree.levels[2]}[(0, 0, 0)]
-    for keys in (ctx.source_keys, ctx.target_keys):
+    for keys in (plan.source_keys, plan.target_keys):
         # the level-2 expansions are directional, at refinement 1
-        assert _directions_of(ctx, keys, left)
-        assert all(d < ctx.dirs.count(1) for d in _directions_of(ctx, keys, left))
+        assert _directions_of(plan, keys, left)
+        assert all(d < plan.dirs.count(1) for d in _directions_of(plan, keys, left))
         # the sons are low-frequency: each takes the one direction-free expansion
-        assert all(_directions_of(ctx, keys, son) == [0] for son in left.sons)
+        assert all(_directions_of(plan, keys, son) == [0] for son in left.sons)
 
 
 @pytest.mark.parametrize("kappa", [10.0, 16.0, 40.0])
 def test_refinement_steps_by_one_per_hf_level(kappa):
-    _, ctx = _context(kappa)
-    assert ctx.dirs.max_refinement == ctx.refinement(0)
-    for level in range(ctx.hf_max_level):
-        assert ctx.refinement(level) == ctx.refinement(level + 1) + 1
-    for level in range(ctx.hf_max_level + 1):
+    _, plan = _two_cluster_plan(kappa)
+    assert plan.dirs.max_refinement == plan.refinement(0)
+    for level in range(plan.hf_max_level):
+        assert plan.refinement(level) == plan.refinement(level + 1) + 1
+    for level in range(plan.hf_max_level + 1):
         kw = kappa * np.sqrt(3.0) / 2.0 / (1 << level)
-        e = ctx.refinement(level)
+        e = plan.refinement(level)
         # refinement e halves the cone aperture e times: it tracks kappa * w
         assert 2.0 ** (e - 0.5) <= kw / HF_SWITCH < 2.0 ** (e + 0.5)
 
 
 def test_shallow_tree_refines_leaves_by_kappa_w():
-    tree, ctx = _context(20.0, ncrit=25)
+    tree, plan = _two_cluster_plan(20.0, ncrit=25)
     # each cluster fits one level-1 leaf, where kappa * w = 8.66
-    assert tree.depth == 1 and ctx.hf_max_level == 1
-    assert ctx.refinement(1) == 2 and ctx.refinement(0) == 3
+    assert tree.depth == 1 and plan.hf_max_level == 1
+    assert plan.refinement(1) == 2 and plan.refinement(0) == 3
 
 
 @pytest.mark.parametrize(
@@ -318,21 +339,21 @@ def test_direction_tables_per_level(kappa, regimes):
     """units[level] is the one zero row at a low-frequency level and the
     level's direction set at a high-frequency one; hand_down[level] is each
     index's father direction where level + 1 is high-frequency, else 0."""
-    tree, ctx = _context(kappa)
-    assert len(ctx.units) == len(ctx.hand_down) == tree.depth + 1
+    tree, plan = _two_cluster_plan(kappa)
+    assert len(plan.units) == len(plan.hand_down) == tree.depth + 1
     pairs = set()
-    for level, (units, hand) in enumerate(zip(ctx.units, ctx.hand_down)):
-        if ctx.is_hf(level):
-            assert np.array_equal(units, ctx.dirs.levels[ctx.refinement(level)])
+    for level, (units, hand) in enumerate(zip(plan.units, plan.hand_down)):
+        if plan.is_hf(level):
+            assert np.array_equal(units, plan.dirs.levels[plan.refinement(level)])
         else:
             assert units.tolist() == [[0.0, 0.0, 0.0]]
-        if ctx.is_hf(level + 1):
-            e = ctx.refinement(level)
-            expected = [father_direction(ctx.dirs, e, d) for d in range(len(units))]
+        if plan.is_hf(level + 1):
+            e = plan.refinement(level)
+            expected = [father_direction(plan.dirs, e, d) for d in range(len(units))]
         else:
             expected = [0] * len(units)
         assert hand.tolist() == expected
-        pairs.add((ctx.is_hf(level), ctx.is_hf(level + 1)))
+        pairs.add((plan.is_hf(level), plan.is_hf(level + 1)))
     # the (father, son) regimes the tables were checked on
     assert pairs == regimes
 
@@ -345,77 +366,62 @@ def _below(cell):
 
 
 def test_kappa_zero_has_no_hf_levels():
-    pts, q = _two_cluster_problem()
-    tree, pset = build_tree(pts, q, ncrit=10, root_box=UNIT_BOX)
-    config = FmmConfig(order=4, ncrit=10, kappa=0.0)
-    kernel = HelmholtzKernel(kappa=0.0, singularity_tol=1e-14)
-    ctx = _Context(config, kernel, tree, tree, pset, pset)
-    assert ctx.hf_max_level == -1
-    assert ctx.dirs is None
-    blank_dtt(ctx)
-    it = iter(ctx.m2l_plan)
-    plan = list(zip(it, it, it))
-    _plan_rows(ctx)
+    tree, (plan, recorded) = _two_cluster_plan(0.0, build=_recorded)
+    assert plan.hf_max_level == -1
+    assert plan.dirs is None
+    triplets = recorded.tolist()
     # no directions: one expansion per cell, in every cell M2L reads or
     # writes and below it
-    assert ctx.n_dirs == 1
+    assert plan.n_dirs == 1
     cells = tree.cells
-    sources = {i for _, si, _ in plan for i in _below(cells[si])}
-    targets = {i for ti, _, _ in plan for i in _below(cells[ti])}
-    assert ctx.source_keys.tolist() == sorted(sources)
-    assert ctx.target_keys.tolist() == sorted(targets)
-    assert ctx.m2l_keys.tolist() == sorted({ti for ti, _, _ in plan})
+    sources = {i for _, si, _ in triplets for i in _below(cells[si])}
+    targets = {i for ti, _, _ in triplets for i in _below(cells[ti])}
+    assert plan.source_keys.tolist() == sorted(sources)
+    assert plan.target_keys.tolist() == sorted(targets)
+    assert plan.m2l_keys.tolist() == sorted({ti for ti, _, _ in triplets})
 
 
-def _axis_directions(ctx, keys, cell):
+def _axis_directions(plan, keys, cell):
     """x components of the unit directions of the cell's expansions."""
-    return {ctx.dirs.levels[0][d][0] for d in _directions_of(ctx, keys, cell)}
+    return {plan.dirs.levels[0][d][0] for d in _directions_of(plan, keys, cell)}
 
 
 def test_blank_pass_marks_axis_direction():
-    pts, q = _two_cluster_problem()
-    tree, pset = build_tree(pts, q, ncrit=10, root_box=UNIT_BOX)
-    config = FmmConfig(order=4, ncrit=10, kappa=10.0)
-    kernel = HelmholtzKernel(kappa=10.0, singularity_tol=1e-14)
-    ctx = _Context(config, kernel, tree, tree, pset, pset)
-    blank_dtt(ctx)
-    _plan_rows(ctx)
+    tree, plan = _two_cluster_plan(10.0)
 
     cells = {tuple(c.coords): c for c in tree.levels[2]}
     left = cells[(0, 0, 0)]
     right = cells[(3, 0, 0)]
     # the pair is seen in both orders, so both +x and -x appear, at
     # refinement 0: each is an axis direction
-    both = _axis_directions(ctx, ctx.source_keys, left) | _axis_directions(
-        ctx, ctx.target_keys, left
+    both = _axis_directions(plan, plan.source_keys, left) | _axis_directions(
+        plan, plan.target_keys, left
     )
     assert both == {1.0, -1.0}
     for cell in (left, right):
-        for keys in (ctx.source_keys, ctx.target_keys):
+        for keys in (plan.source_keys, plan.target_keys):
             assert all(
-                np.abs(ctx.dirs.levels[0][d]).max() == 1.0 for d in _directions_of(ctx, keys, cell)
+                np.abs(plan.dirs.levels[0][d]).max() == 1.0 for d in _directions_of(plan, keys, cell)
             )
     # the cached symbols carry the tagged directions
-    assert ctx.cache.n_translations == 2
+    assert plan.cache.n_translations == 2
     # refinement-0 directions have no father to hand down: the low-frequency
     # sons take the direction-free expansion only
     for son in left.sons:
-        assert _directions_of(ctx, ctx.source_keys, son) == [0]
-        assert _directions_of(ctx, ctx.target_keys, son) == [0]
+        assert _directions_of(plan, plan.source_keys, son) == [0]
+        assert _directions_of(plan, plan.target_keys, son) == [0]
 
 
 def test_each_side_builds_only_the_directions_it_uses():
-    tree, ctx = _context(10.0)
-    blank_dtt(ctx)
-    _plan_rows(ctx)
+    tree, plan = _two_cluster_plan(10.0)
     cells = {tuple(c.coords): c for c in tree.levels[2]}
     left, right = cells[(0, 0, 0)], cells[(3, 0, 0)]
     # M2L into the right cell reads the left multipole along +x, and M2L
     # into the left cell reads the right multipole along -x
-    assert _axis_directions(ctx, ctx.source_keys, left) == {1.0}
-    assert _axis_directions(ctx, ctx.target_keys, left) == {-1.0}
-    assert _axis_directions(ctx, ctx.source_keys, right) == {-1.0}
-    assert _axis_directions(ctx, ctx.target_keys, right) == {1.0}
+    assert _axis_directions(plan, plan.source_keys, left) == {1.0}
+    assert _axis_directions(plan, plan.target_keys, left) == {-1.0}
+    assert _axis_directions(plan, plan.source_keys, right) == {-1.0}
+    assert _axis_directions(plan, plan.target_keys, right) == {1.0}
 
 
 def _refinement(config, side):
@@ -430,10 +436,8 @@ def test_effective_expansions_are_those_m2l_and_m2m_read():
     config = FmmConfig(order=3, ncrit=8, kappa=20.0)
     events = []
     _, info = run_fmm_full(pts, pts, q, config, events=events)
-    tree, _ = build_tree(pts, q, config.ncrit)
-    dirs = _Context(
-        config, HelmholtzKernel(kappa=config.kappa), tree, tree, None, None
-    ).dirs
+    plan = plan_fmm(pts, pts, config)
+    tree, dirs = plan.source_tree, plan.dirs
     hf = info.hf_max_level
 
     def direction(t, s):
@@ -464,25 +468,19 @@ def test_effective_expansions_are_those_m2l_and_m2m_read():
 
 
 def _planned(kappa):
-    tree, ctx = _context(kappa, eta=2.0)
-    blank_dtt(ctx)
-    _plan_rows(ctx)
-    return ctx
+    return _two_cluster_plan(kappa, eta=2.0)[1]
 
 
 def _planned_sphere_and_plane():
-    """A planned two-tree solve at kappa = 20 whose directional M2L lies
-    above the deepest high-frequency level."""
+    """A two-tree plan at kappa = 20 whose directional M2L lies above the
+    deepest high-frequency level."""
     sources = generate_distribution(Distribution("sphere", 1000))
     targets = sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
-    ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=8, kappa=20.0))
-    blank_dtt(ctx)
-    _plan_rows(ctx)
-    return ctx
+    return plan_fmm(targets, sources, FmmConfig(order=3, ncrit=8, kappa=20.0))
 
 
 @pytest.mark.parametrize(
-    "plan, regimes",
+    "planned, regimes",
     [
         (lambda: _planned(0.0), {(False, False)}),
         (lambda: _planned(16.0), {(True, False)}),
@@ -490,30 +488,30 @@ def _planned_sphere_and_plane():
     ],
     ids=["0.0", "16.0", "sphere-plane"],
 )
-def test_son_links_follow_the_hand_down_rule(plan, regimes):
+def test_son_links_follow_the_hand_down_rule(planned, regimes):
     """Each side's son links are one per (father row, son), fathers
     row-major and each father's sons in Morton order: the link's son row
     holds the son's key son.index * n_dirs + its handed-down direction
     (the father direction's father_direction where the son is
     high-frequency, else 0), and its octant code is
     (son.coords - 2 * father.coords) @ (4, 2, 1)."""
-    ctx = plan()
-    n = ctx.n_dirs
+    plan = planned()
+    n = plan.n_dirs
     seen = set()
     for tree, keys, links in (
-        (ctx.source_tree, ctx.source_keys, ctx.source_links),
-        (ctx.target_tree, ctx.target_keys, ctx.target_links),
+        (plan.source_tree, plan.source_keys, plan.source_links),
+        (plan.target_tree, plan.target_keys, plan.target_links),
     ):
         cells = tree.cells
         expected = []
         for row, key in enumerate(keys.tolist()):
             father, d = cells[key // n], key % n
             for son in father.sons:
-                son_hf = ctx.is_hf(son.level)
-                sd = father_direction(ctx.dirs, ctx.refinement(father.level), d) if son_hf else 0
+                son_hf = plan.is_hf(son.level)
+                sd = father_direction(plan.dirs, plan.refinement(father.level), d) if son_hf else 0
                 code = int((son.coords - 2 * father.coords) @ (4, 2, 1))
                 expected.append((father.level, row, son.index, son.index * n + sd, code))
-                seen.add((ctx.is_hf(father.level), son_hf))
+                seen.add((plan.is_hf(father.level), son_hf))
         got = [
             (level, f, s, int(keys[r]), o)
             for level, *columns in links
@@ -526,39 +524,43 @@ def test_son_links_follow_the_hand_down_rule(plan, regimes):
     assert seen == regimes
 
 
-def _son_key(ctx, tree, keys):
+def _son_key(plan, tree, keys):
     """Key of the first son expansion that a cell's M2M reads or L2L writes."""
-    n = ctx.n_dirs
+    n = plan.n_dirs
     cells = tree.cells
     key = next(int(k) for k in keys if cells[k // n].sons)
     father, d = cells[key // n], key % n
-    son_hf = ctx.is_hf(father.level + 1)
-    sd = father_direction(ctx.dirs, ctx.refinement(father.level), d) if son_hf else 0
+    son_hf = plan.is_hf(father.level + 1)
+    sd = father_direction(plan.dirs, plan.refinement(father.level), d) if son_hf else 0
     return father.sons[0].index * n + sd
 
 
 @pytest.mark.parametrize("kappa", [0.0, 16.0])
 def test_upward_pass_fails_on_a_missing_son_multipole(kappa):
-    ctx = _planned(kappa)
-    tree = ctx.source_tree
-    victim = _son_key(ctx, tree, ctx.source_keys)
-    assert victim in ctx.source_keys
-    ctx.source_keys = ctx.source_keys[ctx.source_keys != victim]
+    plan = _planned(kappa)
+    tree = plan.source_tree
+    victim = _son_key(plan, tree, plan.source_keys)
+    assert victim in plan.source_keys
+    plan.source_keys = plan.source_keys[plan.source_keys != victim]
+    multipole, _, _ = _arrays(plan)
     with pytest.raises(RuntimeError, match="missing son expansion"):
-        _upward(ctx)
+        _upward(plan, np.ones(len(plan.source_pset.positions), dtype=complex), multipole)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 16.0])
 def test_downward_pass_fails_on_a_missing_son_local(kappa):
-    ctx = _planned(kappa)
-    tree = ctx.target_tree
-    _upward(ctx)
-    victim = _son_key(ctx, tree, ctx.target_keys)
-    assert victim in ctx.target_keys and victim not in ctx.m2l_keys
-    ctx.target_keys = ctx.target_keys[ctx.target_keys != victim]
-    dtt(ctx)
+    plan = _planned(kappa)
+    tree = plan.target_tree
+    q = np.ones(len(plan.source_pset.positions), dtype=complex)
+    multipole, _, potentials = _arrays(plan)
+    _upward(plan, q, multipole)
+    victim = _son_key(plan, tree, plan.target_keys)
+    assert victim in plan.target_keys and victim not in plan.m2l_keys
+    plan.target_keys = plan.target_keys[plan.target_keys != victim]
+    _, local, _ = _arrays(plan)
+    dtt(plan, q, multipole, local, potentials)
     with pytest.raises(RuntimeError, match="missing son expansion"):
-        _downward(ctx)
+        _downward(plan, local, potentials)
 
 
 @pytest.mark.parametrize("spread", [3, 1000])
@@ -572,21 +574,21 @@ def test_distinct_translations_match_numpy_unique(spread):
     assert np.array_equal(inverse, ref_inverse.reshape(-1))
 
 
-def _recursive_plan(ctx):
+def _recursive_plan(plan):
     """The interaction lists of the recursive dual tree traversal, per
     level: M2L as (target, source, diagonal, direction), P2P as (target,
     source), with symbols from a cache of its own."""
-    cache = SymbolCache(ctx.kernel, ctx.config.order, ctx.target_tree.root_box.side)
-    config = ctx.config
+    cache = SymbolCache(plan.kernel, plan.config.order, plan.target_tree.root_box.side)
+    config = plan.config
     m2l, p2p = {}, {}
 
     def visit(t, s):
         tvec = t.coords - s.coords
-        hf = ctx.is_hf(t.level)
-        side = ctx.target_tree.side_at(t.level)
+        hf = plan.is_hf(t.level)
+        side = plan.target_tree.side_at(t.level)
         if admissible(tvec, side, config.kappa if hf else None, config.eta):
             unit = tvec / np.linalg.norm(tvec)
-            d = nearest_direction(ctx.dirs, ctx.refinement(t.level), unit[None])[0] if hf else 0
+            d = nearest_direction(plan.dirs, plan.refinement(t.level), unit[None])[0] if hf else 0
             diagonal = cache.diagonal(cache.get(t.level, tvec[None])[0])
             m2l.setdefault(t.level, []).append((t.index, s.index, diagonal, d))
         elif t.is_leaf or s.is_leaf:
@@ -596,33 +598,20 @@ def _recursive_plan(ctx):
                 for s2 in s.sons:
                     visit(t2, s2)
 
-    visit(ctx.target_tree.cells[0], ctx.source_tree.cells[0])
+    visit(plan.target_tree.cells[0], plan.source_tree.cells[0])
     return m2l, p2p
 
 
-def _planning_context(targets, sources, config, q=None):
-    """A solve's context, its trees built on the box of both clouds."""
-    same = targets is sources
-    box = compute_root_box(sources if same else np.vstack([targets, sources]))
-    q = np.ones(len(sources)) if q is None else q
-    stree, spset = build_tree(sources, q, config.ncrit, root_box=box)
-    ttree, tpset = (stree, spset) if same else build_tree(
-        targets, np.zeros(len(targets)), config.ncrit, root_box=box
-    )
-    kernel = HelmholtzKernel(kappa=config.kappa, singularity_tol=1e-12 * box.side)
-    return _Context(config, kernel, ttree, stree, tpset, spset)
-
-
-def _assert_planned_as_the_recursion(ctx):
+def _assert_planned_as_the_recursion(targets, sources, config):
     """blank_dtt's lists, level by level and in order, are the recursion's,
-    each M2L with the same diagonal and direction; returns the P2P pairs."""
-    m2l, p2p = _recursive_plan(ctx)
-    blank_dtt(ctx)
-    cells = ctx.target_tree.cells
+    each M2L with the same diagonal and direction; returns the plan and its
+    P2P pairs."""
+    plan, recorded = _recorded(lambda: plan_fmm(targets, sources, config))
+    m2l, p2p = _recursive_plan(plan)
+    cells = plan.target_tree.cells
     planned = {}
-    it = iter(ctx.m2l_plan)
-    for t, s, entry in zip(it, it, it):
-        diagonal, d = ctx.cache.diagonal(entry), ctx.cache.directions[entry]
+    for t, s, entry in recorded.tolist():
+        diagonal, d = plan.cache.diagonal(entry), plan.cache.directions[entry]
         planned.setdefault(cells[t].level, []).append((t, s, diagonal, d))
     assert planned.keys() == m2l.keys()
     for level, ref in m2l.items():
@@ -630,11 +619,11 @@ def _assert_planned_as_the_recursion(ctx):
         assert [(t, s, d) for t, s, _, d in got] == [(t, s, d) for t, s, _, d in ref]
         assert all(np.array_equal(a[2], b[2]) for a, b in zip(got, ref))
     pairs = {}
-    it = iter(ctx.p2p_plan)
+    it = iter(plan.p2p_plan)
     for t, s in zip(it, it):
         pairs.setdefault(cells[t].level, []).append((t, s))
     assert pairs == p2p
-    return [pair for level in pairs.values() for pair in level]
+    return plan, [pair for level in pairs.values() for pair in level]
 
 
 @pytest.mark.parametrize("chunk", [None, 97])
@@ -642,9 +631,8 @@ def test_plan_matches_the_recursion_on_a_laplace_cube(monkeypatch, chunk):
     if chunk:  # levels taken in many slices
         monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", chunk)
     pts = generate_distribution(Distribution("uniform-cube", 2000, 3))
-    ctx = _planning_context(pts, pts, FmmConfig(order=3, ncrit=16, kappa=0.0))
-    assert ctx.hf_max_level == -1 and ctx.target_tree.depth >= 3
-    _assert_planned_as_the_recursion(ctx)
+    plan, _ = _assert_planned_as_the_recursion(pts, pts, FmmConfig(order=3, ncrit=16, kappa=0.0))
+    assert plan.hf_max_level == -1 and plan.target_tree.depth >= 3
 
 
 @pytest.mark.parametrize("chunk", [None, 97])
@@ -652,17 +640,16 @@ def test_plan_matches_the_recursion_on_a_directional_sphere(monkeypatch, chunk):
     if chunk:
         monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", chunk)
     pts = generate_distribution(Distribution("sphere", 1000))
-    ctx = _planning_context(pts, pts, FmmConfig(order=3, ncrit=8, kappa=20.0))
-    assert ctx.hf_max_level >= 2 and ctx.refinement(0) > ctx.refinement(ctx.hf_max_level)
-    _assert_planned_as_the_recursion(ctx)
+    plan, _ = _assert_planned_as_the_recursion(pts, pts, FmmConfig(order=3, ncrit=8, kappa=20.0))
+    assert plan.hf_max_level >= 2 and plan.refinement(0) > plan.refinement(plan.hf_max_level)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 6.0])
 def test_plan_matches_the_recursion_on_two_trees(kappa):
     targets, sources, _ = _plane_over_cloud()
-    ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=16, kappa=kappa))
-    pairs = _assert_planned_as_the_recursion(ctx)
-    tcells, scells = ctx.target_tree.cells, ctx.source_tree.cells
+    config = FmmConfig(order=3, ncrit=16, kappa=kappa)
+    plan, pairs = _assert_planned_as_the_recursion(targets, sources, config)
+    tcells, scells = plan.target_tree.cells, plan.source_tree.cells
     assert any(not (tcells[t].is_leaf and scells[s].is_leaf) for t, s in pairs)
 
 
@@ -671,7 +658,7 @@ def test_plan_matches_the_recursion_on_two_trees(kappa):
 def test_plan_matches_the_recursion_on_degenerate_clouds(points, ncrit, kappa_d):
     side = compute_root_box(points).side
     config = FmmConfig(order=3, ncrit=ncrit, kappa=kappa_d / side)
-    _assert_planned_as_the_recursion(_planning_context(points, points, config))
+    _assert_planned_as_the_recursion(points, points, config)
 
 
 def _counting(monkeypatch, name, seen):
@@ -803,16 +790,16 @@ def test_fourier_transforms_take_one_group_at_a_time(monkeypatch, same, kappa):
     n_canonical diagonals of P^3 complex values each, and no other array."""
     sources = generate_distribution(Distribution("sphere", 1000))
     targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
-    ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=8, kappa=kappa))
-    size = ctx.workspace.fourier_size
+    size = FourierWorkspace(3).fourier_size
     step = 4  # stacks of four rows cut the larger groups in several
     monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", step * size)
-    blank_dtt(ctx)
-    _plan_rows(ctx)
-    _upward(ctx)
+    plan = plan_fmm(targets, sources, FmmConfig(order=3, ncrit=8, kappa=kappa))
+    q = np.ones(len(sources), dtype=complex)
+    multipole, local, potentials = _arrays(plan)
+    _upward(plan, q, multipole)
     # each multipole holds its row of source_keys, so an m2f stack names its
     # rows; each f2l call marks the locals it writes with its call number
-    ctx.multipole[:] = np.arange(len(ctx.source_keys))[:, None]
+    multipole[:] = np.arange(len(plan.source_keys))[:, None]
     m2f_rows, f2l_calls = [], []
     m2f = FourierWorkspace.m2f
 
@@ -826,20 +813,20 @@ def test_fourier_transforms_take_one_group_at_a_time(monkeypatch, same, kappa):
 
     monkeypatch.setattr(FourierWorkspace, "m2f", record)
     monkeypatch.setattr(FourierWorkspace, "f2l", mark)
-    dtt(ctx)
-    n = ctx.n_dirs
+    dtt(plan, q, multipole, local, potentials)
+    n = plan.n_dirs
 
     def group(tree, key):
         return tree.cells[key // n].level, key % n
 
-    read = [[group(ctx.source_tree, ctx.source_keys[r]) for r in rows] for rows in m2f_rows]
+    read = [[group(plan.source_tree, plan.source_keys[r]) for r in rows] for rows in m2f_rows]
     written = {}  # f2l call -> the groups of the locals it wrote
-    for key, row in zip(ctx.m2l_keys.tolist(), np.searchsorted(ctx.target_keys, ctx.m2l_keys)):
-        call = int(ctx.local[row, 0].real)
-        written.setdefault(call, []).append(group(ctx.target_tree, key))
+    for key, row in zip(plan.m2l_keys.tolist(), np.searchsorted(plan.target_keys, plan.m2l_keys)):
+        call = int(local[row, 0].real)
+        written.setdefault(call, []).append(group(plan.target_tree, key))
     assert sorted(written) == list(range(1, len(f2l_calls) + 1))
     assert [len(written[call]) for call in sorted(written)] == f2l_calls
-    sides = ((read, ctx.source_tree, ctx.m2f_keys), (written.values(), ctx.target_tree, ctx.m2l_keys))
+    sides = ((read, plan.source_tree, plan.m2f_keys), (written.values(), plan.target_tree, plan.m2l_keys))
     for calls, tree, keys in sides:
         assert all(len(set(groups)) == 1 and len(groups) <= step for groups in calls)
         sizes = Counter(group(tree, k) for k in keys.tolist())
@@ -847,9 +834,9 @@ def test_fourier_transforms_take_one_group_at_a_time(monkeypatch, same, kappa):
         assert per_group == {g: -(-rows // step) for g, rows in sizes.items()}
         assert len(sizes) > 1 and max(per_group.values()) > 1
     assert sorted(r for rows in m2f_rows for r in rows) == sorted(
-        np.searchsorted(ctx.source_keys, ctx.m2f_keys).tolist()
+        np.searchsorted(plan.source_keys, plan.m2f_keys).tolist()
     )
-    cache = ctx.cache
+    cache = plan.cache
     held = [
         v
         for value in vars(cache).values()
@@ -878,18 +865,18 @@ def test_one_planner_call_and_one_resolve_per_translation(monkeypatch, same):
     q = rng.normal(size=400) + 1j * rng.normal(size=400)
     _, info = run_fmm_full(targets, sources, q, FmmConfig(order=3, ncrit=16, kappa=12.0))
     assert len(blanks) == 1
-    ctx = blanks[0][0]
+    plan = blanks[0][0]
     # the cache's one map holds each admissible (level, translation) once
-    admitted = list(ctx.cache.entries.values())
+    admitted = list(plan.cache.entries.values())
     rows = [(level, *t) for level, tvecs in gets for t in np.atleast_2d(tvecs).tolist()]
-    assert len(rows) == len(admitted) == ctx.cache.n_translations > 0
-    assert sorted(admitted) == list(range(ctx.cache.n_translations))
-    assert set(rows) == {(level, *tvec) for level, tvec in ctx.cache.entries}
+    assert len(rows) == len(admitted) == plan.cache.n_translations > 0
+    assert sorted(admitted) == list(range(plan.cache.n_translations))
+    assert set(rows) == {(level, *tvec) for level, tvec in plan.cache.entries}
     assert len(set(rows)) == len(rows)
-    hf = [row for row in rows if ctx.is_hf(row[0])]
+    hf = [row for row in rows if plan.is_hf(row[0])]
     assert sum(len(np.atleast_2d(units)) for _, _, units in nearest) == len(hf) > 0
     assert len(gets) < len(rows) and len(nearest) < len(hf)
-    assert len(ctx.cache.entries) < info.counts["m2l_events"] + len(ctx.p2p_plan) // 2
+    assert len(plan.cache.entries) < info.counts["m2l_events"] + len(plan.p2p_plan) // 2
 
 
 @pytest.mark.parametrize("same,kappa", [(True, 8.0), (False, 12.0)])
@@ -898,21 +885,21 @@ def test_table_directions_are_the_rows_each_m2l_reads_and_writes(monkeypatch, sa
     local it writes and of the multipole it reads: the direction nearest
     to its translation at a high-frequency level, 0 at a low-frequency
     one.  Each (level, direction) group's target rows are one run of
-    rows, cut from its first in stacks of _stack_rows rows; the rows' plan
-    goes stack by stack within each group, each stack's events in recorded
-    order.  Stacks of four rows cut the larger groups in several."""
+    rows, cut from its first in stacks of MAX_BLOCK_ENTRIES // P^3 rows;
+    the rows' plan goes stack by stack within each group, each stack's
+    events in recorded order, and the plan's schedule holds each group's
+    source rows and each stack's rows and events.  Stacks of four rows cut
+    the larger groups in several."""
     monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", 4 * FourierWorkspace(3).fourier_size)
     sources = generate_distribution(Distribution("sphere", 1000))
     targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
-    ctx = _planning_context(targets, sources, FmmConfig(order=3, ncrit=8, kappa=kappa))
-    blank_dtt(ctx)
-    cells = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3).copy()
-    _plan_rows(ctx)
-    rows = np.frombuffer(ctx.m2l_plan, dtype=np.intc).reshape(-1, 3)
-    n = ctx.n_dirs
-    step = traversal._stack_rows(ctx)
-    levels = ctx.target_tree.cell_levels()
-    groups = [(levels[k // n], k % n) for k in ctx.m2l_keys.tolist()]
+    config = FmmConfig(order=3, ncrit=8, kappa=kappa)
+    plan, cells = _recorded(lambda: plan_fmm(targets, sources, config))
+    rows = np.frombuffer(plan.m2l_plan, dtype=np.intc).reshape(-1, 3)
+    n = plan.n_dirs
+    step = traversal.MAX_BLOCK_ENTRIES // plan.workspace.fourier_size
+    levels = plan.target_tree.cell_levels()
+    groups = [(levels[k // n], k % n) for k in plan.m2l_keys.tolist()]
     runs = [g for j, g in enumerate(groups) if j == 0 or groups[j - 1] != g]
     assert len(runs) == len(set(runs)) > 1
     first = {g: groups.index(g) for g in runs}
@@ -920,27 +907,40 @@ def test_table_directions_are_the_rows_each_m2l_reads_and_writes(monkeypatch, sa
     stack = [(first[g], (j - first[g]) // step) for j, g in enumerate(groups)]
     planned = [stack[j] for j in rows[:, 0].tolist()]
     assert planned == sorted(planned) and len(set(planned)) > len(runs)
-    row_of = {k: j for j, k in enumerate(ctx.m2l_keys.tolist())}
-    keys = cells[:, 0] * np.int64(n) + np.array(ctx.cache.directions)[cells[:, 2]]
+    # the schedule dtt replays: per stack its target rows and events, per
+    # group the source rows of its group, in the order of the runs
+    spans = {}
+    for j, key in enumerate(stack):
+        spans[key] = (spans.get(key, (j,))[0], j + 1)
+    schedule = [(lo, hi, planned.count(key)) for key, (lo, hi) in spans.items()]
+    assert [t for _, _, stacks in plan.m2l_groups for t in stacks] == schedule
+    source_levels = plan.source_tree.cell_levels()
+    source_groups = [(source_levels[k // n], k % n) for k in plan.m2f_keys.tolist()]
+    assert [set(source_groups[lo:hi]) for lo, hi, _ in plan.m2l_groups] == [{g} for g in runs]
+    groups = plan.m2l_groups
+    assert [lo for lo, _, _ in groups] == [0] + [hi for _, hi, _ in groups[:-1]]
+    assert groups[-1][1] == len(source_groups)
+    row_of = {k: j for j, k in enumerate(plan.m2l_keys.tolist())}
+    keys = cells[:, 0] * np.int64(n) + np.array(plan.cache.directions)[cells[:, 2]]
     recorded = [stack[row_of[k]] for k in keys.tolist()]
     cells = cells[sorted(range(len(recorded)), key=recorded.__getitem__)]
-    tcells, scells = ctx.target_tree.cells, ctx.source_tree.cells
+    tcells, scells = plan.target_tree.cells, plan.source_tree.cells
     levels = set()
     for (ti, si, entry), (j, row, _) in zip(cells.tolist(), rows.tolist()):
-        d = ctx.cache.directions[entry]
-        assert d == ctx.m2l_keys[j] % n == ctx.m2f_keys[row] % n
+        d = plan.cache.directions[entry]
+        assert d == plan.m2l_keys[j] % n == plan.m2f_keys[row] % n
         t, s = tcells[ti], scells[si]
-        assert (ctx.m2l_keys[j] // n, ctx.m2f_keys[row] // n) == (ti, si)
-        if ctx.is_hf(t.level):
+        assert (plan.m2l_keys[j] // n, plan.m2f_keys[row] // n) == (ti, si)
+        if plan.is_hf(t.level):
             tvec = t.coords - s.coords
             unit = tvec / np.linalg.norm(tvec)
-            assert d == nearest_direction(ctx.dirs, ctx.refinement(t.level), unit[None])[0]
+            assert d == nearest_direction(plan.dirs, plan.refinement(t.level), unit[None])[0]
         else:
             assert d == 0
-        levels.add(ctx.is_hf(t.level))
+        levels.add(plan.is_hf(t.level))
     # both regimes were planned, and some high-frequency entry was tagged
     assert levels == {True, False}
-    assert any(ctx.cache.directions)
+    assert any(plan.cache.directions)
 
 
 def test_fmm_matches_direct_laplace():
@@ -1065,23 +1065,23 @@ def _near_field(targets, sources, q, config):
     """The potentials dtt adds, and a reference summed pair by pair over the
     P2P plan with kernel.of_distance, both in the target tree's order; and
     the plan's (target, source) cells."""
-    ctx = _planning_context(targets, sources, config, q)
-    ttree, stree, tpset, spset = ctx.target_tree, ctx.source_tree, ctx.target_pset, ctx.source_pset
-    kernel = ctx.kernel
-    blank_dtt(ctx)
-    _plan_rows(ctx)
-    _upward(ctx)
+    plan = plan_fmm(targets, sources, config)
+    ttree, stree, tpset, spset = plan.target_tree, plan.source_tree, plan.target_pset, plan.source_pset
+    kernel = plan.kernel
+    charges = q[spset.original_index]
+    multipole, local, potentials = _arrays(plan)
+    _upward(plan, charges, multipole)
     # M2L accumulates into local expansions: only P2P adds to potentials
-    dtt(ctx)
-    ref = np.zeros(len(tpset.potentials), dtype=complex)
-    it = iter(ctx.p2p_plan)
+    dtt(plan, charges, multipole, local, potentials)
+    ref = np.zeros(len(potentials), dtype=complex)
+    it = iter(plan.p2p_plan)
     pairs = [(ttree.cells[ti], stree.cells[si]) for ti, si in zip(it, it)]
     for t, s in pairs:
         diff = tpset.positions[t.start : t.stop, None] - spset.positions[None, s.start : s.stop]
         ref[t.start : t.stop] += (
-            kernel.of_distance(np.linalg.norm(diff, axis=-1)) @ spset.charges[s.start : s.stop]
+            kernel.of_distance(np.linalg.norm(diff, axis=-1)) @ charges[s.start : s.stop]
         )
-    return tpset.potentials, ref, pairs
+    return potentials, ref, pairs
 
 
 def _duplicated_cloud():
@@ -1145,6 +1145,78 @@ def test_non_finite_charge_fails_loudly():
         run_fmm(pts[:50], pts, q, FmmConfig(order=3, ncrit=16, kappa=2.0))
 
 
+def _assert_rejected(charges, match):
+    """plan.apply and run_fmm_full reject the charges, on the single-tree and
+    on the two-tree path; the plan that rejected them then applies to valid
+    charges bitwise as a fresh solve does."""
+    rng = np.random.default_rng(7)
+    sources = rng.uniform(size=(300, 3))
+    good = rng.normal(size=300) + 1j * rng.normal(size=300)
+    config = FmmConfig(order=3, ncrit=16, kappa=2.0)
+    for targets in (sources, rng.uniform(size=(60, 3))):
+        plan = plan_fmm(targets, sources, config)
+        with pytest.raises(ValueError, match=match):
+            plan.apply(charges)
+        with pytest.raises(ValueError, match=match):
+            run_fmm_full(targets, sources, charges, config)
+        pot, _ = plan.apply(good)
+        assert pot.tobytes() == run_fmm(targets, sources, good, config).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_apply_rejects_non_finite_charges(bad):
+    q = np.random.default_rng(9).normal(size=300) + 0j
+    q[123] = bad
+    _assert_rejected(q, "charges must be finite")
+
+
+@pytest.mark.parametrize("shape", [(300, 1), (300, 2), ()])
+def test_apply_rejects_charges_not_one_dimensional(shape):
+    _assert_rejected(np.ones(shape, dtype=complex), r"charges must have shape \(n,\)")
+
+
+@pytest.mark.parametrize("n", [299, 301])
+def test_apply_rejects_a_charge_per_point_mismatch(n):
+    _assert_rejected(np.ones(n, dtype=complex), "points and charges length mismatch")
+
+
+def _plan_bytes(plan) -> list:
+    """The bytes of every array the plan holds: its M2L and P2P plans and
+    M2L schedule, its keys and son links, its Lagrange tables and its
+    canonical symbols."""
+    links = [a for side in (plan.source_links, plan.target_links) for _, *cols in side for a in cols]
+    arrays = [
+        plan.m2l_plan, plan.p2p_plan, plan.m2l_keys, plan.m2f_keys, plan.source_keys,
+        plan.target_keys, *links, plan.source_table, plan.target_table, *plan.cache.canonicals,
+    ]
+    return [repr(plan.m2l_groups)] + [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
+def test_one_plan_applies_to_many_charge_vectors(same):
+    """plan.apply(q) then plan.apply(p) give bitwise the potentials and the
+    counts of a fresh run_fmm_full with q and with p, on a high-frequency
+    sphere and on a plane over it; an apply changes no array of the plan,
+    nor the caller's charges."""
+    sources = generate_distribution(Distribution("sphere", 1000))
+    targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
+    config = FmmConfig(order=3, ncrit=8, kappa=20.0)
+    rng = np.random.default_rng(23)
+    charges = [rng.normal(size=1000) + 1j * rng.normal(size=1000) for _ in range(2)]
+    given = [c.copy() for c in charges]
+    plan = plan_fmm(targets, sources, config)
+    assert plan.hf_max_level >= 2 and plan.counts["m2l_events"] > 0
+    held = _plan_bytes(plan)
+    applied = [plan.apply(c) for c in charges]
+    assert _plan_bytes(plan) == held
+    assert all(c.tobytes() == g.tobytes() for c, g in zip(charges, given))
+    for c, (pot, info) in zip(charges, applied):
+        fresh, fresh_info = run_fmm_full(targets, sources, c, config)
+        assert pot.tobytes() == fresh.tobytes()
+        assert info.counts == fresh_info.counts and info.hf_max_level == fresh_info.hf_max_level
+    assert applied[0][0].tobytes() != applied[1][0].tobytes()
+
+
 def test_deterministic_potentials():
     rng = np.random.default_rng(6)
     pts = rng.uniform(size=(300, 3))
@@ -1159,7 +1231,7 @@ def test_leaf_basis_from_the_table_matches_basis_matrix():
     rng = np.random.default_rng(14)
     pts = rng.uniform(size=(600, 3))
     order = 5
-    tree, pset = build_tree(pts, rng.normal(size=600) + 0j, 16)
+    tree, pset = build_tree(pts, 16)
     table = _lagrange_table(order, tree, pset)
     assert table.shape == (600, 3, order)
     levels = tree.cell_levels()
@@ -1175,11 +1247,11 @@ def test_leaf_basis_from_the_table_matches_basis_matrix():
 
 def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
     pts = generate_distribution(Distribution("sphere", 1000))
-    q = np.ones(1000, dtype=complex)
     config = FmmConfig(order=4, ncrit=8, kappa=20.0)
-    tree, pset = build_tree(pts, q, config.ncrit)
-    ctx = _Context(config, HelmholtzKernel(kappa=config.kappa), tree, tree, pset, pset)
-    level = ctx.hf_max_level
+    pair = build_tree(pts, config.ncrit)
+    tree = pair[0]
+    plan = FmmPlan(config, pair, pair)
+    level = plan.hf_max_level
     grid = interp.grid_points(config.order)
     cells = tree.levels[level]
     # the deepest high-frequency level under its own directions (P2M/L2P)
@@ -1187,26 +1259,24 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
     # call, cell major
     direction_levels = (level, level - 1)
     for dl in direction_levels:
-        n_units = len(ctx.units[dl])
+        n_units = len(plan.units[dl])
         index = np.repeat([cell.index for cell in cells], n_units)
         ds = np.tile(np.arange(n_units), len(cells))
-        waves = iter(_waves(ctx, tree, index, level, dl, ds))
+        waves = iter(_waves(plan, tree, index, level, dl, ds))
         side = tree.side_at(level)
         for cell in cells:
             x = (tree.root_box.lower + cell.coords * side) + side * grid
             for d in range(n_units):
-                ref = interp.plane_wave(x, config.kappa, ctx.units[dl][d])
+                ref = interp.plane_wave(x, config.kappa, plan.units[dl][d])
                 assert np.abs(next(waves) - ref).max() < 1e-13
         assert next(waves, None) is None
-    # one grid wave per (level, direction)
-    n_waves = sum(len(ctx.units[dl]) for dl in direction_levels)
-    assert len(ctx.grid_waves) == n_waves
+    # one grid wave per (level, direction), built on first use
+    n_waves = sum(len(plan.units[dl]) for dl in direction_levels)
+    assert len(plan.grid_waves) == n_waves
     # at kappa = 10 the deepest level is low-frequency: under its
     # directions, u = 0, every cell gets the one shared, read-only unit
     # wave, exactly the plane wave at u = 0, and no grid wave is built
-    low = _Context(
-        FmmConfig(order=4, ncrit=8, kappa=10.0), HelmholtzKernel(kappa=10.0), tree, tree, pset, pset
-    )
+    low = FmmPlan(FmmConfig(order=4, ncrit=8, kappa=10.0), pair, pair)
     assert not low.is_hf(tree.depth)
     deepest = tree.levels[tree.depth]
     index = np.array([cell.index for cell in deepest])
@@ -1220,22 +1290,22 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
     assert not low.grid_waves
 
 
-def _hf_leaf_blocks(ctx, keys, tree, pset):
+def _hf_leaf_blocks(plan, keys, tree, pset):
     """(leaf, lo, hi, basis, grid waves, particle waves) of each
     high-frequency leaf with several rows among the sorted keys, the waves
     exp(i*kappa*<x, u>) built point by point, one per row."""
-    order, kappa = ctx.config.order, ctx.config.kappa
+    order, kappa = plan.config.order, plan.config.kappa
     grid = interp.grid_points(order)
-    for level, index, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs):
+    for level, index, lo, hi in _leaf_rows(keys, tree, plan.n_dirs):
         leaf = tree.cells[index]
         assert (leaf.level, leaf.is_leaf) == (level, True)
-        if not ctx.is_hf(leaf.level) or hi - lo < 2:
+        if not plan.is_hf(leaf.level) or hi - lo < 2:
             continue
         side = tree.side_at(leaf.level)
         lower = tree.root_box.lower + leaf.coords * side
         pos = pset.positions[leaf.start : leaf.stop]
         b = interp.basis_matrix(order, (pos - lower) / side)
-        units = ctx.dirs.levels[ctx.refinement(leaf.level)][keys[lo:hi] % ctx.n_dirs]
+        units = plan.dirs.levels[plan.refinement(leaf.level)][keys[lo:hi] % plan.n_dirs]
         x = lower + side * grid
         yield (
             leaf, lo, hi, b,
@@ -1244,84 +1314,79 @@ def _hf_leaf_blocks(ctx, keys, tree, pset):
         )
 
 
-def _leaf_context(ncrit):
-    """A planned self-interaction of 400 uniform points at kappa = 12, with
-    its Lagrange table and zeroed expansions: at ncrit 16 every leaf lies
-    at high-frequency level 2, at ncrit 4 most at low-frequency level 3."""
+def _leaf_two_cluster_plan(ncrit):
+    """A plan of a self-interaction of 400 uniform points at kappa = 12, its
+    charges in tree order and its zeroed per-apply arrays: at ncrit 16
+    every leaf lies at high-frequency level 2, at ncrit 4 most at
+    low-frequency level 3."""
     rng = np.random.default_rng(9)
     pts = rng.uniform(size=(400, 3))
     q = rng.normal(size=400) + 1j * rng.normal(size=400)
-    config = FmmConfig(order=4, ncrit=ncrit, kappa=12.0)
-    tree, pset = build_tree(pts, q, config.ncrit)
-    ctx = _Context(config, HelmholtzKernel(kappa=config.kappa), tree, tree, pset, pset)
-    blank_dtt(ctx)
-    _plan_rows(ctx)
-    ctx.table = _lagrange_table(config.order, tree, pset)
-    ctx.multipole = np.zeros((len(ctx.source_keys), config.order**3), dtype=complex)
-    ctx.local = np.zeros((len(ctx.target_keys), config.order**3), dtype=complex)
-    return tree, pset, ctx, rng
+    plan = plan_fmm(pts, pts, FmmConfig(order=4, ncrit=ncrit, kappa=12.0))
+    pset = plan.source_pset
+    return plan.source_tree, pset, plan, rng, q[pset.original_index], _arrays(plan)
 
 
 def test_modulated_p2m_l2p_match_the_explicit_phases():
     """Every row of a high-frequency leaf's P2M and L2P block is the basis
     product between the particle phases and the plane wave on the leaf's
     grid, for the row's own direction."""
-    tree, pset, ctx, rng = _leaf_context(16)
-    size = ctx.config.order**3
+    tree, pset, plan, rng, charges, (multipole, local, potentials) = _leaf_two_cluster_plan(16)
+    size = plan.config.order**3
     rows = 0
-    for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(ctx, ctx.source_keys, tree, pset):
-        _p2m_cell(ctx, leaf.level, leaf.index, lo, hi)
-        qs = pset.charges[leaf.start : leaf.stop]
+    for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(plan, plan.source_keys, tree, pset):
+        _p2m_cell(plan, charges, multipole, leaf.level, leaf.index, lo, hi)
+        qs = charges[leaf.start : leaf.stop]
         for row, g, y in zip(range(lo, hi), on_grid, on_pos):
             expected = (b.T @ (qs * y.conj())) * g
-            got = ctx.multipole[row]
+            got = multipole[row]
             assert np.allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
             rows += 1
     assert rows > 0
 
     rows = 0
-    for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(ctx, ctx.target_keys, tree, pset):
+    for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(plan, plan.target_keys, tree, pset):
         # one row of the block at a time
         for row, g, y in zip(range(lo, hi), on_grid, on_pos):
-            local = rng.normal(size=size) + 1j * rng.normal(size=size)
-            ctx.local[lo:hi] = 0
-            ctx.local[row] = local
-            pset.potentials[:] = 0
-            _l2p_cell(ctx, leaf.level, leaf.index, lo, hi)
-            expected = (b @ (local * g.conj())) * y
-            got = pset.potentials[leaf.start : leaf.stop]
+            expansion = rng.normal(size=size) + 1j * rng.normal(size=size)
+            local[lo:hi] = 0
+            local[row] = expansion
+            potentials[:] = 0
+            _l2p_cell(plan, local, potentials, leaf.level, leaf.index, lo, hi)
+            expected = (b @ (expansion * g.conj())) * y
+            got = potentials[leaf.start : leaf.stop]
             assert np.allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
             rows += 1
     assert rows > 0
 
     # a low-frequency leaf is the one-direction case u = 0: its one row is
     # exactly the plain basis product, on both sides
-    tree, pset, ctx, rng = _leaf_context(4)
+    tree, pset, plan, rng, charges, (multipole, local, potentials) = _leaf_two_cluster_plan(4)
     low = [
         leaf
         for leaf in tree.cells
-        if leaf.is_leaf and not ctx.is_hf(leaf.level) and leaf.stop > leaf.start
+        if leaf.is_leaf and not plan.is_hf(leaf.level) and leaf.stop > leaf.start
     ]
     assert low
     source_rows, target_rows = (
-        {leaf: (lo, hi) for _, leaf, lo, hi in _leaf_rows(keys, tree, ctx.n_dirs)}
-        for keys in (ctx.source_keys, ctx.target_keys)
+        {leaf: (lo, hi) for _, leaf, lo, hi in _leaf_rows(keys, tree, plan.n_dirs)}
+        for keys in (plan.source_keys, plan.target_keys)
     )
     for leaf in low:
-        basis = interp.tensor_basis(ctx.table[leaf.start : leaf.stop])
+        basis = interp.tensor_basis(plan.source_table[leaf.start : leaf.stop])
         lo, hi = source_rows[leaf.index]
-        assert ctx.source_keys[lo:hi].tolist() == [leaf.index * ctx.n_dirs]
-        _p2m_cell(ctx, leaf.level, leaf.index, lo, hi)
-        qs = pset.charges[leaf.start : leaf.stop]
-        assert ctx.multipole[lo].tobytes() == (basis.T @ qs).tobytes()
+        assert plan.source_keys[lo:hi].tolist() == [leaf.index * plan.n_dirs]
+        _p2m_cell(plan, charges, multipole, leaf.level, leaf.index, lo, hi)
+        qs = charges[leaf.start : leaf.stop]
+        assert multipole[lo].tobytes() == (basis.T @ qs).tobytes()
 
         lo, hi = target_rows[leaf.index]
-        assert ctx.target_keys[lo:hi].tolist() == [leaf.index * ctx.n_dirs]
-        local = rng.normal(size=size) + 1j * rng.normal(size=size)
-        ctx.local[lo] = local
-        pset.potentials[:] = 0
-        _l2p_cell(ctx, leaf.level, leaf.index, lo, hi)
-        assert pset.potentials[leaf.start : leaf.stop].tobytes() == (basis @ local).tobytes()
+        assert plan.target_keys[lo:hi].tolist() == [leaf.index * plan.n_dirs]
+        expansion = rng.normal(size=size) + 1j * rng.normal(size=size)
+        local[lo] = expansion
+        potentials[:] = 0
+        _l2p_cell(plan, local, potentials, leaf.level, leaf.index, lo, hi)
+        assert potentials[leaf.start : leaf.stop].tobytes() == (basis @ expansion).tobytes()
 
 
 @pytest.mark.parametrize("same", [True, False])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from helmfmm.geometry import MAX_MORTON_DEPTH, BoundingBox, compute_root_box, morton_encode_many
-from helmfmm.tree import accumulate_potentials, build_tree
+from helmfmm.kernel import direct_sum
+from helmfmm.traversal import FmmConfig, plan_fmm
+from helmfmm.tree import build_tree
 
 
 def _uniform_problem(n, seed=0):
@@ -14,7 +16,7 @@ def _uniform_problem(n, seed=0):
 
 def test_leaf_sizes_and_range_partition():
     pts, q = _uniform_problem(100)
-    tree, pset = build_tree(pts, q, ncrit=10)
+    tree, pset = build_tree(pts, ncrit=10)
     leaves = tree.n_sons == 0
     ranges = sorted(zip(tree.start[leaves].tolist(), tree.stop[leaves].tolist()))
     assert all(stop - start <= 10 for start, stop in ranges)
@@ -27,7 +29,7 @@ def test_leaf_sizes_and_range_partition():
 
 def test_internal_ranges_cover_sons():
     pts, q = _uniform_problem(400, seed=1)
-    tree, _ = build_tree(pts, q, ncrit=20)
+    tree, _ = build_tree(pts, ncrit=20)
     for level in tree.levels:
         for cell in level:
             if cell.is_leaf:
@@ -39,7 +41,7 @@ def test_internal_ranges_cover_sons():
 
 def test_sons_in_morton_order_and_no_empty_cells():
     pts, q = _uniform_problem(500, seed=2)
-    tree, _ = build_tree(pts, q, ncrit=16)
+    tree, _ = build_tree(pts, ncrit=16)
     for level in tree.levels:
         for cell in level:
             assert cell.stop - cell.start > 0
@@ -52,7 +54,7 @@ def test_sons_in_morton_order_and_no_empty_cells():
 def test_leaves_tile_the_morton_curve():
     """Leaves in range order have strictly increasing Morton key intervals."""
     pts, q = _uniform_problem(600, seed=3)
-    tree, pset = build_tree(pts, q, ncrit=8)
+    tree, pset = build_tree(pts, ncrit=8)
     box = tree.root_box
     leaves = np.flatnonzero(tree.n_sons == 0)
     levels = tree.cell_levels()
@@ -75,7 +77,7 @@ def test_cells_contain_their_particles():
     """Every cell, internal ones included, holds only particles of its own
     cube lower + coords * side to lower + (coords + 1) * side."""
     pts, q = _uniform_problem(300, seed=4)
-    tree, pset = build_tree(pts, q, ncrit=25)
+    tree, pset = build_tree(pts, ncrit=25)
     assert tree.depth >= 2
     side = tree.root_box.side / (1 << tree.cell_levels())
     lower = tree.root_box.lower + tree.coords * side[:, None]
@@ -86,25 +88,26 @@ def test_cells_contain_their_particles():
 
 
 def test_charges_permuted_consistently():
+    """The tree permutes the positions; apply permutes the charges by the
+    same original_index, and its potentials back to the caller's order.
+    With one leaf the solve is one direct sum in tree order, so the
+    un-permuted sorted sum is bitwise apply's answer."""
     pts, q = _uniform_problem(200, seed=5)
-    tree, pset = build_tree(pts, q, ncrit=10)
+    tree, pset = build_tree(pts, ncrit=10)
     assert np.allclose(pset.positions, pts[pset.original_index])
-    assert np.allclose(pset.charges, q[pset.original_index])
-
-
-def test_accumulate_potentials_inverts_the_sort():
-    pts, q = _uniform_problem(150, seed=6)
-    _, pset = build_tree(pts, q, ncrit=10)
-    # mark each sorted slot with its original index as a payload
-    pset.potentials[:] = pset.original_index.astype(complex)
-    out = accumulate_potentials(pset)
-    assert np.allclose(out, np.arange(150))
+    plan = plan_fmm(pts, pts, FmmConfig(order=3, ncrit=200, kappa=2.0))
+    at = plan.source_pset.original_index
+    assert plan.counts["m2l_events"] == 0 and not np.array_equal(at, np.arange(200))
+    pot, _ = plan.apply(q)
+    expected = np.empty_like(pot)
+    expected[at] = direct_sum(plan.kernel, pts[at], pts[at], q[at])
+    assert pot.tobytes() == expected.tobytes()
 
 
 def test_coincident_points_respect_depth_cap():
     pts = np.tile([0.3, 0.3, 0.3], (50, 1))
     q = np.ones(50, dtype=complex)
-    tree, _ = build_tree(pts, q, ncrit=4)
+    tree, _ = build_tree(pts, ncrit=4)
     assert tree.depth <= MAX_MORTON_DEPTH
     # the coincident cluster ends up in one oversized leaf
     leaves = tree.n_sons == 0
@@ -113,7 +116,7 @@ def test_coincident_points_respect_depth_cap():
 
 def test_cell_index_is_position_in_cells():
     pts, q = _uniform_problem(300, seed=8)
-    tree, _ = build_tree(pts, q, ncrit=16)
+    tree, _ = build_tree(pts, ncrit=16)
     cells = tree.cells
     assert len(cells) == tree.n_cells
     assert all(cells[c.index] is c for c in cells)
@@ -122,7 +125,7 @@ def test_cell_index_is_position_in_cells():
 def test_cell_arrays_match_the_cells():
     pts, q = _uniform_problem(300, seed=8)
     pts[:40] = pts[0]  # a coincident cluster: one chain down to a deep leaf
-    tree, _ = build_tree(pts, q, ncrit=16)
+    tree, _ = build_tree(pts, ncrit=16)
     for cell in tree.cells:
         i = cell.index
         assert tree.coords[i].tolist() == cell.coords.tolist()
@@ -132,26 +135,9 @@ def test_cell_arrays_match_the_cells():
     assert tree.coords.dtype == tree.n_sons.dtype == tree.first_son.dtype == np.int32
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-def test_build_tree_rejects_non_finite_charges(bad):
-    pts, q = _uniform_problem(300, seed=9)
-    q[123] = bad
-    with pytest.raises(ValueError, match="charges must be finite"):
-        build_tree(pts, q)
-
-
 def test_build_tree_input_validation():
     with pytest.raises(ValueError):
-        build_tree(np.zeros((0, 3)), np.zeros(0))
-    with pytest.raises(ValueError):
-        build_tree(np.zeros((3, 3)), np.zeros(2))
-
-
-@pytest.mark.parametrize("shape", [(5, 1), (5, 2), ()])
-def test_build_tree_rejects_charges_not_one_dimensional(shape):
-    pts, _ = _uniform_problem(5, seed=10)
-    with pytest.raises(ValueError, match=r"charges must have shape \(n,\)"):
-        build_tree(pts, np.ones(shape, dtype=complex))
+        build_tree(np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (0, 3)])
@@ -160,17 +146,17 @@ def test_build_tree_checks_points_with_a_root_box(shape):
     points of shape (n, 3) with n >= 1."""
     box = BoundingBox(center=np.zeros(3), half_width=1.0)
     with pytest.raises(ValueError, match=r"points must have shape \(n, 3\)"):
-        build_tree(np.zeros(shape), np.ones(shape[0]), root_box=box)
+        build_tree(np.zeros(shape), root_box=box)
 
 def test_build_tree_rejects_points_outside_root_box():
     box = BoundingBox(center=np.zeros(3), half_width=1.0)
     pts = np.zeros((10, 3))
     pts[3] = [5.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="outside the root box"):
-        build_tree(pts, np.ones(10), ncrit=2, root_box=box)
+        build_tree(pts, ncrit=2, root_box=box)
     # the closed cube is accepted, faces included
     pts[3] = [1.0, -1.0, 1.0]
-    tree, pset = build_tree(pts, np.ones(10), ncrit=2, root_box=box)
+    tree, pset = build_tree(pts, ncrit=2, root_box=box)
     assert len(pset.positions) == 10
 
 
@@ -237,7 +223,7 @@ def _clouds():
 @pytest.mark.parametrize("cloud", list(_clouds()))
 def test_array_build_equals_the_per_cell_loop(cloud, ncrit):
     points = _clouds()[cloud]
-    tree, _ = build_tree(points, np.ones(len(points)), ncrit)
+    tree, _ = build_tree(points, ncrit)
     ref = _reference_arrays(points, ncrit)
     assert tree.start.tolist() == ref["start"]
     assert tree.stop.tolist() == ref["stop"]

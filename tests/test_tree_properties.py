@@ -56,7 +56,7 @@ def far_clusters(draw):
 
 def _check(points, ncrit, root_box=None):
     n = points.shape[0]
-    tree, pset = build_tree(points, np.ones(n), ncrit=ncrit, root_box=root_box)
+    tree, pset = build_tree(points, ncrit=ncrit, root_box=root_box)
     box = tree.root_box
 
     assert np.array_equal(np.sort(pset.original_index), np.arange(n))
