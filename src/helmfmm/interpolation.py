@@ -6,14 +6,18 @@ The 1D rule uses L nodes at l/(L-1), l = 0..L-1, on the reference interval
 
 A particle's basis values are the tensor product of its three 1D rows
 (eval_matrix_1d), so a solve evaluates the 1D rows of all its particles at
-once and forms each leaf's (n, L^3) basis from them (tensor_basis).
+once.  p2m and l2p take them as an (n, 3, L) stack per leaf, never as
+an (n, L^3) basis: the basis value X_i Y_j Z_k of the rows X, Y, Z
+factors into one real matrix product over the pairs X_i Y_j and one sum
+over Z_k.
 
 In the high-frequency regime the Lagrange basis is modulated by complex
 exponentials tied to a unit direction; the modulation enters the operators
 as diagonal factors around the real tensorized interpolation matrices.
-p2m and l2p are the plain basis products: the caller applies the factors
-to a leaf's whole block of directions, the particle phases from plane_wave
-on one side and the waves on the cell grid on the other.
+p2m and l2p are the plain basis products of a stack of leaves: the caller
+applies the factors to each leaf's whole block of directions, the particle
+phases from plane_wave on one side and the waves on the cell grid on the
+other.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ __all__ = [
     "nodes_1d",
     "eval_matrix_1d",
     "grid_points",
-    "tensor_basis",
     "basis_matrix",
     "plane_wave",
     "p2m",
@@ -75,36 +78,53 @@ def grid_points(order: int) -> np.ndarray:
     return g.reshape(-1, 3)
 
 
-def tensor_basis(values: np.ndarray) -> np.ndarray:
-    """(n, L^3) tensor-product basis from (n, 3, L) per-axis 1D values."""
-    n, _, order = values.shape
-    x, y, z = values[:, 0], values[:, 1], values[:, 2]
-    out = x[:, :, None, None] * y[:, None, :, None] * z[:, None, None, :]
-    return out.reshape(n, order**3)
-
-
 def basis_matrix(order: int, unit_points: np.ndarray) -> np.ndarray:
     """(n, L^3) tensor-product basis values at points in [0,1]^3 coords."""
     pts = np.atleast_2d(unit_points)
-    return tensor_basis(eval_matrix_1d(order, pts.reshape(-1)).reshape(-1, 3, order))
+    v = eval_matrix_1d(order, pts.reshape(-1)).reshape(-1, 3, order)
+    out = v[:, 0, :, None, None] * v[:, 1, None, :, None] * v[:, 2, None, None, :]
+    return out.reshape(len(v), order**3)
 
 
 def plane_wave(points: np.ndarray, kappa: float, direction: np.ndarray) -> np.ndarray:
     """exp(i*kappa*<x, u>) at each point: (n,) for one direction u of shape
-    (3,), (n, m) for a (3, m) array of directions, one column each."""
+    (3,), (n, m) for a (3, m) array of directions, one column each, and
+    (b, n, m) for a stack of b point sets (b, n, 3) with their own (b, 3, m)
+    directions."""
     return np.exp(1j * kappa * (np.atleast_2d(points) @ np.asarray(direction, dtype=float)))
 
 
-def p2m(basis: np.ndarray, charges: np.ndarray) -> np.ndarray:
-    """Nodal multipole coefficients basis.T @ charges of a leaf, from its
-    (n, L^3) basis and (n,) or (n, m) charges."""
-    return basis.T @ charges
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """(b, n, L^2) products X_i Y_j, flat index i*L + j, of (b, n, 3, L)
+    per-axis values."""
+    b, n, _, order = values.shape
+    return (values[:, :, 0, :, None] * values[:, :, 1, None, :]).reshape(b, n, order * order)
 
 
-def l2p(basis: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """Potentials basis @ local at a leaf's particles, from its (n, L^3)
-    basis and (L^3,) or (L^3, m) nodal local coefficients."""
-    return basis @ local
+def p2m(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Nodal multipole coefficients of a stack of b leaves, (b, L^3, m):
+    entry [l, (i*L + j)*L + k, c] is the sum over the leaf's particles p of
+    X_pi Y_pj Z_pk weights[l, p, c], from their (b, n, 3, L) 1D Lagrange
+    values (X, Y, Z) and (b, n, m) complex weights (a padded particle
+    weighs 0).  One real batched product of (X (x) Y)^T with the real and
+    imaginary parts of Z (x) weights, side by side."""
+    b, n, _, order = values.shape
+    zw = values[:, :, 2, :, None] * np.asarray(weights, dtype=complex)[:, :, None, :]
+    out = np.matmul(_pairs(values).transpose(0, 2, 1), zw.reshape(b, n, -1).view(float))
+    return out.view(complex).reshape(b, order**3, -1)
+
+
+def l2p(values: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Potentials at a stack of b leaves' particles, (b, n, m): entry
+    [l, p, c] is the sum over the grid of X_pi Y_pj Z_pk local[l, (i*L +
+    j)*L + k, c], from their (b, n, 3, L) 1D Lagrange values and (b, L^3, m)
+    complex nodal local coefficients, m expansions a leaf.  One real
+    batched product of X (x) Y with the real and imaginary parts of the
+    coefficients, side by side, then the sum over Z."""
+    b, n, _, order = values.shape
+    coefficients = np.ascontiguousarray(local, dtype=complex).reshape(b, order * order, -1)
+    t = np.matmul(_pairs(values), coefficients.view(float)).view(complex)
+    return (values[:, :, 2, :, None] * t.reshape(b, n, order, -1)).sum(axis=2)
 
 
 @lru_cache(maxsize=None)

@@ -4,12 +4,13 @@ A solve is a charge-free plan and an apply, in the plan/execute shape of
 FFTW (Frigo & Johnson, Proc. IEEE 2005):
 
     plan_fmm:  build trees -> blank DTT (interaction lists) -> rows, keys,
-               son links and M2L stacks -> one Lagrange table per tree
-    apply:     P2M at leaves -> M2M per level upward -> DTT (replay, one
+               son links and M2L stacks -> one Lagrange table per tree ->
+               leaf blocks -> grid waves
+    apply:     P2M per leaf block -> M2M per level upward -> DTT (replay, one
                (level, direction) group at a time: M2F of its multipoles,
                then Hadamard M2L streamed into F2L a stack of target rows
-               at a time; then P2P) -> L2L per level downward -> L2P ->
-               un-permute
+               at a time; then P2P) -> L2L per level downward -> L2P per
+               leaf block -> un-permute
 
 The plan (FmmPlan) holds only what the geometry, the config and the kernel
 fix, so one plan applies to any number of charge vectors; the charges in
@@ -55,16 +56,22 @@ reads (m2f_keys) and, below them through plan.hand_down, those M2M reads;
 the target keys are the locals M2L writes (m2l_keys) and, below them,
 those L2L writes.  One walk down each tree, cut by its level offsets,
 derives its side's keys and son links (_walk), so every son row a link
-names exists.  P2M and L2P take each leaf (n_sons 0) as one block of rows,
-one per direction, with a basis from its tree's (N, 3, L) table of 1D
-Lagrange values; M2M and L2L make one stacked apply per son octant of a
-level's links (_translate), with the stacked, real-deinterleaved
-strategy "t+s+r".  The modulation exp(i*kappa*<x, u>) on a cell
-grid alpha + beta * g is one phase per row times a grid wave built once
-per (level, direction) (_waves); a low-frequency level is the
-one-direction case u = 0, so each operator has one formula for both
-regimes.  M2F transforms only the multipoles M2L reads, and F2L only the
-locals it writes, in stacks of one group's rows (_blocks).
+names exists.  P2M and L2P make one batched product per block of
+same-level leaves (n_sons 0), as exafmm-t and PVFMM apply their leaf
+operators per level: the plan orders a level's leaves by (rows,
+particles) and cuts them into blocks padded to their largest leaf
+(_leaf_blocks), and a block's product takes its particles' rows of its
+tree's (N, 3, L) table of 1D Lagrange values, factored as (X (x) Y) (x)
+Z (interp.p2m, interp.l2p), never an (n, L^3) basis.  M2M and L2L make
+one stacked apply per son octant of a level's links (_translate), with
+the stacked, real-deinterleaved strategy "t+s+r".  The modulation
+exp(i*kappa*<x, u>) on a cell grid alpha + beta * g is one phase per row
+times a grid wave the plan builds once per (cell level, level,
+direction) its leaf blocks and son links ask for (_grid_waves, _waves);
+a low-frequency level is the one-direction case u = 0, so each operator
+has one formula for both regimes.  M2F transforms only the multipoles
+M2L reads, and F2L only the locals it writes, in stacks of one group's
+rows (_blocks).
 """
 
 from __future__ import annotations
@@ -157,9 +164,9 @@ class FmmPlan:
     and their particles in tree order, the kernel, the direction tables,
     the M2L table (cache), blank_dtt's lists (m2l_plan, p2p_plan), their
     rows, keys, son links and M2L stacks (_plan_rows), one Lagrange table
-    per tree, and the solve's counts.  apply evaluates it for one charge
-    vector; it changes nothing in the plan but the grid waves (_waves),
-    which fill on first use.
+    per tree, the leaf blocks of P2M and L2P (_leaf_blocks), the grid waves
+    (_grid_waves), and the solve's counts.  apply evaluates it for one
+    charge vector and changes nothing in it.
 
     target and source are build_tree's (tree, particles) pairs, one pair
     for a single tree; plan_fmm builds them on one root box, and tree_s is
@@ -177,8 +184,6 @@ class FmmPlan:
         self.cache = SymbolCache(self.kernel, config.order, target_tree.root_box.side)
         # precompute lies inside blank; total is the plan's, trees included
         self.timings = {"tree": tree_s, "blank": 0.0, "precompute": 0.0}
-        # the grid waves (_waves), built once per plan
-        self.grid_waves: dict = {}
 
         # hf_max_level is the deepest level whose cells satisfy
         # kappa * radius >= HF_SWITCH.  Each high-frequency level l gets the
@@ -236,6 +241,9 @@ class FmmPlan:
         self.target_table = (
             self.source_table if same else _lagrange_table(config.order, target_tree, self.target_pset)
         )
+        self.source_blocks = _leaf_blocks(self, source_tree, self.source_keys)
+        self.target_blocks = _leaf_blocks(self, target_tree, self.target_keys)
+        self.grid_waves = _grid_waves(self)
         self.timings["blank"] = time.perf_counter() - t0
         trees = (target_tree,) if same else (target_tree, source_tree)
         p2p = np.frombuffer(self.p2p_plan, dtype=np.intc).reshape(-1, 2)
@@ -279,13 +287,7 @@ class FmmPlan:
         holds the plan's counts and timings with this apply's steps, its
         total the plan's plus this apply's."""
         t_start = time.perf_counter()
-        charges = np.asarray(charges, dtype=complex)
-        if charges.ndim != 1:
-            raise ValueError(f"charges must have shape (n,), not {charges.shape}")
-        if len(charges) != len(self.source_pset.positions):
-            raise ValueError("points and charges length mismatch")
-        if not np.all(np.isfinite(charges)):
-            raise ValueError("charges must be finite")
+        charges = _checked_charges(charges, len(self.source_pset.positions))
         charges = charges[self.source_pset.original_index]  # in tree order
         size = self.workspace.nodal_size
         multipole = np.zeros((len(self.source_keys), size), dtype=complex)
@@ -519,13 +521,76 @@ def _plan_rows(plan: FmmPlan) -> None:
     plan.source_keys, plan.source_links = _walk(plan, plan.source_tree, np.sort(plan.m2f_keys))
 
 
-def _leaf_rows(keys: np.ndarray, tree: ClusterTree, n: int) -> list:
-    """(level, leaf, lo, hi) of each leaf (a cell with n_sons 0) that owns
-    rows lo:hi of the sorted keys, in cell order."""
+def _padded(first: np.ndarray, counts: np.ndarray) -> tuple:
+    """The (k, width) index rows first, first + 1, ..., first + count - 1,
+    each padded to width = counts.max() by repeating first, and the
+    (k, width) mask of their unpadded entries."""
+    ramp = np.arange(counts.max())
+    mask = ramp < counts[:, None]
+    return np.where(mask, first[:, None] + ramp, first[:, None]), mask
+
+
+def _leaf_blocks(plan: FmmPlan, tree: ClusterTree, keys: np.ndarray) -> list:
+    """The P2M or L2P blocks of one side: its leaves (cells with n_sons 0)
+    that own rows of its sorted keys, level by level, in order of (rows,
+    particles), each level's cut greedily into blocks of same-level leaves
+    padded to the block's largest particle count n and row count r, while
+    leaves * max(n, L) * L^2 * r stays within MAX_BLOCK_ENTRIES (a block
+    holds at least one leaf), which bounds every padded temporary of P2M
+    and L2P.  A block is (level, (leaves, n) particle indices and their
+    mask, (leaves, r) row indices and their mask), a leaf's padding
+    repeating its first particle and its first row."""
+    n, order = plan.n_dirs, plan.config.order
     spans = np.searchsorted(keys, np.arange(tree.n_cells + 1) * n)
     leaves = np.flatnonzero((tree.n_sons == 0) & (spans[:-1] < spans[1:]))
-    columns = (tree.cell_levels()[leaves], leaves, spans[leaves], spans[leaves + 1])
-    return list(zip(*(c.tolist() for c in columns)))
+    levels = tree.cell_levels()[leaves]
+    lo, n_rows = spans[leaves], spans[leaves + 1] - spans[leaves]
+    start, counts = tree.start[leaves], tree.stop[leaves] - tree.start[leaves]
+    ranked = np.lexsort((counts, n_rows, levels))
+    level_of, rows_of, count_of = (c[ranked].tolist() for c in (levels, n_rows, counts))
+    blocks, i = [], 0
+    while i < len(ranked):
+        widest, j = count_of[i], i + 1
+        while j < len(ranked) and level_of[j] == level_of[i]:
+            # rows ascend within a level, so leaf j sets the block's r
+            wider = max(widest, count_of[j])
+            if (j - i + 1) * max(wider, order) * order * order * rows_of[j] > MAX_BLOCK_ENTRIES:
+                break
+            widest, j = wider, j + 1
+        at = ranked[i:j]
+        blocks.append((level_of[i], *_padded(start[at], counts[at]), *_padded(lo[at], n_rows[at])))
+        i = j
+    return blocks
+
+
+def _grid_waves(plan: FmmPlan) -> dict:
+    """The grid waves exp(i*kappa*beta*<g, u>) on the reference grid g of
+    the cells of one level (side beta) for the directions u of a
+    high-frequency level, exactly those P2M, M2M, L2L and L2P ask for: a
+    leaf block its rows' directions at its leaves' level, a son link its
+    father's direction at the father's level and at the son's.  Per (cell
+    level, level): the sorted direction indices and their (directions,
+    L^3) waves, from one plane_wave call.  Both trees lie on one root box,
+    so a level's side is the same on both."""
+    n = plan.n_dirs
+    wanted: dict = {}
+    for keys, blocks, links in (
+        (plan.source_keys, plan.source_blocks, plan.source_links),
+        (plan.target_keys, plan.target_blocks, plan.target_links),
+    ):
+        asks = [(level, level, rows[mask]) for level, _, _, rows, mask in blocks]
+        asks += [(lv, level, fathers) for level, fathers, *_ in links for lv in (level, level + 1)]
+        for cell_level, level, rows in asks:
+            if plan.is_hf(level):
+                wanted.setdefault((cell_level, level), []).append(keys[rows] % n)
+    grid = interp.grid_points(plan.config.order)
+    waves = {}
+    for (cell_level, level), ds in wanted.items():
+        ds = np.unique(np.concatenate(ds))
+        beta = plan.target_tree.side_at(cell_level)
+        wave = interp.plane_wave(beta * grid, plan.config.kappa, plan.units[level][ds].T)
+        waves[cell_level, level] = ds, np.ascontiguousarray(wave.T)
+    return waves
 
 
 def _waves(plan: FmmPlan, tree: ClusterTree, cells, cell_level: int, level: int, ds) -> np.ndarray:
@@ -535,19 +600,16 @@ def _waves(plan: FmmPlan, tree: ClusterTree, cells, cell_level: int, level: int,
     L2L, their fathers').  A row is the phase exp(i*kappa*<alpha, u>) at
     the cell's corner times the grid wave exp(i*kappa*beta*<g, u>) on the
     reference grid g, which depends on the cell only through its level
-    (side beta) and is built once per plan.  At a low-frequency level
-    u = 0: the one row is the unit wave, shared and read-only."""
+    (side beta), gathered from the plan's (_grid_waves).  At a
+    low-frequency level u = 0: the one row is the unit wave, shared and
+    read-only."""
     if not plan.is_hf(level):
         return plan.unit_wave
-    kappa, units = plan.config.kappa, plan.units[level]
+    directions, waves = plan.grid_waves[cell_level, level]
     beta = tree.side_at(cell_level)
-    keys = [(cell_level, level, d) for d in ds.tolist()]
-    for key in {key for key in keys if key not in plan.grid_waves}:
-        grid = beta * interp.grid_points(plan.config.order)
-        plan.grid_waves[key] = interp.plane_wave(grid, kappa, units[key[2]])
     alpha = tree.root_box.lower + tree.coords[cells] * beta
-    corner = np.exp(1j * kappa * (units[ds] * alpha).sum(axis=-1))
-    return np.array([plan.grid_waves[key] for key in keys]) * corner[:, None]
+    corner = np.exp(1j * plan.config.kappa * (plan.units[level][ds] * alpha).sum(axis=-1))
+    return waves[np.searchsorted(directions, ds)] * corner[..., None]
 
 
 def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndarray:
@@ -569,31 +631,49 @@ def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndar
 # upward pass, and the leaf and translation steps both passes use
 
 
-def _leaf_block(plan: FmmPlan, up: bool, level: int, leaf: int, keys) -> tuple:
-    """The particle slice of a source (up) or target leaf, its (n, L^3)
-    basis, its (rows, L^3) cell waves and its (n, rows) particle phases
-    exp(i*kappa*<y, u>) for its rows' keys."""
-    tree, pset, table = (
-        (plan.source_tree, plan.source_pset, plan.source_table)
+def _leaf_factors(plan: FmmPlan, block: tuple, up: bool) -> tuple:
+    """The (leaves, n, 3, L) Lagrange values of the particles of a block of
+    source (up) or target leaves; their (leaves, n, r) phases
+    exp(i*kappa*<y, u>) for the directions of their leaf's rows, from one
+    plane_wave call at a high-frequency level and all ones (u = 0) at a
+    low-frequency one; the block's unpadded rows and their (rows, L^3) cell
+    waves."""
+    level, particles, _, rows, row_mask = block
+    tree, pset, table, keys = (
+        (plan.source_tree, plan.source_pset, plan.source_table, plan.source_keys)
         if up
-        else (plan.target_tree, plan.target_pset, plan.target_table)
+        else (plan.target_tree, plan.target_pset, plan.target_table, plan.target_keys)
     )
-    at = slice(tree.start[leaf], tree.stop[leaf])
-    ds = keys % plan.n_dirs
-    basis = interp.tensor_basis(table[at])
-    phases = interp.plane_wave(pset.positions[at], plan.config.kappa, plan.units[level][ds].T)
-    return at, basis, _waves(plan, tree, leaf, level, level, ds), phases
+    n = plan.n_dirs
+    ds = keys[rows] % n
+    if plan.is_hf(level):
+        units = plan.units[level][ds].transpose(0, 2, 1)
+        phases = interp.plane_wave(pset.positions[particles], plan.config.kappa, units)
+    else:
+        phases = np.ones((1, 1, 1))
+    rows = rows[row_mask]
+    waves = _waves(plan, tree, keys[rows] // n, level, level, ds[row_mask])
+    return table[particles], phases, rows, waves
 
 
-def _p2m_cell(plan: FmmPlan, charges, multipole, level: int, leaf: int, lo: int, hi: int) -> None:
-    at, basis, waves, phases = _leaf_block(plan, True, level, leaf, plan.source_keys[lo:hi])
-    multipole[lo:hi] = interp.p2m(basis, charges[at, None] * phases.conj()).T * waves
+def _p2m(plan: FmmPlan, block: tuple, charges: np.ndarray, multipole: np.ndarray) -> None:
+    """P2M of the charges (in tree order) of one block of source leaves
+    into their rows of multipole; a padded particle weighs 0."""
+    _, particles, particle_mask, _, row_mask = block
+    values, phases, rows, waves = _leaf_factors(plan, block, up=True)
+    weights = (charges[particles] * particle_mask)[..., None] * phases.conj()
+    multipole[rows] = interp.p2m(values, weights).transpose(0, 2, 1)[row_mask] * waves
 
 
-def _l2p_cell(plan: FmmPlan, local, potentials, level: int, leaf: int, lo: int, hi: int) -> None:
-    at, basis, waves, phases = _leaf_block(plan, False, level, leaf, plan.target_keys[lo:hi])
-    vals = (interp.l2p(basis, (local[lo:hi] * waves.conj()).T) * phases).sum(axis=1)
-    potentials[at] += vals
+def _l2p(plan: FmmPlan, block: tuple, local: np.ndarray, potentials: np.ndarray) -> None:
+    """L2P of one block of target leaves' rows of local, added into the
+    potentials of their particles (in tree order); a padded row is 0."""
+    _, particles, particle_mask, _, row_mask = block
+    values, phases, rows, waves = _leaf_factors(plan, block, up=False)
+    nodal = np.zeros((len(row_mask), plan.workspace.nodal_size, row_mask.shape[1]), dtype=complex)
+    nodal.transpose(0, 2, 1)[row_mask] = local[rows] * waves.conj()
+    vals = (interp.l2p(values, nodal) * phases).sum(axis=-1)
+    potentials[particles[particle_mask]] += vals[particle_mask]
 
 
 def _translate(plan: FmmPlan, link: tuple, rows: np.ndarray, up: bool) -> None:
@@ -633,8 +713,8 @@ def _translate(plan: FmmPlan, link: tuple, rows: np.ndarray, up: bool) -> None:
 def _upward(plan: FmmPlan, charges: np.ndarray, multipole: np.ndarray) -> None:
     """P2M of the charges (in tree order) at each source leaf, then M2M up
     the source tree, into multipole, one row per source key."""
-    for row in _leaf_rows(plan.source_keys, plan.source_tree, plan.n_dirs):
-        _p2m_cell(plan, charges, multipole, *row)
+    for block in plan.source_blocks:
+        _p2m(plan, block, charges, multipole)
     for link in reversed(plan.source_links):
         _translate(plan, link, multipole, up=True)
 
@@ -746,8 +826,8 @@ def _downward(plan: FmmPlan, local: np.ndarray, potentials: np.ndarray) -> None:
     added into potentials (in tree order)."""
     for link in plan.target_links:
         _translate(plan, link, local, up=False)
-    for row in _leaf_rows(plan.target_keys, plan.target_tree, plan.n_dirs):
-        _l2p_cell(plan, local, potentials, *row)
+    for block in plan.target_blocks:
+        _l2p(plan, block, local, potentials)
 
 
 # ---------------------------------------------------------------------------
@@ -761,19 +841,42 @@ class FmmInfo:
     hf_max_level: int
 
 
+def _checked_charges(charges, n: int) -> np.ndarray:
+    """charges as a complex array; ValueError unless it holds one finite
+    charge per source, n of them."""
+    charges = np.asarray(charges, dtype=complex)
+    if charges.ndim != 1:
+        raise ValueError(f"charges must have shape (n,), not {charges.shape}")
+    if len(charges) != n:
+        raise ValueError("points and charges length mismatch")
+    if not np.all(np.isfinite(charges)):
+        raise ValueError("charges must be finite")
+    return charges
+
+
+def _points(targets, sources) -> tuple:
+    """(targets, sources) as (m, 3) and (n, 3) arrays, m, n >= 1, the one
+    targets array for both when ``targets is sources``; ValueError naming
+    the side that is not."""
+    same = targets is sources
+    targets = np.atleast_2d(targets)
+    if targets.ndim != 2 or targets.shape[1] != 3 or len(targets) == 0:
+        raise ValueError(f"targets must have shape (m, 3) with m >= 1, not {targets.shape}")
+    if same:
+        return targets, targets
+    sources = np.atleast_2d(sources)
+    if sources.ndim != 2 or sources.shape[1] != 3 or len(sources) == 0:
+        raise ValueError(f"sources must have shape (n, 3) with n >= 1, not {sources.shape}")
+    return targets, sources
+
+
 def plan_fmm(targets: np.ndarray, sources: np.ndarray, config: FmmConfig = FmmConfig()) -> FmmPlan:
     """Plan the Helmholtz N-body sum of the sources on the targets, for any
     charges: FmmPlan.apply evaluates it.  When ``targets is sources`` a
     single tree serves both sides."""
     t0 = time.perf_counter()
     same = targets is sources
-    targets = np.atleast_2d(targets)
-    if targets.ndim != 2 or targets.shape[1] != 3 or len(targets) == 0:
-        raise ValueError(f"targets must have shape (m, 3) with m >= 1, not {targets.shape}")
-    if not same:
-        sources = np.atleast_2d(sources)
-        if sources.ndim != 2 or sources.shape[1] != 3 or len(sources) == 0:
-            raise ValueError(f"sources must have shape (n, 3) with n >= 1, not {sources.shape}")
+    targets, sources = _points(targets, sources)
     box = None if same else compute_root_box(np.vstack([targets, sources]))
     source = build_tree(sources, config.ncrit, root_box=box)
     target = source if same else build_tree(targets, config.ncrit, root_box=box)
@@ -791,8 +894,11 @@ def run_fmm_full(
 
     One plan (plan_fmm), its event log when ``events`` is given, and one
     apply.  Potentials come back in the caller's original particle order.
-    When ``targets is sources`` a single tree serves both sides.
+    When ``targets is sources`` a single tree serves both sides.  The points
+    and the charges are checked before anything is planned.
     """
+    targets, sources = _points(targets, sources)
+    _checked_charges(charges, len(sources))
     plan = plan_fmm(targets, sources, config)
     if events is not None:
         plan.log(events)

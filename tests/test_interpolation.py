@@ -15,6 +15,13 @@ def _basis(lower, side, order, positions):
     return interp.basis_matrix(order, (np.atleast_2d(positions) - lower) / side)
 
 
+def _values(lower, side, order, positions):
+    """(1, n, 3, L) per-axis 1D Lagrange values of the particles on that
+    cube: the one-leaf stack p2m and l2p take."""
+    unit = (np.atleast_2d(positions) - lower) / side
+    return interp.eval_matrix_1d(order, unit.reshape(-1)).reshape(1, -1, 3, order)
+
+
 def test_nodes_include_endpoints():
     for order in (2, 3, 6):
         n = interp.nodes_1d(order)
@@ -92,17 +99,18 @@ def test_p2m_node_coincident_particle():
     order = 3
     g = interp.grid_points(order)
     j = 14
-    coeffs = interp.p2m(_basis(np.zeros(3), 1.0, order, g[j : j + 1]), np.array([1.0 + 0j]))
+    coeffs = interp.p2m(_values(np.zeros(3), 1.0, order, g[j : j + 1]), np.ones((1, 1, 1)))
+    assert coeffs.shape == (1, order**3, 1)
     expected = np.zeros(order**3)
     expected[j] = 1.0
-    assert np.allclose(coeffs, expected, atol=1e-12)
+    assert np.allclose(coeffs[0, :, 0], expected, atol=1e-12)
 
 
 def test_p2m_zero_charges():
     rng = np.random.default_rng(0)
     lower, side = _random_cube(rng)
     pos = lower + rng.uniform(size=(10, 3)) * side
-    coeffs = interp.p2m(_basis(lower, side, 4, pos), np.zeros(10, dtype=complex))
+    coeffs = interp.p2m(_values(lower, side, 4, pos), np.zeros((1, 10, 1), dtype=complex))
     assert np.all(coeffs == 0)
 
 
@@ -111,21 +119,31 @@ def test_l2p_node_coincident_particle_reads_coefficient():
     g = interp.grid_points(order)
     rng = np.random.default_rng(1)
     local = rng.normal(size=order**3) + 1j * rng.normal(size=order**3)
-    vals = interp.l2p(_basis(np.zeros(3), 1.0, order, g[5:6]), local)
-    assert vals[0] == pytest.approx(local[5])
+    vals = interp.l2p(_values(np.zeros(3), 1.0, order, g[5:6]), local[None, :, None])
+    assert vals.shape == (1, 1, 1)
+    assert vals[0, 0, 0] == pytest.approx(local[5])
 
 
 def test_p2m_l2p_dense_oracle():
-    """P2M then L2P equals the explicit basis-matrix products."""
+    """P2M and L2P of a stack of leaves, each on its own cube with several
+    columns of weights or coefficients, equal the explicit basis-matrix
+    products leaf by leaf; a padded particle of weight 0 adds nothing."""
     rng = np.random.default_rng(2)
-    lower, side = _random_cube(rng)
-    order = 4
-    pos = lower + rng.uniform(size=(20, 3)) * side
-    q = rng.normal(size=20) + 1j * rng.normal(size=20)
-    b = interp.basis_matrix(order, (pos - lower) / side)
-    assert np.allclose(interp.p2m(_basis(lower, side, order, pos), q), b.T @ q, atol=1e-13)
-    local = rng.normal(size=order**3) + 1j * rng.normal(size=order**3)
-    assert np.allclose(interp.l2p(_basis(lower, side, order, pos), local), b @ local, atol=1e-13)
+    order, n, m = 4, 20, 3
+    cubes = [_random_cube(rng) for _ in range(3)]
+    pos = [lower + rng.uniform(size=(n, 3)) * side for lower, side in cubes]
+    values = np.concatenate([_values(lower, side, order, p) for (lower, side), p in zip(cubes, pos)])
+    q = rng.normal(size=(3, n, m)) + 1j * rng.normal(size=(3, n, m))
+    q[2, 15:] = 0  # the last leaf holds 15 particles, padded to 20
+    local = rng.normal(size=(3, order**3, m)) + 1j * rng.normal(size=(3, order**3, m))
+    multipoles, potentials = interp.p2m(values, q), interp.l2p(values, local)
+    assert multipoles.shape == (3, order**3, m) and potentials.shape == (3, n, m)
+    for k, ((lower, side), p) in enumerate(zip(cubes, pos)):
+        b = _basis(lower, side, order, p)
+        assert np.allclose(multipoles[k], b.T @ q[k], atol=1e-13)
+        assert np.allclose(potentials[k], b @ local[k], atol=1e-13)
+    b = _basis(*cubes[2], order, pos[2][:15])
+    assert np.allclose(multipoles[2], b.T @ q[2, :15], atol=1e-13)
 
 
 def test_m2m_factor_columns_sum_to_one():
@@ -164,11 +182,9 @@ def test_m2m_chain_matches_direct_p2m():
     son = np.array(octant) * 0.5  # the son's lower corner, side 0.5
     pos = son + rng.uniform(size=(30, 3)) * 0.5
     q = rng.normal(size=30) + 1j * rng.normal(size=30)
-    son_exp = interp.p2m(_basis(son, 0.5, order, pos), q)
-    via_m2m = interp.kron_apply(
-        interp.m2m_factors(order, octant), son_exp[:, None]
-    )[:, 0]
-    direct = interp.p2m(_basis(np.zeros(3), 1.0, order, pos), q)
+    son_exp = interp.p2m(_values(son, 0.5, order, pos), q[None, :, None])[0]
+    via_m2m = interp.kron_apply(interp.m2m_factors(order, octant), son_exp)[:, 0]
+    direct = interp.p2m(_values(np.zeros(3), 1.0, order, pos), q[None, :, None])[0, :, 0]
     assert np.allclose(via_m2m, direct, atol=1e-12)
 
 
@@ -182,8 +198,8 @@ def test_l2l_chain_matches_direct_l2p():
     son_local = interp.kron_apply(
         interp.l2l_factors(order, octant), local[:, None]
     )[:, 0]
-    via_l2l = interp.l2p(_basis(son, 0.5, order, pos), son_local)
-    direct = interp.l2p(_basis(np.zeros(3), 1.0, order, pos), local)
+    via_l2l = interp.l2p(_values(son, 0.5, order, pos), son_local[None, :, None])[0, :, 0]
+    direct = interp.l2p(_values(np.zeros(3), 1.0, order, pos), local[None, :, None])[0, :, 0]
     assert np.allclose(via_l2l, direct, atol=1e-12)
 
 

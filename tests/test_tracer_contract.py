@@ -122,12 +122,26 @@ def _recording_trees(monkeypatch) -> list:
     return built
 
 
+def _recording_plans(monkeypatch) -> list:
+    """Wrap traversal.plan_fmm, keeping each plan it makes."""
+    plans = []
+    original = traversal.plan_fmm
+
+    def wrapper(*args, **kwargs):
+        plans.append(original(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(traversal, "plan_fmm", wrapper)
+    return plans
+
+
 @pytest.mark.parametrize("problem", [_self_interaction, _laplace_self_interaction, _two_trees])
 def test_tracer_finds_and_measures_everything(monkeypatch, problem):
     tracing = _load_tracing()
     m2f_rows = _counting_rows(monkeypatch, "m2f")
     f2l_rows = _counting_rows(monkeypatch, "f2l")
     built = _recording_trees(monkeypatch)
+    plans = _recording_plans(monkeypatch)
     tracer = tracing.Tracer(helmfmm)
     assert tracer.absent == []
 
@@ -156,9 +170,16 @@ def test_tracer_finds_and_measures_everything(monkeypatch, problem):
     else:
         assert info.hf_max_level == -1
     assert metrics["kernel.matrix_calls"] > 0
-    # P2M and L2P take all the directions of a leaf in one product
-    assert metrics["interpolation.p2m_calls"] <= info.counts["leaves"]
-    assert metrics["interpolation.l2p_calls"] <= info.counts["leaves"]
+    # P2M and L2P make one product per block of same-level leaves
+    (plan,) = plans
+    assert metrics["interpolation.p2m_calls"] == len(plan.source_blocks)
+    assert metrics["interpolation.l2p_calls"] == len(plan.target_blocks)
+    assert len(plan.source_blocks) < info.counts["leaves"]
+    # the plan builds its grid waves in one plane_wave call per (cell
+    # level, level), and a high-frequency leaf block makes one more for
+    # its particle phases
+    hf_blocks = sum(plan.is_hf(block[0]) for block in plan.source_blocks + plan.target_blocks)
+    assert metrics["interpolation.plane_wave_calls"] == len(plan.grid_waves) + hf_blocks
     # M2F transforms one row per multipole M2L reads, F2L one per local
     # expansion it writes, each (level, direction) group's rows in stacks of
     # at most MAX_BLOCK_ENTRIES // P^3 rows

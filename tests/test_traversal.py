@@ -21,10 +21,10 @@ from helmfmm.traversal import (
     FmmPlan,
     _distance,
     _downward,
-    _l2p_cell,
+    _l2p,
     _lagrange_table,
-    _p2m_cell,
-    _leaf_rows,
+    _leaf_blocks,
+    _p2m,
     _upward,
     _waves,
     admissible,
@@ -542,6 +542,9 @@ def test_upward_pass_fails_on_a_missing_son_multipole(kappa):
     victim = _son_key(plan, tree, plan.source_keys)
     assert victim in plan.source_keys
     plan.source_keys = plan.source_keys[plan.source_keys != victim]
+    # as a walk that dropped the key would leave the plan: the leaf blocks
+    # come from the keys
+    plan.source_blocks = _leaf_blocks(plan, tree, plan.source_keys)
     multipole, _, _ = _arrays(plan)
     with pytest.raises(RuntimeError, match="missing son expansion"):
         _upward(plan, np.ones(len(plan.source_pset.positions), dtype=complex), multipole)
@@ -675,7 +678,8 @@ def _counting(monkeypatch, name, seen):
 def test_translation_slices_keep_the_potentials(monkeypatch):
     """M2M and L2L take an octant's links in slices of at most
     MAX_BLOCK_ENTRIES entries; slices of two links sum every row in the
-    same order as whole octants, so the potentials are bitwise the same."""
+    same order as whole octants, so on the same leaf blocks the potentials
+    are bitwise the same."""
     rng = np.random.default_rng(21)
     pts = rng.uniform(size=(400, 3))
     q = rng.normal(size=400) + 1j * rng.normal(size=400)
@@ -685,11 +689,16 @@ def test_translation_slices_keep_the_potentials(monkeypatch):
     monkeypatch.setattr(
         interp, "apply_strategy", lambda s, f, x: widths.append(x.shape[1]) or apply(s, f, x)
     )
-    whole = run_fmm(pts, pts, q, config)
+    plan = plan_fmm(pts, pts, config)
+    whole, _ = plan.apply(q)
     assert max(widths) > 2
     widths.clear()
     monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", 2 * config.order**3)
-    sliced = run_fmm(pts, pts, q, config)
+    sliced_plan = plan_fmm(pts, pts, config)
+    # P2M and L2P pad a leaf to the largest of its block, and a product's
+    # bits depend on its padded length: keep the whole plan's leaf blocks
+    sliced_plan.source_blocks, sliced_plan.target_blocks = plan.source_blocks, plan.target_blocks
+    sliced, _ = sliced_plan.apply(q)
     assert max(widths) == 2
     assert sliced.tobytes() == whole.tobytes()
 
@@ -1147,18 +1156,25 @@ def test_non_finite_charge_fails_loudly():
 
 def _assert_rejected(charges, match):
     """plan.apply and run_fmm_full reject the charges, on the single-tree and
-    on the two-tree path; the plan that rejected them then applies to valid
-    charges bitwise as a fresh solve does."""
+    on the two-tree path, run_fmm_full before it builds a tree; the plan
+    that rejected them then applies to valid charges bitwise as a fresh
+    solve does."""
     rng = np.random.default_rng(7)
     sources = rng.uniform(size=(300, 3))
     good = rng.normal(size=300) + 1j * rng.normal(size=300)
     config = FmmConfig(order=3, ncrit=16, kappa=2.0)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a tree was built for charges that fail the check")
+
     for targets in (sources, rng.uniform(size=(60, 3))):
         plan = plan_fmm(targets, sources, config)
         with pytest.raises(ValueError, match=match):
             plan.apply(charges)
-        with pytest.raises(ValueError, match=match):
-            run_fmm_full(targets, sources, charges, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traversal, "build_tree", never)
+            with pytest.raises(ValueError, match=match):
+                run_fmm_full(targets, sources, charges, config)
         pot, _ = plan.apply(good)
         assert pot.tobytes() == run_fmm(targets, sources, good, config).tobytes()
 
@@ -1182,22 +1198,26 @@ def test_apply_rejects_a_charge_per_point_mismatch(n):
 
 def _plan_bytes(plan) -> list:
     """The bytes of every array the plan holds: its M2L and P2P plans and
-    M2L schedule, its keys and son links, its Lagrange tables and its
-    canonical symbols."""
+    M2L schedule, its keys and son links, its Lagrange tables, its leaf
+    blocks, its grid waves and its canonical symbols."""
     links = [a for side in (plan.source_links, plan.target_links) for _, *cols in side for a in cols]
+    blocks = [a for side in (plan.source_blocks, plan.target_blocks) for _, *cols in side for a in cols]
+    waves = [a for key in sorted(plan.grid_waves) for a in plan.grid_waves[key]]
     arrays = [
         plan.m2l_plan, plan.p2p_plan, plan.m2l_keys, plan.m2f_keys, plan.source_keys,
-        plan.target_keys, *links, plan.source_table, plan.target_table, *plan.cache.canonicals,
+        plan.target_keys, *links, plan.source_table, plan.target_table, *blocks, *waves,
+        *plan.cache.canonicals,
     ]
-    return [repr(plan.m2l_groups)] + [np.asarray(a).tobytes() for a in arrays]
+    return [repr(plan.m2l_groups), repr(sorted(plan.grid_waves))] + [np.asarray(a).tobytes() for a in arrays]
 
 
 @pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
-def test_one_plan_applies_to_many_charge_vectors(same):
+def test_one_plan_applies_to_many_charge_vectors(monkeypatch, same):
     """plan.apply(q) then plan.apply(p) give bitwise the potentials and the
     counts of a fresh run_fmm_full with q and with p, on a high-frequency
     sphere and on a plane over it; an apply changes no array of the plan,
-    nor the caller's charges."""
+    its grid waves included, nor the caller's charges, and each makes one
+    plane_wave call per high-frequency leaf block, for its particle phases."""
     sources = generate_distribution(Distribution("sphere", 1000))
     targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
     config = FmmConfig(order=3, ncrit=8, kappa=20.0)
@@ -1206,9 +1226,24 @@ def test_one_plan_applies_to_many_charge_vectors(same):
     given = [c.copy() for c in charges]
     plan = plan_fmm(targets, sources, config)
     assert plan.hf_max_level >= 2 and plan.counts["m2l_events"] > 0
+    assert plan.grid_waves
     held = _plan_bytes(plan)
-    applied = [plan.apply(c) for c in charges]
+    calls = []
+    plane_wave = interp.plane_wave
+
+    def counting(*args):
+        calls[-1] += 1
+        return plane_wave(*args)
+
+    monkeypatch.setattr(interp, "plane_wave", counting)
+    applied = []
+    for c in charges:
+        calls.append(0)
+        applied.append(plan.apply(c))
+    monkeypatch.undo()
     assert _plan_bytes(plan) == held
+    hf_blocks = sum(plan.is_hf(b[0]) for b in plan.source_blocks + plan.target_blocks)
+    assert calls == [hf_blocks] * 2 and hf_blocks > 0
     assert all(c.tobytes() == g.tobytes() for c, g in zip(charges, given))
     for c, (pot, info) in zip(charges, applied):
         fresh, fresh_info = run_fmm_full(targets, sources, c, config)
@@ -1228,21 +1263,33 @@ def test_deterministic_potentials():
 
 
 def test_leaf_basis_from_the_table_matches_basis_matrix():
+    """The basis the batched P2M and L2P apply to a block of leaves, read
+    out with unit weights and unit coefficients, is each leaf's
+    basis_matrix on its cube."""
     rng = np.random.default_rng(14)
     pts = rng.uniform(size=(600, 3))
     order = 5
-    tree, pset = build_tree(pts, 16)
-    table = _lagrange_table(order, tree, pset)
+    plan = plan_fmm(pts, pts, FmmConfig(order=order, ncrit=16))
+    tree, pset, table = plan.source_tree, plan.source_pset, plan.source_table
     assert table.shape == (600, 3, order)
     levels = tree.cell_levels()
-    for leaf in np.flatnonzero(tree.n_sons == 0):
-        at = slice(tree.start[leaf], tree.stop[leaf])
-        side = tree.side_at(levels[leaf])
-        pos = pset.positions[at]
-        lower = tree.root_box.lower + tree.coords[leaf] * side
-        ref = interp.basis_matrix(order, (pos - lower) / side)
-        got = interp.tensor_basis(table[at])
-        assert np.abs(got - ref).max(initial=0.0) <= 1e-15
+    starts = {int(tree.start[c]): c for c in np.flatnonzero(tree.n_sons == 0)}
+    leaves = 0
+    for _, particles, real, _, _ in plan.source_blocks:
+        values = table[particles]
+        width = particles.shape[1]
+        transposed = interp.p2m(values, np.broadcast_to(np.eye(width), (len(particles), width, width)))
+        eye = np.broadcast_to(np.eye(order**3), (len(particles), order**3, order**3))
+        basis = interp.l2p(values, eye)
+        for i, (at, mask) in enumerate(zip(particles, real)):
+            leaf = starts[int(at[0])]
+            side = tree.side_at(levels[leaf])
+            lower = tree.root_box.lower + tree.coords[leaf] * side
+            ref = interp.basis_matrix(order, (pset.positions[at[mask]] - lower) / side)
+            assert np.abs(transposed[i][:, mask].T - ref).max() <= 1e-15
+            assert np.abs(basis[i][mask] - ref).max() <= 1e-15
+            leaves += 1
+    assert leaves == len(starts)
 
 
 def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
@@ -1251,28 +1298,38 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
     pair = build_tree(pts, config.ncrit)
     tree = pair[0]
     plan = FmmPlan(config, pair, pair)
-    level = plan.hf_max_level
     grid = interp.grid_points(config.order)
-    cells = tree.levels[level]
-    # the deepest high-frequency level under its own directions (P2M/L2P)
-    # and under its fathers' (M2M/L2L), every (cell, direction) pair in one
-    # call, cell major
-    direction_levels = (level, level - 1)
-    for dl in direction_levels:
-        n_units = len(plan.units[dl])
-        index = np.repeat([cell.index for cell in cells], n_units)
-        ds = np.tile(np.arange(n_units), len(cells))
-        waves = iter(_waves(plan, tree, index, level, dl, ds))
-        side = tree.side_at(level)
+    n = plan.n_dirs
+    # the plan builds the grid waves of exactly the (cell level, level,
+    # direction) triples its leaf blocks and son links ask for
+    asked = set()
+    for keys, blocks, links in (
+        (plan.source_keys, plan.source_blocks, plan.source_links),
+        (plan.target_keys, plan.target_blocks, plan.target_links),
+    ):
+        for level, _, _, rows, mask in blocks:
+            asked |= {(level, level, int(k) % n) for k in keys[rows[mask]]}
+        for level, fathers, *_ in links:
+            asked |= {(lv, level, int(k) % n) for k in keys[fathers] for lv in (level, level + 1)}
+    asked = {(cl, level, d) for cl, level, d in asked if plan.is_hf(level)}
+    built = {(cl, level, int(d)) for (cl, level), (ds, _) in plan.grid_waves.items() for d in ds}
+    assert built == asked
+    # under the cells' own directions (P2M/L2P, M2M/L2L fathers) and under
+    # their fathers' (M2M/L2L sons)
+    assert {cl - level for cl, level in plan.grid_waves} == {0, 1}
+    # every cell of a level under each direction built for it, every (cell,
+    # direction) pair in one call, cell major
+    for (cell_level, level), (ds, _) in plan.grid_waves.items():
+        cells = tree.levels[cell_level]
+        index = np.repeat([cell.index for cell in cells], len(ds))
+        waves = iter(_waves(plan, tree, index, cell_level, level, np.tile(ds, len(cells))))
+        side = tree.side_at(cell_level)
         for cell in cells:
             x = (tree.root_box.lower + cell.coords * side) + side * grid
-            for d in range(n_units):
-                ref = interp.plane_wave(x, config.kappa, plan.units[dl][d])
+            for d in ds:
+                ref = interp.plane_wave(x, config.kappa, plan.units[level][d])
                 assert np.abs(next(waves) - ref).max() < 1e-13
         assert next(waves, None) is None
-    # one grid wave per (level, direction), built on first use
-    n_waves = sum(len(plan.units[dl]) for dl in direction_levels)
-    assert len(plan.grid_waves) == n_waves
     # at kappa = 10 the deepest level is low-frequency: under its
     # directions, u = 0, every cell gets the one shared, read-only unit
     # wave, exactly the plane wave at u = 0, and no grid wave is built
@@ -1287,106 +1344,105 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
     for cell in (deepest[0], deepest[-1]):
         x = (tree.root_box.lower + cell.coords * side) + side * grid
         assert wave[0].tobytes() == interp.plane_wave(x, 10.0, np.zeros(3)).tobytes()
-    assert not low.grid_waves
+    assert all(low.is_hf(level) for _, level in low.grid_waves)
 
 
-def _hf_leaf_blocks(plan, keys, tree, pset):
-    """(leaf, lo, hi, basis, grid waves, particle waves) of each
-    high-frequency leaf with several rows among the sorted keys, the waves
-    exp(i*kappa*<x, u>) built point by point, one per row."""
-    order, kappa = plan.config.order, plan.config.kappa
+def _leaf_cases(rng, ncrit):
+    """400 points of the unit box whose level-2 corner cells hold a single
+    point ([0.75, 1)^3) and exactly ncrit points, four of them coincident
+    ([0, 0.25)^3), and whose other level-2 cells hold fewer than ncrit."""
+    pts = rng.uniform(size=(400, 3))
+    pts = pts[~np.all(pts >= 0.75, axis=1) & ~np.all(pts < 0.25, axis=1)]
+    corner = 0.25 * rng.uniform(size=(ncrit - 3, 3))
+    corner = np.vstack([corner, np.repeat(corner[:1], 3, axis=0)])
+    return np.vstack([pts, [[0.9, 0.85, 0.8]], corner])
+
+
+def _leaf_rows(plan, keys, tree, pset):
+    """(level, particles, rows, lagrange basis, particle waves, grid waves) of
+    each leaf that owns rows lo:hi of keys, from basis_matrix and
+    plane_wave, one row's direction u at a time (u = 0 at low frequency)."""
+    order, kappa, n = plan.config.order, plan.config.kappa, plan.n_dirs
     grid = interp.grid_points(order)
-    for level, index, lo, hi in _leaf_rows(keys, tree, plan.n_dirs):
-        leaf = tree.cells[index]
-        assert (leaf.level, leaf.is_leaf) == (level, True)
-        if not plan.is_hf(leaf.level) or hi - lo < 2:
+    for leaf in np.flatnonzero(tree.n_sons == 0):
+        lo, hi = np.searchsorted(keys, [leaf * n, (leaf + 1) * n])
+        if lo == hi:
             continue
-        side = tree.side_at(leaf.level)
-        lower = tree.root_box.lower + leaf.coords * side
-        pos = pset.positions[leaf.start : leaf.stop]
-        b = interp.basis_matrix(order, (pos - lower) / side)
-        units = plan.dirs.levels[plan.refinement(leaf.level)][keys[lo:hi] % plan.n_dirs]
-        x = lower + side * grid
+        level = int(tree.cell_levels()[leaf])
+        side = tree.side_at(level)
+        lower = tree.root_box.lower + tree.coords[leaf] * side
+        at = slice(tree.start[leaf], tree.stop[leaf])
+        pos = pset.positions[at]
+        units = plan.units[level][keys[lo:hi] % n]
         yield (
-            leaf, lo, hi, b,
-            [interp.plane_wave(x, kappa, u) for u in units],
+            level, at, range(lo, hi),
+            interp.basis_matrix(order, (pos - lower) / side),
             [interp.plane_wave(pos, kappa, u) for u in units],
+            [interp.plane_wave(lower + side * grid, kappa, u) for u in units],
         )
 
 
-def _leaf_two_cluster_plan(ncrit):
-    """A plan of a self-interaction of 400 uniform points at kappa = 12, its
-    charges in tree order and its zeroed per-apply arrays: at ncrit 16
-    every leaf lies at high-frequency level 2, at ncrit 4 most at
-    low-frequency level 3."""
-    rng = np.random.default_rng(9)
-    pts = rng.uniform(size=(400, 3))
-    q = rng.normal(size=400) + 1j * rng.normal(size=400)
-    plan = plan_fmm(pts, pts, FmmConfig(order=4, ncrit=ncrit, kappa=12.0))
-    pset = plan.source_pset
-    return plan.source_tree, pset, plan, rng, q[pset.original_index], _arrays(plan)
+def _relative_gap(got, ref) -> float:
+    """max |got - ref| / max |ref| over lists of arrays."""
+    got, ref = (np.concatenate([np.ravel(a) for a in x]) for x in (got, ref))
+    return np.abs(got - ref).max() / np.abs(ref).max()
 
 
 def test_modulated_p2m_l2p_match_the_explicit_phases():
-    """Every row of a high-frequency leaf's P2M and L2P block is the basis
-    product between the particle phases and the plane wave on the leaf's
-    grid, for the row's own direction."""
-    tree, pset, plan, rng, charges, (multipole, local, potentials) = _leaf_two_cluster_plan(16)
-    size = plan.config.order**3
-    rows = 0
-    for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(plan, plan.source_keys, tree, pset):
-        _p2m_cell(plan, charges, multipole, leaf.level, leaf.index, lo, hi)
-        qs = charges[leaf.start : leaf.stop]
-        for row, g, y in zip(range(lo, hi), on_grid, on_pos):
-            expected = (b.T @ (qs * y.conj())) * g
-            got = multipole[row]
-            assert np.allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
-            rows += 1
-    assert rows > 0
+    """Batched P2M and L2P, one product per block of same-level leaves,
+    match each leaf's product with its basis_matrix, its particle phases
+    and its grid waves, row by row, to 1e-14 relative: at kappa = 0 and at
+    a high-frequency kappa, on one tree and on two.  The leaves include a
+    single-particle leaf, one of ncrit particles with coincident ones, and
+    at high frequency a block of leaves with different numbers of rows;
+    every block but a single leaf stays within MAX_BLOCK_ENTRIES padded
+    entries."""
+    ncrit, order = 16, 4
+    rng = np.random.default_rng(9)
+    sources, other = _leaf_cases(rng, ncrit), _leaf_cases(rng, ncrit)
+    source = build_tree(sources, ncrit, root_box=UNIT_BOX)
+    for kappa in (0.0, 12.0):
+        for target in (source, build_tree(other, ncrit, root_box=UNIT_BOX)):
+            plan = FmmPlan(FmmConfig(order=order, ncrit=ncrit, kappa=kappa), target, source)
+            assert plan.hf_max_level == (2 if kappa else -1)
+            multipole, local, potentials = _arrays(plan)
+            q = rng.normal(size=len(sources)) + 1j * rng.normal(size=len(sources))
+            for block in plan.source_blocks:
+                _p2m(plan, block, q, multipole)
+            local[:] = rng.normal(size=local.shape) + 1j * rng.normal(size=local.shape)
+            for block in plan.target_blocks:
+                _l2p(plan, block, local, potentials)
 
-    rows = 0
-    for leaf, lo, hi, b, on_grid, on_pos in _hf_leaf_blocks(plan, plan.target_keys, tree, pset):
-        # one row of the block at a time
-        for row, g, y in zip(range(lo, hi), on_grid, on_pos):
-            expansion = rng.normal(size=size) + 1j * rng.normal(size=size)
-            local[lo:hi] = 0
-            local[row] = expansion
-            potentials[:] = 0
-            _l2p_cell(plan, local, potentials, leaf.level, leaf.index, lo, hi)
-            expected = (b @ (expansion * g.conj())) * y
-            got = potentials[leaf.start : leaf.stop]
-            assert np.allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
-            rows += 1
-    assert rows > 0
+            source_leaves = list(_leaf_rows(plan, plan.source_keys, plan.source_tree, plan.source_pset))
+            target_leaves = list(_leaf_rows(plan, plan.target_keys, plan.target_tree, plan.target_pset))
+            got = [multipole[rows] for _, _, rows, *_ in source_leaves]
+            ref = [
+                [(b.T @ (q[at] * y.conj())) * g for y, g in zip(on_pos, on_grid)]
+                for _, at, _, b, on_pos, on_grid in source_leaves
+            ]
+            assert _relative_gap(got, ref) <= 1e-14
+            got = [potentials[at] for _, at, *_ in target_leaves]
+            ref = [
+                sum((b @ (local[r] * g.conj())) * y for r, y, g in zip(rows, on_pos, on_grid))
+                for _, at, rows, b, on_pos, on_grid in target_leaves
+            ]
+            assert _relative_gap(got, ref) <= 1e-14
 
-    # a low-frequency leaf is the one-direction case u = 0: its one row is
-    # exactly the plain basis product, on both sides
-    tree, pset, plan, rng, charges, (multipole, local, potentials) = _leaf_two_cluster_plan(4)
-    low = [
-        leaf
-        for leaf in tree.cells
-        if leaf.is_leaf and not plan.is_hf(leaf.level) and leaf.stop > leaf.start
-    ]
-    assert low
-    source_rows, target_rows = (
-        {leaf: (lo, hi) for _, leaf, lo, hi in _leaf_rows(keys, tree, plan.n_dirs)}
-        for keys in (plan.source_keys, plan.target_keys)
-    )
-    for leaf in low:
-        basis = interp.tensor_basis(plan.source_table[leaf.start : leaf.stop])
-        lo, hi = source_rows[leaf.index]
-        assert plan.source_keys[lo:hi].tolist() == [leaf.index * plan.n_dirs]
-        _p2m_cell(plan, charges, multipole, leaf.level, leaf.index, lo, hi)
-        qs = charges[leaf.start : leaf.stop]
-        assert multipole[lo].tobytes() == (basis.T @ qs).tobytes()
-
-        lo, hi = target_rows[leaf.index]
-        assert plan.target_keys[lo:hi].tolist() == [leaf.index * plan.n_dirs]
-        expansion = rng.normal(size=size) + 1j * rng.normal(size=size)
-        local[lo] = expansion
-        potentials[:] = 0
-        _l2p_cell(plan, local, potentials, leaf.level, leaf.index, lo, hi)
-        assert potentials[leaf.start : leaf.stop].tobytes() == (basis @ expansion).tobytes()
+            for blocks, leaves in ((plan.source_blocks, source_leaves), (plan.target_blocks, target_leaves)):
+                assert all(plan.is_hf(level) == (kappa > 0) for level, *_ in leaves)
+                # the corner leaves, and a leaf with coincident particles,
+                # own rows on each side
+                assert {1, ncrit} <= {at.stop - at.start for _, at, *_ in leaves}
+                pset = plan.source_pset if blocks is plan.source_blocks else plan.target_pset
+                assert any(
+                    len(np.unique(pset.positions[at], axis=0)) < at.stop - at.start
+                    for _, at, *_ in leaves
+                )
+                for _, particles, _, rows, row_mask in blocks:
+                    entries = len(particles) * max(particles.shape[1], order) * order**2 * rows.shape[1]
+                    assert entries <= MAX_BLOCK_ENTRIES or len(particles) == 1
+                mixed = [len(set(row_mask.sum(axis=1).tolist())) > 1 for *_, row_mask in blocks]
+                assert any(mixed) == (kappa > 0)
 
 
 @pytest.mark.parametrize("same", [True, False])
