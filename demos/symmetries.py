@@ -1,8 +1,10 @@
 """How the FFT diagonalization and the cube symmetries cut M2L cost.
 
-Part 1 checks that applying the M2L operator through the zero-pad / FFT /
-Hadamard / inverse-FFT pipeline reproduces the explicitly assembled dense
-kernel matrix to machine precision.
+Part 1 checks that applying the M2L operator through the zero-pad / DFT /
+Hadamard / inverse-DFT pipeline, with its diagonal made by an FFT,
+reproduces the explicitly assembled dense kernel matrix to machine
+precision, and that M2F and F2L, which apply the padded DFT as products
+with its per-axis factors, match numpy's padded fftn and cropped ifftn.
 
 Part 2 enumerates all same-level translations admissible under the strict
 separation criterion and shows that the 48 signed permutations of the cube
@@ -41,6 +43,17 @@ for tvec in [(2, 0, 0), (3, 1, 0), (-2, 2, -2)]:
     fft_operator = workspace.f2l(diagonal * fourier).T
     deviation = np.abs(fft_operator - dense).max() / np.abs(dense).max()
     print(f"  translation {tvec}: relative deviation {deviation:.2e}")
+
+# M2F and F2L against numpy's padded fftn and cropped ifftn, on the basis
+# vectors of each side: the largest deviation of the two transform matrices
+pad = workspace.padded
+nodal, spectral = np.eye(ORDER**3, dtype=complex), np.eye(pad**3, dtype=complex)
+fftn = np.fft.fftn(nodal.reshape(-1, ORDER, ORDER, ORDER), s=(pad,) * 3, axes=(1, 2, 3))
+ifftn = np.fft.ifftn(spectral.reshape(-1, pad, pad, pad), axes=(1, 2, 3))
+ifftn = ifftn[:, :ORDER, :ORDER, :ORDER]
+m2f_gap = np.abs(workspace.m2f(nodal) - fftn.reshape(len(nodal), -1) / pad**1.5).max()
+f2l_gap = np.abs(workspace.f2l(spectral) - ifftn.reshape(len(spectral), -1) * pad**1.5).max()
+print(f"  M2F / F2L vs padded fftn / cropped ifftn: largest deviation {max(m2f_gap, f2l_gap):.2e}")
 
 print("\nSymmetry reduction over the strict-MAC interaction set")
 translations = [

@@ -11,6 +11,13 @@ with chi the zero-padding, F the unitary d-dimensional DFT and D the
 diagonal of Fourier coefficients of the periodized kernel (the DFT of the
 first circulant column).  Hyperoctahedral symmetry acts on D as a pure
 permutation of its entries, which is what the symbol cache exploits.
+
+D is computed by an FFT, np.fft.fftn of the kernel on the difference grid
+(precompute_symbol).  M2F and F2L, which apply F . chi and chi^T . F* to
+every expansion of a solve, do not go through an FFT: with P = 9 points
+per axis at L = 5, a length-P transform costs more in per-line overhead
+than in arithmetic, so FourierWorkspace applies them as two small products
+per expansion with the per-axis factors of F (_dft_factors).
 """
 
 from __future__ import annotations
@@ -36,23 +43,46 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _dft_factors(order: int) -> tuple:
+    """The padded DFT of order L as per-axis factors, read-only: F, the
+    (P, L) unitary DFT of a zero-padded axis, e^(-2 pi i jk/P) / sqrt(P),
+    with K^T = kron(F, F)^T, (L^2, P^2), for the last two axes; and G =
+    F^H, (L, P), with kron(G, G)^T, (P^2, L^2), for the cropped adjoint."""
+    pad = 2 * order - 1
+    jk = np.outer(np.arange(pad), np.arange(order)) % pad
+    f = np.exp(jk * (-2j * np.pi / pad)) / np.sqrt(pad)
+    g = f.conj().T.copy()
+    factors = f, np.kron(f, f).T.copy(), g, np.kron(g, g).T.copy()
+    for factor in factors:
+        factor.setflags(write=False)
+    return factors
+
+
 @dataclass(frozen=True)
 class FourierWorkspace:
     """Transform sizes and the unitary-DFT convention used throughout.
 
     M2F and F2L take a (k, size) stack of expansions, one per row, and
-    nothing else (one expansion is a one-row stack), and transform it
-    one axis at a time, last axis first.  M2F is numpy's padded fftn
-    (s = (P, P, P)), which zero-pads each axis as it transforms it, so the
-    lines that are all zero are never transformed; F2L crops each axis to
-    L right after its inverse transform (ifftn with s would crop before
-    it).  Every entry is then the same floating-point expression as the
-    per-expansion fftn / ifftn of the zero-padded cube.  Forward and
-    backward are normalized symmetrically by P^(d/2) so that they are
-    mutually adjoint.
+    nothing else (one expansion is a one-row stack).  M2F is the unitary
+    DFT of the zero-padded cube, as two products per row with the DFT
+    factors of the order (_dft_factors, built once per order): the
+    (k, L, L^2) stack times K^T on the last two axes, then F on the first.
+    F2L is its adjoint, the cropped inverse: G = F^H on the first axis,
+    then kron(G, G)^T on the last two.  Both go through numpy's batched
+    matmul, one product per row, so a row's bits do not depend on the
+    stack it sits in, and a solve's potentials do not depend on how its
+    rows are cut into stacks.  A row is the per-expansion padded fftn /
+    cropped ifftn to about 1e-15 relative, not bitwise: the products sum
+    in another order.  Forward and backward are normalized symmetrically
+    by P^(d/2), so that they are mutually adjoint.
     """
 
     order: int
+
+    def __post_init__(self):
+        if self.order < 2:
+            raise ValueError("order must be >= 2")
 
     @property
     def padded(self) -> int:
@@ -66,10 +96,6 @@ class FourierWorkspace:
     def fourier_size(self) -> int:
         return self.padded**3
 
-    @property
-    def _norm(self) -> float:
-        return float(self.padded) ** 1.5
-
     @staticmethod
     def _checked(values, size: int, what: str) -> np.ndarray:
         """values as a (k, size) stack of expansions."""
@@ -82,20 +108,17 @@ class FourierWorkspace:
         """Zero-pad and transform, F . chi . v, each nodal expansion of a
         (k, L^3) stack: (k, P^3)."""
         nodal = self._checked(nodal, self.nodal_size, "nodal expansions")
-        cubes = nodal.reshape(-1, self.order, self.order, self.order)
-        out = np.fft.fftn(cubes, s=(self.padded,) * 3, axes=(1, 2, 3))
-        out /= self._norm
+        f, kron_t, _, _ = _dft_factors(self.order)
+        out = f @ (nodal.reshape(-1, self.order, self.order**2) @ kron_t)
         return out.reshape(len(nodal), self.fourier_size)
 
     def f2l(self, fourier: np.ndarray) -> np.ndarray:
         """Adjoint path, chi^T . F* . w, of each Fourier expansion of a
         (k, P^3) stack: (k, L^3)."""
         fourier = self._checked(fourier, self.fourier_size, "Fourier expansions")
-        ordr, pad = self.order, self.padded
-        out = fourier.reshape(-1, pad, pad, pad)
-        for axis in (3, 2, 1):
-            out = np.fft.ifft(out, axis=axis)[(slice(None),) * axis + (slice(ordr),)]
-        return (out * self._norm).reshape(len(fourier), self.nodal_size)
+        _, _, g, kron_t = _dft_factors(self.order)
+        out = (g @ fourier.reshape(-1, self.padded, self.padded**2)) @ kron_t
+        return out.reshape(len(fourier), self.nodal_size)
 
 
 def m2l_hadamard(accumulator: np.ndarray, source: np.ndarray, diagonal: np.ndarray) -> None:

@@ -71,7 +71,10 @@ direction) its leaf blocks and son links ask for (_grid_waves, _waves);
 a low-frequency level is the one-direction case u = 0, so each operator
 has one formula for both regimes.  M2F transforms only the multipoles
 M2L reads, and F2L only the locals it writes, in stacks of one group's
-rows (_blocks).
+rows (_blocks), each row by two products with the DFT factors of the
+order (FourierWorkspace), bitwise the same in any stack, so the
+potentials keep their bits under any block rule; the M2L diagonals are
+still made by an FFT (precompute_symbol).
 """
 
 from __future__ import annotations

@@ -18,5 +18,7 @@ def test_symmetries_demo(capsys):
     # and every table diagonal its direct computation
     pipeline = _deviations(out, "translation (")
     assert len(pipeline) == 3 and max(pipeline) < 1e-12
+    transforms = _deviations(out, "M2F / F2L vs")
+    assert len(transforms) == 1 and transforms[0] < 1e-14
     table = _deviations(out, "table diagonals")
     assert len(table) == 1 and table[0] < 1e-13

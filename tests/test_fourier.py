@@ -164,13 +164,13 @@ def _m2f_per_row(ws, v):
     ordr, pad = ws.order, ws.padded
     buf = np.zeros((pad, pad, pad), dtype=complex)
     buf[:ordr, :ordr, :ordr] = v.reshape(ordr, ordr, ordr)
-    return (np.fft.fftn(buf) / ws._norm).ravel()
+    return (np.fft.fftn(buf) / pad**1.5).ravel()
 
 
 def _f2l_per_row(ws, w):
     """The per-expansion F2L: np.fft.ifftn, then crop the cube."""
     ordr, pad = ws.order, ws.padded
-    out = np.fft.ifftn(w.reshape(pad, pad, pad)) * ws._norm
+    out = np.fft.ifftn(w.reshape(pad, pad, pad)) * pad**1.5
     return np.ascontiguousarray(out[:ordr, :ordr, :ordr]).reshape(-1)
 
 
@@ -178,9 +178,17 @@ def _random_stack(rng, rows, size):
     return rng.normal(size=(rows, size)) + 1j * rng.normal(size=(rows, size))
 
 
+def _max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
 @pytest.mark.parametrize("rows", [0, 1, 44, 45])
-@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
 def test_stacked_transforms_equal_the_per_row_fftn_bitwise(order, rows):
+    """Each row of a stacked M2F / F2L is bitwise the transform of that row
+    alone, so no row's bits depend on its stack; and it is the per-row
+    padded fftn / cropped ifftn to 1e-14 relative (max-norm), not bitwise,
+    since the DFT-factor products sum in another order than pocketfft."""
     rng = np.random.default_rng(order * 100 + rows)
     ws = FourierWorkspace(order)
     v = _random_stack(rng, rows, ws.nodal_size)
@@ -188,8 +196,16 @@ def test_stacked_transforms_equal_the_per_row_fftn_bitwise(order, rows):
     hat, back = ws.m2f(v), ws.f2l(w)
     assert hat.shape == (rows, ws.fourier_size) and back.shape == (rows, ws.nodal_size)
     for i in range(rows):
-        assert np.array_equal(hat[i], _m2f_per_row(ws, v[i]))
-        assert np.array_equal(back[i], _f2l_per_row(ws, w[i]))
+        assert np.array_equal(hat[i], ws.m2f(v[i : i + 1])[0])
+        assert np.array_equal(back[i], ws.f2l(w[i : i + 1])[0])
+        assert _max_rel(hat[i], _m2f_per_row(ws, v[i])) < 1e-14
+        assert _max_rel(back[i], _f2l_per_row(ws, w[i])) < 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 0, -3])
+def test_workspace_rejects_an_order_below_2(order):
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        FourierWorkspace(order)
 
 
 def test_stacked_adjoint_identity():
@@ -243,7 +259,9 @@ def _fft_m2l_matrix(kernel, tvec, beta, order):
     return ws.f2l(diagonal * ws.m2f(np.eye(order**3, dtype=complex))).T
 
 
-@pytest.mark.parametrize("kappa,order", [(0.0, 2), (0.0, 4), (3.0, 4), (10.0, 5)])
+@pytest.mark.parametrize(
+    "kappa,order", [(kappa, order) for kappa in (0.0, 3.0, 10.0) for order in range(2, 9)]
+)
 def test_fft_path_matches_dense_operator(kappa, order):
     kernel = HelmholtzKernel(kappa=kappa, singularity_tol=1e-14)
     beta = 0.25
