@@ -31,9 +31,13 @@ MAX_BLOCK_ENTRIES = 1 << 15
 # targets of one kernel block in direct_sum, at most
 MAX_BLOCK_TARGETS = 512
 
-# sqrt of the smallest normal double: a distance above it squares without
-# underflow, so HelmholtzKernel.matrix only rescales for a lower tolerance
+# sqrt of the smallest normal and of the largest double: a distance between
+# them squares without underflow or overflow.  HelmholtzKernel.matrix
+# rescales only for a tolerance below the first, or for one whose root box
+# (a box-relative tolerance DEFAULT_SINGULARITY_TOL * side names its side)
+# holds pairs as far apart as the second: they lie less than 2 * side apart
 MIN_SQUARABLE = math.sqrt(np.finfo(float).tiny)
+MAX_SQUARABLE = math.sqrt(np.finfo(float).max)
 
 # e^{ix} for 0 <= x < CIS_BOUND without libm: Cody & Waite's reduction
 # x = k*pi/2 + y, |y| <= pi/4, with fdlibm's three-part pi/2 (each part has
@@ -103,13 +107,16 @@ class HelmholtzKernel:
         exactly 0 either way, and r is symmetric in its two points, so
         matrix(x, y) is bitwise matrix(y, x).T.
 
-        Below MIN_SQUARABLE a distance squares to an underflow, so with a
-        lower singularity_tol the coordinates are scaled by a power of two
-        (exact) that brings their span near 1, and the scale is folded back
-        into the constants; otherwise the scale is 1.0.
+        Below MIN_SQUARABLE a distance squares to an underflow, and beyond
+        MAX_SQUARABLE to an overflow, so with a singularity_tol below the
+        first or one box-relative to a root box that reaches the second,
+        the coordinates are scaled by a power of two (exact) that brings
+        their span near 1, and the scale is folded back into the constants;
+        otherwise the scale is 1.0.
         """
         scale = 1.0
-        if self.singularity_tol < MIN_SQUARABLE:
+        side = self.singularity_tol / DEFAULT_SINGULARITY_TOL
+        if self.singularity_tol < MIN_SQUARABLE or 2.0 * side >= MAX_SQUARABLE:
             scale = _unit_scale(targets, sources)
             targets, sources = targets * scale, sources * scale
         # r and one scratch array d serve every step (the temporaries are

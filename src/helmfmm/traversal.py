@@ -36,14 +36,18 @@ A block's new translations are resolved together, in array steps: one
 stacked SymbolCache.get canonicalizes them and, at high frequency, one
 nearest_direction and one tag_direction give them their directions.
 The numeric DTT replays the M2L events one (level, direction) group at a
-time: an event's target and source rows carry the level of its cells and
-the direction of its entry, so each expansion and each table entry
-belongs to one group.  A group transforms the multipoles it reads into
-one block (M2F), permutes its entries' diagonals out of their canonical
-ones, and replays its events stack by stack of target rows, each stack's
-in recorded order, so every accumulator sums as in the recursion while
-only one stack of Fourier locals is alive; F2L takes each stack as soon
-as its last event is done, and the group's Fourier multipoles and
+time: an event's target and source expansions carry the level of its
+cells and the direction of its entry, so each of them and each table
+entry belongs to one group.  The plan keeps each group's schedule whole
+(m2l_groups): the source rows its M2F reads, its table entries, and its
+stacks of target rows, each written by one F2L; an event names its
+target's row in its stack, its source's in the group's block and its
+entry's place among the group's entries.  A group transforms its
+multipoles into one block (M2F), permutes its entries' diagonals out of
+their canonical ones, and replays its events stack by stack, each
+stack's in recorded order, so every accumulator sums as in the recursion
+while only one stack of Fourier locals is alive; F2L takes each stack as
+soon as its last event is done, and the group's Fourier multipoles and
 diagonals are dropped before the next group runs.  One stable argsort groups
 the P2P pairs by target: each target cell takes one direct sum against
 the particles of its near source cells in recorded order, in kernel
@@ -52,9 +56,9 @@ blocks of at most MAX_BLOCK_ENTRIES entries, real at kappa = 0.
 Expansions live in per-apply arrays, one row per key cell * n_dirs + d (d
 indexes plan.units at the cell's level: 0, u = 0, at low frequency), in the
 sorted key order of their side: the source keys are the multipoles M2L
-reads (m2f_keys) and, below them through plan.hand_down, those M2M reads;
-the target keys are the locals M2L writes (m2l_keys) and, below them,
-those L2L writes.  One walk down each tree, cut by its level offsets,
+reads and, below them through plan.hand_down, those M2M reads; the
+target keys are the locals M2L writes and, below them, those L2L
+writes.  One walk down each tree, cut by its level offsets,
 derives its side's keys and son links (_walk), so every son row a link
 names exists.  P2M and L2P make one batched product per block of
 same-level leaves (n_sons 0), as exafmm-t and PVFMM apply their leaf
@@ -165,8 +169,8 @@ def admissible(tvecs, side: float, kappa: float | None = None, eta: float = 1.0)
 class FmmPlan:
     """The charge-free half of a solve, made once per geometry: the trees
     and their particles in tree order, the kernel, the direction tables,
-    the M2L table (cache), blank_dtt's lists (m2l_plan, p2p_plan), their
-    rows, keys, son links and M2L stacks (_plan_rows), one Lagrange table
+    the M2L table (cache), blank_dtt's lists (m2l_plan, p2p_plan), the
+    keys, son links and M2L schedule (_plan_rows), one Lagrange table
     per tree, the leaf blocks of P2M and L2P (_leaf_blocks), the grid waves
     (_grid_waves), and the solve's counts.  apply evaluates it for one
     charge vector and changes nothing in it.
@@ -234,7 +238,8 @@ class FmmPlan:
         self.unit_wave.flags.writeable = False
 
         # blank_dtt's lists: flat (target, source, entry) triplets, whose
-        # cells _plan_rows rewrites as rows, and flat (target, source) pairs
+        # cells and entries _plan_rows rewrites in its schedule's indices,
+        # and flat (target, source) pairs
         self.m2l_plan, self.p2p_plan = array("i"), array("i")
         t0 = time.perf_counter()
         blank_dtt(self)
@@ -271,18 +276,22 @@ class FmmPlan:
         return self.deepest_refinement + self.hf_max_level - level
 
     def log(self, events: list) -> None:
-        """Append one InteractionEvent per M2L event, in replay order, then
-        one per P2P pair, in recorded order, to events; only this builds the
-        trees' Cell views."""
+        """Append one InteractionEvent per M2L event, in replay order, its
+        cells read back through the schedule's rows and keys, then one per
+        P2P pair, in recorded order, to events; only this builds the trees'
+        Cell views."""
         n = self.n_dirs
         m2l = np.frombuffer(self.m2l_plan, dtype=np.intc).reshape(-1, 3)
         p2p = np.frombuffer(self.p2p_plan, dtype=np.intc).reshape(-1, 2)
+        ti, si, at = [], [], 0
+        for sources, _, stacks in self.m2l_groups:
+            for targets, count in stacks:
+                rows, at = m2l[at : at + count], at + count
+                ti += (self.target_keys[targets[rows[:, 0]]] // n).tolist()
+                si += (self.source_keys[sources[rows[:, 1]]] // n).tolist()
         t, s = self.target_tree.cells, self.source_tree.cells
-        for kind, ti, si in (
-            ("M2L", self.m2l_keys[m2l[:, 0]] // n, self.m2f_keys[m2l[:, 1]] // n),
-            ("P2P", p2p[:, 0], p2p[:, 1]),
-        ):
-            events.extend(InteractionEvent(kind, t[i], s[j]) for i, j in zip(ti.tolist(), si.tolist()))
+        for kind, ti, si in (("M2L", ti, si), ("P2P", p2p[:, 0].tolist(), p2p[:, 1].tolist())):
+            events.extend(InteractionEvent(kind, t[i], s[j]) for i, j in zip(ti, si))
 
     def apply(self, charges: np.ndarray) -> tuple[np.ndarray, FmmInfo]:
         """(potentials, run info) of one (n,) charge vector on the sources:
@@ -463,65 +472,61 @@ def _walk(plan: FmmPlan, tree: ClusterTree, seeds: np.ndarray) -> tuple:
     return keys, [(lv, f, s, np.searchsorted(keys, k), o) for lv, f, s, k, o in links]
 
 
-def _groups(plan: FmmPlan, tree: ClusterTree, keys: np.ndarray) -> np.ndarray:
-    """The (level, direction) group of each key of tree, as level * n_dirs + d:
-    an M2L event's target and source rows share its group, since they are
-    same-level cells with the direction of its entry."""
-    n = plan.n_dirs
-    return tree.cell_levels()[keys // n] * n + keys % n
-
-
-def _runs(groups: np.ndarray) -> np.ndarray:
-    """The bounds of the runs of a non-decreasing array: run k is
-    bounds[k]:bounds[k + 1]."""
-    return np.append(np.flatnonzero(np.diff(groups, prepend=-1)), len(groups))
-
-
 def _plan_rows(plan: FmmPlan) -> None:
-    """Rewrite the M2L plan's cell indices in place: the target as its row
-    of m2l_keys, the source as its row of m2f_keys, both keys group-major
-    (by (level, direction) group, then by cell).  Cut each group's target
-    rows, from its first, in stacks of (rows, P^3) Fourier locals
-    (_blocks), order the plan by stack, and keep the schedule dtt replays
-    (m2l_groups): per group, its source rows s_lo:s_hi and its stacks, each
-    its target rows t_lo:t_hi and its number of events.  Then derive both
-    key sets and their son links from these (_walk)."""
+    """Rewrite the M2L plan in the indices dtt replays and keep its
+    schedule, m2l_groups.  An event's group is the (level, direction) of
+    its cells and its entry; per group, in order of level * n_dirs + d:
+    the rows of source_keys its M2F gathers, its table entries (an entry
+    has one level and one direction, so these lists partition the table)
+    and its stacks, each the rows of target_keys one F2L writes and its
+    number of events.  A group's target rows, sorted, are cut from its
+    first in stacks of (rows, P^3) Fourier locals (_blocks).  An event
+    becomes (its target's row in its stack, its source's index in its
+    group's rows, its entry's index in its group's entries), and the plan
+    goes stack by stack, each stack's events in recorded order.  Both key
+    sets and their son links come from the groups' keys (_walk)."""
     n = plan.n_dirs
+    tt, st = plan.target_tree, plan.source_tree
     m2l = np.frombuffer(plan.m2l_plan, dtype=np.intc).reshape(-1, 3)
     dirs = np.array(plan.cache.directions, dtype=np.int64)
+    codes, group = np.unique(tt.cell_levels()[m2l[:, 0]] * n + dirs[m2l[:, 2]], return_inverse=True)
 
-    def rows(col: int, tree: ClusterTree) -> np.ndarray:
-        """The group-major keys of the plan's column col, which become their
-        rows: one int64 code (group, cell) per event, then unique."""
-        cells = m2l[:, col].astype(np.int64)
-        code = tree.cell_levels()[cells] * n + dirs[m2l[:, 2]]
-        code *= tree.n_cells
-        code += cells
-        distinct, m2l[:, col] = np.unique(code, return_inverse=True)
-        return distinct % tree.n_cells * n + distinct // tree.n_cells % n
+    def distinct(col: int, size: int) -> tuple:
+        """The sorted distinct codes group * size + value of the plan's
+        column col (values < size), the bounds of each group's run of them
+        and the index of each event's code among them."""
+        values, inverse = np.unique(group * size + m2l[:, col], return_inverse=True)
+        return values, np.searchsorted(values, np.arange(len(codes) + 1) * size), inverse
 
-    plan.m2l_keys, plan.m2f_keys = rows(0, plan.target_tree), rows(1, plan.source_tree)
-    # both sides hold the same groups, in the same order
-    t_runs = _runs(_groups(plan, plan.target_tree, plan.m2l_keys)).tolist()
-    s_runs = _runs(_groups(plan, plan.source_tree, plan.m2f_keys)).tolist()
+    t_codes, t_bounds, rows = distinct(0, tt.n_cells)
     size = plan.workspace.fourier_size
-    stacks = [[range(lo, hi)[at] for at in _blocks(hi - lo, size)] for lo, hi in pairwise(t_runs)]
-    sizes = [len(stack) for group in stacks for stack in group]
-    # the events group by group and, within a group, stack by stack of
-    # target rows, each stack's in recorded order: dtt replays, transforms
-    # and releases one group at a time
-    by_stack = np.repeat(np.arange(len(sizes)), sizes)[m2l[:, 0]]
+    cuts = [[range(lo, hi)[at] for at in _blocks(hi - lo, size)] for lo, hi in pairwise(t_bounds.tolist())]
+    starts = np.array([stack.start for stacks in cuts for stack in stacks], dtype=np.int64)
+    by_stack = np.searchsorted(starts, rows, side="right") - 1
+    m2l[:, 0] = rows - starts[by_stack]
+    s_codes, s_bounds, rows = distinct(1, st.n_cells)
+    m2l[:, 1] = rows - s_bounds[group]
+    e_codes, e_bounds, rows = distinct(2, plan.cache.n_translations)
+    m2l[:, 2] = rows - e_bounds[group]
+    # dtt replays, transforms and releases one group at a time
     m2l[:] = m2l[np.argsort(by_stack, kind="stable")]
-    events = iter(np.bincount(by_stack, minlength=len(sizes)).tolist())
-    del by_stack
-    plan.m2l_groups = [
-        (s_lo, s_hi, [(stack.start, stack.stop, next(events)) for stack in group])
-        for (s_lo, s_hi), group in zip(pairwise(s_runs), stacks)
-    ]
+    events = iter(np.bincount(by_stack, minlength=len(starts)).tolist())
+    del group, rows, by_stack
     # after the per-event temporaries are freed: arrays kept while they
     # lived would pin the heap they grew (29 MB on the N = 80,000 sphere)
-    plan.target_keys, plan.target_links = _walk(plan, plan.target_tree, np.sort(plan.m2l_keys))
-    plan.source_keys, plan.source_links = _walk(plan, plan.source_tree, np.sort(plan.m2f_keys))
+    t_keys = t_codes % tt.n_cells * n + codes[t_codes // tt.n_cells] % n
+    s_keys = s_codes % st.n_cells * n + codes[s_codes // st.n_cells] % n
+    plan.target_keys, plan.target_links = _walk(plan, tt, np.sort(t_keys))
+    plan.source_keys, plan.source_links = _walk(plan, st, np.sort(s_keys))
+    t_rows = np.searchsorted(plan.target_keys, t_keys)
+    s_rows = np.searchsorted(plan.source_keys, s_keys)
+    entries = e_codes % plan.cache.n_translations
+    plan.m2l_groups = [
+        (s_rows[s_lo:s_hi], entries[e_lo:e_hi], [(t_rows[at.start : at.stop], next(events)) for at in stacks])
+        for (s_lo, s_hi), (e_lo, e_hi), stacks in zip(
+            pairwise(s_bounds.tolist()), pairwise(e_bounds.tolist()), cuts
+        )
+    ]
 
 
 def _padded(first: np.ndarray, counts: np.ndarray) -> tuple:
@@ -727,62 +732,42 @@ def _upward(plan: FmmPlan, charges: np.ndarray, multipole: np.ndarray) -> None:
 
 
 def _m2l(plan: FmmPlan, multipole: np.ndarray, local: np.ndarray) -> tuple:
-    """Replay the M2L events one (level, direction) group at a time and
-    return the (M2F, F2L) time.  A group transforms the multipoles it reads
-    (its rows of m2f_keys) into one block, a stack of rows at a time, and
+    """Replay the M2L events one (level, direction) group at a time
+    (plan.m2l_groups) and return the (M2F, F2L) time.  A group transforms
+    its rows of multipole into one block, a stack of rows at a time, and
     permutes the diagonals of its entries out of the table; it replays its
-    events a stack of target rows at a time (plan.m2l_groups), each
-    stack's in recorded order, into one reused (stack, P^3) buffer, and F2L
-    takes each stack into its rows of local as soon as its last event is
-    done.  The group's block and diagonals are dropped before the next
-    group.  local receives the locals M2L writes (m2l_keys) in their rows
-    of target_keys."""
+    events a stack at a time, each stack's in recorded order, into one
+    reused (stack, P^3) buffer, and F2L takes each stack into its rows of
+    local as soon as its last event is done.  The group's block and
+    diagonals are dropped before the next group."""
     ws, cache = plan.workspace, plan.cache
-    m2l = np.frombuffer(plan.m2l_plan, dtype=np.intc).reshape(-1, 3)
-    local_rows = np.searchsorted(plan.target_keys, plan.m2l_keys)
-    multipole_rows = np.searchsorted(plan.source_keys, plan.m2f_keys)
-    # rows for a full stack, or for all rows if fewer (_blocks)
-    full = next(iter(_blocks(len(local_rows), ws.fourier_size)), slice(0))
-    buffer = np.zeros((len(local_rows[full]), ws.fourier_size), dtype=complex)
-    # row views, indexed by the plan's rows: one Python list lookup per
-    # operand instead of a 2-D index; the local of a stack's i-th row sums
-    # in buffer row i, and only the running group's operands are set
+    # rows for a full stack, or for all M2L target rows if fewer (_blocks)
+    rows = sum(len(targets) for _, _, stacks in plan.m2l_groups for targets, _ in stacks)
+    full = next(iter(_blocks(rows, ws.fourier_size)), slice(0))
+    buffer = np.zeros((len(range(rows)[full]), ws.fourier_size), dtype=complex)
+    # row views: one Python list lookup per operand instead of a 2-D index;
+    # the local of a stack's i-th row sums in buffer row i
     views = list(buffer)
-    accumulators = [
-        views[i] for _, _, stacks in plan.m2l_groups for lo, hi, _ in stacks for i in range(hi - lo)
-    ]
-    multipoles_hat = [None] * len(multipole_rows)
-    diagonals = [None] * cache.n_translations
     it = iter(plan.m2l_plan)
-    done = 0  # the events of the groups before this one
     m2f = f2l = 0.0
-    for s_lo, s_hi, stacks in plan.m2l_groups:
+    for sources, entries, stacks in plan.m2l_groups:
         t0 = time.perf_counter()
-        rows = multipole_rows[s_lo:s_hi]
-        hat = np.empty((len(rows), ws.fourier_size), dtype=complex)
-        for at in _blocks(len(rows), ws.fourier_size):
-            hat[at] = ws.m2f(multipole[rows[at]])
+        hat = np.empty((len(sources), ws.fourier_size), dtype=complex)
+        for at in _blocks(len(sources), ws.fourier_size):
+            hat[at] = ws.m2f(multipole[sources[at]])
         m2f += time.perf_counter() - t0
-        multipoles_hat[s_lo:s_hi] = hat
-        n_events = sum(count for _, _, count in stacks)
-        entries = np.unique(m2l[done : done + n_events, 2]).tolist()
-        done += n_events
-        for entry in entries:
-            diagonals[entry] = cache.diagonal(entry)
-        for lo, hi, count in stacks:
+        hats, diagonals = list(hat), [cache.diagonal(entry) for entry in entries.tolist()]
+        for targets, count in stacks:
             events = islice(it, 3 * count)
-            for j, row, entry in zip(events, events, events):
-                m2l_hadamard(accumulators[j], multipoles_hat[row], diagonals[entry])
-            stack = buffer[: hi - lo]
+            for i, row, k in zip(events, events, events):
+                m2l_hadamard(views[i], hats[row], diagonals[k])
+            stack = buffer[: len(targets)]
             t0 = time.perf_counter()
-            local[local_rows[lo:hi]] = ws.f2l(stack)
+            local[targets] = ws.f2l(stack)
             f2l += time.perf_counter() - t0
             stack.fill(0)
-        # every M2L of the group has read its multipoles and diagonals
-        multipoles_hat[s_lo:s_hi] = [None] * len(rows)
-        for entry in entries:
-            diagonals[entry] = None
-        del hat
+        # every M2L of the group has read its block and diagonals
+        del hat, hats, diagonals
     return m2f, f2l
 
 

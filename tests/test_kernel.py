@@ -232,6 +232,39 @@ def test_pair_closer_than_1e_154_interacts(kappa):
     assert np.allclose(fmm, exact, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("kr", [0.0, 5.0])
+def test_pair_farther_than_1e154_interacts(kr):
+    """Squared distances above the largest double overflow; with a
+    tolerance box-relative to a root box that far across, the kernel
+    rescales the coordinates instead of losing the pair.  kappa*r stays
+    below CIS_BOUND."""
+    r = 2.0**520
+    kappa = kr / r
+    pts = np.array([[r, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    q = np.ones(2, dtype=complex)
+    exact = np.exp(1j * kr) / (4.0 * np.pi * r)
+    assert kr < CIS_BOUND and exact != 0
+    oracle = direct_sum(HelmholtzKernel(kappa=kappa, singularity_tol=1e-12 * r), pts, pts, q)
+    assert np.allclose(oracle, exact, rtol=1e-14, atol=0)
+    fmm = run_fmm(pts, pts, q, FmmConfig(kappa=kappa))
+    assert np.allclose(fmm, exact, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kappa_d", [0.0, 16.0])
+@pytest.mark.parametrize("e", [520, 600])
+def test_fmm_on_a_cloud_scaled_beyond_1e154(e, kappa_d):
+    """A power-of-two scale 2**e of the points, with kappa scaled by
+    2**-e, scales the potentials by 2**-e: the solve's box-relative
+    tolerance makes every kernel block rescale its coordinates."""
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(size=(800, 3))
+    q = rng.normal(size=800) + 1j * rng.normal(size=800)
+    scale = 2.0**e
+    ref = run_fmm(pts, pts, q, FmmConfig(order=4, ncrit=16, kappa=kappa_d))
+    got = run_fmm(pts * scale, pts * scale, q, FmmConfig(order=4, ncrit=16, kappa=kappa_d / scale))
+    assert np.abs(got - ref / scale).max() <= 1e-14 * np.abs(ref / scale).max()
+
+
 @pytest.mark.parametrize("kappa", [0.0, 5.0])
 def test_rescaled_matrix_is_bitwise_the_plain_one(kappa):
     """A power-of-two scale is exact, so on points whose distances square

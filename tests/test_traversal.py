@@ -64,6 +64,14 @@ def _recorded(build):
     return plan, recorded[0]
 
 
+def _m2l_rows(plan):
+    """The rows of target_keys the M2L schedule writes, stack by stack, and
+    the rows of source_keys it reads, group by group."""
+    written = [np.empty(0, dtype=np.int64)] + [t for _, _, stacks in plan.m2l_groups for t, _ in stacks]
+    read = [np.empty(0, dtype=np.int64)] + [s for s, _, _ in plan.m2l_groups]
+    return np.concatenate(written), np.concatenate(read)
+
+
 def _arrays(plan):
     """Zeroed per-apply arrays of a plan, as apply allocates them: the
     multipoles, the locals and the potentials."""
@@ -378,7 +386,8 @@ def test_kappa_zero_has_no_hf_levels():
     targets = {i for ti, _, _ in triplets for i in _below(cells[ti])}
     assert plan.source_keys.tolist() == sorted(sources)
     assert plan.target_keys.tolist() == sorted(targets)
-    assert plan.m2l_keys.tolist() == sorted({ti for ti, _, _ in triplets})
+    written, _ = _m2l_rows(plan)
+    assert sorted(plan.target_keys[written].tolist()) == sorted({ti for ti, _, _ in triplets})
 
 
 def _axis_directions(plan, keys, cell):
@@ -558,8 +567,15 @@ def test_downward_pass_fails_on_a_missing_son_local(kappa):
     multipole, _, potentials = _arrays(plan)
     _upward(plan, q, multipole)
     victim = _son_key(plan, tree, plan.target_keys)
-    assert victim in plan.target_keys and victim not in plan.m2l_keys
-    plan.target_keys = plan.target_keys[plan.target_keys != victim]
+    keys = plan.target_keys
+    assert victim in keys and victim not in keys[_m2l_rows(plan)[0]]
+    plan.target_keys = keys[keys != victim]
+    # as a walk that dropped the key would leave the plan: the rows M2L
+    # writes come from the keys
+    plan.m2l_groups = [
+        (s, e, [(np.searchsorted(plan.target_keys, keys[t]), count) for t, count in stacks])
+        for s, e, stacks in plan.m2l_groups
+    ]
     _, local, _ = _arrays(plan)
     dtt(plan, q, multipole, local, potentials)
     with pytest.raises(RuntimeError, match="missing son expansion"):
@@ -830,21 +846,24 @@ def test_fourier_transforms_take_one_group_at_a_time(monkeypatch, same, kappa):
 
     read = [[group(plan.source_tree, plan.source_keys[r]) for r in rows] for rows in m2f_rows]
     written = {}  # f2l call -> the groups of the locals it wrote
-    for key, row in zip(plan.m2l_keys.tolist(), np.searchsorted(plan.target_keys, plan.m2l_keys)):
+    t_rows, s_rows = _m2l_rows(plan)
+    for row in t_rows.tolist():
         call = int(local[row, 0].real)
-        written.setdefault(call, []).append(group(plan.target_tree, key))
+        written.setdefault(call, []).append(group(plan.target_tree, plan.target_keys[row]))
     assert sorted(written) == list(range(1, len(f2l_calls) + 1))
     assert [len(written[call]) for call in sorted(written)] == f2l_calls
-    sides = ((read, plan.source_tree, plan.m2f_keys), (written.values(), plan.target_tree, plan.m2l_keys))
+    sides = (
+        (read, plan.source_tree, plan.source_keys[s_rows]),
+        (written.values(), plan.target_tree, plan.target_keys[t_rows]),
+    )
     for calls, tree, keys in sides:
         assert all(len(set(groups)) == 1 and len(groups) <= step for groups in calls)
         sizes = Counter(group(tree, k) for k in keys.tolist())
         per_group = Counter(groups[0] for groups in calls)
         assert per_group == {g: -(-rows // step) for g, rows in sizes.items()}
         assert len(sizes) > 1 and max(per_group.values()) > 1
-    assert sorted(r for rows in m2f_rows for r in rows) == sorted(
-        np.searchsorted(plan.source_keys, plan.m2f_keys).tolist()
-    )
+    assert sorted(r for rows in m2f_rows for r in rows) == sorted(s_rows.tolist())
+    assert len(set(s_rows.tolist())) == len(s_rows) and len(set(t_rows.tolist())) == len(t_rows)
     cache = plan.cache
     held = [
         v
@@ -893,53 +912,52 @@ def test_table_directions_are_the_rows_each_m2l_reads_and_writes(monkeypatch, sa
     """The direction of an M2L event's table entry is the direction of the
     local it writes and of the multipole it reads: the direction nearest
     to its translation at a high-frequency level, 0 at a low-frequency
-    one.  Each (level, direction) group's target rows are one run of
-    rows, cut from its first in stacks of MAX_BLOCK_ENTRIES // P^3 rows;
-    the rows' plan goes stack by stack within each group, each stack's
-    events in recorded order, and the plan's schedule holds each group's
-    source rows and each stack's rows and events.  Stacks of four rows cut
-    the larger groups in several."""
+    one.  Each (level, direction) group of the schedule, in order of level
+    and direction, reads source rows and writes target rows of that group
+    only; its target rows ascend, cut from its first in stacks of
+    MAX_BLOCK_ENTRIES // P^3 rows.  The plan goes stack by stack within
+    each group, each stack's events in recorded order, and names each
+    event by its target's row in its stack, its source's index in its
+    group's rows and its entry's index in its group's entries.  Stacks of
+    four rows cut the larger groups in several."""
     monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", 4 * FourierWorkspace(3).fourier_size)
     sources = generate_distribution(Distribution("sphere", 1000))
     targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
     config = FmmConfig(order=3, ncrit=8, kappa=kappa)
     plan, cells = _recorded(lambda: plan_fmm(targets, sources, config))
-    rows = np.frombuffer(plan.m2l_plan, dtype=np.intc).reshape(-1, 3)
+    rows = iter(np.frombuffer(plan.m2l_plan, dtype=np.intc).reshape(-1, 3).tolist())
     n = plan.n_dirs
     step = traversal.MAX_BLOCK_ENTRIES // plan.workspace.fourier_size
-    levels = plan.target_tree.cell_levels()
-    groups = [(levels[k // n], k % n) for k in plan.m2l_keys.tolist()]
-    runs = [g for j, g in enumerate(groups) if j == 0 or groups[j - 1] != g]
-    assert len(runs) == len(set(runs)) > 1
-    first = {g: groups.index(g) for g in runs}
-    # each row's stack, as (group's first row, stack within the group)
-    stack = [(first[g], (j - first[g]) // step) for j, g in enumerate(groups)]
-    planned = [stack[j] for j in rows[:, 0].tolist()]
-    assert planned == sorted(planned) and len(set(planned)) > len(runs)
-    # the schedule dtt replays: per stack its target rows and events, per
-    # group the source rows of its group, in the order of the runs
-    spans = {}
-    for j, key in enumerate(stack):
-        spans[key] = (spans.get(key, (j,))[0], j + 1)
-    schedule = [(lo, hi, planned.count(key)) for key, (lo, hi) in spans.items()]
-    assert [t for _, _, stacks in plan.m2l_groups for t in stacks] == schedule
-    source_levels = plan.source_tree.cell_levels()
-    source_groups = [(source_levels[k // n], k % n) for k in plan.m2f_keys.tolist()]
-    assert [set(source_groups[lo:hi]) for lo, hi, _ in plan.m2l_groups] == [{g} for g in runs]
-    groups = plan.m2l_groups
-    assert [lo for lo, _, _ in groups] == [0] + [hi for _, hi, _ in groups[:-1]]
-    assert groups[-1][1] == len(source_groups)
-    row_of = {k: j for j, k in enumerate(plan.m2l_keys.tolist())}
-    keys = cells[:, 0] * np.int64(n) + np.array(plan.cache.directions)[cells[:, 2]]
-    recorded = [stack[row_of[k]] for k in keys.tolist()]
-    cells = cells[sorted(range(len(recorded)), key=recorded.__getitem__)]
+    t_levels, s_levels = plan.target_tree.cell_levels(), plan.source_tree.cell_levels()
+    t_keys, s_keys = plan.target_keys, plan.source_keys
+    groups, stack_of, planned = [], {}, []
+    for read, entries, stacks in plan.m2l_groups:
+        written = np.concatenate([t for t, _ in stacks])
+        (g,) = {(t_levels[k // n], k % n) for k in t_keys[written].tolist()}
+        assert {(s_levels[k // n], k % n) for k in s_keys[read].tolist()} == {g}
+        assert (np.diff(t_keys[written]) > 0).all()
+        cut = [min(step, len(written) - lo) for lo in range(0, len(written), step)]
+        assert [len(t) for t, _ in stacks] == cut
+        for k, (stack, count) in enumerate(stacks):
+            stack_of.update((key, (len(groups), k)) for key in t_keys[stack].tolist())
+            for i, row, entry in (next(rows) for _ in range(count)):
+                planned.append((t_keys[stack[i]], s_keys[read[row]], entries[entry]))
+        groups.append(g)
+    assert next(rows, None) is None
+    assert groups == sorted(set(groups)) and len(groups) > 1
+    assert len(set(stack_of.values())) > len(groups)
+    # each stack's events in recorded order, each key of its entry's direction
+    directions = np.array(plan.cache.directions, dtype=np.int64)
+    tk, sk = (cells[:, k] * np.int64(n) + directions[cells[:, 2]] for k in (0, 1))
+    order = sorted(range(len(cells)), key=lambda e: stack_of[tk[e]])
+    assert [tuple(map(int, event)) for event in planned] == [(tk[e], sk[e], cells[e, 2]) for e in order]
     tcells, scells = plan.target_tree.cells, plan.source_tree.cells
     levels = set()
-    for (ti, si, entry), (j, row, _) in zip(cells.tolist(), rows.tolist()):
+    for (tk, sk, entry), e in zip(planned, order):
         d = plan.cache.directions[entry]
-        assert d == plan.m2l_keys[j] % n == plan.m2f_keys[row] % n
-        t, s = tcells[ti], scells[si]
-        assert (plan.m2l_keys[j] // n, plan.m2f_keys[row] // n) == (ti, si)
+        assert d == tk % n == sk % n
+        t, s = tcells[tk // n], scells[sk // n]
+        assert (t.index, s.index) == tuple(cells[e, :2])
         if plan.is_hf(t.level):
             tvec = t.coords - s.coords
             unit = tvec / np.linalg.norm(tvec)
@@ -950,6 +968,45 @@ def test_table_directions_are_the_rows_each_m2l_reads_and_writes(monkeypatch, sa
     # both regimes were planned, and some high-frequency entry was tagged
     assert levels == {True, False}
     assert any(plan.cache.directions)
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
+def test_the_schedule_is_self_contained_and_the_log_is_the_plans(monkeypatch, same):
+    """The M2L events of plan.log are exactly blank_dtt's recorded (target,
+    source) cells, stack by stack of the schedule, each stack's in recorded
+    order, before the P2P pairs; each table entry lies in exactly one
+    group's entries, whose level and direction are the group's."""
+    monkeypatch.setattr(traversal, "MAX_BLOCK_ENTRIES", 4 * FourierWorkspace(3).fourier_size)
+    sources = generate_distribution(Distribution("sphere", 1000))
+    targets = sources if same else sources[::3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]
+    config = FmmConfig(order=3, ncrit=8, kappa=12.0)
+    plan, recorded = _recorded(lambda: plan_fmm(targets, sources, config))
+    events = []
+    plan.log(events)
+    kinds = [e.kind for e in events]
+    assert kinds == ["M2L"] * len(recorded) + ["P2P"] * (len(plan.p2p_plan) // 2)
+    logged = [(e.target.index, e.source.index) for e in events[: len(recorded)]]
+    n, directions = plan.n_dirs, plan.cache.directions
+    stacks = [stack for _, _, group in plan.m2l_groups for stack, _ in group]
+    # target key -> its stack, in schedule order
+    stack_of = {key: k for k, stack in enumerate(stacks) for key in plan.target_keys[stack].tolist()}
+    by_stack = {}
+    for ti, si, entry in recorded.tolist():
+        by_stack.setdefault(stack_of[ti * n + directions[entry]], []).append((ti, si))
+    counts = [count for _, _, stacks in plan.m2l_groups for _, count in stacks]
+    assert [len(by_stack[k]) for k in range(len(counts))] == counts
+    assert logged == [pair for k in range(len(counts)) for pair in by_stack[k]]
+    assert len(counts) > len(plan.m2l_groups) > 1
+    # the groups' entries partition the table, by level and direction
+    level_of = {entry: level for (level, _), entry in plan.cache.entries.items()}
+    owners = Counter()
+    for read, entries, stacks in plan.m2l_groups:
+        key = plan.source_keys[read[0]]
+        group = (plan.source_tree.cells[key // n].level, key % n)
+        assert {(level_of[e], directions[e]) for e in entries.tolist()} == {group}
+        owners.update(entries.tolist())
+    assert sorted(owners) == list(range(plan.cache.n_translations))
+    assert set(owners.values()) == {1}
 
 
 def test_fmm_matches_direct_laplace():
@@ -1203,12 +1260,15 @@ def _plan_bytes(plan) -> list:
     links = [a for side in (plan.source_links, plan.target_links) for _, *cols in side for a in cols]
     blocks = [a for side in (plan.source_blocks, plan.target_blocks) for _, *cols in side for a in cols]
     waves = [a for key in sorted(plan.grid_waves) for a in plan.grid_waves[key]]
-    arrays = [
-        plan.m2l_plan, plan.p2p_plan, plan.m2l_keys, plan.m2f_keys, plan.source_keys,
-        plan.target_keys, *links, plan.source_table, plan.target_table, *blocks, *waves,
-        *plan.cache.canonicals,
+    schedule = [
+        a for read, entries, stacks in plan.m2l_groups for a in (read, entries, *(t for t, _ in stacks))
     ]
-    return [repr(plan.m2l_groups), repr(sorted(plan.grid_waves))] + [np.asarray(a).tobytes() for a in arrays]
+    arrays = [
+        plan.m2l_plan, plan.p2p_plan, *schedule, plan.source_keys, plan.target_keys, *links,
+        plan.source_table, plan.target_table, *blocks, *waves, *plan.cache.canonicals,
+    ]
+    counts = [[count for _, count in stacks] for _, _, stacks in plan.m2l_groups]
+    return [repr(counts), repr(sorted(plan.grid_waves))] + [np.asarray(a).tobytes() for a in arrays]
 
 
 @pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
