@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -43,13 +44,17 @@ class ExperimentConfig:
 
 @dataclass
 class RunRecord:
-    """A run's config echo, and the solve's timings and counts as
-    run_fmm_full reports them."""
+    """A run's config echo and the solve's timings and counts as
+    run_fmm_full reports them.  With check_error > 0, also the relative
+    errors against the sampled direct sum, and that sum's time scaled to
+    all targets (direct_est_s) with the solve's total over it
+    (fmm_over_direct)."""
 
     config: dict
     timings: dict
     counts: dict
     errors: dict | None = None
+    direct: dict | None = None
     potentials: np.ndarray | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -58,6 +63,7 @@ class RunRecord:
             "timings": self.timings,
             "counts": self.counts,
             "errors": self.errors,
+            "direct": self.direct,
         }
 
     def write_json(self, path) -> None:
@@ -66,6 +72,7 @@ class RunRecord:
     def write_csv(self, path) -> None:
         d = self.to_json_dict()
         d["errors"] = d["errors"] or dict.fromkeys(("linf", "l1", "l2"), "")
+        d["direct"] = d["direct"] or dict.fromkeys(("direct_est_s", "fmm_over_direct"), "")
         row = {f"{part}.{k}": v for part, values in d.items() for k, v in values.items()}
         path = Path(path)
         exists = path.exists()
@@ -125,18 +132,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     else:
         ncrit, potentials, info = solve(int(cfg.ncrit))
 
-    errors = None
+    errors = direct = None
     if cfg.check_error > 0:
         rng = np.random.default_rng(cfg.seed + 2)
         m = min(cfg.check_error, points.shape[0])
         sample = rng.choice(points.shape[0], size=m, replace=False)
         kernel = HelmholtzKernel(kappa=kappa, singularity_tol=DEFAULT_SINGULARITY_TOL * side)
+        start = time.perf_counter()
         reference = direct_sum(kernel, points[sample], points, charges)
+        direct_est_s = (time.perf_counter() - start) * points.shape[0] / m
         report = relative_errors(reference, potentials[sample])
         errors = {
             "linf": report.rel_linf,
             "l1": report.rel_l1,
             "l2": report.rel_l2,
+        }
+        direct = {
+            "direct_est_s": direct_est_s,
+            "fmm_over_direct": info.timings["total"] / direct_est_s,
         }
 
     # the config as given, with the measured n, the kappa and the chosen
@@ -150,5 +163,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         timings=info.timings,
         counts=info.counts,
         errors=errors,
+        direct=direct,
         potentials=potentials,
     )

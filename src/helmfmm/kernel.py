@@ -21,8 +21,8 @@ __all__ = [
 DEFAULT_SINGULARITY_TOL = 1e-12
 
 # entries of one kernel block in direct_sum.  HelmholtzKernel.matrix holds up
-# to seven block-sized float64 arrays (r, d, 1/(4*pi*r), the two of
-# _cis_times and the complex result as two), 1.75 MiB at this bound.  The
+# to five block-sized float64 arrays (r, d, 1/(4*pi*r) and the complex result
+# as two), 1.25 MiB at this bound.  The
 # blank pass takes a level's candidate cell pairs in slices of as many
 # pairs, so that their temporaries (about 50 bytes a pair) stay under 2 MB
 # however many pairs a level holds; a level's son pairs are still held whole
@@ -38,30 +38,6 @@ MAX_BLOCK_TARGETS = 512
 # holds pairs as far apart as the second: they lie less than 2 * side apart
 MIN_SQUARABLE = math.sqrt(np.finfo(float).tiny)
 MAX_SQUARABLE = math.sqrt(np.finfo(float).max)
-
-# e^{ix} for 0 <= x < CIS_BOUND without libm: Cody & Waite's reduction
-# x = k*pi/2 + y, |y| <= pi/4, with fdlibm's three-part pi/2 (each part has
-# at most 33 significant bits, so k*part is exact for k < 2**20), then
-# fdlibm's minimax kernels __kernel_sin and __kernel_cos on y
-CIS_BOUND = 2.0**19 * np.pi / 2
-_PIO2 = (1.57079632673412561417e00, 6.07710050630396597660e-11, 2.02226624871116645580e-21)
-_SIN = (
-    -1.66666666666666324348e-01,
-    8.33333333332248946124e-03,
-    -1.98412698298579493134e-04,
-    2.75573137070700676789e-06,
-    -2.50507602534068634195e-08,
-    1.58969099521155010221e-10,
-)
-_COS = (
-    4.16666666666666019037e-02,
-    -1.38888888888741095749e-03,
-    2.48015872894767294178e-05,
-    -2.75573143513906633035e-07,
-    2.08757232129817482790e-09,
-    -1.13596475577881948265e-11,
-)
-
 
 @dataclass(frozen=True)
 class HelmholtzKernel:
@@ -100,12 +76,12 @@ class HelmholtzKernel:
         """Dense kernel matrix G(targets[i], sources[j]).
 
         At kappa = 0 the matrix is real (float64), 1 / (4*pi*r); otherwise it
-        is complex, e^{i*kappa*r} / (4*pi*r) with e^{i*kappa*r} from one
-        polynomial sincos (_cis_times) while every kappa*r of the block is
-        below CIS_BOUND, and from np.cos and np.sin otherwise.  Both agree
-        with of_distance to about 3e-16 relative.  Suppressed pairs are
-        exactly 0 either way, and r is symmetric in its two points, so
-        matrix(x, y) is bitwise matrix(y, x).T.
+        is complex, e^{i*kappa*r} / (4*pi*r) with e^{ix} = (1 + it) / (1 - it)
+        from t = tan(x/2): one np.tan over the block and seven elementwise
+        steps, for every kappa*r.  It agrees with of_distance to about 7e-16
+        relative.  Suppressed pairs are exactly 0 (r = 0 gives t = 0), and r
+        is symmetric in its two points, so matrix(x, y) is bitwise
+        matrix(y, x).T.
 
         Below MIN_SQUARABLE a distance squares to an underflow, and beyond
         MAX_SQUARABLE to an overflow, so with a singularity_tol below the
@@ -121,9 +97,10 @@ class HelmholtzKernel:
             targets, sources = targets * scale, sources * scale
         # r and one scratch array d serve every step (the temporaries are
         # counted at MAX_BLOCK_ENTRIES)
-        r = np.zeros((targets.shape[0], sources.shape[0]))
+        r = np.subtract(targets[:, 0, None], sources[None, :, 0])
+        r *= r
         d = np.empty_like(r)
-        for k in range(3):
+        for k in (1, 2):
             np.subtract(targets[:, k, None], sources[None, :, k], out=d)
             d *= d
             r += d
@@ -132,61 +109,24 @@ class HelmholtzKernel:
         np.divide(scale / (4.0 * np.pi), r, out=inv, where=r >= self.singularity_tol * scale)
         if self.kappa == 0:
             return inv
-        r *= self.kappa / scale
+        # cos x = (1 - t^2) / (1 + t^2) and sin x = 2t / (1 + t^2).  numpy's
+        # AVX-512 dispatch (SVML) vectorizes the float64 np.tan, but not
+        # np.cos or np.sin; without that dispatch np.tan is libm's, as
+        # correct and only slower.  Halving kappa*r is exact, and the bits
+        # of np.tan do not depend on an entry's place in the block.  Every
+        # value scaled by inv stays within |inv|, so an inv near the largest
+        # double does not overflow
+        r *= 0.5 * self.kappa / scale
+        t = np.tan(r, out=r)
+        np.multiply(t, t, out=d)
+        d += 1.0
+        np.divide(inv, d, out=d)  # h = inv / (1 + t^2)
+        np.subtract(inv, d, out=inv)
         out = np.empty(r.shape, dtype=complex)
-        if r.max(initial=0.0) < CIS_BOUND:
-            _cis_times(r, inv, d, out)
-        else:
-            np.multiply(np.cos(r, out=d), inv, out=out.real)
-            np.multiply(np.sin(r, out=d), inv, out=out.imag)
+        np.subtract(d, inv, out=out.real)  # h - (inv - h)
+        t += t
+        np.multiply(t, d, out=out.imag)  # 2t * h
         return out
-
-
-def _cis_times(x: np.ndarray, inv: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
-    """out = e^{ix} * inv for 0 <= x < CIS_BOUND; x, inv and the scratch z
-    are overwritten.
-
-    Every step is one ufunc over the block, with no gather and no mask: the
-    quadrant q of x = k*pi/2 + y (q = k mod 4) enters as a = cos(q*pi/2) and
-    b = cos((q+1)*pi/2), which are 0 or +-1, so cos x = a*C + b*S and
-    sin x = a*S - b*C are exact selections of C = cos y and S = sin y.
-    """
-    k = np.multiply(x, 2.0 / np.pi)
-    np.rint(k, out=k)
-    for part in _PIO2:  # y = x - k*pi/2; the first difference is exact
-        np.multiply(k, part, out=z)
-        x -= z
-    np.multiply(x, x, out=z)
-    p = np.multiply(z, _SIN[-1])
-    for c in _SIN[-2::-1]:
-        p += c
-        p *= z
-    p *= x
-    x += p  # S = y + y*z*(S1 + z*(S2 + ...))
-    np.multiply(z, _COS[-1], out=p)
-    for c in _COS[-2::-1]:
-        p += c
-        p *= z
-    p -= 0.5
-    p *= z
-    p += 1.0  # C = 1 + z*(-1/2 + z*(C1 + z*(C2 + ...)))
-    # q = k - 4*rint(k/4), in [-2, 2]: a = 1 - |q| and b = q*(|q| - 2)
-    np.multiply(k, 0.25, out=z)
-    np.rint(z, out=z)
-    z *= 4.0
-    k -= z
-    np.abs(k, out=z)
-    z -= 2.0
-    k *= z
-    k *= inv  # b * inv
-    np.subtract(-1.0, z, out=z)
-    z *= inv  # a * inv
-    np.multiply(k, x, out=inv)
-    x *= z
-    z *= p
-    np.add(z, inv, out=out.real)
-    p *= k
-    np.subtract(x, p, out=out.imag)
 
 
 def _unit_scale(targets: np.ndarray, sources: np.ndarray) -> float:

@@ -21,7 +21,7 @@ def test_run_experiment_record_schema():
     )
     record = run_experiment(cfg)
     d = record.to_json_dict()
-    assert set(d) == {"config", "timings", "counts", "errors"}
+    assert set(d) == {"config", "timings", "counts", "errors", "direct"}
     assert d["config"]["n"] == 400
     # kappa = kappa_d / root box side, and the unit cube's box side is ~1
     assert 8.0 / d["config"]["kappa"] == pytest.approx(1.0, rel=0.2)
@@ -35,6 +35,11 @@ def test_run_experiment_record_schema():
     }
     assert d["errors"] is not None
     assert d["errors"]["l2"] < 1e-2
+    # the sampled direct sum's time scaled to all 400 targets, and the
+    # solve's total over it
+    assert set(d["direct"]) == {"direct_est_s", "fmm_over_direct"}
+    assert d["direct"]["direct_est_s"] > 0
+    assert d["direct"]["fmm_over_direct"] == d["timings"]["total"] / d["direct"]["direct_est_s"]
     assert record.potentials.shape == (400,)
 
 
@@ -61,6 +66,7 @@ def test_json_and_csv_outputs(tmp_path):
     assert len(rows) == 2
     assert rows[0]["config.n"] == "200"
     assert float(rows[0]["errors.l2"]) == record.errors["l2"]
+    assert float(rows[0]["direct.fmm_over_direct"]) == record.direct["fmm_over_direct"]
 
 
 def test_read_particle_file(tmp_path):
@@ -151,6 +157,8 @@ def test_cli_csv_append(tmp_path, capsys):
     with cpath.open() as fh:
         rows = list(csv.DictReader(fh))
     assert [r["config.n"] for r in rows] == ["100", "150"]
+    # no sampled targets, so no errors and no direct-sum time
+    assert rows[0]["errors.l2"] == rows[0]["direct.direct_est_s"] == ""
 
 
 @pytest.mark.parametrize("ncrit", ["abc", "0", "-3", "2.5"])

@@ -3,8 +3,8 @@ import pytest
 
 from helmfmm import kernel
 from helmfmm.kernel import (
-    CIS_BOUND,
     MAX_BLOCK_ENTRIES,
+    MIN_SQUARABLE,
     HelmholtzKernel,
     direct_sum,
     relative_errors,
@@ -112,35 +112,62 @@ def test_matrix_matches_of_distance_at_positive_kappa(kr_max):
     assert np.all(np.abs(mat - ref) <= 1e-15 * np.abs(ref))
 
 
-def test_matrix_matches_of_distance_at_quadrant_edges_and_the_libm_bound(monkeypatch):
-    """kappa*r at 0, tiny, k*pi/4 and k*pi/2 with their neighbours, and on
-    both sides of CIS_BOUND, where the block leaves the polynomial sincos
-    for np.cos and np.sin."""
+def test_matrix_matches_of_distance_at_quadrant_edges_and_tangent_poles():
+    """kappa*r at 0, tiny, k*pi/4 and k*pi/2 with their neighbours, around
+    2^19 pi/2, at the poles (2k+1)*pi of tan(x/2) and the points
+    (2k+1)*pi/2 where tan(x/2) = +-1, with their neighbours, and far out."""
     quarters = np.arange(1, 17) * (np.pi / 4)
     halves = np.array([1, 2, 3, 4, 1 << 10, 1 << 18, (1 << 19) - 1]) * (np.pi / 2)
-    edges = np.concatenate([quarters, halves])
-    below = np.concatenate(
+    poles = np.array([1, 3, 5, 7, 1001, (1 << 20) + 1, (1 << 40) + 1]) * np.pi
+    units = np.array([1, 3, 5, 7, 1001, (1 << 20) + 1, (1 << 40) + 1]) * (np.pi / 2)
+    edges = np.concatenate([quarters, halves, poles, units])
+    bound = 2.0**19 * np.pi / 2
+    x = np.concatenate(
         [
             [0.0, 1e-300, 1e-200, 1e-20, 2.0**-30, 1e-8],
             edges,
             np.nextafter(edges, 0.0),
             np.nextafter(edges, np.inf),
-            [np.nextafter(CIS_BOUND, 0.0)],
+            [np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf), 2.0 * bound],
+            [1e7, 1e12, 1e15, 1e18],
         ]
     )
-    above = np.array([CIS_BOUND, np.nextafter(CIS_BOUND, np.inf), 2.0 * CIS_BOUND, 1e7, 1e12])
-    libm_calls = []
-    libm_cos = np.cos
-    monkeypatch.setattr(np, "cos", lambda *a, **k: libm_calls.append(1) or libm_cos(*a, **k))
-    # kappa = 1, so kappa*r = r; one 1x1 block each, since a block leaves
-    # the polynomial path as a whole
+    # kappa = 1, so kappa*r = r; one 1x1 block each
     ker = HelmholtzKernel(kappa=1.0, singularity_tol=1e-300)
-    for x, libm in [(x, False) for x in below] + [(x, True) for x in above]:
-        libm_calls.clear()
-        got = ker.matrix(np.array([[0.0, 0.0, x]]), np.zeros((1, 3)))[0, 0]
-        ref = ker.of_distance(x)
-        assert abs(got - ref) <= 1e-15 * abs(ref), x
-        assert bool(libm_calls) == libm, x
+    for xi in x:
+        got = ker.matrix(np.array([[0.0, 0.0, xi]]), np.zeros((1, 3)))[0, 0]
+        ref = ker.of_distance(xi)
+        assert abs(got - ref) <= 1e-15 * abs(ref), xi
+
+
+@pytest.mark.parametrize("kappa", [5.0, 700.0])
+@pytest.mark.parametrize("tol", [1e-12, MIN_SQUARABLE / 2.0])
+def test_one_block_in_every_regime_has_the_bits_of_its_pairs(kappa, tol):
+    """kappa*r from 0 through 1e-300 and ordinary values to 1e12 in one
+    block, with the default tolerance and with one that rescales: every
+    entry matches of_distance, and is bitwise its pair's 1x1 block, so the
+    way direct_sum cuts a near field into blocks never moves its bits."""
+    rng = np.random.default_rng(5)
+    kr = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 50.0, size=40), [1e3, 1e7, 1e12]])
+    r = kr / kappa
+    ker = HelmholtzKernel(kappa=kappa, singularity_tol=tol)
+    targets = r[:, None] * np.array([[0.0, 1.0, 0.0]])
+    mat = ker.matrix(targets, np.zeros((1, 3)))[:, 0]
+    ref = ker.of_distance(r)
+    assert np.all(np.abs(mat - ref) <= 1e-15 * np.abs(ref))
+    ones = np.array([ker.matrix(t[None], np.zeros((1, 3)))[0, 0] for t in targets])
+    assert ones.tobytes() == mat.tobytes()
+
+
+@pytest.mark.parametrize("kappa", [0.0, 5.0])
+def test_matrix_keeps_an_inverse_distance_near_the_largest_double(kappa):
+    """A pair 5e-310 apart, with a tolerance below it, has 1/(4*pi*r) above
+    half the largest double: no step of e^{i*kappa*r} may double it."""
+    ker = HelmholtzKernel(kappa=kappa, singularity_tol=1e-320)
+    got = ker.matrix(np.array([[5e-310, 0.0, 0.0]]), np.zeros((1, 3)))[0, 0]
+    ref = ker.of_distance(5e-310)
+    assert abs(ref) > np.finfo(float).max / 2
+    assert abs(got - ref) <= 1e-15 * abs(ref)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 5.0, 700.0])
@@ -236,14 +263,13 @@ def test_pair_closer_than_1e_154_interacts(kappa):
 def test_pair_farther_than_1e154_interacts(kr):
     """Squared distances above the largest double overflow; with a
     tolerance box-relative to a root box that far across, the kernel
-    rescales the coordinates instead of losing the pair.  kappa*r stays
-    below CIS_BOUND."""
+    rescales the coordinates instead of losing the pair."""
     r = 2.0**520
     kappa = kr / r
     pts = np.array([[r, 0.0, 0.0], [0.0, 0.0, 0.0]])
     q = np.ones(2, dtype=complex)
     exact = np.exp(1j * kr) / (4.0 * np.pi * r)
-    assert kr < CIS_BOUND and exact != 0
+    assert exact != 0
     oracle = direct_sum(HelmholtzKernel(kappa=kappa, singularity_tol=1e-12 * r), pts, pts, q)
     assert np.allclose(oracle, exact, rtol=1e-14, atol=0)
     fmm = run_fmm(pts, pts, q, FmmConfig(kappa=kappa))
