@@ -165,8 +165,8 @@ def apply_strategy(strategy: str, factors, x: np.ndarray) -> np.ndarray:
 
     t      : one column at a time;
     t+s    : all columns stacked into one multi-column product;
-    t+s+r  : stacked with real/imaginary parts deinterleaved so the real
-             factor matrices multiply a real array.
+    t+s+r  : stacked, with the complex columns viewed as float pairs so the
+             real factor matrices multiply a real array.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -174,8 +174,7 @@ def apply_strategy(strategy: str, factors, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError("expected stacked columns of shape (L^3, m)")
     if strategy == "t+s+r":
-        # each column's real and imaginary parts side by side
-        x = np.stack([x.real, x.imag], axis=2).reshape(len(x), 2 * x.shape[1])
+        # a float view puts each column's real and imaginary parts side by side
+        return kron_apply(factors, np.ascontiguousarray(x, dtype=complex).view(float)).view(complex)
     cols = [x[:, j : j + 1] for j in range(x.shape[1])] if strategy == "t" else [x]
-    y = np.hstack([kron_apply(factors, c) for c in cols]) if cols else x.copy()
-    return y[:, 0::2] + 1j * y[:, 1::2] if strategy == "t+s+r" else y
+    return np.hstack([kron_apply(factors, c) for c in cols]) if cols else x.copy()

@@ -16,26 +16,25 @@ __all__ = [
 ]
 
 # Default distance below which an interaction is suppressed to zero.  The FMM
-# driver and the harness's direct-sum oracle rescale it by the root box side,
+# driver and the harness's direct-sum oracle multiply it by the root box side,
 # so the policy is box-relative.
 DEFAULT_SINGULARITY_TOL = 1e-12
 
 # entries of one kernel block in direct_sum.  HelmholtzKernel.matrix holds up
 # to five block-sized float64 arrays (r, d, 1/(4*pi*r) and the complex result
-# as two), 1.25 MiB at this bound.  The
-# blank pass takes a level's candidate cell pairs in slices of as many
-# pairs, so that their temporaries (about 50 bytes a pair) stay under 2 MB
-# however many pairs a level holds; a level's son pairs are still held whole
+# as two), 1.25 MiB at this bound, and its reference path about nine, 2.25
+# MiB.  The blank pass takes a level's candidate cell pairs in slices of as
+# many pairs, so that their temporaries (about 50 bytes a pair) stay under
+# 2 MB however many pairs a level holds; a level's son pairs are still held
+# whole
 MAX_BLOCK_ENTRIES = 1 << 15
 
 # targets of one kernel block in direct_sum, at most
 MAX_BLOCK_TARGETS = 512
 
 # sqrt of the smallest normal and of the largest double: a distance between
-# them squares without underflow or overflow.  HelmholtzKernel.matrix
-# rescales only for a tolerance below the first, or for one whose root box
-# (a box-relative tolerance DEFAULT_SINGULARITY_TOL * side names its side)
-# holds pairs as far apart as the second: they lie less than 2 * side apart
+# them squares without underflow or overflow.  They set the trigger of
+# HelmholtzKernel.matrix's reference path
 MIN_SQUARABLE = math.sqrt(np.finfo(float).tiny)
 MAX_SQUARABLE = math.sqrt(np.finfo(float).max)
 
@@ -46,6 +45,12 @@ class HelmholtzKernel:
     Coincident (or numerically coincident) points contribute zero instead of
     raising: the near-singular factor is replaced by 0 and the computation
     continues.
+
+    matrix reads singularity_tol as box-relative (the root box's side is
+    singularity_tol / DEFAULT_SINGULARITY_TOL, as the solver and the harness
+    always set it) and takes the reference path, __call__, for a tolerance
+    below MIN_SQUARABLE or a side of at least MAX_SQUARABLE / 2.  With an
+    absolute tolerance a pair over about 1.3e154 apart overflows to 0 there.
     """
 
     kappa: float
@@ -83,18 +88,13 @@ class HelmholtzKernel:
         is symmetric in its two points, so matrix(x, y) is bitwise
         matrix(y, x).T.
 
-        Below MIN_SQUARABLE a distance squares to an underflow, and beyond
-        MAX_SQUARABLE to an overflow, so with a singularity_tol below the
-        first or one box-relative to a root box that reaches the second,
-        the coordinates are scaled by a power of two (exact) that brings
-        their span near 1, and the scale is folded back into the constants;
-        otherwise the scale is 1.0.
+        A block whose squares could underflow or overflow (see the class
+        docstring) is __call__ on every pair instead, real at kappa = 0.
         """
-        scale = 1.0
         side = self.singularity_tol / DEFAULT_SINGULARITY_TOL
         if self.singularity_tol < MIN_SQUARABLE or 2.0 * side >= MAX_SQUARABLE:
-            scale = _unit_scale(targets, sources)
-            targets, sources = targets * scale, sources * scale
+            out = self(targets[:, None, :], sources[None, :, :])
+            return np.ascontiguousarray(out.real) if self.kappa == 0 else out
         # r and one scratch array d serve every step (the temporaries are
         # counted at MAX_BLOCK_ENTRIES)
         r = np.subtract(targets[:, 0, None], sources[None, :, 0])
@@ -106,7 +106,7 @@ class HelmholtzKernel:
             r += d
         np.sqrt(r, out=r)
         inv = np.zeros_like(r)
-        np.divide(scale / (4.0 * np.pi), r, out=inv, where=r >= self.singularity_tol * scale)
+        np.divide(1.0 / (4.0 * np.pi), r, out=inv, where=r >= self.singularity_tol)
         if self.kappa == 0:
             return inv
         # cos x = (1 - t^2) / (1 + t^2) and sin x = 2t / (1 + t^2).  numpy's
@@ -116,7 +116,7 @@ class HelmholtzKernel:
         # of np.tan do not depend on an entry's place in the block.  Every
         # value scaled by inv stays within |inv|, so an inv near the largest
         # double does not overflow
-        r *= 0.5 * self.kappa / scale
+        r *= 0.5 * self.kappa
         t = np.tan(r, out=r)
         np.multiply(t, t, out=d)
         d += 1.0
@@ -127,21 +127,6 @@ class HelmholtzKernel:
         t += t
         np.multiply(t, d, out=out.imag)  # 2t * h
         return out
-
-
-def _unit_scale(targets: np.ndarray, sources: np.ndarray) -> float:
-    """The power of two that brings the span of the coordinates into
-    [0.5, 1), capped at 2**1020 and so that no scaled coordinate overflows;
-    1.0 for a block of coincident points."""
-    pts = np.vstack([targets, sources])
-    if len(pts) == 0:
-        return 1.0
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    span = float((hi - lo).max())
-    if not 0 < span < np.inf:
-        return 1.0
-    top = float(np.maximum(np.abs(lo), np.abs(hi)).max())
-    return math.ldexp(1.0, min(-math.frexp(span)[1], 1020 - max(math.frexp(top)[1], 0)))
 
 
 def direct_sum(

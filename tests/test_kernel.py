@@ -9,7 +9,7 @@ from helmfmm.kernel import (
     direct_sum,
     relative_errors,
 )
-from helmfmm.traversal import FmmConfig, run_fmm
+from helmfmm.traversal import FmmConfig, plan_fmm, run_fmm
 
 
 def test_laplace_limit_value():
@@ -144,9 +144,10 @@ def test_matrix_matches_of_distance_at_quadrant_edges_and_tangent_poles():
 @pytest.mark.parametrize("tol", [1e-12, MIN_SQUARABLE / 2.0])
 def test_one_block_in_every_regime_has_the_bits_of_its_pairs(kappa, tol):
     """kappa*r from 0 through 1e-300 and ordinary values to 1e12 in one
-    block, with the default tolerance and with one that rescales: every
-    entry matches of_distance, and is bitwise its pair's 1x1 block, so the
-    way direct_sum cuts a near field into blocks never moves its bits."""
+    block, with the default tolerance and with one that takes the reference
+    path: every entry matches of_distance, and is bitwise its pair's 1x1
+    block, so the way direct_sum cuts a near field into blocks never moves
+    its bits."""
     rng = np.random.default_rng(5)
     kr = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 50.0, size=40), [1e3, 1e7, 1e12]])
     r = kr / kappa
@@ -174,12 +175,30 @@ def test_matrix_keeps_an_inverse_distance_near_the_largest_double(kappa):
 def test_matrix_is_bitwise_reciprocal(kappa):
     """r is symmetric in its two points, so swapping targets and sources
     transposes the block bit for bit (the benchmark's reciprocity gap
-    relies on it)."""
+    relies on it); so is hypot, on the reference path (tolerance 1e-200)."""
     rng = np.random.default_rng(9)
     x = rng.uniform(-1.0, 1.0, size=(30, 3))
     y = np.vstack([rng.uniform(-1.0, 1.0, size=(45, 3)), x[:3]])
-    ker = HelmholtzKernel(kappa=kappa)
-    assert ker.matrix(x, y).tobytes() == ker.matrix(y, x).T.copy().tobytes()
+    for tol in (1e-12, 1e-200):
+        ker = HelmholtzKernel(kappa=kappa, singularity_tol=tol)
+        assert ker.matrix(x, y).tobytes() == ker.matrix(y, x).T.copy().tobytes(), tol
+
+
+@pytest.mark.parametrize("kappa", [0.0, 5.0])
+def test_a_block_spanning_1e_301_to_1e11_keeps_every_pair(kappa):
+    """With a tolerance of 1e-305, pairs 2e-301 apart, at ordinary
+    distances and 2e11 apart share one block: every entry matches
+    of_distance and is bitwise its own 1x1 block, so neither the close
+    pair nor the far one is lost to the other's scale."""
+    rng = np.random.default_rng(14)
+    r = np.concatenate([[2e-301, 3e-301], rng.uniform(0.01, 10.0, size=20), [2e11, 5e11]])
+    ker = HelmholtzKernel(kappa=kappa, singularity_tol=1e-305)
+    targets = r[:, None] * np.array([[0.0, 0.0, 1.0]])
+    mat = ker.matrix(targets, np.zeros((1, 3)))[:, 0]
+    ref = ker.of_distance(r)
+    assert np.all(np.abs(mat - ref) <= 1e-15 * np.abs(ref))
+    ones = np.array([ker.matrix(t[None], np.zeros((1, 3)))[0, 0] for t in targets])
+    assert ones.tobytes() == mat.tobytes()
 
 
 @pytest.mark.parametrize("kappa", [0.0, 4.0])
@@ -248,7 +267,7 @@ def test_direct_sum_excludes_self_interaction():
 @pytest.mark.parametrize("kappa", [0.0, 5.0])
 def test_pair_closer_than_1e_154_interacts(kappa):
     """Squared distances below the smallest normal double underflow; the
-    kernel rescales the coordinates instead of losing the pair."""
+    kernel takes the reference path instead of losing the pair."""
     r = 1e-200
     pts = np.array([[r, 0.0, 0.0], [0.0, 0.0, 0.0]])
     q = np.ones(2, dtype=complex)
@@ -263,7 +282,7 @@ def test_pair_closer_than_1e_154_interacts(kappa):
 def test_pair_farther_than_1e154_interacts(kr):
     """Squared distances above the largest double overflow; with a
     tolerance box-relative to a root box that far across, the kernel
-    rescales the coordinates instead of losing the pair."""
+    takes the reference path instead of losing the pair."""
     r = 2.0**520
     kappa = kr / r
     pts = np.array([[r, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -281,7 +300,7 @@ def test_pair_farther_than_1e154_interacts(kr):
 def test_fmm_on_a_cloud_scaled_beyond_1e154(e, kappa_d):
     """A power-of-two scale 2**e of the points, with kappa scaled by
     2**-e, scales the potentials by 2**-e: the solve's box-relative
-    tolerance makes every kernel block rescale its coordinates."""
+    tolerance sends every kernel block through the reference path."""
     rng = np.random.default_rng(12)
     pts = rng.uniform(size=(800, 3))
     q = rng.normal(size=800) + 1j * rng.normal(size=800)
@@ -292,15 +311,55 @@ def test_fmm_on_a_cloud_scaled_beyond_1e154(e, kappa_d):
 
 
 @pytest.mark.parametrize("kappa", [0.0, 5.0])
-def test_rescaled_matrix_is_bitwise_the_plain_one(kappa):
-    """A power-of-two scale is exact, so on points whose distances square
-    without underflow the rescaled block equals the unscaled one."""
+def test_reference_matrix_is_the_kernel_call_on_every_pair(kappa):
+    """A tolerance of 1e-200 is below MIN_SQUARABLE, so the block is
+    bitwise __call__ on every pair (real at kappa = 0), and it matches the
+    block of the fast formula on the same points."""
     rng = np.random.default_rng(8)
     t = rng.uniform(-3.0, 7.0, size=(40, 3))
     s = rng.uniform(-3.0, 7.0, size=(50, 3))
-    plain = HelmholtzKernel(kappa=kappa).matrix(t, s)
-    rescaled = HelmholtzKernel(kappa=kappa, singularity_tol=1e-200).matrix(t, s)
-    assert rescaled.tobytes() == plain.tobytes()
+    fast = HelmholtzKernel(kappa=kappa).matrix(t, s)
+    ker = HelmholtzKernel(kappa=kappa, singularity_tol=1e-200)
+    block = ker.matrix(t, s)
+    call = ker(t[:, None], s[None])
+    if kappa == 0:
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        call = np.ascontiguousarray(call.real)
+    assert block.tobytes() == call.tobytes()
+    assert np.abs(block - fast).max() <= 1e-15 * np.abs(fast).max()
+
+
+@pytest.mark.parametrize("shape", ["cube", "sphere", "plane-over-ellipsoid"])
+def test_solves_never_take_the_reference_path(monkeypatch, shape):
+    """The solver's tolerance is box-relative to a root box of ordinary
+    size, so no near-field block goes through __call__: taken by mistake it
+    would cost several times the P2P time without changing a result.  The
+    trigger reads the tolerance only, so a few hundred points suffice."""
+    rng = np.random.default_rng(17)
+    if shape == "cube":
+        sources, kappa = rng.uniform(size=(400, 3)), 0.0
+        targets = sources
+    elif shape == "sphere":
+        g = rng.normal(size=(400, 3))
+        sources, kappa = g / np.linalg.norm(g, axis=1, keepdims=True), 16.0
+        targets = sources
+    else:
+        # an ellipsoid x^2 + 16 y^2 + 16 z^2 = 1, targets on a plane through it
+        c, phi = rng.uniform(-1.0, 1.0, size=400), rng.uniform(0.0, 2.0 * np.pi, size=400)
+        w = 0.25 * np.sqrt(1.0 - c * c)
+        sources, kappa = np.column_stack([c, w * np.cos(phi), w * np.sin(phi)]), 8.0
+        x, y = np.meshgrid(np.linspace(-1.0, 1.0, 20), np.linspace(-0.25, 0.25, 10))
+        targets = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
+    q = rng.normal(size=400) + 1j * rng.normal(size=400)
+    plan = plan_fmm(targets, sources, FmmConfig(order=4, ncrit=16, kappa=kappa))
+    calls = []
+    call = HelmholtzKernel.__call__
+    monkeypatch.setattr(HelmholtzKernel, "__call__", lambda k, a, b: calls.append(1) or call(k, a, b))
+    plan.apply(q)
+    assert plan.counts["p2p_pairs"] > 0
+    assert calls == []
+    HelmholtzKernel(kappa=kappa, singularity_tol=1e-200).matrix(targets[:50], sources)
+    assert calls
 
 
 def test_relative_errors_norms():
