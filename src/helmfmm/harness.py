@@ -94,7 +94,12 @@ def read_particle_file(path) -> tuple[np.ndarray, np.ndarray]:
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"{path}:{lineno}: expected 'x y z re_q im_q'")
-        vals = [float(p) for p in parts]
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a number in {line!r}") from None
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{path}:{lineno}: values must be finite, not {line!r}")
         positions.append(vals[:3])
         charges.append(complex(vals[3], vals[4]))
     if not positions:

@@ -29,9 +29,6 @@ DEFAULT_SINGULARITY_TOL = 1e-12
 # whole
 MAX_BLOCK_ENTRIES = 1 << 15
 
-# targets of one kernel block in direct_sum, at most
-MAX_BLOCK_TARGETS = 512
-
 # sqrt of the smallest normal and of the largest double: a distance between
 # them squares without underflow or overflow.  They set the trigger of
 # HelmholtzKernel.matrix's reference path
@@ -138,11 +135,12 @@ def direct_sum(
     """O(N*M) direct evaluation of the potentials: the FMM near field and
     the reference oracle.
 
-    The product is built from kernel blocks of at most MAX_BLOCK_TARGETS
-    targets and MAX_BLOCK_ENTRIES entries.  A real block (kappa = 0)
-    multiplies the complex charges viewed as an (n, 2) float64 array.  Targets must have
-    shape (m, 3), sources (n, 3) and charges (n,); their values are not
-    scanned, since the near field calls this once per target cell.
+    The product is built from kernel blocks of at most MAX_BLOCK_ENTRIES
+    entries, as many targets as that allows.  A real block (kappa = 0)
+    multiplies the complex charges viewed as an (n, 2) float64 array.
+    Targets must have shape (m, 3), sources (n, 3) and charges (n,); their
+    values are not scanned, since the near field calls this once per
+    target cell.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
@@ -155,7 +153,7 @@ def direct_sum(
         raise ValueError(f"charges must have shape ({sources.shape[0]},), not {charges.shape}")
     n_t, n_s = targets.shape[0], sources.shape[0]
     cols = max(1, min(n_s, MAX_BLOCK_ENTRIES))
-    rows = max(1, min(MAX_BLOCK_TARGETS, MAX_BLOCK_ENTRIES // cols))
+    rows = max(1, MAX_BLOCK_ENTRIES // cols)
     out = np.zeros(n_t, dtype=complex)
     for c0 in range(0, n_s, cols):
         src = sources[c0 : c0 + cols]

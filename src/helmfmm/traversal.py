@@ -70,15 +70,16 @@ Z (interp.p2m, interp.l2p), never an (n, L^3) basis.  M2M and L2L make
 one stacked apply per son octant of a level's links (_translate), with
 the stacked, real-deinterleaved strategy "t+s+r".  The modulation
 exp(i*kappa*<x, u>) on a cell grid alpha + beta * g is one phase per row
-times a grid wave the plan builds once per (cell level, level,
-direction) its leaf blocks and son links ask for (_grid_waves, _waves);
-a low-frequency level is the one-direction case u = 0, so each operator
-has one formula for both regimes.  M2F transforms only the multipoles
-M2L reads, and F2L only the locals it writes, in stacks of one group's
-rows (_blocks), each row by two products with the DFT factors of the
-order (FourierWorkspace), bitwise the same in any stack, so the
-potentials keep their bits under any block rule; the M2L diagonals are
-still made by an FFT (precompute_symbol).
+times a grid wave read by direction index from the plan's one table per
+(cell level, level) its leaf blocks and son links use, which holds every
+direction of the level (_grid_waves, _waves); a low-frequency level is
+the one-direction case u = 0, so each operator has one formula for both
+regimes.  M2F transforms only the multipoles M2L reads, and F2L only the
+locals it writes, in stacks of one group's rows (_blocks), each row by
+two products with the DFT factors of the order (FourierWorkspace),
+bitwise the same in any stack, so the potentials keep their bits under
+any block rule; the M2L diagonals are still made by an FFT
+(precompute_symbol).
 """
 
 from __future__ import annotations
@@ -573,31 +574,23 @@ def _leaf_blocks(plan: FmmPlan, tree: ClusterTree, keys: np.ndarray) -> list:
 
 def _grid_waves(plan: FmmPlan) -> dict:
     """The grid waves exp(i*kappa*beta*<g, u>) on the reference grid g of
-    the cells of one level (side beta) for the directions u of a
-    high-frequency level, exactly those P2M, M2M, L2L and L2P ask for: a
-    leaf block its rows' directions at its leaves' level, a son link its
-    father's direction at the father's level and at the son's.  Per (cell
-    level, level): the sorted direction indices and their (directions,
-    L^3) waves, from one plane_wave call.  Both trees lie on one root box,
-    so a level's side is the same on both."""
-    n = plan.n_dirs
-    wanted: dict = {}
-    for keys, blocks, links in (
-        (plan.source_keys, plan.source_blocks, plan.source_links),
-        (plan.target_keys, plan.target_blocks, plan.target_links),
-    ):
-        asks = [(level, level, rows[mask]) for level, _, _, rows, mask in blocks]
-        asks += [(lv, level, fathers) for level, fathers, *_ in links for lv in (level, level + 1)]
-        for cell_level, level, rows in asks:
-            if plan.is_hf(level):
-                wanted.setdefault((cell_level, level), []).append(keys[rows] % n)
+    the cells of one level (side beta) for every direction u of a
+    high-frequency level, per (cell level, level) P2M, M2M, L2L and L2P
+    read: (level, level) for the level of each leaf block and son link,
+    the cells under their own directions, and (level + 1, level) for each
+    son link, the sons under their fathers'.  Each is one (directions,
+    L^3) array from one plane_wave call, row d the wave of direction d.
+    Both trees lie on one root box, so a level's side is the same on both."""
+    links = plan.source_links + plan.target_links
+    pairs = {(level, level) for level, *_ in plan.source_blocks + plan.target_blocks}
+    pairs |= {(cell_level, level) for level, *_ in links for cell_level in (level, level + 1)}
     grid = interp.grid_points(plan.config.order)
     waves = {}
-    for (cell_level, level), ds in wanted.items():
-        ds = np.unique(np.concatenate(ds))
-        beta = plan.target_tree.side_at(cell_level)
-        wave = interp.plane_wave(beta * grid, plan.config.kappa, plan.units[level][ds].T)
-        waves[cell_level, level] = ds, np.ascontiguousarray(wave.T)
+    for cell_level, level in sorted(pairs):
+        if plan.is_hf(level):
+            beta = plan.target_tree.side_at(cell_level)
+            wave = interp.plane_wave(beta * grid, plan.config.kappa, plan.units[level].T)
+            waves[cell_level, level] = np.ascontiguousarray(wave.T)
     return waves
 
 
@@ -608,16 +601,15 @@ def _waves(plan: FmmPlan, tree: ClusterTree, cells, cell_level: int, level: int,
     L2L, their fathers').  A row is the phase exp(i*kappa*<alpha, u>) at
     the cell's corner times the grid wave exp(i*kappa*beta*<g, u>) on the
     reference grid g, which depends on the cell only through its level
-    (side beta), gathered from the plan's (_grid_waves).  At a
-    low-frequency level u = 0: the one row is the unit wave, shared and
-    read-only."""
+    (side beta), read by direction index from the plan's table
+    (_grid_waves).  At a low-frequency level u = 0: the one row is the
+    unit wave, shared and read-only."""
     if not plan.is_hf(level):
         return plan.unit_wave
-    directions, waves = plan.grid_waves[cell_level, level]
     beta = tree.side_at(cell_level)
     alpha = tree.root_box.lower + tree.coords[cells] * beta
     corner = np.exp(1j * plan.config.kappa * (plan.units[level][ds] * alpha).sum(axis=-1))
-    return waves[np.searchsorted(directions, ds)] * corner[..., None]
+    return plan.grid_waves[cell_level, level][ds] * corner[..., None]
 
 
 def _lagrange_table(order: int, tree: ClusterTree, pset: ParticleSet) -> np.ndarray:
@@ -741,10 +733,9 @@ def _m2l(plan: FmmPlan, multipole: np.ndarray, local: np.ndarray) -> tuple:
     local as soon as its last event is done.  The group's block and
     diagonals are dropped before the next group."""
     ws, cache = plan.workspace, plan.cache
-    # rows for a full stack, or for all M2L target rows if fewer (_blocks)
-    rows = sum(len(targets) for _, _, stacks in plan.m2l_groups for targets, _ in stacks)
-    full = next(iter(_blocks(rows, ws.fourier_size)), slice(0))
-    buffer = np.zeros((len(range(rows)[full]), ws.fourier_size), dtype=complex)
+    # rows for the largest stack (_blocks)
+    rows = max((len(targets) for _, _, stacks in plan.m2l_groups for targets, _ in stacks), default=0)
+    buffer = np.zeros((rows, ws.fourier_size), dtype=complex)
     # row views: one Python list lookup per operand instead of a 2-D index;
     # the local of a stack's i-th row sums in buffer row i
     views = list(buffer)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -92,6 +93,13 @@ def test_read_particle_file_errors(tmp_path):
     empty.write_text("# nothing here\n")
     with pytest.raises(ValueError):
         read_particle_file(empty)
+    # a bad value names its file and line, whether it is no number at all
+    # or a number that is not finite
+    for text, reason in (("1 2 x 1 0", "not a number"), ("1 2 nan 1 0", "values must be finite")):
+        at = tmp_path / "values.txt"
+        at.write_text(f"# header\n0 0 0 1 0\n{text}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(at))}:3: {reason}"):
+            read_particle_file(at)
 
 
 def test_experiment_from_particle_file(tmp_path):

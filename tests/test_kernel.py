@@ -231,8 +231,8 @@ def test_direct_sum_matches_dense_product(monkeypatch):
     q = rng.normal(size=60) + 1j * rng.normal(size=60)
     ker = HelmholtzKernel(kappa=2.5)
     expected = ker.matrix(x, y) @ q
-    # a small block size forces the blocked path
-    monkeypatch.setattr(kernel, "MAX_BLOCK_TARGETS", 7)
+    # a small block size forces the blocked path: blocks of 7 targets
+    monkeypatch.setattr(kernel, "MAX_BLOCK_ENTRIES", 7 * 60)
     got = direct_sum(ker, x, y, q)
     assert np.allclose(got, expected, rtol=1e-14, atol=0)
 

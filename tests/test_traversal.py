@@ -784,9 +784,10 @@ def test_fourier_stacks_keep_the_potentials(monkeypatch, kappa, same):
 @pytest.mark.parametrize("same", [True, False], ids=["self", "two-tree"])
 @pytest.mark.parametrize("kappa", [12.0, 0.0])
 def test_m2l_accumulates_in_one_buffer_of_a_stack(monkeypatch, kappa, same):
-    """Every accumulator M2L receives is a row of one buffer of at most
-    MAX_BLOCK_ENTRIES // P^3 rows, so the Fourier locals never live whole;
-    the rows F2L receives are contiguous rows of that buffer."""
+    """Every accumulator M2L receives is a row of one buffer with as many
+    rows as the largest stack F2L receives, at most MAX_BLOCK_ENTRIES //
+    P^3, so the Fourier locals never live whole; the rows F2L receives are
+    contiguous rows of that buffer."""
     targets, sources, q, config = _stack_problem(kappa, same)
     size = FourierWorkspace(config.order).fourier_size
     width = 5
@@ -802,8 +803,9 @@ def test_m2l_accumulates_in_one_buffer_of_a_stack(monkeypatch, kappa, same):
     assert len(accumulators) == info.counts["m2l_events"] > 0
     buffer = accumulators[0].base
     assert buffer is not None and all(a.base is buffer for a in accumulators)
-    assert buffer.shape == (width, size)
     assert len(stacks) > 1 and all(x.base is buffer for x in stacks)
+    assert buffer.shape == (max(len(x) for x in stacks), size)
+    assert len(buffer) <= width
 
 
 @pytest.mark.parametrize("same,kappa", [(True, 8.0), (False, 12.0)], ids=["self", "two-tree"])
@@ -1359,27 +1361,22 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
     tree = pair[0]
     plan = FmmPlan(config, pair, pair)
     grid = interp.grid_points(config.order)
-    n = plan.n_dirs
-    # the plan builds the grid waves of exactly the (cell level, level,
-    # direction) triples its leaf blocks and son links ask for
-    asked = set()
-    for keys, blocks, links in (
-        (plan.source_keys, plan.source_blocks, plan.source_links),
-        (plan.target_keys, plan.target_blocks, plan.target_links),
-    ):
-        for level, _, _, rows, mask in blocks:
-            asked |= {(level, level, int(k) % n) for k in keys[rows[mask]]}
-        for level, fathers, *_ in links:
-            asked |= {(lv, level, int(k) % n) for k in keys[fathers] for lv in (level, level + 1)}
-    asked = {(cl, level, d) for cl, level, d in asked if plan.is_hf(level)}
-    built = {(cl, level, int(d)) for (cl, level), (ds, _) in plan.grid_waves.items() for d in ds}
-    assert built == asked
+    # the plan builds one table per high-frequency (cell level, level) its
+    # leaf blocks and son links use, each with every direction of the level
+    used = set()
+    for blocks, links in ((plan.source_blocks, plan.source_links), (plan.target_blocks, plan.target_links)):
+        used |= {(level, level) for level, *_ in blocks}
+        used |= {(lv, level) for level, *_ in links for lv in (level, level + 1)}
+    assert set(plan.grid_waves) == {(cl, level) for cl, level in used if plan.is_hf(level)}
+    for (cell_level, level), table in plan.grid_waves.items():
+        assert table.shape == (len(plan.units[level]), config.order**3)
     # under the cells' own directions (P2M/L2P, M2M/L2L fathers) and under
     # their fathers' (M2M/L2L sons)
     assert {cl - level for cl, level in plan.grid_waves} == {0, 1}
-    # every cell of a level under each direction built for it, every (cell,
+    # every cell of a level under each direction of its table, every (cell,
     # direction) pair in one call, cell major
-    for (cell_level, level), (ds, _) in plan.grid_waves.items():
+    for (cell_level, level), table in plan.grid_waves.items():
+        ds = np.arange(len(table))
         cells = tree.levels[cell_level]
         index = np.repeat([cell.index for cell in cells], len(ds))
         waves = iter(_waves(plan, tree, index, cell_level, level, np.tile(ds, len(cells))))
@@ -1405,6 +1402,47 @@ def test_closed_form_grid_waves_match_the_cell_grid_plane_wave():
         x = (tree.root_box.lower + cell.coords * side) + side * grid
         assert wave[0].tobytes() == interp.plane_wave(x, 10.0, np.zeros(3)).tobytes()
     assert all(low.is_hf(level) for _, level in low.grid_waves)
+
+
+def test_every_grid_wave_row_is_its_directions_wave():
+    """Row d of a grid-wave table is the wave of direction d of its level,
+    for every direction of the level, whether or not a leaf block or son
+    link of the plan names it: at (4, 3) on this sphere the son links name
+    none of directions 0, 7, 15 and 23.  A table the plan does not hold
+    raises KeyError and a direction past the level's raises IndexError,
+    rather than reading another direction's wave."""
+    pts = generate_distribution(Distribution("sphere", 1000))
+    config = FmmConfig(order=4, ncrit=8, kappa=20.0)
+    pair = build_tree(pts, config.ncrit)
+    tree = pair[0]
+    plan = FmmPlan(config, pair, pair)
+    grid = interp.grid_points(config.order)
+    assert (4, 3) in plan.grid_waves and len(plan.units[3]) == 24
+    named = {
+        int(k) % plan.n_dirs
+        for keys, links in ((plan.source_keys, plan.source_links), (plan.target_keys, plan.target_links))
+        for level, fathers, *_ in links
+        if level == 3
+        for k in keys[fathers]
+    }
+    assert named.isdisjoint({0, 7, 15, 23})
+    for (cell_level, level), table in plan.grid_waves.items():
+        cells = tree.levels[cell_level]
+        for cell in (cells[0], cells[len(cells) // 2], cells[-1]):
+            side = tree.side_at(cell_level)
+            x = (tree.root_box.lower + cell.coords * side) + side * grid
+            ds = np.arange(len(plan.units[level]))
+            waves = _waves(plan, tree, cell.index, cell_level, level, ds)
+            for d in ds:
+                ref = interp.plane_wave(x, config.kappa, plan.units[level][d])
+                assert np.abs(waves[d] - ref).max() < 1e-12
+    level = plan.hf_max_level
+    assert plan.is_hf(level) and (level + 2, level) not in plan.grid_waves
+    with pytest.raises(KeyError):
+        _waves(plan, tree, 0, level + 2, level, np.zeros(1, dtype=np.int64))
+    cell = tree.levels[4][0].index
+    with pytest.raises(IndexError):
+        _waves(plan, tree, cell, 4, 3, np.array([len(plan.units[3])]))
 
 
 def _leaf_cases(rng, ncrit):
